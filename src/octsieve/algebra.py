@@ -13,15 +13,28 @@ algebra id n encodes which generators are applied to the reference rule
 O[0] (bit weights: T0=8, T1=4, T2=2, T3=1).  Ids 0..7 are the left-handed
 rules, 8..15 the right-handed ones.
 
+The basis index of a product is the same in every rule: e_i e_j =
++-e_{i XOR j}, because each triplet (l, m, n) satisfies l XOR m = n.  Only
+the sign depends on the rule.  It is +1 when i or j is 0 and -1 when
+i = j > 0; otherwise i and j lie on one triplet, and the sign is that
+triplet's reference orientation times its character in rule n: -1 if rule
+n flips the triplet, +1 if not.  :func:`multiply` is one unrolled kernel
+over these seven characters; the tables of :func:`mul_table` are built
+independently, from the oriented triplets.
+
 All values here are immutable and all functions are pure.  Integer
-coefficients propagate exactly through every operation, which is what the
-verification suite relies on for equality (rather than tolerance)
-assertions.
+coefficients of any size propagate exactly through every operation, which
+is what the verification suite relies on for equality (rather than
+tolerance) assertions.  Float coefficients must be finite.  With float
+inputs every term of a product is added, zero or not, so a coefficient
+whose terms all vanish can come out as 0.0 where a loop that skips zero
+terms would leave the integer 0; the two are equal.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -94,14 +107,17 @@ class Octonion:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        cs = tuple(coeffs)
+        cs = coeffs if type(coeffs) is tuple else tuple(coeffs)
         if len(cs) != 8:
             raise ValueError(f"an octonion needs 8 coefficients, got {len(cs)}")
         for c in cs:
-            if not isinstance(c, (int, float)) or isinstance(c, bool):
+            if type(c) is int:
+                continue  # exact, and finite at any size
+            if isinstance(c, float):
+                if not math.isfinite(c):
+                    raise ValueError(f"coefficients must be finite, got {c!r}")
+            elif not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be real numbers, got {c!r}")
-            if not math.isfinite(c):
-                raise ValueError(f"coefficients must be finite, got {c!r}")
         object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):
@@ -140,15 +156,15 @@ class Octonion:
     def __add__(self, other: "Octonion") -> "Octonion":
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return Octonion(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Octonion") -> "Octonion":
         if not isinstance(other, Octonion):
             return NotImplemented
-        return Octonion(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return Octonion(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Octonion":
-        return Octonion(-c for c in self.coeffs)
+        return Octonion(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, scalar):
         # Scalar scaling only; octonion products need an algebra id.
@@ -156,7 +172,7 @@ class Octonion:
             raise TypeError("octonion products need a rule: use multiply(a, b, n)")
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        return Octonion(scalar * c for c in self.coeffs)
+        return Octonion(tuple(map(mul, (scalar,) * 8, self.coeffs)))
 
     __rmul__ = __mul__
 
@@ -243,20 +259,44 @@ def mul_table(n: int) -> MulTable:
     return _TABLES[_check_algebra_id(n)]
 
 
+# The seven triplet characters of each rule: -1 where rule n flips the
+# reference triplet, else +1.
+_SIGNS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(-1 if f else 1 for f in flip_vector(n)) for n in range(16)
+)
+
+
+def _signs(n: int) -> tuple[int, ...]:
+    """The triplet characters of rule n, for :func:`_mul`."""
+    return _SIGNS[_check_algebra_id(n)]
+
+
+def _mul(a: tuple, b: tuple, s: tuple[int, ...]) -> tuple:
+    """Product of two coefficient 8-tuples under the rule whose triplet
+    characters are ``s`` (see :func:`_signs`).
+
+    Output k is the sum over i of sign(i, i^k) * a_i * b_{i^k}, its terms
+    added in ascending i.  Each term carries rule 0's sign as written and
+    the factor s_t of the reference triplet t that holds i and i^k.
+    """
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    s0, s1, s2, s3, s4, s5, s6 = s
+    return (
+        a0*b0 - a1*b1 - a2*b2 - a3*b3 - a4*b4 - a5*b5 - a6*b6 - a7*b7,
+        a0*b1 + a1*b0 + s0*a2*b3 - s0*a3*b2 + s4*a4*b5 - s4*a5*b4 - s1*a6*b7 + s1*a7*b6,
+        a0*b2 - s0*a1*b3 + a2*b0 + s0*a3*b1 + s5*a4*b6 + s2*a5*b7 - s5*a6*b4 - s2*a7*b5,
+        a0*b3 + s0*a1*b2 - s0*a2*b1 + a3*b0 + s6*a4*b7 - s3*a5*b6 + s3*a6*b5 - s6*a7*b4,
+        a0*b4 - s4*a1*b5 - s5*a2*b6 - s6*a3*b7 + a4*b0 + s4*a5*b1 + s5*a6*b2 + s6*a7*b3,
+        a0*b5 + s4*a1*b4 - s2*a2*b7 + s3*a3*b6 - s4*a4*b1 + a5*b0 - s3*a6*b3 + s2*a7*b2,
+        a0*b6 + s1*a1*b7 + s5*a2*b4 - s3*a3*b5 - s5*a4*b2 + s3*a5*b3 + a6*b0 - s1*a7*b1,
+        a0*b7 - s1*a1*b6 + s2*a2*b5 + s6*a3*b4 - s6*a4*b3 - s2*a5*b2 + s1*a6*b1 + a7*b0,
+    )
+
+
 def multiply(a: Octonion, b: Octonion, n: int) -> Octonion:
     """Product of a and b under rule n (bilinear extension of the table)."""
-    table = _TABLES[_check_algebra_id(n)]
-    out = [0] * 8
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = table[i]
-        for j, bj in enumerate(b.coeffs):
-            if bj == 0:
-                continue
-            s, k = row[j]
-            out[k] += s * ai * bj
-    return Octonion(out)
+    return Octonion(_mul(a.coeffs, b.coeffs, _signs(n)))
 
 
 def conjugate(a: Octonion) -> Octonion:

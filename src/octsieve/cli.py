@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .algebra import Octonion, mul_table, triplet_set
@@ -29,7 +30,11 @@ class CliError(Exception):
 
 
 def _parse_octonion(text: str) -> Octonion:
-    """Either a basis shorthand like 'i3' (or '1') or 8 comma-separated reals."""
+    """Either a basis shorthand like 'i3' (or '1') or 8 comma-separated reals.
+
+    Integer literals stay exact Python ints at any size; other literals
+    are read as floats, and an integral float becomes an int.
+    """
     t = text.strip()
     if t == "1":
         return Octonion.one()
@@ -43,10 +48,13 @@ def _parse_octonion(text: str) -> Octonion:
     coeffs = []
     for p in parts:
         try:
-            value = float(p)
+            coeffs.append(int(p))
         except ValueError:
-            raise CliError(f"bad coefficient {p!r} in {text!r}") from None
-        coeffs.append(int(value) if value.is_integer() else value)
+            try:
+                value = float(p)
+            except ValueError:
+                raise CliError(f"bad coefficient {p!r} in {text!r}") from None
+            coeffs.append(int(value) if value.is_integer() else value)
     return Octonion(coeffs)
 
 
@@ -263,15 +271,25 @@ def cmd_derive(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_checks(quick=args.quick)
-    width = max(len(r.name) for r in results)
-    failed = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
-        failed += 0 if r.passed else 1
+    passed = sum(r.passed for r in results)
     total = len(results)
-    print(f"{total - failed}/{total} checks passed" + (" (quick mode)" if args.quick else ""))
-    return 0 if failed == 0 else 1
+    if args.format == "json":
+        _print_json(
+            {
+                "schema": SCHEMA_VERSION,
+                "quick": args.quick,
+                "checks": [asdict(r) for r in results],
+                "passed": passed,
+                "total": total,
+            }
+        )
+    else:
+        width = max(len(r.name) for r in results)
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"{status}  {r.name:<{width}}  {r.detail}")
+        print(f"{passed}/{total} checks passed" + (" (quick mode)" if args.quick else ""))
+    return 0 if passed == total else 1
 
 
 def _algebra_arg(value: str) -> int:
@@ -321,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", action="append", default=[], metavar="NAME=V0,...,V7")
     p.add_argument("--random-assign", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--algebra", type=_algebra_arg, default=None, metavar="N")
-    group.add_argument("--all", action="store_true", help="all 16 algebras (default)")
-    p.set_defaults(func=cmd_derive)
+    p.add_argument("--algebra", type=_algebra_arg, default=None, metavar="N",
+                   help="one algebra (default: all 16)")
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--quick", action="store_true", help="reduced trial counts")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -339,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ExprSyntaxError, UnboundVariableError, ValueError, ZeroDivisionError) as exc:
+    except (CliError, ExprSyntaxError, UnboundVariableError, ValueError, ArithmeticError) as exc:
         print(f"octsieve: error: {exc}", file=sys.stderr)
         return 1
 

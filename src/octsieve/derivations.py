@@ -23,12 +23,12 @@ by fraction-free elimination with no rank threshold.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from operator import sub
 from typing import Mapping, Sequence
 
-from .algebra import REFERENCE_TRIPLETS, Octonion, multiply
+from .algebra import REFERENCE_TRIPLETS, Octonion, _mul, _signs, multiply, norm
 from .dsl import Expr, evaluate, free_vars, parse
 
 __all__ = [
@@ -58,19 +58,37 @@ def associator(a: Octonion, b: Octonion, c: Octonion, n: int) -> Octonion:
     return multiply(multiply(a, b, n), c, n) - multiply(a, multiply(b, c, n), n)
 
 
+def _pair(u: tuple, v: tuple, s: tuple) -> tuple[tuple, tuple]:
+    """uv and [u, v] = uv - vu: the parts of D(u, v; .) that do not depend
+    on its argument, on coefficient tuples."""
+    uv = _mul(u, v, s)
+    return uv, tuple(map(sub, uv, _mul(v, u, s)))
+
+
+def _derive(u: tuple, v: tuple, pair: tuple[tuple, tuple], a: tuple, s: tuple) -> tuple:
+    """D(u, v; a) on coefficient tuples, given ``pair = _pair(u, v, s)``."""
+    uv, c = pair
+    ca, ac = _mul(c, a, s), _mul(a, c, s)
+    uv_a, u_va = _mul(uv, a, s), _mul(u, _mul(v, a, s), s)
+    return tuple([(w - x) - 3 * (y - z) for w, x, y, z in zip(ca, ac, uv_a, u_va)])
+
+
 def derive(u: Octonion, v: Octonion, a: Octonion, n: int) -> Octonion:
     """D(u, v; a) under rule n; linear in each argument."""
-    return commutator(commutator(u, v, n), a, n) - 3 * associator(u, v, a, n)
+    s = _signs(n)
+    u, v = u.coeffs, v.coeffs
+    return Octonion(_derive(u, v, _pair(u, v, s), a.coeffs, s))
 
 
 def leibniz_check(u: Octonion, v: Octonion, a: Octonion, b: Octonion, n: int) -> float:
     """Norm of D(ab) - D(a)b - a D(b); zero iff the Leibniz rule holds here."""
-    residual = (
-        derive(u, v, multiply(a, b, n), n)
-        - multiply(derive(u, v, a, n), b, n)
-        - multiply(a, derive(u, v, b, n), n)
-    )
-    return math.sqrt(sum(c * c for c in residual.coeffs))
+    s = _signs(n)
+    u, v, a, b = u.coeffs, v.coeffs, a.coeffs, b.coeffs
+    pair = _pair(u, v, s)
+    d_ab = _derive(u, v, pair, _mul(a, b, s), s)
+    d_a_b = _mul(_derive(u, v, pair, a, s), b, s)
+    a_d_b = _mul(a, _derive(u, v, pair, b, s), s)
+    return norm(Octonion(tuple(map(sub, map(sub, d_ab, d_a_b), a_d_b))))
 
 
 @dataclass(frozen=True)

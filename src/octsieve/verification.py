@@ -8,8 +8,9 @@ counts for a fast smoke run; the full counts are the contract.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
+from time import perf_counter
 from typing import Callable
 
 from . import algebra, derivations
@@ -24,6 +25,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    elapsed_s: float = 0.0  # wall time of the check, set by run_checks
 
 
 # Frozen reference data: the triplets of rule 0, the parity words of the
@@ -272,5 +274,11 @@ ALL_CHECKS: tuple[tuple[str, Callable[[bool], CheckResult]], ...] = (
 
 
 def run_checks(quick: bool = False) -> list[CheckResult]:
-    """Run every check, always all of them, in declaration order."""
-    return [fn(quick) for _, fn in ALL_CHECKS]
+    """Run every check, always all of them, in declaration order, and
+    record each one's wall time."""
+    results = []
+    for _, fn in ALL_CHECKS:
+        start = perf_counter()
+        result = fn(quick)
+        results.append(replace(result, elapsed_s=perf_counter() - start))
+    return results

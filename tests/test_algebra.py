@@ -29,6 +29,26 @@ def unit(k):
     return Octonion.unit(k)
 
 
+def table_multiply(a, b, n):
+    """Reference product: the bilinear loop over rule n's signed table,
+    summing terms in ascending i and skipping zero coefficients."""
+    table = mul_table(n)
+    out = [0] * 8
+    for i, ai in enumerate(a.coeffs):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b.coeffs):
+            if bj == 0:
+                continue
+            s, k = table[i][j]
+            out[k] += s * ai * bj
+    return tuple(out)
+
+
+def typed(coeffs):
+    return [(type(c), c) for c in coeffs]
+
+
 def rand_oct(rng, bound=9):
     return Octonion(rng.randint(-bound, bound) for _ in range(8))
 
@@ -235,3 +255,40 @@ def test_octonion_vector_ops():
     assert -a == Octonion((-1, -2, 0, 0, 0, 0, 0, 1))
     assert 2 * a == a * 2 == Octonion((2, 4, 0, 0, 0, 0, 0, -2))
     assert a[1] == 2 and list(a)[7] == -1
+
+
+@pytest.mark.parametrize("bound", [9, 2**62 + 5, 2**1030], ids=["small", "past-2^62", "past-2^1024"])
+def test_multiply_matches_table_loop_on_integers(bound):
+    rng = random.Random(bound % 1000)
+    for n in range(16):
+        for _ in range(20):
+            a, b = rand_oct(rng, bound), rand_oct(rng, bound)
+            assert typed(multiply(a, b, n).coeffs) == typed(table_multiply(a, b, n))
+        for i in range(8):
+            for j in range(8):
+                assert multiply(unit(i), unit(j), n).coeffs == table_multiply(unit(i), unit(j), n)
+
+
+def test_multiply_matches_table_loop_on_mixed_int_float():
+    rng = random.Random(5)
+    for n in range(16):
+        for _ in range(50):
+            a = Octonion(rng.choice((rng.randint(-9, 9), rng.uniform(-9, 9), 0.0)) for _ in range(8))
+            b = Octonion(rng.choice((rng.randint(-9, 9), rng.uniform(-9, 9), 0)) for _ in range(8))
+            assert multiply(a, b, n).coeffs == table_multiply(a, b, n)
+
+
+def test_integers_past_float_range_stay_exact():
+    assert Octonion((2**1100,) + (0,) * 7)[0] == 2**1100
+    x = Octonion((2**600,) + (0,) * 7)
+    for n in range(16):
+        square = multiply(x, x, n)
+        assert square == Octonion((2**1200,) + (0,) * 7)
+        assert norm_sq(square) == norm_sq(x) ** 2
+
+
+def test_multiply_rejects_float_overflow():
+    big = Octonion((1e200,) * 8)
+    for n in range(16):
+        with pytest.raises(ValueError):
+            multiply(big, big, n)

@@ -170,3 +170,59 @@ def test_verify_quick(capsys):
     lines = out.splitlines()
     assert sum(1 for line in lines if line.startswith("PASS")) == 12
     assert "12/12 checks passed" in lines[-1]
+
+
+def test_integer_literal_past_2_53_is_exact(capsys):
+    big = 2**53 + 1
+    code, out, _ = run(
+        capsys, "sieve", "--expr", "a", "--assign", f"a={big},0,0,0,0,0,0,0", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["assignment"]["a"][0] == big
+    assert all(f[0] == big for f in payload["functions"])
+
+
+def test_400_digit_literal_is_exact(capsys):
+    big = 10**399 + 7
+    code, out, _ = run(
+        capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "a",
+        "--assign", f"a=0,0,0,0,{big},0,0,0", "--algebra", "0", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["outputs"][0] == [0, 0, 0, 0, 0, 0, 0, -2 * big]
+
+
+def test_sieve_past_float_range_is_a_domain_error(capsys):
+    # the distances divide by 4 in floating point, which overflows here
+    code, _, err = run(capsys, "sieve", "--expr", "a", "--assign", f"a={10**400},0,0,0,0,0,0,0")
+    assert code == 1
+    assert err.startswith("octsieve: error:")
+
+
+def test_verify_quick_json(capsys):
+    code, out, _ = run(capsys, "verify", "--quick", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema"] == 1 and payload["quick"] is True
+    assert payload["passed"] == payload["total"] == len(payload["checks"]) == 12
+    for check in payload["checks"]:
+        assert set(check) == {"name", "passed", "detail", "elapsed_s"}
+        assert check["passed"] is True and check["elapsed_s"] >= 0
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch, fmt):
+    from octsieve import cli
+    from octsieve.verification import CheckResult
+
+    results = [CheckResult("ok", True, "fine"), CheckResult("bad", False, "broken", 0.5)]
+    monkeypatch.setattr(cli, "run_checks", lambda quick: results)
+    code, out, _ = run(capsys, "verify", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["passed"], payload["total"]) == (1, 2)
+        assert payload["checks"][1] == {"name": "bad", "passed": False, "detail": "broken", "elapsed_s": 0.5}
+    else:
+        assert "FAIL  bad" in out and "1/2 checks passed" in out

@@ -7,6 +7,8 @@ import pytest
 from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, multiply
 from octsieve.derivations import (
     antiassoc_closed_form,
+    associator,
+    commutator,
     cross_algebra_equal,
     derivation_matrix,
     derivation_span_rank,
@@ -60,6 +62,28 @@ def test_leibniz_residual_is_exactly_zero():
         for n in range(16):
             assert leibniz_check(u, v, a, b, n) == 0.0
     assert leibniz_check(unit(1), unit(2), Octonion.one(), rand_oct(rng), 3) == 0.0
+
+
+def test_derive_matches_commutator_associator_formula():
+    def formula(u, v, a, n):
+        return commutator(commutator(u, v, n), a, n) - 3 * associator(u, v, a, n)
+
+    rng = random.Random(15)
+    for n in range(16):
+        for _ in range(10):
+            ints = (rand_oct(rng), rand_oct(rng), rand_oct(rng))
+            floats = tuple(Octonion(c + rng.random() for c in x) for x in ints)
+            for args in (ints, floats):
+                assert derive(*args, n) == formula(*args, n)
+
+
+def test_float_overflow_raises_value_error():
+    big = Octonion((1e200,) * 8)
+    for n in range(16):
+        with pytest.raises(ValueError):
+            derive(big, big, big, n)
+        with pytest.raises(ValueError):
+            leibniz_check(big, big, big, big, n)
 
 
 def test_antiassoc_closed_form_report():
