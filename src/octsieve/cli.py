@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import asdict
 
@@ -29,11 +30,15 @@ class CliError(Exception):
     """Domain-level failure; printed to stderr, exit code 1."""
 
 
+_INT_LITERAL = re.compile(r"\s*[+-]?(\d+)\s*")
+
+
 def _parse_octonion(text: str) -> Octonion:
     """Either a basis shorthand like 'i3' (or '1') or 8 comma-separated reals.
 
-    Integer literals stay exact Python ints at any size; other literals
-    are read as floats, and an integral float becomes an int.
+    Integer literals stay exact Python ints up to Python's int/str digit
+    limit (longer ones are a domain error); other literals are read as
+    floats, and an integral float becomes an int.
     """
     t = text.strip()
     if t == "1":
@@ -50,6 +55,12 @@ def _parse_octonion(text: str) -> Octonion:
         try:
             coeffs.append(int(p))
         except ValueError:
+            literal = _INT_LITERAL.fullmatch(p)
+            if literal:  # a well-formed integer that int() refused: too many digits
+                raise CliError(
+                    f"integer literal of {len(literal[1])} digits exceeds Python's "
+                    f"limit of {sys.get_int_max_str_digits()} digits for int/str conversion"
+                ) from None
             try:
                 value = float(p)
             except ValueError:
@@ -173,6 +184,7 @@ def cmd_sieve(args) -> int:
         # single explicit assignment: the verdict is this assignment's zero test
         witness_k = next((k for k in range(1, 16) if not distances[k].is_zero()), None)
         invariant = witness_k is None
+        trials_run = 1
         witness = (
             None
             if invariant
@@ -182,6 +194,7 @@ def cmd_sieve(args) -> int:
     else:
         verdict = is_invariant(tree, trials=args.trials, seed=args.seed)
         invariant = verdict.invariant
+        trials_run = verdict.trials_run
         witness = None
         if verdict.witness is not None:
             w = verdict.witness
@@ -201,6 +214,7 @@ def cmd_sieve(args) -> int:
                 "distances": [_coeff_list(g) for g in distances],
                 "mean_function_value": _coeff_list(mean),
                 "invariant": invariant,
+                "trials_run": trials_run,
                 "witness": witness,
             }
         )
@@ -216,10 +230,11 @@ def cmd_sieve(args) -> int:
         print(f"  g[{k:>2}] = {_fmt_coeffs(g)}")
     print(f"mean function value g[0]/4 = {_fmt_coeffs(mean)}")
     if invariant:
-        scope = "for this assignment" if args.assign else f"(no counterexample in {args.trials} trials)"
+        scope = "for this assignment" if args.assign else f"(no counterexample in {trials_run} trials)"
         print(f"verdict: invariant {scope}")
     else:
-        print(f"verdict: not invariant; witness g[{witness['index']}] = "
+        scope = "" if args.assign else f" (trial {trials_run} of {args.trials})"
+        print(f"verdict: not invariant{scope}; witness g[{witness['index']}] = "
               + "(" + ", ".join(f"{c:g}" for c in witness["distance"]) + ") at")
         for name, coeffs in sorted(witness["assignment"].items()):
             print(f"  {name} = (" + ", ".join(f"{c:g}" for c in coeffs) + ")")

@@ -10,20 +10,40 @@ into a distance family g[k] = (1/4) * sum_j b[j][k] f[j].  Applying the
 same transform to the distances restores the functions exactly (the
 scaled matrix is its own inverse).
 
+The transform is the Walsh transform over Z2^4, computed as a radix-2
+butterfly: four stages, one per bit of the index, each replacing the
+entries x, y whose indices differ only in that bit by x + y and x - y;
+then every sum is divided by 4.  A constant family therefore has
+distances g[k], k > 0, that are exactly zero, for float coefficients too:
+x - x is exactly 0 and every later stage adds zeros.
+
 An expression is algebraically invariant when g[k] = 0 for every k > 0,
 i.e. its value does not depend on which of the 16 rules multiplies.  With
 integer coefficient assignments every sum here is exact (quarters are
-dyadic), so invariance is a zero test with no tolerance.
+dyadic while they stay below 2^53), so invariance is a zero test with no
+tolerance.
+
+:func:`is_invariant` evaluates each trial in one pass over the tree that
+carries all 16 rules at once.  A node's value is a single coefficient
+8-tuple while it is the same under every rule (variables, constants and
+their linear combinations, real norms such as L*conj(L)), and a list of
+16 per-rule 8-tuples otherwise; a list whose entries all agree collapses
+back to one tuple, and a product with a real factor is a scaling.  The
+values equal those of :func:`function_family` (for integers also in
+type).  A trial whose root value is one tuple has every distance past
+g[0] exactly zero and is not sieved; otherwise its 16 values are sieved
+for the witness.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from operator import add, neg, sub
+from typing import Mapping, Sequence, Union
 
-from .algebra import Octonion
-from .dsl import Expr, evaluate, free_vars, parse
+from .algebra import _SIGNS, Octonion, _mul
+from .dsl import Add, Conj, Const, Expr, Mul, Neg, Sub, Var, evaluate, free_vars, parse
 
 __all__ = [
     "sign_entry",
@@ -70,18 +90,17 @@ def function_family(expr: Expr, env: Mapping[str, Octonion]) -> FunctionFamily:
     return tuple(evaluate(expr, env, n) for n in range(16))
 
 
+# The butterfly's index pairs, stage by stage: j and j | h for each bit h.
+_BUTTERFLY = tuple((j, j | h) for h in (1, 2, 4, 8) for j in range(16) if not j & h)
+
+
 def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
-    fam = _check_family(values)
-    out = []
-    for k in range(16):
-        acc = [0] * 8
-        for j in range(16):
-            s = _MATRIX[j][k]
-            cs = fam[j].coeffs
-            for i in range(8):
-                acc[i] += s * cs[i]
-        out.append(Octonion(c / 4 for c in acc))
-    return tuple(out)
+    rows = [f.coeffs for f in _check_family(values)]
+    for j, k in _BUTTERFLY:
+        x, y = rows[j], rows[k]
+        rows[j] = tuple(map(add, x, y))
+        rows[k] = tuple(map(sub, x, y))
+    return tuple(Octonion(c / 4 for c in row) for row in rows)
 
 
 def sieve(fam: Sequence[Octonion]) -> DistanceFamily:
@@ -104,6 +123,68 @@ def random_assignment(
     }
 
 
+# A value of the all-rules pass: one 8-tuple when it is the same under
+# every rule, else a list of 16 8-tuples, entry n under rule n.
+AllRules = Union[tuple, list]
+
+_NO_IMAG = (0,) * 7
+
+
+def _per_rule(value: AllRules) -> Sequence[tuple]:
+    return (value,) * 16 if type(value) is tuple else value
+
+
+def _collapse(values: list) -> AllRules:
+    first = values[0]
+    return first if values.count(first) == 16 else values
+
+
+def _neg(c: tuple) -> tuple:
+    return tuple(map(neg, c))
+
+
+def _conj(c: tuple) -> tuple:
+    return (c[0],) + tuple(map(neg, c[1:]))
+
+
+def _scale(r, value: AllRules) -> AllRules:
+    if type(value) is tuple:
+        return tuple([r * c for c in value])
+    return _collapse([tuple([r * c for c in v]) for v in value])
+
+
+def _all_rules(expr: Expr, env: Mapping[str, tuple]) -> AllRules:
+    """``expr`` under all 16 rules at once, on coefficient tuples.
+
+    Each operation computes what :func:`evaluate` computes under each rule,
+    in the same order, so integer results are identical in type and value.
+    A product with a real factor is a scaling, which for floats may differ
+    from the full product only in the sign of a zero.
+    """
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Const):
+        return (expr.value, 0, 0, 0, 0, 0, 0, 0)
+    if isinstance(expr, (Neg, Conj)):
+        value = _all_rules(expr.operand, env)
+        op = _conj if isinstance(expr, Conj) else _neg
+        return op(value) if type(value) is tuple else [op(v) for v in value]
+    if not isinstance(expr, (Add, Sub, Mul)):
+        raise TypeError(f"not an expression node: {expr!r}")
+    left = _all_rules(expr.left, env)
+    right = _all_rules(expr.right, env)
+    if isinstance(expr, Mul):
+        if type(left) is tuple and left[1:] == _NO_IMAG:
+            return _scale(left[0], right)
+        if type(right) is tuple and right[1:] == _NO_IMAG:
+            return _scale(right[0], left)
+        return _collapse(list(map(_mul, _per_rule(left), _per_rule(right), _SIGNS)))
+    op = add if isinstance(expr, Add) else sub
+    if type(left) is tuple and type(right) is tuple:
+        return tuple(map(op, left, right))
+    return _collapse([tuple(map(op, x, y)) for x, y in zip(_per_rule(left), _per_rule(right))])
+
+
 @dataclass(frozen=True)
 class InvarianceWitness:
     """A refuting assignment: distance ``index`` came out nonzero."""
@@ -115,9 +196,13 @@ class InvarianceWitness:
 
 @dataclass(frozen=True)
 class SieveVerdict:
+    """``trials`` is the number requested; ``trials_run`` the number that
+    ran, which is fewer when an early trial refutes."""
+
     invariant: bool
     trials: int
     witness: InvarianceWitness | None = None
+    trials_run: int = field(kw_only=True)
 
 
 def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerdict:
@@ -134,10 +219,15 @@ def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerd
     tree = parse(expr) if isinstance(expr, str) else expr
     names = free_vars(tree)
     rng = random.Random(seed)
-    for _ in range(trials):
+    for trial in range(1, trials + 1):
         env = random_assignment(names, rng)
-        distances = sieve(function_family(tree, env))
+        value = _all_rules(tree, {name: x.coeffs for name, x in env.items()})
+        if type(value) is tuple:
+            Octonion(value)  # raises ValueError if a float overflowed on the way
+            continue  # the same under every rule: all distances past g[0] are 0
+        distances = sieve(tuple(map(Octonion, value)))
         for k in range(1, 16):
             if not distances[k].is_zero():
-                return SieveVerdict(False, trials, InvarianceWitness(env, k, distances[k]))
-    return SieveVerdict(True, trials, None)
+                witness = InvarianceWitness(env, k, distances[k])
+                return SieveVerdict(False, trials, witness, trials_run=trial)
+    return SieveVerdict(True, trials, trials_run=trials)

@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -76,6 +77,25 @@ def test_sieve_refutes_plain_product(capsys):
     payload = json.loads(out)
     assert payload["invariant"] is False
     assert payload["witness"]["index"] > 0
+
+
+def test_sieve_reports_trials_run(capsys):
+    argv = ("sieve", "--expr", "a*b", "--random-assign", "--seed", "3")
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(out)["trials_run"] == 1
+    _, out, _ = run(capsys, *argv)
+    assert "verdict: not invariant (trial 1 of 64)" in out
+    argv = ("sieve", "--expr", "a*b + b*a", "--random-assign", "--seed", "3", "--trials", "5")
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(out)["trials_run"] == 5
+    _, out, _ = run(capsys, *argv)
+    assert "verdict: invariant (no counterexample in 5 trials)" in out
+
+
+def test_sieve_of_a_float_variable_is_invariant(capsys):
+    code, out, _ = run(capsys, "sieve", "--expr", "a", "--assign", "a=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8")
+    assert code == 0
+    assert "verdict: invariant for this assignment" in out
 
 
 def test_sieve_random_assign_is_deterministic(capsys):
@@ -191,6 +211,16 @@ def test_400_digit_literal_is_exact(capsys):
     )
     assert code == 0
     assert json.loads(out)["outputs"][0] == [0, 0, 0, 0, 0, 0, 0, -2 * big]
+
+
+def test_literal_past_the_int_digit_limit_is_a_domain_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int/str conversion has no digit limit in this interpreter")
+    digits = "7" * (limit + 100)
+    code, _, err = run(capsys, "sieve", "--expr", "a", "--assign", f"a={digits},0,0,0,0,0,0,0")
+    assert code == 1
+    assert f"{limit + 100} digits" in err and f"limit of {limit} digits" in err
 
 
 def test_sieve_past_float_range_is_a_domain_error(capsys):

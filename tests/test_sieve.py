@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from test_algebra import typed
+from test_dsl import _random_tree
 
 from octsieve.algebra import Octonion
-from octsieve.dsl import parse
+from octsieve.dsl import Conj, Const, Neg, Var, free_vars, parse
 from octsieve.sieve import (
+    _all_rules,
     function_family,
     is_invariant,
     random_assignment,
@@ -137,3 +140,143 @@ def test_is_invariant_accepts_trees_and_is_deterministic():
     assert v1.witness.index == v2.witness.index
     with pytest.raises(ValueError):
         is_invariant("a*b", trials=0)
+
+
+def loop_transform(fam):
+    """Reference transform: the 256-term loop over the sign matrix."""
+    out = []
+    for k in range(16):
+        acc = [0] * 8
+        for j in range(16):
+            for i in range(8):
+                acc[i] += sign_entry(j, k) * fam[j].coeffs[i]
+        out.append(Octonion(c / 4 for c in acc))
+    return tuple(out)
+
+
+def bits(fam):
+    return [[c.hex() for c in o.coeffs] for o in fam]
+
+
+@pytest.mark.parametrize("bound", [9, 2**62 + 5, 2**1030], ids=["small", "past-2^62", "past-2^1024"])
+def test_butterfly_matches_loop_on_integers(bound):
+    rng = random.Random(bound % 1000)
+    for _ in range(20):
+        fam = rand_family(rng, bound)
+        if bound < 2**1024:
+            assert bits(sieve(fam)) == bits(loop_transform(fam))
+            continue
+        # the quarter overflows a float in both
+        with pytest.raises(OverflowError):
+            sieve(fam)
+        with pytest.raises(OverflowError):
+            loop_transform(fam)
+
+
+def test_constant_float_family_sieves_to_exact_zeros():
+    rng = random.Random(13)
+    for _ in range(200):
+        v = Octonion(rng.uniform(-1, 1) for _ in range(8))
+        g = sieve((v,) * 16)
+        assert g[0] == 4 * v
+        assert all(g[k].is_zero() for k in range(1, 16))
+
+
+def with_float_consts(node):
+    if isinstance(node, Const):
+        return Const(node.value + 0.1)
+    if isinstance(node, Var):
+        return node
+    if isinstance(node, (Neg, Conj)):
+        return type(node)(with_float_consts(node.operand))
+    return type(node)(with_float_consts(node.left), with_float_consts(node.right))
+
+
+@pytest.mark.parametrize("kind", ["small", "past-2^62", "float-consts"])
+def test_all_rules_pass_matches_function_family(kind):
+    rng = random.Random(14)
+    bound = 2**62 + 5 if kind == "past-2^62" else 9
+    outcomes = set()
+    for _ in range(300):
+        tree = _random_tree(rng, rng.randint(1, 4))
+        if kind == "float-consts":
+            tree = with_float_consts(tree)
+        env = {name: Octonion(rng.randint(-bound, bound) for _ in range(8)) for name in "abc"}
+        fam = function_family(tree, env)
+        value = _all_rules(tree, {name: x.coeffs for name, x in env.items()})
+        collapsed = all(f == fam[0] for f in fam)
+        outcomes.add(collapsed)
+        assert (type(value) is tuple) is collapsed
+        values = (value,) * 16 if collapsed else value
+        assert len(values) == 16
+        for v, f in zip(values, fam):
+            if kind == "float-consts":
+                assert v == f.coeffs
+            else:
+                assert typed(v) == typed(f.coeffs)
+    assert outcomes == {True, False}
+
+
+def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
+    # 15 equal rules and one other: not the same under every rule
+    env = {"a": (1, 2, 3, 4, 5, 6, 7, 8), "b": (0,) * 8}
+    for n in range(16):
+        odd = [(0,) * 8] * 16
+        odd[n] = (0, 1, 0, 0, 0, 0, 0, 0)
+        assert _all_rules(parse("a + b"), {**env, "b": odd}) == [
+            tuple(map(sum, zip(env["a"], v))) for v in odd
+        ]
+
+
+def reference_verdict(tree, trials, seed):
+    """The former is_invariant: sieve(function_family(...)) on every trial."""
+    rng = random.Random(seed)
+    for trial in range(1, trials + 1):
+        env = random_assignment(free_vars(tree), rng)
+        g = sieve(function_family(tree, env))
+        for k in range(1, 16):
+            if not g[k].is_zero():
+                return False, trial, k, g[k], env
+    return True, trials, None, None, None
+
+
+FIXED_EXPRS = (
+    "a*b", "a*b + b*a", "(a*b)*c - a*(b*c)", "conj(a)*a", "(a*conj(a))*b", "a*(a*b) - (a*a)*b",
+    "0.1*a*b + 0.1*b*a", "(0.5*a)*(0.5*a)", "3*(a*b - b*a) + 2*b",
+)
+
+
+def test_is_invariant_matches_the_per_trial_loop():
+    rng = random.Random(15)
+    trees = [parse(text) for text in FIXED_EXPRS]
+    trees += [_random_tree(rng, rng.randint(1, 4)) for _ in range(150)]
+    seen = set()
+    for i, tree in enumerate(trees):
+        seed = 100 + i
+        verdict = is_invariant(tree, trials=8, seed=seed)
+        invariant, trials_run, index, distance, env = reference_verdict(tree, 8, seed)
+        seen.add(invariant)
+        assert (verdict.invariant, verdict.trials, verdict.trials_run) == (invariant, 8, trials_run)
+        if invariant:
+            assert verdict.witness is None
+        else:
+            w = verdict.witness
+            assert (w.index, w.distance, w.assignment) == (index, distance, env)
+    assert seen == {True, False}
+
+
+def test_trials_run_counts_the_trials_that_ran():
+    refuted = is_invariant("a*b", trials=64, seed=0)
+    assert (refuted.trials, refuted.trials_run) == (64, 1)
+    held = is_invariant("a*b + b*a", trials=20, seed=0)
+    assert (held.trials, held.trials_run) == (20, 20)
+
+
+@pytest.mark.parametrize("text", ["1e308*a*a", "1e308*1e308*a"])
+def test_float_overflow_raises_in_both_paths(text):
+    tree = parse(text)
+    with pytest.raises(ValueError):
+        is_invariant(tree, trials=4, seed=0)
+    env = random_assignment(["a"], random.Random(0))
+    with pytest.raises(ValueError):
+        function_family(tree, env)
