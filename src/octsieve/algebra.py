@@ -17,10 +17,11 @@ The basis index of a product is the same in every rule: e_i e_j =
 +-e_{i XOR j}, because each triplet (l, m, n) satisfies l XOR m = n.  Only
 the sign depends on the rule.  It is +1 when i or j is 0 and -1 when
 i = j > 0; otherwise i and j lie on one triplet, and the sign is that
-triplet's reference orientation times its character in rule n: -1 if rule
-n flips the triplet, +1 if not.  :func:`multiply` is one unrolled kernel
-over these seven characters; the tables of :func:`mul_table` are built
-independently, from the oriented triplets.
+triplet's reference orientation times its character in rule n:
+(-1) ** popcount(n & m_t) for the triplet's 4-bit mask m_t, which is -1
+if rule n flips the triplet and +1 if not.  :func:`multiply` is one
+unrolled kernel over these seven characters; the tables of
+:func:`mul_table` are built independently, from the oriented triplets.
 
 All values here are immutable and all functions are pure.  Integer
 coefficients of any size propagate exactly through every operation, which
@@ -68,16 +69,16 @@ REFERENCE_TRIPLETS: tuple[tuple[int, int, int], ...] = (
     (3, 4, 7),
 )
 
-# Parity-flip patterns of the four generators, one flag per reference
-# triplet (1 = swap orientation).  T0 flips three triplets and exchanges
-# chirality; T1..T3 flip four triplets each and preserve chirality.
-# Keyed by the generator's bit weight in an algebra id.
-GENERATOR_FLIPS: dict[int, tuple[int, ...]] = {
-    8: (0, 0, 0, 0, 1, 1, 1),  # T0
-    4: (1, 1, 1, 1, 0, 0, 0),  # T1
-    2: (0, 1, 0, 1, 1, 0, 1),  # T2
-    1: (0, 0, 1, 1, 0, 1, 1),  # T3
-}
+# The seven triplet masks: bit b of m_t is set when generator b flips
+# reference triplet t (bit weights T0=8, T1=4, T2=2, T3=1, as in an
+# algebra id).  Rule n flips triplet t when popcount(n & m_t) is odd.
+_TRIPLET_MASKS: tuple[int, ...] = (4, 6, 5, 7, 10, 9, 11)
+
+
+def _character(j: int, k: int) -> int:
+    """The characters of Z2^4: (-1) ** popcount(j & k)."""
+    return -1 if bin(j & k).count("1") % 2 else 1
+
 
 # Table entry: (sign, basis index), index 0 being the real unit.
 TableEntry = tuple[int, int]
@@ -195,14 +196,18 @@ class Octonion:
 
 
 def flip_vector(mask: int) -> tuple[int, ...]:
-    """Seven parity-flip flags obtained by XOR-ing the generator patterns
-    selected by ``mask`` (bit weights T0=8, T1=4, T2=2, T3=1)."""
+    """Seven parity-flip flags of the generators selected by ``mask`` (bit
+    weights T0=8, T1=4, T2=2, T3=1): flag t is 1 where the character of
+    triplet mask m_t is -1 on ``mask``, i.e. popcount(mask & m_t) is odd."""
     _check_algebra_id(mask)
-    out = (0,) * 7
-    for bit, pattern in GENERATOR_FLIPS.items():
-        if mask & bit:
-            out = tuple(a ^ b for a, b in zip(out, pattern))
-    return out
+    return tuple(int(_character(mask, m) < 0) for m in _TRIPLET_MASKS)
+
+
+# Parity-flip patterns of the four generators, one flag per reference
+# triplet (1 = swap orientation).  T0 flips three triplets and exchanges
+# chirality; T1..T3 flip four triplets each and preserve chirality.
+# Keyed by the generator's bit weight in an algebra id.
+GENERATOR_FLIPS: dict[int, tuple[int, ...]] = {bit: flip_vector(bit) for bit in (8, 4, 2, 1)}
 
 
 def parity_word(n: int) -> str:
@@ -262,7 +267,7 @@ def mul_table(n: int) -> MulTable:
 # The seven triplet characters of each rule: -1 where rule n flips the
 # reference triplet, else +1.
 _SIGNS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(-1 if f else 1 for f in flip_vector(n)) for n in range(16)
+    tuple(_character(n, m) for m in _TRIPLET_MASKS) for n in range(16)
 )
 
 

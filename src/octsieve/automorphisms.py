@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import TripletSet, flip_vector, oriented_triplets, parity_word
+from .algebra import TripletSet, _check_algebra_id, flip_vector, oriented_triplets, parity_word
 
 __all__ = [
     "Automorphism",
@@ -117,6 +117,4 @@ def fano_lines() -> tuple[frozenset[Automorphism], ...]:
 
 def chirality(n: int) -> str:
     """'left' for rules 0..7, 'right' for 8..15 (the T0 bit)."""
-    if not isinstance(n, int) or not 0 <= n <= 15:
-        raise ValueError(f"algebra id must be an integer in 0..15, got {n!r}")
-    return "right" if n & 8 else "left"
+    return "right" if _check_algebra_id(n) & 8 else "left"

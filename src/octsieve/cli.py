@@ -1,9 +1,13 @@
 """Command-line front end: tables, triplets, orbit, sieve, derive, verify.
 
+Each command computes one payload dict and :func:`main` alone prints it:
+`--format json` as a versioned schema, the default text through the
+command's renderer, which reads only the payload (and argv).  Text prints
+integers exactly, at any size, and floats with %g.  All output is rendered
+before any is printed, so a command that fails leaves stdout empty.
 Output is deterministic for a fixed argv (randomness only enters through
---seed).  `--format json` emits a versioned schema on stdout; the default
-is aligned human-readable text.  Exit codes: 0 success, 1 domain error or
-failed verification, 2 usage error.
+--seed).  Exit codes: 0 success, 1 domain error or failed verification,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .algebra import Octonion, mul_table, triplet_set
 from .automorphisms import chirality, orbit
 from .derivations import derive
 from .dsl import ExprSyntaxError, UnboundVariableError, evaluate, free_vars, parse, to_text
+from .sieve import InvarianceWitness, SieveVerdict, _witness_index
 from .sieve import function_family, is_invariant, random_assignment, sieve
 from .verification import run_checks
 
@@ -43,10 +48,8 @@ def _parse_octonion(text: str) -> Octonion:
     t = text.strip()
     if t == "1":
         return Octonion.one()
-    if len(t) == 2 and t[0] == "i" and t[1].isdigit() and t[1] != "0":
-        k = int(t[1])
-        if 1 <= k <= 7:
-            return Octonion.unit(k)
+    if re.fullmatch(r"i[1-7]", t):
+        return Octonion.unit(int(t[1]))
     parts = t.split(",")
     if len(parts) != 8:
         raise CliError(f"octonion literal needs 8 comma-separated reals or iK, got {text!r}")
@@ -69,91 +72,58 @@ def _parse_octonion(text: str) -> Octonion:
     return Octonion(coeffs)
 
 
-def _parse_assignments(pairs: list[str]) -> dict[str, Octonion]:
-    env = {}
-    for pair in pairs:
-        name, eq, value = pair.partition("=")
-        if not eq or not name.strip():
-            raise CliError(f"--assign needs name=v0,...,v7 (got {pair!r})")
-        env[name.strip()] = _parse_octonion(value)
-    return env
+def _fmt_coeffs(coeffs) -> str:
+    """Integers exactly, at any size; floats with %g."""
+    return "(" + ", ".join(str(c) if isinstance(c, int) else f"{c:g}" for c in coeffs) + ")"
 
 
-def _coeff_list(o: Octonion) -> list[float]:
-    return list(o.coeffs)
+def _assignment_lines(assignment: dict):
+    for name in sorted(assignment):
+        yield f"  {name} = {_fmt_coeffs(assignment[name])}"
 
 
-def _fmt_coeffs(o: Octonion) -> str:
-    return "(" + ", ".join(f"{c:g}" for c in o.coeffs) + ")"
-
-
-def _entry_text(entry: tuple[int, int]) -> str:
-    sign, k = entry
-    name = "1" if k == 0 else f"i{k}"
-    return ("+" if sign > 0 else "-") + name
-
-
-def _print_json(payload: dict):
-    print(json.dumps(payload, indent=2))
-
-
-def cmd_tables(args) -> int:
-    table = mul_table(args.algebra)
-    if args.format == "json":
-        triplets, word = triplet_set(args.algebra)
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "algebra": args.algebra,
-                "entries": [[[s, k] for s, k in row] for row in table],
-                "triplets": [list(t) for t in triplets],
-                "parity_word": word,
-            }
-        )
-        return 0
-    labels = ["1"] + [f"i{k}" for k in range(1, 8)]
-    print(f"multiplication table, algebra {args.algebra} ({chirality(args.algebra)}-handed)")
-    print("     " + " ".join(f"{l:>3}" for l in labels))
-    for i, row in enumerate(table):
-        print(f"{labels[i]:>3} |" + " ".join(f"{_entry_text(e):>3}" for e in row))
-    return 0
-
-
-def cmd_triplets(args) -> int:
+def cmd_tables(args) -> dict:
     triplets, word = triplet_set(args.algebra)
-    if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "algebra": args.algebra,
-                "triplets": [list(t) for t in triplets],
-                "parity_word": word,
-            }
-        )
-        return 0
-    print(f"algebra {args.algebra}: parity word {word}")
-    for sign, (l, m, k) in zip(word, triplets):
-        print(f"  {sign} ({l}, {m}, {k})")
-    return 0
+    return {
+        "algebra": args.algebra,
+        "entries": [[[s, k] for s, k in row] for row in mul_table(args.algebra)],
+        "triplets": [list(t) for t in triplets],
+        "parity_word": word,
+    }
 
 
-def cmd_orbit(args) -> int:
-    entries = orbit()
-    if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "orbit": [
-                    {"algebra": e.algebra, "generator": e.automorphism.word, "parity_word": e.parity_word}
-                    for e in entries
-                ],
-            }
-        )
-        return 0
-    print(" N  generator   parity")
-    for e in entries:
-        print(f"{e.algebra:>2}  {e.automorphism.word:<10}  {e.parity_word}")
-    return 0
+def text_tables(payload: dict, args):
+    n = payload["algebra"]
+    labels = ["1"] + [f"i{k}" for k in range(1, 8)]
+    yield f"multiplication table, algebra {n} ({chirality(n)}-handed)"
+    yield "     " + " ".join(f"{l:>3}" for l in labels)
+    for label, row in zip(labels, payload["entries"]):
+        entries = (("+" if sign > 0 else "-") + labels[k] for sign, k in row)
+        yield f"{label:>3} |" + " ".join(f"{e:>3}" for e in entries)
+
+
+def cmd_triplets(args) -> dict:
+    triplets, word = triplet_set(args.algebra)
+    return {"algebra": args.algebra, "triplets": [list(t) for t in triplets], "parity_word": word}
+
+
+def text_triplets(payload: dict, args):
+    word = payload["parity_word"]
+    yield f"algebra {payload['algebra']}: parity word {word}"
+    for sign, (l, m, k) in zip(word, payload["triplets"]):
+        yield f"  {sign} ({l}, {m}, {k})"
+
+
+def cmd_orbit(args) -> dict:
+    rows = [{"algebra": e.algebra, "generator": e.automorphism.word, "parity_word": e.parity_word}
+            for e in orbit()]
+    return {"orbit": rows}
+
+
+def text_orbit(payload: dict, args):
+    yield " N  generator   parity"
+    for e in payload["orbit"]:
+        yield f"{e['algebra']:>2}  {e['generator']:<10}  {e['parity_word']}"
 
 
 def _expr_and_env(args) -> tuple:
@@ -165,7 +135,12 @@ def _expr_and_env(args) -> tuple:
     if args.assign and args.random_assign:
         raise CliError("--assign and --random-assign are mutually exclusive")
     if args.assign:
-        env = _parse_assignments(args.assign)
+        env = {}
+        for pair in args.assign:
+            name, eq, value = pair.partition("=")
+            if not eq or not name.strip():
+                raise CliError(f"--assign needs name=v0,...,v7 (got {pair!r})")
+            env[name.strip()] = _parse_octonion(value)
         missing = [n for n in names if n not in env]
         if missing:
             raise CliError(f"unbound variables: {', '.join(missing)} (add --assign)")
@@ -176,135 +151,107 @@ def _expr_and_env(args) -> tuple:
     return tree, env
 
 
-def cmd_sieve(args) -> int:
+def cmd_sieve(args) -> dict:
     tree, env = _expr_and_env(args)
+    if args.random_assign and args.trials < 1:
+        raise CliError("trials must be >= 1")
     functions = function_family(tree, env)
     distances = sieve(functions)
-    if args.assign:
-        # single explicit assignment: the verdict is this assignment's zero test
-        witness_k = next((k for k in range(1, 16) if not distances[k].is_zero()), None)
-        invariant = witness_k is None
-        trials_run = 1
-        witness = (
-            None
-            if invariant
-            else {"assignment": {k: _coeff_list(v) for k, v in env.items()}, "index": witness_k,
-                  "distance": _coeff_list(distances[witness_k])}
-        )
+    # A random assignment is trial 1 of is_invariant(tree, trials, seed): both
+    # draw it with random_assignment(names, Random(seed)).  So a refutation
+    # here is that verdict, and only an assignment that holds needs the rest.
+    k = _witness_index(distances)
+    if k is None and args.random_assign:
+        verdict = is_invariant(tree, args.trials, args.seed)
     else:
-        verdict = is_invariant(tree, trials=args.trials, seed=args.seed)
-        invariant = verdict.invariant
-        trials_run = verdict.trials_run
-        witness = None
-        if verdict.witness is not None:
-            w = verdict.witness
-            witness = {
-                "assignment": {k: _coeff_list(v) for k, v in w.assignment.items()},
-                "index": w.index,
-                "distance": _coeff_list(w.distance),
-            }
-    mean = 0.25 * distances[0]
-    if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "expr": to_text(tree),
-                "assignment": {k: _coeff_list(v) for k, v in env.items()},
-                "functions": [_coeff_list(f) for f in functions],
-                "distances": [_coeff_list(g) for g in distances],
-                "mean_function_value": _coeff_list(mean),
-                "invariant": invariant,
-                "trials_run": trials_run,
-                "witness": witness,
-            }
-        )
-        return 0
-    print(f"expr: {to_text(tree)}")
-    for name in sorted(env):
-        print(f"  {name} = {_fmt_coeffs(env[name])}")
-    print("functions f[N]:")
-    for n, f in enumerate(functions):
-        print(f"  f[{n:>2}] = {_fmt_coeffs(f)}")
-    print("distances g[k]:")
-    for k, g in enumerate(distances):
-        print(f"  g[{k:>2}] = {_fmt_coeffs(g)}")
-    print(f"mean function value g[0]/4 = {_fmt_coeffs(mean)}")
-    if invariant:
+        witness = None if k is None else InvarianceWitness(env, k, distances[k])
+        verdict = SieveVerdict(k is None, args.trials, witness, trials_run=1)
+    w = verdict.witness
+    return {
+        "expr": to_text(tree),
+        "assignment": {name: list(x) for name, x in env.items()},
+        "functions": [list(f) for f in functions],
+        "distances": [list(g) for g in distances],
+        "mean_function_value": list(0.25 * distances[0]),
+        "invariant": verdict.invariant,
+        "trials_run": verdict.trials_run,
+        "witness": None if w is None else {
+            "assignment": {name: list(x) for name, x in w.assignment.items()},
+            "index": w.index,
+            "distance": list(w.distance),
+        },
+    }
+
+
+def text_sieve(payload: dict, args):
+    yield f"expr: {payload['expr']}"
+    yield from _assignment_lines(payload["assignment"])
+    yield "functions f[N]:"
+    for n, f in enumerate(payload["functions"]):
+        yield f"  f[{n:>2}] = {_fmt_coeffs(f)}"
+    yield "distances g[k]:"
+    for k, g in enumerate(payload["distances"]):
+        yield f"  g[{k:>2}] = {_fmt_coeffs(g)}"
+    yield f"mean function value g[0]/4 = {_fmt_coeffs(payload['mean_function_value'])}"
+    trials_run, w = payload["trials_run"], payload["witness"]
+    if w is None:
         scope = "for this assignment" if args.assign else f"(no counterexample in {trials_run} trials)"
-        print(f"verdict: invariant {scope}")
+        yield f"verdict: invariant {scope}"
     else:
         scope = "" if args.assign else f" (trial {trials_run} of {args.trials})"
-        print(f"verdict: not invariant{scope}; witness g[{witness['index']}] = "
-              + "(" + ", ".join(f"{c:g}" for c in witness["distance"]) + ") at")
-        for name, coeffs in sorted(witness["assignment"].items()):
-            print(f"  {name} = (" + ", ".join(f"{c:g}" for c in coeffs) + ")")
-    return 0
+        yield f"verdict: not invariant{scope}; witness g[{w['index']}] = {_fmt_coeffs(w['distance'])} at"
+        yield from _assignment_lines(w["assignment"])
 
 
-def cmd_derive(args) -> int:
+def cmd_derive(args) -> dict:
     u = _parse_octonion(args.u)
     v = _parse_octonion(args.v)
     tree, env = _expr_and_env(args)
-    if args.algebra is not None:
-        ns = [args.algebra]
-    else:
-        ns = list(range(16))
+    ns = list(range(16)) if args.algebra is None else [args.algebra]
     outputs = [derive(u, v, evaluate(tree, env, n), n) for n in ns]
-    all_equal = all(o == outputs[0] for o in outputs) if len(ns) == 16 else None
-    equal_set = (
-        sorted(n for n, o in zip(ns, outputs) if o == outputs[0]) if len(ns) == 16 else None
-    )
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "u": _coeff_list(u),
-            "v": _coeff_list(v),
-            "expr": to_text(tree),
-            "assignment": {k: _coeff_list(x) for k, x in env.items()},
-            "algebras": ns,
-            "outputs": [_coeff_list(o) for o in outputs],
-        }
-        if all_equal is not None:
-            payload["all_equal"] = all_equal
-            payload["equal_set"] = equal_set
-        _print_json(payload)
-        return 0
-    print(f"derivation D(u, v; {to_text(tree)})")
-    print(f"  u = {_fmt_coeffs(u)}")
-    print(f"  v = {_fmt_coeffs(v)}")
-    for name in sorted(env):
-        print(f"  {name} = {_fmt_coeffs(env[name])}")
-    for n, o in zip(ns, outputs):
-        print(f"  D[{n:>2}] = {_fmt_coeffs(o)}")
-    if all_equal is not None:
-        if all_equal:
-            print("verdict: identical across all 16 algebras")
-        else:
-            print(f"verdict: varies across algebras; matches algebra {ns[0]} on {equal_set}")
-    return 0
+    payload = {
+        "u": list(u),
+        "v": list(v),
+        "expr": to_text(tree),
+        "assignment": {name: list(x) for name, x in env.items()},
+        "algebras": ns,
+        "outputs": [list(o) for o in outputs],
+    }
+    if args.algebra is None:
+        payload["all_equal"] = all(o == outputs[0] for o in outputs)
+        payload["equal_set"] = [n for n, o in zip(ns, outputs) if o == outputs[0]]
+    return payload
 
 
-def cmd_verify(args) -> int:
+def text_derive(payload: dict, args):
+    yield f"derivation D(u, v; {payload['expr']})"
+    yield f"  u = {_fmt_coeffs(payload['u'])}"
+    yield f"  v = {_fmt_coeffs(payload['v'])}"
+    yield from _assignment_lines(payload["assignment"])
+    for n, o in zip(payload["algebras"], payload["outputs"]):
+        yield f"  D[{n:>2}] = {_fmt_coeffs(o)}"
+    if payload.get("all_equal"):
+        yield "verdict: identical across all 16 algebras"
+    elif "all_equal" in payload:
+        yield f"verdict: varies across algebras; matches algebra 0 on {payload['equal_set']}"
+
+
+def cmd_verify(args) -> dict:
     results = run_checks(quick=args.quick)
-    passed = sum(r.passed for r in results)
-    total = len(results)
-    if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "quick": args.quick,
-                "checks": [asdict(r) for r in results],
-                "passed": passed,
-                "total": total,
-            }
-        )
-    else:
-        width = max(len(r.name) for r in results)
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  {r.name:<{width}}  {r.detail}")
-        print(f"{passed}/{total} checks passed" + (" (quick mode)" if args.quick else ""))
-    return 0 if passed == total else 1
+    return {
+        "quick": args.quick,
+        "checks": [asdict(r) for r in results],
+        "passed": sum(r.passed for r in results),
+        "total": len(results),
+    }
+
+
+def text_verify(payload: dict, args):
+    width = max(len(c["name"]) for c in payload["checks"])
+    for c in payload["checks"]:
+        yield f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']:<{width}}  {c['detail']}"
+    quick = " (quick mode)" if payload["quick"] else ""
+    yield f"{payload['passed']}/{payload['total']} checks passed{quick}"
 
 
 def _algebra_arg(value: str) -> int:
@@ -312,6 +259,10 @@ def _algebra_arg(value: str) -> int:
     if not 0 <= n <= 15:
         raise argparse.ArgumentTypeError("algebra id must be in 0..15")
     return n
+
+
+def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,59 +273,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="print the 8x8 signed multiplication table of one algebra")
-    p.add_argument("--algebra", type=_algebra_arg, required=True, metavar="N")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_tables)
+    # Every option is declared once, in a parent.  A subcommand lists its
+    # options in the order of its parents, so --format is always last.
+    fmt = _options()
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    algebra = _options()
+    algebra.add_argument("--algebra", type=_algebra_arg, required=True, metavar="N")
+    expr = _options()
+    expr.add_argument("--expr", required=True)
+    expr.add_argument("--assign", action="append", default=[], metavar="NAME=V0,...,V7",
+                      help="bind a variable to 8 comma-separated reals (repeatable)")
+    expr.add_argument("--random-assign", action="store_true",
+                      help="draw integer coefficients in -9..9 from --seed")
+    expr.add_argument("--seed", type=int, default=0)
+    sieve_opts = _options(expr)
+    sieve_opts.add_argument("--trials", type=int, default=64)
+    uv = _options()
+    uv.add_argument("--u", required=True, metavar="OCT", help="iK shorthand or 8 reals")
+    uv.add_argument("--v", required=True, metavar="OCT")
+    derive_opts = _options(uv, expr)
+    derive_opts.add_argument("--algebra", type=_algebra_arg, default=None, metavar="N",
+                             help="one algebra (default: all 16)")
+    quick = _options()
+    quick.add_argument("--quick", action="store_true", help="reduced trial counts")
 
-    p = sub.add_parser("triplets", help="print the oriented triplets and parity word of one algebra")
-    p.add_argument("--algebra", type=_algebra_arg, required=True, metavar="N")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_triplets)
-
-    p = sub.add_parser("orbit", help="print all 16 (algebra, generator word, parity word) rows")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("sieve", help="evaluate an expression under all 16 rules and sieve it")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--assign", action="append", default=[], metavar="NAME=V0,...,V7",
-                   help="bind a variable to 8 comma-separated reals (repeatable)")
-    p.add_argument("--random-assign", action="store_true",
-                   help="draw integer coefficients in -9..9 from --seed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_sieve)
-
-    p = sub.add_parser("derive", help="apply the inner derivation D(u, v; expr) per algebra")
-    p.add_argument("--u", required=True, metavar="OCT", help="iK shorthand or 8 reals")
-    p.add_argument("--v", required=True, metavar="OCT")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--assign", action="append", default=[], metavar="NAME=V0,...,V7")
-    p.add_argument("--random-assign", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--algebra", type=_algebra_arg, default=None, metavar="N",
-                   help="one algebra (default: all 16)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_derive)
-
-    p = sub.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--quick", action="store_true", help="reduced trial counts")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify)
-
+    for name, cmd, render, parents, help in (
+        ("tables", cmd_tables, text_tables, [algebra],
+         "print the 8x8 signed multiplication table of one algebra"),
+        ("triplets", cmd_triplets, text_triplets, [algebra],
+         "print the oriented triplets and parity word of one algebra"),
+        ("orbit", cmd_orbit, text_orbit, [], "print all 16 (algebra, generator word, parity word) rows"),
+        ("sieve", cmd_sieve, text_sieve, [sieve_opts],
+         "evaluate an expression under all 16 rules and sieve it"),
+        ("derive", cmd_derive, text_derive, [derive_opts],
+         "apply the inner derivation D(u, v; expr) per algebra"),
+        ("verify", cmd_verify, text_verify, [quick], "run the full verification suite"),
+    ):
+        p = sub.add_parser(name, help=help, parents=[*parents, fmt])
+        p.set_defaults(func=cmd, render=render)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if args.format == "json":
+            out = json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2)
+        else:
+            out = "\n".join(args.render(payload, args))
     except (CliError, ExprSyntaxError, UnboundVariableError, ValueError, ArithmeticError) as exc:
         print(f"octsieve: error: {exc}", file=sys.stderr)
         return 1
+    print(out)
+    # verify is the one command whose result can fail: a failed check exits 1
+    return 1 if payload.get("passed", 0) < payload.get("total", 0) else 0
 
 
 if __name__ == "__main__":

@@ -146,22 +146,19 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     m = [list(row) for row in rows]
     if not m:
         return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+    rank = 0  # also the next pivot row
+    for col in range(len(m[0])):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for i in range(row + 1, len(m)):
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for i in range(rank + 1, len(m)):
             if m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [pv * x - f * y for x, y in zip(m[i], m[row])]
-        row += 1
+                m[i] = [pv * x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
-        if row == len(m):
+        if rank == len(m):
             break
     return rank
 

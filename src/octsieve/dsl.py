@@ -116,12 +116,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ExprSyntaxError(
                 f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
             )
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # "num", "ident" or "op"
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -243,14 +239,6 @@ def free_vars(expr: Expr) -> list[str]:
 
 # Print precedence: sums bind loosest, factors tightest.
 _SUM, _TERM, _FACTOR = 0, 1, 2
-
-
-def _level(node: Expr) -> int:
-    if isinstance(node, (Add, Sub)):
-        return _SUM
-    if isinstance(node, Mul):
-        return _TERM
-    return _FACTOR
 
 
 def to_text(expr: Expr) -> str:

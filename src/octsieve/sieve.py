@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from operator import add, neg, sub
 from typing import Mapping, Sequence, Union
 
-from .algebra import _SIGNS, Octonion, _mul
+from .algebra import _SIGNS, Octonion, _character, _mul
 from .dsl import Add, Conj, Const, Expr, Mul, Neg, Sub, Var, evaluate, free_vars, parse
 
 __all__ = [
@@ -65,11 +65,11 @@ def sign_entry(j: int, k: int) -> int:
     """Sign matrix entry: -1 to the popcount of the bitwise AND."""
     if not 0 <= j <= 15 or not 0 <= k <= 15:
         raise ValueError(f"sign matrix indices must be in 0..15, got ({j}, {k})")
-    return -1 if bin(j & k).count("1") % 2 else 1
+    return _character(j, k)
 
 
 _MATRIX: tuple[tuple[int, ...], ...] = tuple(
-    tuple(sign_entry(j, k) for k in range(16)) for j in range(16)
+    tuple(_character(j, k) for k in range(16)) for j in range(16)
 )
 
 
@@ -185,6 +185,12 @@ def _all_rules(expr: Expr, env: Mapping[str, tuple]) -> AllRules:
     return _collapse([tuple(map(op, x, y)) for x, y in zip(_per_rule(left), _per_rule(right))])
 
 
+def _witness_index(distances: DistanceFamily) -> int | None:
+    """The first k > 0 whose distance is nonzero, or None when every
+    distance past g[0] is zero (the family is invariant)."""
+    return next((k for k in range(1, 16) if not distances[k].is_zero()), None)
+
+
 @dataclass(frozen=True)
 class InvarianceWitness:
     """A refuting assignment: distance ``index`` came out nonzero."""
@@ -226,8 +232,8 @@ def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerd
             Octonion(value)  # raises ValueError if a float overflowed on the way
             continue  # the same under every rule: all distances past g[0] are 0
         distances = sieve(tuple(map(Octonion, value)))
-        for k in range(1, 16):
-            if not distances[k].is_zero():
-                witness = InvarianceWitness(env, k, distances[k])
-                return SieveVerdict(False, trials, witness, trials_run=trial)
+        k = _witness_index(distances)
+        if k is not None:
+            witness = InvarianceWitness(env, k, distances[k])
+            return SieveVerdict(False, trials, witness, trials_run=trial)
     return SieveVerdict(True, trials, trials_run=trials)

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from octsieve.algebra import (
+    _SIGNS,
+    GENERATOR_FLIPS,
     NotEquivalentAlgebraError,
     Octonion,
     conjugate,
@@ -81,6 +83,25 @@ def test_right_handed_words_differ_by_t0():
     for n in range(8):
         xor = tuple(a ^ b for a, b in zip(flip_vector(n), flip_vector(n + 8)))
         assert xor == t0
+
+
+def test_flips_and_characters_are_views_of_the_triplet_masks():
+    # the generator patterns as literals, and the XOR composition that
+    # flip_vector used to compute from them
+    generators = {
+        8: (0, 0, 0, 0, 1, 1, 1),
+        4: (1, 1, 1, 1, 0, 0, 0),
+        2: (0, 1, 0, 1, 1, 0, 1),
+        1: (0, 0, 1, 1, 0, 1, 1),
+    }
+    assert GENERATOR_FLIPS == generators and list(GENERATOR_FLIPS) == [8, 4, 2, 1]
+    for n in range(16):
+        composed = (0,) * 7
+        for bit, pattern in generators.items():
+            if n & bit:
+                composed = tuple(a ^ b for a, b in zip(composed, pattern))
+        assert flip_vector(n) == composed
+        assert _SIGNS[n] == tuple(-1 if f else 1 for f in composed)
 
 
 def test_sixteen_parity_words_distinct_and_xor_closed():

@@ -1,11 +1,16 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import random
 import sys
 
 import pytest
+from test_dsl import _random_tree
+from test_sieve import FIXED_EXPRS
 
 from octsieve.cli import main
+from octsieve.dsl import parse, to_text
+from octsieve.sieve import is_invariant
 
 
 def run(capsys, *argv):
@@ -256,3 +261,107 @@ def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch, fmt):
         assert payload["checks"][1] == {"name": "bad", "passed": False, "detail": "broken", "elapsed_s": 0.5}
     else:
         assert "FAIL  bad" in out and "1/2 checks passed" in out
+
+
+def test_text_output_prints_integers_exactly(capsys):
+    code, out, _ = run(capsys, "sieve", "--expr", "a", "--assign", "a=9007199254740993,0,0,0,0,0,0,0")
+    assert code == 0
+    assert "  a = (9007199254740993, 0, 0, 0, 0, 0, 0, 0)" in out
+    assert "  f[15] = (9007199254740993, 0, 0, 0, 0, 0, 0, 0)" in out
+    big = 10**399 + 7
+    code, out, _ = run(
+        capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "a",
+        "--assign", f"a=0,0,0,0,{big},0,0,0", "--algebra", "0",
+    )
+    assert code == 0
+    assert f"  D[ 0] = (0, 0, 0, 0, 0, 0, 0, {-2 * big})" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_result_past_the_int_digit_limit_leaves_stdout_empty(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int/str conversion has no digit limit in this interpreter")
+    big = "7" * (limit * 6 // 10)  # a literal within the limit whose square is not
+    code, out, err = run(
+        capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "a*b",
+        "--assign", f"a=0,0,0,{big},0,0,0,0", "--assign", f"b=0,0,0,0,{big},0,0,0",
+        "--algebra", "0", "--format", fmt,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("octsieve: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["a*b", "a*b + b*a"])
+def test_random_assign_rejects_zero_trials_before_evaluating(capsys, monkeypatch, expr):
+    from octsieve import cli
+
+    def fail(*args):
+        raise AssertionError("evaluated before --trials was checked")
+
+    monkeypatch.setattr(cli, "function_family", fail)
+    code, out, err = run(capsys, "sieve", "--expr", expr, "--random-assign", "--trials", "0")
+    assert (code, out) == (1, "")
+    assert err == "octsieve: error: trials must be >= 1\n"
+
+
+def test_assign_ignores_trials(capsys):
+    code, out, _ = run(capsys, "sieve", "--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2",
+                       "--trials", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["trials_run"] == 1
+
+
+def test_sieve_verdict_matches_is_invariant(capsys):
+    # The CLI decides trial 1 itself and calls is_invariant only when that
+    # trial holds; the JSON verdict must be is_invariant's in every case.
+    rng = random.Random(31)
+    trees = [parse(text) for text in FIXED_EXPRS]
+    trees += [_random_tree(rng, rng.randint(1, 4)) for _ in range(40)]
+    cases = [(tree, seed, trials) for i, tree in enumerate(trees)
+             for seed, trials in ((i, 1), (1000 + i, 3), (2000 + i, 8))]
+    # a real factor 2*a0 that is 0 in about one trial in 19: some seeds
+    # hold at trial 1 and refute later
+    cases += [(parse("(a + conj(a))*(b*c)"), seed, 8) for seed in range(80)]
+    seen = set()
+    for tree, seed, trials in cases:
+        code, out, _ = run(capsys, "sieve", f"--expr={to_text(tree)}", "--random-assign",
+                           "--seed", str(seed), "--trials", str(trials), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        verdict = is_invariant(tree, trials, seed)
+        seen.add((verdict.invariant, verdict.trials_run > 1))
+        assert (payload["invariant"], payload["trials_run"]) == (verdict.invariant, verdict.trials_run)
+        if verdict.invariant:
+            assert payload["witness"] is None
+            continue
+        w = verdict.witness
+        assert payload["witness"] == {
+            "assignment": {name: list(x.coeffs) for name, x in w.assignment.items()},
+            "index": w.index,
+            "distance": list(w.distance.coeffs),
+        }
+    # verdicts of every kind: held, refuted at trial 1, refuted later
+    assert seen >= {(True, False), (True, True), (False, False), (False, True)}
+
+
+ASSIGN_AB = ("--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2")
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("tables", "--algebra", "3"), ["schema", "algebra", "entries", "triplets", "parity_word"]),
+    (("triplets", "--algebra", "3"), ["schema", "algebra", "triplets", "parity_word"]),
+    (("orbit",), ["schema", "orbit"]),
+    (("sieve",) + ASSIGN_AB, ["schema", "expr", "assignment", "functions", "distances",
+                              "mean_function_value", "invariant", "trials_run", "witness"]),
+    (("derive", "--u", "i1", "--v", "i2") + ASSIGN_AB,
+     ["schema", "u", "v", "expr", "assignment", "algebras", "outputs", "all_equal", "equal_set"]),
+    (("derive", "--u", "i1", "--v", "i2", "--algebra", "4") + ASSIGN_AB,
+     ["schema", "u", "v", "expr", "assignment", "algebras", "outputs"]),
+    (("verify", "--quick"), ["schema", "quick", "checks", "passed", "total"]),
+])
+def test_json_key_order(capsys, argv, keys):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == keys
