@@ -22,6 +22,10 @@ triplet's reference orientation times its character in rule n:
 if rule n flips the triplet and +1 if not.  :func:`multiply` is one
 unrolled kernel over these seven characters; the tables of
 :func:`mul_table` are built independently, from the oriented triplets.
+For two integer 8-tuples, :func:`_mul_all` computes the 64 pair products
+once and reads all 16 products off a rule-independent part and seven
+triplet parts; the product is the same under every rule exactly when all
+seven parts are zero.
 
 All values here are immutable and all functions are pure.  Integer
 coefficients of any size propagate exactly through every operation, which
@@ -35,7 +39,7 @@ terms would leave the integer 0; the two are equal.
 from __future__ import annotations
 
 import math
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -297,6 +301,55 @@ def _mul(a: tuple, b: tuple, s: tuple[int, ...]) -> tuple:
         a0*b6 + s1*a1*b7 + s5*a2*b4 - s3*a3*b5 - s5*a4*b2 + s3*a5*b3 + a6*b0 - s1*a7*b1,
         a0*b7 - s1*a1*b6 + s2*a2*b5 + s6*a3*b4 - s6*a4*b3 - s2*a5*b2 + s1*a6*b1 + a7*b0,
     )
+
+
+# The three reference triplets through each imaginary index k = 1..7: the
+# triplet's index t and the cyclic pair (i, j) with e_i e_j = +e_k in rule 0.
+_THROUGH: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
+    tuple((t, tr[tr.index(k) - 2], tr[tr.index(k) - 1])
+          for t, tr in enumerate(REFERENCE_TRIPLETS) if k in tr)
+    for k in range(1, 8)
+)
+
+# Rule n's product, read off the 57 values of :func:`_mul_all`: the real
+# coefficient, then for each k the 8 sign combinations of its three
+# triplet parts; rule n takes combination 4*[s_t1 < 0] + 2*[s_t2 < 0] +
+# [s_t3 < 0] of its characters s = _SIGNS[n].
+_PICKS = tuple(
+    itemgetter(0, *(8 * k - 7 + 4 * (s[t1] < 0) + 2 * (s[t2] < 0) + (s[t3] < 0)
+                    for k, ((t1, _, _), (t2, _, _), (t3, _, _)) in enumerate(_THROUGH, 1)))
+    for s in _SIGNS
+)
+
+
+def _mul_all(a: tuple, b: tuple) -> tuple | list[tuple]:
+    """Products of two 8-tuples of exact ints under all 16 rules.
+
+    Output k > 0 of rule n is c + s_t1*x + s_t2*y + s_t3*z: c holds the
+    terms with a real factor, and x, y, z the terms of the three triplets
+    t through k, each a_i*b_j - a_j*b_i for the cyclic pair (i, j).  The
+    real output is the same in every rule.  So the 64 pair products are
+    computed once; when every triplet part is zero the product is the same
+    under every rule and comes back as one tuple, else as the list of 16,
+    entry n under rule n.  Integer sums do not depend on their order, so
+    every value equals :func:`_mul`'s in type and value.
+    """
+    a0, b0 = a[0], b[0]
+    values = [a0 * b0 - sum(map(mul, a[1:], b[1:]))]
+    uniform = True
+    for k, ((_, i1, j1), (_, i2, j2), (_, i3, j3)) in enumerate(_THROUGH, 1):
+        c = a0 * b[k] + a[k] * b0
+        x = a[i1] * b[j1] - a[j1] * b[i1]
+        y = a[i2] * b[j2] - a[j2] * b[i2]
+        z = a[i3] * b[j3] - a[j3] * b[i3]
+        if x or y or z:
+            uniform = False
+        p, q = c + x, c - x
+        pp, pm, qp, qm = p + y, p - y, q + y, q - y
+        values += (pp + z, pp - z, pm + z, pm - z, qp + z, qp - z, qm + z, qm - z)
+    if uniform:
+        return _PICKS[0](values)  # rule 0 takes c + x + y + z, here c
+    return [pick(values) for pick in _PICKS]
 
 
 def multiply(a: Octonion, b: Octonion, n: int) -> Octonion:

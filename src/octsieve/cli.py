@@ -24,7 +24,7 @@ from .algebra import Octonion, mul_table, triplet_set
 from .automorphisms import chirality, orbit
 from .derivations import derive
 from .dsl import ExprSyntaxError, UnboundVariableError, evaluate, free_vars, parse, to_text
-from .sieve import InvarianceWitness, SieveVerdict, _witness_index
+from .sieve import InvarianceWitness, SieveVerdict, _all_rules, _per_rule, _witness_index
 from .sieve import function_family, is_invariant, random_assignment, sieve
 from .verification import run_checks
 
@@ -155,7 +155,14 @@ def cmd_sieve(args) -> dict:
     tree, env = _expr_and_env(args)
     if args.random_assign and args.trials < 1:
         raise CliError("trials must be >= 1")
-    functions = function_family(tree, env)
+    # One all-rules pass gives function_family(tree, env) bit for bit.  When
+    # it fails, function_family runs to raise the one-rule evaluator's
+    # error, from the same node.
+    try:
+        value = _all_rules(tree, {name: x.coeffs for name, x in env.items()})
+        functions = tuple(map(Octonion, _per_rule(value)))
+    except (ValueError, ArithmeticError):
+        functions = function_family(tree, env)
     distances = sieve(functions)
     # A random assignment is trial 1 of is_invariant(tree, trials, seed): both
     # draw it with random_assignment(names, Random(seed)).  So a refutation

@@ -11,14 +11,21 @@ grouping verbatim; since octonion multiplication is nonassociative,
 "a*b*c" and "a*(b*c)" are different expressions.  Parenthesize whenever
 the grouping matters.
 
-Literals are real scalars only.  Basis elements enter through variable
-assignments, so the same expression can be evaluated under any of the 16
-multiplication rules.  'conj' is a reserved word.
+Literals are real scalars only: digits alone make an exact int of any
+size, up to Python's int/str digit limit, and a fraction or an exponent
+makes a float.  Basis elements enter through variable assignments, so
+the same expression can be evaluated under any of the 16 multiplication
+rules.  'conj' is a reserved word.
+
+Expressions nest at most MAX_DEPTH levels deep, in the tree and in
+parentheses, so that no walk of a parsed tree exhausts the interpreter's
+recursion limit; a deeper one is an ExprSyntaxError.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -35,6 +42,7 @@ __all__ = [
     "Conj",
     "ExprSyntaxError",
     "UnboundVariableError",
+    "MAX_DEPTH",
     "parse",
     "evaluate",
     "free_vars",
@@ -123,11 +131,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The deepest expression accepted: the tree's height (the nodes on its
+# longest root-to-leaf path) and the nesting of parentheses, 'conj(' and
+# unary '-' both stay within it.  Parsing takes three frames per nesting
+# level and each walk of the tree one per level, well inside the default
+# limit of 1000 frames; the benchmark corpus nests 11 deep.
+MAX_DEPTH = 200
+
+
 class _Parser:
+    """Recursive descent; each parse method returns a node and its height."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -142,48 +161,70 @@ class _Parser:
         if kind != "op" or text != op:
             raise ExprSyntaxError(f"expected {op!r}", offset)
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                right = self.parse_term()
-                node = Add(node, right) if text == "+" else Sub(node, right)
-            else:
-                return node
+    @staticmethod
+    def within(depth: int, offset: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_expr(self) -> tuple[Expr, int]:
+        node, height = self.parse_term()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "*":
-                self.next()
-                node = Mul(node, self.parse_factor())
-            else:
-                return node
+            kind, text, offset = self.peek()
+            if kind != "op" or text not in "+-":
+                return node, height
+            self.next()
+            right, right_height = self.parse_term()
+            node = Add(node, right) if text == "+" else Sub(node, right)
+            height = self.within(max(height, right_height) + 1, offset)
 
-    def parse_factor(self) -> Expr:
+    def parse_term(self) -> tuple[Expr, int]:
+        node, height = self.parse_factor()
+        while True:
+            kind, text, offset = self.peek()
+            if kind != "op" or text != "*":
+                return node, height
+            self.next()
+            right, right_height = self.parse_factor()
+            node = Mul(node, right)
+            height = self.within(max(height, right_height) + 1, offset)
+
+    def parse_factor(self) -> tuple[Expr, int]:
         kind, text, offset = self.next()
         if kind == "num":
-            value = float(text)
-            if value.is_integer() and "." not in text and "e" not in text and "E" not in text:
-                return Const(int(text))
-            return Const(value)
-        if kind == "ident":
-            if text == "conj":
-                self.expect_op("(")
-                inner = self.parse_expr()
-                self.expect_op(")")
-                return Conj(inner)
-            return Var(text)
-        if kind == "op" and text == "-":
-            return Neg(self.parse_factor())
-        if kind == "op" and text == "(":
-            inner = self.parse_expr()
+            return Const(_number(text, offset)), 1
+        if kind == "ident" and text != "conj":
+            return Var(text), 1
+        if kind == "end" or (kind == "op" and text not in "-("):
+            raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", offset)
+        self.nesting = self.within(self.nesting + 1, offset)
+        if text == "-":
+            node, height = self.parse_factor()
+            node, height = Neg(node), self.within(height + 1, offset)
+        elif text == "conj":
+            self.expect_op("(")
+            node, height = self.parse_expr()
+            node, height = Conj(node), self.within(height + 1, offset)
             self.expect_op(")")
-            return inner
-        raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", offset)
+        else:
+            node, height = self.parse_expr()
+            self.expect_op(")")
+        self.nesting -= 1
+        return node, height
+
+
+def _number(text: str, offset: int) -> int | float:
+    """A literal of digits only is an exact int at any size; one with a
+    fraction or an exponent is a float."""
+    if text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int/str conversion allows
+            raise ExprSyntaxError(
+                f"integer literal of {len(text)} digits exceeds Python's limit of "
+                f"{sys.get_int_max_str_digits()} digits for int/str conversion", offset
+            ) from None
+    return float(text)
 
 
 def parse(text: str) -> Expr:
@@ -191,7 +232,7 @@ def parse(text: str) -> Expr:
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     kind, trailing, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected {trailing!r}", offset)

@@ -27,22 +27,27 @@ tolerance.
 carries all 16 rules at once.  A node's value is a single coefficient
 8-tuple while it is the same under every rule (variables, constants and
 their linear combinations, real norms such as L*conj(L)), and a list of
-16 per-rule 8-tuples otherwise; a list whose entries all agree collapses
-back to one tuple, and a product with a real factor is a scaling.  The
-values equal those of :func:`function_family` (for integers also in
-type).  A trial whose root value is one tuple has every distance past
-g[0] exactly zero and is not sieved; otherwise its 16 values are sieved
-for the witness.
+16 per-rule 8-tuples otherwise; a list whose entries are identical
+collapses back to one tuple.  A product of exact ints is a scaling when
+one factor is a real tuple; a product of two other exact-int tuples goes
+through the shared product ``algebra._mul_all``, which computes the 64
+pair products once for all 16 rules and tells whether the result depends
+on the rule; any other product runs the kernel once per rule.  The
+values are those of :func:`function_family`, bit for bit, so the CLI
+prints the family from the same pass.  A trial whose root value is one
+tuple has every distance past g[0] exactly zero and is not sieved;
+otherwise its 16 values are sieved for the witness.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from operator import add, neg, sub
 from typing import Mapping, Sequence, Union
 
-from .algebra import _SIGNS, Octonion, _character, _mul
+from .algebra import _SIGNS, Octonion, _character, _mul, _mul_all
 from .dsl import Add, Conj, Const, Expr, Mul, Neg, Sub, Var, evaluate, free_vars, parse
 
 __all__ = [
@@ -134,9 +139,23 @@ def _per_rule(value: AllRules) -> Sequence[tuple]:
     return (value,) * 16 if type(value) is tuple else value
 
 
+def _exact(value: AllRules) -> bool:
+    """Whether the coefficients are exact ints.  Every rule computes a
+    coefficient from operands of the same types, so the 16 entries of a
+    list have their ints and floats at the same places."""
+    return {*map(type, value if type(value) is tuple else value[0])} == {int}
+
+
 def _collapse(values: list) -> AllRules:
+    """One tuple when the 16 values are identical, else the list."""
     first = values[0]
-    return first if values.count(first) == 16 else values
+    if values.count(first) < 16:
+        return values
+    if _exact(first):
+        return first
+    # equal floats can still differ in the sign of a zero
+    signs = {tuple(math.copysign(1.0, c) for c in v if isinstance(c, float)) for v in values}
+    return first if len(signs) == 1 else values
 
 
 def _neg(c: tuple) -> tuple:
@@ -147,7 +166,7 @@ def _conj(c: tuple) -> tuple:
     return (c[0],) + tuple(map(neg, c[1:]))
 
 
-def _scale(r, value: AllRules) -> AllRules:
+def _scale(r: int, value: AllRules) -> AllRules:
     if type(value) is tuple:
         return tuple([r * c for c in value])
     return _collapse([tuple([r * c for c in v]) for v in value])
@@ -156,10 +175,13 @@ def _scale(r, value: AllRules) -> AllRules:
 def _all_rules(expr: Expr, env: Mapping[str, tuple]) -> AllRules:
     """``expr`` under all 16 rules at once, on coefficient tuples.
 
-    Each operation computes what :func:`evaluate` computes under each rule,
-    in the same order, so integer results are identical in type and value.
-    A product with a real factor is a scaling, which for floats may differ
-    from the full product only in the sign of a zero.
+    The values are :func:`function_family`'s, bit for bit: the same type,
+    value and sign of zero in every coefficient.  A product of exact ints
+    is a scaling when one factor is real, else it goes through
+    :func:`_mul_all` when both factors are the same under every rule;
+    the rest goes through :func:`_mul` once per rule, in the order
+    :func:`evaluate` computes it, because per-rule rounding is part of a
+    float result.
     """
     if isinstance(expr, Var):
         return env[expr.name]
@@ -174,10 +196,13 @@ def _all_rules(expr: Expr, env: Mapping[str, tuple]) -> AllRules:
     left = _all_rules(expr.left, env)
     right = _all_rules(expr.right, env)
     if isinstance(expr, Mul):
-        if type(left) is tuple and left[1:] == _NO_IMAG:
-            return _scale(left[0], right)
-        if type(right) is tuple and right[1:] == _NO_IMAG:
-            return _scale(right[0], left)
+        if _exact(left) and _exact(right):
+            if type(left) is tuple and left[1:] == _NO_IMAG:
+                return _scale(left[0], right)
+            if type(right) is tuple and right[1:] == _NO_IMAG:
+                return _scale(right[0], left)
+            if type(left) is tuple and type(right) is tuple:
+                return _mul_all(left, right)
         return _collapse(list(map(_mul, _per_rule(left), _per_rule(right), _SIGNS)))
     op = add if isinstance(expr, Add) else sub
     if type(left) is tuple and type(right) is tuple:

@@ -7,6 +7,8 @@ import pytest
 
 from octsieve.algebra import (
     _SIGNS,
+    _mul,
+    _mul_all,
     GENERATOR_FLIPS,
     NotEquivalentAlgebraError,
     Octonion,
@@ -313,3 +315,37 @@ def test_multiply_rejects_float_overflow():
     for n in range(16):
         with pytest.raises(ValueError):
             multiply(big, big, n)
+
+
+def commuting_partners(rng, a):
+    """Octonions that commute with ``a``: itself, its conjugate, a real
+    multiple, and one whose imaginary part is parallel to a's."""
+    r, t = rng.randint(-5, 5), rng.randint(-5, 5)
+    return [a, (a[0],) + tuple(-c for c in a[1:]), tuple(r * c for c in a),
+            (rng.randint(-9, 9),) + tuple(t * c for c in a[1:])]
+
+
+@pytest.mark.parametrize("bound", [9, 2**62 + 5, 2**1030], ids=["small", "past-2^62", "past-2^1024"])
+def test_mul_all_is_the_kernel_under_every_rule(bound):
+    rng = random.Random(bound % 997)
+    outcomes = set()
+    for _ in range(100):
+        a = tuple(rng.randint(-bound, bound) for _ in range(8))
+        b = tuple(rng.randint(-bound, bound) for _ in range(8))
+        # sparse operands: some of their triplet parts vanish, not all
+        c = tuple(rng.choice((0, 0, 0, rng.randint(-bound, bound))) for _ in range(8))
+        d = tuple(rng.choice((0, 0, 0, rng.randint(-bound, bound))) for _ in range(8))
+        partners = commuting_partners(rng, a)
+        commuting = [(a, p) for p in partners] + [(p, a) for p in partners]
+        for x, y in [(a, b), (b, a), (c, d), (a, c)] + commuting:
+            kernel = [_mul(x, y, s) for s in _SIGNS]
+            uniform = all(k == kernel[0] for k in kernel)
+            outcomes.add(uniform)
+            value = _mul_all(x, y)
+            # one tuple exactly when all 16 kernel products are equal
+            assert (type(value) is tuple) is uniform
+            values = (value,) * 16 if uniform else value
+            assert [typed(v) for v in values] == [typed(k) for k in kernel]
+        for x, y in commuting:
+            assert type(_mul_all(x, y)) is tuple
+    assert outcomes == {True, False}

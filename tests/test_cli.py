@@ -306,6 +306,19 @@ def test_random_assign_rejects_zero_trials_before_evaluating(capsys, monkeypatch
     assert err == "octsieve: error: trials must be >= 1\n"
 
 
+@pytest.mark.parametrize("expr", ["a*b", "a*b + b*a"])
+def test_random_assign_rejects_zero_trials_before_the_all_rules_pass(capsys, monkeypatch, expr):
+    from octsieve import cli
+
+    def fail(*args):
+        raise AssertionError("evaluated before --trials was checked")
+
+    monkeypatch.setattr(cli, "_all_rules", fail)
+    code, out, err = run(capsys, "sieve", "--expr", expr, "--random-assign", "--trials", "0")
+    assert (code, out) == (1, "")
+    assert err == "octsieve: error: trials must be >= 1\n"
+
+
 def test_assign_ignores_trials(capsys):
     code, out, _ = run(capsys, "sieve", "--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2",
                        "--trials", "0", "--format", "json")
@@ -365,3 +378,75 @@ def test_json_key_order(capsys, argv, keys):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert list(json.loads(out)) == keys
+
+
+def test_sieve_prints_one_all_rules_pass(capsys, monkeypatch):
+    # the printed family is the all-rules pass, not 16 one-rule walks
+    from octsieve import cli
+
+    def fail(*args):
+        raise AssertionError("the printed family came from function_family")
+
+    monkeypatch.setattr(cli, "function_family", fail)
+    for argv in (("--expr", "a*b + b*a", "--random-assign", "--seed", "3"),
+                 ("--expr", "(a*b)*c", "--random-assign", "--seed", "3"),
+                 ("--expr=-1*a", "--assign", "a=1.5,0,0,0,0,0,0,0")):
+        code, out, _ = run(capsys, "sieve", *argv, "--format", "json")
+        assert code == 0 and len(json.loads(out)["functions"]) == 16
+
+
+def test_integer_literals_in_expressions_are_exact(capsys):
+    big = 10**400
+    code, out, _ = run(capsys, "derive", "--u", "i1", "--v", "i2", "--expr", f"{big}*a", "--assign", "a=i4",
+                       "--algebra", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["outputs"][0] == [0, 0, 0, 0, 0, 0, 0, -2 * big]
+    # read as floats, both literals were inf and the difference nan
+    argv = ("sieve", "--expr", f"{big + 1}*a - {big}*a", "--assign", "a=i1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert all(f"  f[{n:>2}] = (0, 1, 0, 0, 0, 0, 0, 0)" in out for n in range(16))
+    assert "verdict: invariant for this assignment" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["functions"] == [[0, 1, 0, 0, 0, 0, 0, 0]] * 16
+
+
+@pytest.mark.parametrize("text", ["(" * 2000 + "a" + ")" * 2000, "*".join(["a"] * 1500)],
+                         ids=["2000-deep-parens", "1500-factors"])
+@pytest.mark.parametrize("command", [("sieve", "--random-assign"), ("derive", "--u", "i1", "--v", "i2", "--random-assign")],
+                         ids=["sieve", "derive"])
+def test_deep_expressions_are_a_domain_error(capsys, text, command):
+    code, out, err = run(capsys, *command, "--expr", text)
+    assert (code, out) == (1, "")
+    assert err.startswith("octsieve: error: expression syntax error: expression nested deeper than 200 levels")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, seed, trials_run", [("a*b", 3, 1), ("(a + conj(a))*(b*c)", 23, 2)])
+def test_json_witness_replays_through_assign(capsys, expr, seed, trials_run):
+    code, out, _ = run(capsys, "sieve", "--expr", expr, "--random-assign", "--seed", str(seed), "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["invariant"], payload["trials_run"]) == (0, False, trials_run)
+    witness = payload["witness"]
+    assert any(witness["distance"])
+    assign = [f"--assign={name}={','.join(map(str, c))}" for name, c in witness["assignment"].items()]
+    code, out, _ = run(capsys, "sieve", "--expr", expr, *assign, "--format", "json")
+    replay = json.loads(out)
+    assert (code, replay["invariant"]) == (0, False)
+    assert replay["distances"][witness["index"]] == witness["distance"]
+    assert replay["witness"]["index"] == witness["index"]
+    assert replay["witness"]["distance"] == witness["distance"]
+
+
+def test_an_evaluation_error_is_the_one_rule_evaluators(capsys):
+    # the all-rules pass reaches inf - inf = nan; evaluate stops at the inf
+    from octsieve.algebra import Octonion
+    from octsieve.sieve import function_family
+
+    text, a = "1e308*a*a - 1e308*a*a", "1.5,2,0,0,0,0,0,0"
+    with pytest.raises(ValueError) as exc:
+        function_family(parse(text), {"a": Octonion((1.5, 2, 0, 0, 0, 0, 0, 0))})
+    code, out, err = run(capsys, "sieve", "--expr", text, "--assign", f"a={a}")
+    assert (code, out) == (1, "")
+    assert err == f"octsieve: error: {exc.value}\n"
+    assert "got inf" in err

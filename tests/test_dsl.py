@@ -1,11 +1,13 @@
 """Parser, printer, and evaluator of the expression language."""
 
 import random
+import sys
 
 import pytest
 
 from octsieve.algebra import Octonion, multiply, norm
 from octsieve.dsl import (
+    MAX_DEPTH,
     Add,
     Conj,
     Const,
@@ -47,6 +49,57 @@ def test_parse_numbers():
     assert parse("3") == Const(3)
     assert parse("2.5") == Const(2.5)
     assert parse("2*a") == Mul(Const(2), Var("a"))
+
+
+def test_integer_literals_are_exact_at_any_size():
+    for value in (2**53 + 1, 10**400, 10**400 + 1):
+        assert parse(f"{value}*a") == Mul(Const(value), Var("a"))
+        assert type(parse(str(value)).value) is int
+    # a fraction or an exponent still makes a float
+    assert parse("1e3") == Const(1000.0) and type(parse("1e3").value) is float
+    assert type(parse("2.0").value) is float
+
+
+def test_literal_past_the_int_digit_limit_is_a_syntax_error():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int/str conversion has no digit limit in this interpreter")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("a + " + "7" * (limit + 1) + "*b")
+    assert err.value.offset == 4
+    assert f"{limit + 1} digits" in str(err.value) and f"limit of {limit} digits" in str(err.value)
+
+
+DEEP = {
+    "2000-deep-parens": "(" * 2000 + "a" + ")" * 2000,
+    "1500-factors": "*".join(["a"] * 1500),
+    "1500-terms": " + ".join(["a"] * 1500),
+    "2000-minus": "-" * 2000 + "a",
+    "limit+1-factors": "*".join(["a"] * (MAX_DEPTH + 1)),
+    "limit+1-parens": "(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1),
+}
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_nesting_past_the_limit_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse(text)
+
+
+def test_nesting_at_the_limit_parses_and_evaluates():
+    assert parse("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH) == Var("a")
+    env = {"a": Octonion((1, 1, 0, 0, 0, 0, 0, 0))}
+    power = env["a"]
+    for _ in range(MAX_DEPTH - 1):
+        power = multiply(power, env["a"], 0)
+    # MAX_DEPTH factors of 1 + i1, grouped to the left and to the right:
+    # trees of height MAX_DEPTH, the second nested in MAX_DEPTH - 1 parentheses
+    for text in ("*".join(["a"] * MAX_DEPTH), "a*(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1)):
+        tree = parse(text)
+        assert parse(to_text(tree)) == tree
+        assert free_vars(tree) == ["a"]
+        for n in (0, 9):
+            assert evaluate(tree, env, n) == power
 
 
 def test_syntax_errors_carry_offsets():

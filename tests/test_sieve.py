@@ -7,7 +7,7 @@ from test_algebra import typed
 from test_dsl import _random_tree
 
 from octsieve.algebra import Octonion
-from octsieve.dsl import Conj, Const, Neg, Var, free_vars, parse
+from octsieve.dsl import MAX_DEPTH, Conj, Const, Neg, Var, free_vars, parse, to_text
 from octsieve.sieve import (
     _all_rules,
     function_family,
@@ -217,6 +217,33 @@ def test_all_rules_pass_matches_function_family(kind):
     assert outcomes == {True, False}
 
 
+def bit_for_bit(coeffs):
+    """Type, and value down to the sign of a zero: float.hex for floats."""
+    return [(type(c), c.hex() if isinstance(c, float) else c) for c in coeffs]
+
+
+def test_all_rules_pass_is_function_family_bit_for_bit():
+    rng = random.Random(16)
+    draws = (lambda: rng.randint(-9, 9), lambda: rng.uniform(-3, 3), lambda: rng.choice((0.0, -0.0)),
+             lambda: float(rng.randint(-2, 2)), lambda: 0)
+    fixed = [("-1*a", {"a": (1.5, 0, 0, 0, 0, 0, 0, 0)}),
+             ("0.5*a*b + 0.5*b*a", {"a": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), "b": (1.5, -2, 0, 0.25, 0, 0, -0.0, 3)}),
+             ("a*a", {"a": (0.0, -0.0, 0.0, -0.0, 1.5, 0, -0.0, 0.0)}),
+             ("a*a", {"a": (-0.0,) * 8})]
+    cases = [(parse(text), env) for text, env in fixed]
+    for i in range(600):
+        tree = _random_tree(rng, rng.randint(1, 4))
+        if i % 2:
+            tree = with_float_consts(tree)
+        cases.append((tree, {name: tuple(rng.choice(draws)() for _ in range(8)) for name in "abc"}))
+    for tree, env in cases:
+        fam = function_family(tree, {name: Octonion(c) for name, c in env.items()})
+        value = _all_rules(tree, env)
+        values = (value,) * 16 if type(value) is tuple else value
+        assert len(values) == 16
+        assert [bit_for_bit(v) for v in values] == [bit_for_bit(f.coeffs) for f in fam], to_text(tree)
+
+
 def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
     # 15 equal rules and one other: not the same under every rule
     env = {"a": (1, 2, 3, 4, 5, 6, 7, 8), "b": (0,) * 8}
@@ -280,3 +307,16 @@ def test_float_overflow_raises_in_both_paths(text):
     env = random_assignment(["a"], random.Random(0))
     with pytest.raises(ValueError):
         function_family(tree, env)
+
+
+def test_trees_at_the_depth_limit_run_through_the_all_rules_pass():
+    env = random_assignment(["a", "b"], random.Random(17))
+    coeffs = {name: x.coeffs for name, x in env.items()}
+    power = "*".join(["a"] * MAX_DEPTH)  # one variable: the same under every rule
+    nested = "a*(" * (MAX_DEPTH - 1) + "b" + ")" * (MAX_DEPTH - 1)
+    for text, invariant in ((power, True), (nested, False)):
+        tree = parse(text)
+        fam = function_family(tree, env)
+        value = _all_rules(tree, coeffs)
+        assert list((value,) * 16 if type(value) is tuple else value) == [f.coeffs for f in fam]
+        assert is_invariant(tree, trials=2, seed=3).invariant is invariant
