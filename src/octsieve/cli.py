@@ -24,8 +24,8 @@ from .algebra import Octonion, mul_table, triplet_set
 from .automorphisms import chirality, orbit
 from .derivations import derive
 from .dsl import ExprSyntaxError, UnboundVariableError, evaluate, free_vars, parse, to_text
-from .sieve import InvarianceWitness, SieveVerdict, _all_rules, _per_rule, _witness_index
-from .sieve import function_family, is_invariant, random_assignment, sieve
+from .sieve import InvarianceWitness, SieveVerdict, _evaluator, _per_rule, _witness_index
+from .sieve import is_invariant, random_assignment, sieve
 from .verification import run_checks
 
 SCHEMA_VERSION = 1
@@ -83,13 +83,8 @@ def _assignment_lines(assignment: dict):
 
 
 def cmd_tables(args) -> dict:
-    triplets, word = triplet_set(args.algebra)
-    return {
-        "algebra": args.algebra,
-        "entries": [[[s, k] for s, k in row] for row in mul_table(args.algebra)],
-        "triplets": [list(t) for t in triplets],
-        "parity_word": word,
-    }
+    entries = [[[s, k] for s, k in row] for row in mul_table(args.algebra)]
+    return {"algebra": args.algebra, "entries": entries, **cmd_triplets(args)}
 
 
 def text_tables(payload: dict, args):
@@ -155,14 +150,8 @@ def cmd_sieve(args) -> dict:
     tree, env = _expr_and_env(args)
     if args.random_assign and args.trials < 1:
         raise CliError("trials must be >= 1")
-    # One all-rules pass gives function_family(tree, env) bit for bit.  When
-    # it fails, function_family runs to raise the one-rule evaluator's
-    # error, from the same node.
-    try:
-        value = _all_rules(tree, {name: x.coeffs for name, x in env.items()})
-        functions = tuple(map(Octonion, _per_rule(value)))
-    except (ValueError, ArithmeticError):
-        functions = function_family(tree, env)
+    _, values = _evaluator(tree)
+    functions = tuple(map(Octonion, _per_rule(values(env))))
     distances = sieve(functions)
     # A random assignment is trial 1 of is_invariant(tree, trials, seed): both
     # draw it with random_assignment(names, Random(seed)).  So a refutation
@@ -262,7 +251,10 @@ def text_verify(payload: dict, args):
 
 
 def _algebra_arg(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("algebra id must be an integer in 0..15") from None
     if not 0 <= n <= 15:
         raise argparse.ArgumentTypeError("algebra id must be in 0..15")
     return n

@@ -202,6 +202,14 @@ class RegimeReport:
     witness: dict | None = None
 
 
+def _refuted(report: RegimeReport, outputs: list[Octonion], inputs: dict) -> RegimeReport:
+    """``report``, or a refutation by the first rule whose output is not rule 0's."""
+    bad = next((n for n in range(16) if outputs[n] != outputs[0]), None)
+    if not report.equal or bad is None:
+        return report
+    return RegimeReport(False, {**inputs, "algebra": bad, "got": outputs[bad], "expected": outputs[0]})
+
+
 @dataclass(frozen=True)
 class CrossAlgebraVerdict:
     in_span: RegimeReport
@@ -259,12 +267,7 @@ def expr_cross_algebra_equal(
                 for name, (c0, c1, c2, c3) in coords.items()
             }
             outputs.append(derive(u, v, evaluate(tree, env, n), n))
-        if in_span.equal and any(d != outputs[0] for d in outputs):
-            bad = next(n for n in range(16) if outputs[n] != outputs[0])
-            in_span = RegimeReport(
-                False,
-                {"coords": coords, "algebra": bad, "got": outputs[bad], "expected": outputs[0]},
-            )
+        in_span = _refuted(in_span, outputs, {"coords": coords})
 
         env = {}
         for name in names:
@@ -274,11 +277,6 @@ def expr_cross_algebra_equal(
                 coeffs[k] = rng.randint(-9, 9)
             env[name] = Octonion(coeffs)
         outputs = [derive(u, v, evaluate(tree, env, n), n) for n in range(16)]
-        if out_of_span.equal and any(d != outputs[0] for d in outputs):
-            bad = next(n for n in range(16) if outputs[n] != outputs[0])
-            out_of_span = RegimeReport(
-                False,
-                {"assignment": env, "algebra": bad, "got": outputs[bad], "expected": outputs[0]},
-            )
+        out_of_span = _refuted(out_of_span, outputs, {"assignment": env})
 
     return CrossAlgebraVerdict(in_span, out_of_span, trials)

@@ -17,9 +17,11 @@ makes a float.  Basis elements enter through variable assignments, so
 the same expression can be evaluated under any of the 16 multiplication
 rules.  'conj' is a reserved word.
 
-Expressions nest at most MAX_DEPTH levels deep, in the tree and in
-parentheses, so that no walk of a parsed tree exhausts the interpreter's
-recursion limit; a deeper one is an ExprSyntaxError.
+:func:`_program` compiles a tree to a flat list of steps without recursion,
+so :func:`free_vars` and the sieve's all-rules pass take trees of any depth.
+:func:`evaluate`, ``function_family`` and :func:`to_text` stay recursive;
+for parsed input MAX_DEPTH covers them: expressions nest at most MAX_DEPTH
+levels deep, in the tree and in parentheses, or are an ExprSyntaxError.
 """
 
 from __future__ import annotations
@@ -261,21 +263,41 @@ def evaluate(expr: Expr, env: Mapping[str, Octonion], n: int) -> Octonion:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _program(expr: Expr) -> tuple[list[tuple], list[str]]:
+    """Compile ``expr`` to a post-order list of steps, the root last, and
+    its variable names in first-occurrence order.  A step is ``(Var, name,
+    None)``, ``(Const, value, type(value))``, ``(Neg|Conj, i, i)`` or
+    ``(Add|Sub|Mul, i, j)``, i and j being slots of earlier steps.  A step
+    is its own key: equal subtrees share one, while 1 and 1.0 stay apart."""
+    nodes, stack = [], [expr]
+    while stack:  # right operands first, so that reversed it is post-order
+        node = stack.pop()
+        nodes.append(node)
+        kind = type(node)
+        if kind is Add or kind is Sub or kind is Mul:
+            stack += (node.left, node.right)
+        elif kind is Neg or kind is Conj:
+            stack.append(node.operand)
+    slots, names, operands = {}, {}, []  # step -> slot; the slots not yet used
+    for node in reversed(nodes):
+        kind = type(node)
+        if kind is Var:
+            names.setdefault(node.name)
+            step = (Var, node.name, None)
+        elif kind is Const:
+            step = (Const, node.value, type(node.value))
+        elif kind in (Neg, Conj, Add, Sub, Mul):  # its operands' slots are on top
+            y = operands.pop()
+            step = (kind, y if kind is Neg or kind is Conj else operands.pop(), y)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        operands.append(slots.setdefault(step, len(slots)))
+    return list(slots), list(names)
+
+
 def free_vars(expr: Expr) -> list[str]:
     """Variable names in first-occurrence order."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Expr):
-        if isinstance(node, Var):
-            seen.setdefault(node.name)
-        elif isinstance(node, (Add, Sub, Mul)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Neg, Conj)):
-            walk(node.operand)
-
-    walk(expr)
-    return list(seen)
+    return _program(expr)[1]
 
 
 # Print precedence: sums bind loosest, factors tightest.

@@ -23,32 +23,30 @@ integer coefficient assignments every sum here is exact (quarters are
 dyadic while they stay below 2^53), so invariance is a zero test with no
 tolerance.
 
-:func:`is_invariant` evaluates each trial in one pass over the tree that
-carries all 16 rules at once.  A node's value is a single coefficient
-8-tuple while it is the same under every rule (variables, constants and
-their linear combinations, real norms such as L*conj(L)), and a list of
-16 per-rule 8-tuples otherwise; a list whose entries are identical
-collapses back to one tuple.  A product of exact ints is a scaling when
-one factor is a real tuple; a product of two other exact-int tuples goes
-through the shared product ``algebra._mul_all``, which computes the 64
-pair products once for all 16 rules and tells whether the result depends
-on the rule; any other product runs the kernel once per rule.  The
-values are those of :func:`function_family`, bit for bit, so the CLI
-prints the family from the same pass.  A trial whose root value is one
-tuple has every distance past g[0] exactly zero and is not sieved;
-otherwise its 16 values are sieved for the witness.
+:func:`is_invariant` compiles the expression once (``dsl._program``) and
+runs each trial as one loop over its steps that carries all 16 rules at
+once, on exact ints.  A value is one coefficient 8-tuple while it is the
+same under every rule (variables, constants, their linear combinations,
+real norms such as L*conj(L)), else a list of 16 per-rule 8-tuples that
+collapses back to one tuple when its entries are identical.  A product
+with a real factor is a scaling, a product of two other tuples goes
+through ``algebra._mul_all`` (64 pair products shared by the 16 rules),
+and any other runs the kernel once per rule.  The values are
+:func:`function_family`'s and the CLI prints its family from one run; a
+float literal or coefficient takes :func:`function_family` itself.  A
+trial whose root value is one tuple has every distance past g[0] exactly
+zero and is not sieved.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from operator import add, neg, sub
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import _SIGNS, Octonion, _character, _mul, _mul_all
-from .dsl import Add, Conj, Const, Expr, Mul, Neg, Sub, Var, evaluate, free_vars, parse
+from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
 
 __all__ = [
     "sign_entry",
@@ -83,13 +81,6 @@ def sign_matrix() -> tuple[tuple[int, ...], ...]:
     return _MATRIX
 
 
-def _check_family(values: Sequence[Octonion]) -> FunctionFamily:
-    fam = tuple(values)
-    if len(fam) != 16 or not all(isinstance(v, Octonion) for v in fam):
-        raise ValueError("a family is a 16-tuple of octonions")
-    return fam
-
-
 def function_family(expr: Expr, env: Mapping[str, Octonion]) -> FunctionFamily:
     """Evaluate ``expr`` under every rule; entry j uses rule j."""
     return tuple(evaluate(expr, env, n) for n in range(16))
@@ -100,7 +91,10 @@ _BUTTERFLY = tuple((j, j | h) for h in (1, 2, 4, 8) for j in range(16) if not j 
 
 
 def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
-    rows = [f.coeffs for f in _check_family(values)]
+    fam = tuple(values)
+    if len(fam) != 16 or not all(isinstance(v, Octonion) for v in fam):
+        raise ValueError("a family is a 16-tuple of octonions")
+    rows = [f.coeffs for f in fam]
     for j, k in _BUTTERFLY:
         x, y = rows[j], rows[k]
         rows[j] = tuple(map(add, x, y))
@@ -139,27 +133,9 @@ def _per_rule(value: AllRules) -> Sequence[tuple]:
     return (value,) * 16 if type(value) is tuple else value
 
 
-def _exact(value: AllRules) -> bool:
-    """Whether the coefficients are exact ints.  Every rule computes a
-    coefficient from operands of the same types, so the 16 entries of a
-    list have their ints and floats at the same places."""
-    return {*map(type, value if type(value) is tuple else value[0])} == {int}
-
-
 def _collapse(values: list) -> AllRules:
     """One tuple when the 16 values are identical, else the list."""
-    first = values[0]
-    if values.count(first) < 16:
-        return values
-    if _exact(first):
-        return first
-    # equal floats can still differ in the sign of a zero
-    signs = {tuple(math.copysign(1.0, c) for c in v if isinstance(c, float)) for v in values}
-    return first if len(signs) == 1 else values
-
-
-def _neg(c: tuple) -> tuple:
-    return tuple(map(neg, c))
+    return values[0] if values.count(values[0]) == 16 else values
 
 
 def _conj(c: tuple) -> tuple:
@@ -172,42 +148,54 @@ def _scale(r: int, value: AllRules) -> AllRules:
     return _collapse([tuple([r * c for c in v]) for v in value])
 
 
-def _all_rules(expr: Expr, env: Mapping[str, tuple]) -> AllRules:
-    """``expr`` under all 16 rules at once, on coefficient tuples.
-
-    The values are :func:`function_family`'s, bit for bit: the same type,
-    value and sign of zero in every coefficient.  A product of exact ints
-    is a scaling when one factor is real, else it goes through
-    :func:`_mul_all` when both factors are the same under every rule;
-    the rest goes through :func:`_mul` once per rule, in the order
-    :func:`evaluate` computes it, because per-rule rounding is part of a
-    float result.
-    """
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Const):
-        return (expr.value, 0, 0, 0, 0, 0, 0, 0)
-    if isinstance(expr, (Neg, Conj)):
-        value = _all_rules(expr.operand, env)
-        op = _conj if isinstance(expr, Conj) else _neg
-        return op(value) if type(value) is tuple else [op(v) for v in value]
-    if not isinstance(expr, (Add, Sub, Mul)):
-        raise TypeError(f"not an expression node: {expr!r}")
-    left = _all_rules(expr.left, env)
-    right = _all_rules(expr.right, env)
-    if isinstance(expr, Mul):
-        if _exact(left) and _exact(right):
+def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
+    """A compiled expression (``dsl._program``) under all 16 rules at once,
+    on coefficient tuples of exact ints; the values of :func:`function_family`."""
+    values: list[AllRules] = []
+    for op, x, y in steps:
+        if op is Mul:
+            left, right = values[x], values[y]
             if type(left) is tuple and left[1:] == _NO_IMAG:
-                return _scale(left[0], right)
-            if type(right) is tuple and right[1:] == _NO_IMAG:
-                return _scale(right[0], left)
+                value = _scale(left[0], right)
+            elif type(right) is tuple and right[1:] == _NO_IMAG:
+                value = _scale(right[0], left)
+            elif type(left) is tuple and type(right) is tuple:
+                value = _mul_all(left, right)
+            else:
+                value = _collapse(list(map(_mul, _per_rule(left), _per_rule(right), _SIGNS)))
+        elif op is Add or op is Sub:
+            f = add if op is Add else sub
+            left, right = values[x], values[y]
             if type(left) is tuple and type(right) is tuple:
-                return _mul_all(left, right)
-        return _collapse(list(map(_mul, _per_rule(left), _per_rule(right), _SIGNS)))
-    op = add if isinstance(expr, Add) else sub
-    if type(left) is tuple and type(right) is tuple:
-        return tuple(map(op, left, right))
-    return _collapse([tuple(map(op, x, y)) for x, y in zip(_per_rule(left), _per_rule(right))])
+                value = tuple(map(f, left, right))
+            else:
+                value = _collapse([tuple(map(f, a, b)) for a, b in zip(_per_rule(left), _per_rule(right))])
+        elif op is Var:
+            value = env[x]
+        elif op is Const:
+            value = (x, 0, 0, 0, 0, 0, 0, 0)
+        elif op is Neg:
+            value = _scale(-1, values[x])
+        else:
+            value = values[x]
+            value = _conj(value) if type(value) is tuple else list(map(_conj, value))
+        values.append(value)
+    return values[-1]
+
+
+def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping[str, Octonion]], AllRules]]:
+    """Compile ``tree`` once: its variable names, and a function from an
+    assignment to its values under all 16 rules: the compiled program's if
+    every literal and coefficient is an int, else :func:`function_family`'s."""
+    steps, names = _program(tree)
+    exact = all(kind is int for op, _, kind in steps if op is Const)
+
+    def values(env: Mapping[str, Octonion]) -> AllRules:
+        if exact and all(type(c) is int for x in env.values() for c in x.coeffs):
+            return _all_rules(steps, {name: x.coeffs for name, x in env.items()})
+        return [f.coeffs for f in function_family(tree, env)]
+
+    return names, values
 
 
 def _witness_index(distances: DistanceFamily) -> int | None:
@@ -248,13 +236,12 @@ def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerd
     if trials < 1:
         raise ValueError("trials must be >= 1")
     tree = parse(expr) if isinstance(expr, str) else expr
-    names = free_vars(tree)
+    names, values = _evaluator(tree)
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
         env = random_assignment(names, rng)
-        value = _all_rules(tree, {name: x.coeffs for name, x in env.items()})
+        value = values(env)
         if type(value) is tuple:
-            Octonion(value)  # raises ValueError if a float overflowed on the way
             continue  # the same under every rule: all distances past g[0] are 0
         distances = sieve(tuple(map(Octonion, value)))
         k = _witness_index(distances)

@@ -1,16 +1,21 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import importlib
 import json
 import random
 import sys
 
 import pytest
 from test_dsl import _random_tree
-from test_sieve import FIXED_EXPRS
+from test_sieve import FIXED_EXPRS, bit_for_bit
 
+from octsieve.algebra import Octonion
 from octsieve.cli import main
 from octsieve.dsl import parse, to_text
 from octsieve.sieve import is_invariant
+
+# the module: the package attribute octsieve.sieve is the function sieve
+SIEVE = importlib.import_module("octsieve.sieve")
 
 
 def run(capsys, *argv):
@@ -177,6 +182,19 @@ def test_derive_quaternionic_verdict(capsys):
     assert "identical across all 16" in out
 
 
+@pytest.mark.parametrize("argv", [("tables",), ("triplets",),
+                                  ("derive", "--u", "i1", "--v", "i2", "--expr", "a", "--assign", "a=i4")],
+                         ids=["tables", "triplets", "derive"])
+def test_a_non_integer_algebra_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--algebra", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(": error: argument --algebra: algebra id must be an integer in 0..15\n")
+    assert "_algebra_arg" not in captured.err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
@@ -293,14 +311,15 @@ def test_a_result_past_the_int_digit_limit_leaves_stdout_empty(capsys, fmt):
     assert err.startswith("octsieve: error:") and "Traceback" not in err
 
 
+def fail(*args):
+    raise AssertionError("evaluated before --trials was checked")
+
+
 @pytest.mark.parametrize("expr", ["a*b", "a*b + b*a"])
 def test_random_assign_rejects_zero_trials_before_evaluating(capsys, monkeypatch, expr):
-    from octsieve import cli
-
-    def fail(*args):
-        raise AssertionError("evaluated before --trials was checked")
-
-    monkeypatch.setattr(cli, "function_family", fail)
+    # neither the compiled program nor the one-rule reference runs
+    monkeypatch.setattr(SIEVE, "_all_rules", fail)
+    monkeypatch.setattr(SIEVE, "function_family", fail)
     code, out, err = run(capsys, "sieve", "--expr", expr, "--random-assign", "--trials", "0")
     assert (code, out) == (1, "")
     assert err == "octsieve: error: trials must be >= 1\n"
@@ -308,12 +327,10 @@ def test_random_assign_rejects_zero_trials_before_evaluating(capsys, monkeypatch
 
 @pytest.mark.parametrize("expr", ["a*b", "a*b + b*a"])
 def test_random_assign_rejects_zero_trials_before_the_all_rules_pass(capsys, monkeypatch, expr):
+    # the all-rules pass is not even compiled
     from octsieve import cli
 
-    def fail(*args):
-        raise AssertionError("evaluated before --trials was checked")
-
-    monkeypatch.setattr(cli, "_all_rules", fail)
+    monkeypatch.setattr(cli, "_evaluator", fail)
     code, out, err = run(capsys, "sieve", "--expr", expr, "--random-assign", "--trials", "0")
     assert (code, out) == (1, "")
     assert err == "octsieve: error: trials must be >= 1\n"
@@ -381,18 +398,31 @@ def test_json_key_order(capsys, argv, keys):
 
 
 def test_sieve_prints_one_all_rules_pass(capsys, monkeypatch):
-    # the printed family is the all-rules pass, not 16 one-rule walks
-    from octsieve import cli
+    # With exact ints the printed family is one run of the compiled
+    # program, and function_family never runs; with a float literal or
+    # coefficient it is function_family's, bit for bit.
+    reference, calls = SIEVE.function_family, []
 
-    def fail(*args):
-        raise AssertionError("the printed family came from function_family")
+    def spy(tree, env):
+        calls.append(tree)
+        return reference(tree, env)
 
-    monkeypatch.setattr(cli, "function_family", fail)
+    monkeypatch.setattr(SIEVE, "function_family", spy)
     for argv in (("--expr", "a*b + b*a", "--random-assign", "--seed", "3"),
                  ("--expr", "(a*b)*c", "--random-assign", "--seed", "3"),
-                 ("--expr=-1*a", "--assign", "a=1.5,0,0,0,0,0,0,0")):
+                 ("--expr=-1*a", "--assign", "a=3,0,0,0,0,0,0,-2")):
         code, out, _ = run(capsys, "sieve", *argv, "--format", "json")
         assert code == 0 and len(json.loads(out)["functions"]) == 16
+    assert calls == []
+    for text, a in (("-1*a", "1.5,0,0,0,0,0,0,0"), ("a*a", "0.5,1.5,0,0,0,0,0,0"),
+                    ("0.5*a*b", "1,2,0,0,0,0,0,3")):
+        code, out, _ = run(capsys, "sieve", f"--expr={text}", "--assign", f"a={a}",
+                           "--assign", "b=i3", "--format", "json")
+        payload = json.loads(out)
+        env = {name: Octonion(c) for name, c in payload["assignment"].items()}
+        expected = reference(parse(text), env)
+        assert code == 0 and calls[-1] == parse(text)
+        assert [bit_for_bit(f) for f in payload["functions"]] == [bit_for_bit(f.coeffs) for f in expected]
 
 
 def test_integer_literals_in_expressions_are_exact(capsys):

@@ -188,6 +188,14 @@ def test_expr_cross_algebra_equal_constant_expression():
     assert verdict.out_of_span.equal  # derivations annihilate reals
 
 
+def test_expr_cross_algebra_equal_keeps_the_first_refuting_trial():
+    # later trials that refute again do not replace the witness
+    first = expr_cross_algebra_equal(unit(1), unit(2), "a*b", trials=1, seed=3)
+    later = expr_cross_algebra_equal(unit(1), unit(2), "a*b", trials=6, seed=3)
+    assert not first.out_of_span.equal
+    assert later.out_of_span == first.out_of_span
+
+
 def test_expr_cross_algebra_equal_validates_inputs():
     with pytest.raises(ValueError):
         expr_cross_algebra_equal(unit(1), unit(1), "a")

@@ -1,0 +1,91 @@
+"""The compiled program behind free_vars and the sieve's all-rules pass."""
+
+import random
+import sys
+
+import pytest
+from test_dsl import _random_tree
+
+from octsieve.dsl import Add, Conj, Const, Mul, Neg, Sub, Var, _program, free_vars, parse
+from octsieve.sieve import is_invariant
+
+
+def recursive_free_vars(expr):
+    """The former free_vars: a recursive walk, kept as the oracle."""
+    seen = {}
+
+    def walk(node):
+        if isinstance(node, Var):
+            seen.setdefault(node.name)
+        elif isinstance(node, (Add, Sub, Mul)):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, (Neg, Conj)):
+            walk(node.operand)
+
+    walk(expr)
+    return list(seen)
+
+
+def test_steps_are_post_order_with_the_root_last():
+    steps, names = _program(parse("a*b - conj(c)"))
+    assert steps == [(Var, "a", None), (Var, "b", None), (Mul, 0, 1), (Var, "c", None),
+                     (Conj, 3, 3), (Sub, 2, 4)]
+    assert names == ["a", "b", "c"]
+
+
+def test_equal_subtrees_share_one_step():
+    lhs = "(a*b + c)"
+    steps, _ = _program(parse(f"({lhs}*conj({lhs}))*{lhs}"))
+    # a, b, a*b, c, L, conj(L), L*conj(L), the root: L is compiled once
+    assert len(steps) == 8
+    assert [op for op, _, _ in steps].count(Add) == 1
+    assert steps[-1] == (Mul, 6, 4)
+
+
+def test_int_and_float_constants_stay_apart():
+    steps, _ = _program(Add(Const(1), Const(1.0)))
+    assert steps == [(Const, 1, int), (Const, 1.0, float), (Add, 0, 1)]
+    steps, _ = _program(Add(Const(1), Const(1)))
+    assert steps == [(Const, 1, int), (Add, 0, 0)]
+
+
+def test_free_vars_matches_the_recursive_walk():
+    rng = random.Random(40)
+    trees = [parse(text) for text in ("3", "a", "conj(x)*y + x", "b*(a*b) - c*a", "-(z*y)*x")]
+    trees += [_random_tree(rng, rng.randint(0, 5)) for _ in range(500)]
+    for tree in trees:
+        assert free_vars(tree) == recursive_free_vars(tree)
+
+
+def test_a_non_node_is_a_type_error():
+    with pytest.raises(TypeError):
+        _program(Add(Var("a"), "b"))
+
+
+def chain(depth, link, leaf):
+    tree = leaf
+    for _ in range(depth):
+        tree = link(tree)
+    return tree
+
+
+DEPTH = 5000
+DEEP_TREES = {  # tree, its variables, invariant
+    "add": (chain(DEPTH, lambda t: Add(t, Var("b")), Var("a")), ["a", "b"], True),
+    "neg": (chain(DEPTH, Neg, Var("a")), ["a"], True),
+    "conj": (chain(DEPTH, Conj, Var("a")), ["a"], True),
+    "mul-by-a-real": (chain(DEPTH, lambda t: Mul(Const(-1), t), Var("a")), ["a"], True),
+    "sum-over-a-product": (chain(DEPTH, lambda t: Add(t, Var("c")), Mul(Var("a"), Var("b"))),
+                           ["a", "b", "c"], False),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_TREES)
+def test_trees_deeper_than_the_recursion_limit(name):
+    tree, names, invariant = DEEP_TREES[name]
+    assert DEPTH > sys.getrecursionlimit()
+    assert free_vars(tree) == names
+    verdict = is_invariant(tree, trials=2, seed=5)
+    assert verdict.invariant is invariant
+    assert (verdict.witness is None) is invariant

@@ -7,9 +7,11 @@ from test_algebra import typed
 from test_dsl import _random_tree
 
 from octsieve.algebra import Octonion
-from octsieve.dsl import MAX_DEPTH, Conj, Const, Neg, Var, free_vars, parse, to_text
+from octsieve.dsl import MAX_DEPTH, Conj, Const, Neg, Var, _program, free_vars, parse, to_text
 from octsieve.sieve import (
     _all_rules,
+    _evaluator,
+    _per_rule,
     function_family,
     is_invariant,
     random_assignment,
@@ -182,6 +184,12 @@ def test_constant_float_family_sieves_to_exact_zeros():
         assert all(g[k].is_zero() for k in range(1, 16))
 
 
+def all_rules(tree, env):
+    """``tree`` under all 16 rules through the sieve's one entry: compile,
+    then route on the literals and the assignment."""
+    return _evaluator(tree)[1](env)
+
+
 def with_float_consts(node):
     if isinstance(node, Const):
         return Const(node.value + 0.1)
@@ -203,11 +211,14 @@ def test_all_rules_pass_matches_function_family(kind):
             tree = with_float_consts(tree)
         env = {name: Octonion(rng.randint(-bound, bound) for _ in range(8)) for name in "abc"}
         fam = function_family(tree, env)
-        value = _all_rules(tree, {name: x.coeffs for name, x in env.items()})
+        value = all_rules(tree, env)
         collapsed = all(f == fam[0] for f in fam)
         outcomes.add(collapsed)
-        assert (type(value) is tuple) is collapsed
-        values = (value,) * 16 if collapsed else value
+        # the program collapses a family that is the same under every rule;
+        # a float literal takes function_family, whose 16 values stay a list
+        floats = any(type(x) is float for op, x, _ in _program(tree)[0] if op is Const)
+        assert (type(value) is tuple) is (collapsed and not floats)
+        values = _per_rule(value)
         assert len(values) == 16
         for v, f in zip(values, fam):
             if kind == "float-consts":
@@ -237,9 +248,9 @@ def test_all_rules_pass_is_function_family_bit_for_bit():
             tree = with_float_consts(tree)
         cases.append((tree, {name: tuple(rng.choice(draws)() for _ in range(8)) for name in "abc"}))
     for tree, env in cases:
-        fam = function_family(tree, {name: Octonion(c) for name, c in env.items()})
-        value = _all_rules(tree, env)
-        values = (value,) * 16 if type(value) is tuple else value
+        env = {name: Octonion(c) for name, c in env.items()}
+        values = _per_rule(all_rules(tree, env))
+        fam = function_family(tree, env)
         assert len(values) == 16
         assert [bit_for_bit(v) for v in values] == [bit_for_bit(f.coeffs) for f in fam], to_text(tree)
 
@@ -250,7 +261,7 @@ def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
     for n in range(16):
         odd = [(0,) * 8] * 16
         odd[n] = (0, 1, 0, 0, 0, 0, 0, 0)
-        assert _all_rules(parse("a + b"), {**env, "b": odd}) == [
+        assert _all_rules(_program(parse("a + b"))[0], {**env, "b": odd}) == [
             tuple(map(sum, zip(env["a"], v))) for v in odd
         ]
 
@@ -311,12 +322,10 @@ def test_float_overflow_raises_in_both_paths(text):
 
 def test_trees_at_the_depth_limit_run_through_the_all_rules_pass():
     env = random_assignment(["a", "b"], random.Random(17))
-    coeffs = {name: x.coeffs for name, x in env.items()}
     power = "*".join(["a"] * MAX_DEPTH)  # one variable: the same under every rule
     nested = "a*(" * (MAX_DEPTH - 1) + "b" + ")" * (MAX_DEPTH - 1)
     for text, invariant in ((power, True), (nested, False)):
         tree = parse(text)
         fam = function_family(tree, env)
-        value = _all_rules(tree, coeffs)
-        assert list((value,) * 16 if type(value) is tuple else value) == [f.coeffs for f in fam]
+        assert list(_per_rule(all_rules(tree, env))) == [f.coeffs for f in fam]
         assert is_invariant(tree, trials=2, seed=3).invariant is invariant
