@@ -3,11 +3,13 @@
 Each command computes one payload dict and :func:`main` alone prints it:
 `--format json` as a versioned schema, the default text through the
 command's renderer, which reads only the payload (and argv).  Text prints
-integers exactly, at any size, and floats with %g.  All output is rendered
-before any is printed, so a command that fails leaves stdout empty.
-Output is deterministic for a fixed argv (randomness only enters through
---seed).  Exit codes: 0 success, 1 domain error or failed verification,
-2 usage error.
+integers exactly and floats with %g.  All output is rendered before any
+is printed, so a command that fails leaves stdout empty.  Python's
+int/str digit limit (4300 digits by default) stays in force, since it
+guards against quadratic-time conversion: a longer literal or result
+exits 1.  Output is deterministic for a fixed argv (randomness only
+enters through --seed).  Exit codes: 0 success, 1 domain error or
+failed verification, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from . import __version__
 from .algebra import Octonion, mul_table, triplet_set
 from .automorphisms import chirality, orbit
 from .derivations import derive
-from .dsl import ExprSyntaxError, UnboundVariableError, evaluate, free_vars, parse, to_text
-from .sieve import InvarianceWitness, SieveVerdict, _evaluator, _per_rule, _witness_index
-from .sieve import is_invariant, random_assignment, sieve
+from .dsl import ExprSyntaxError, UnboundVariableError, parse, to_text
+from .sieve import _evaluator, _per_rule, _trials, random_assignment, sieve
 from .verification import run_checks
 
 SCHEMA_VERSION = 1
@@ -121,14 +122,18 @@ def text_orbit(payload: dict, args):
         yield f"{e['algebra']:>2}  {e['generator']:<10}  {e['parity_word']}"
 
 
-def _expr_and_env(args) -> tuple:
+def _expr_and_env(args, trials: int = 1) -> tuple:
+    """The expression, its all-rules evaluator, the assignment and the rng that drew it (or None)."""
     try:
         tree = parse(args.expr)
     except ExprSyntaxError as exc:
         raise CliError(f"expression syntax error: {exc}") from None
-    names = free_vars(tree)
     if args.assign and args.random_assign:
         raise CliError("--assign and --random-assign are mutually exclusive")
+    if args.random_assign and trials < 1:  # before anything is compiled
+        raise CliError("trials must be >= 1")
+    names, values = _evaluator(tree)
+    rng = random.Random(args.seed) if args.random_assign else None
     if args.assign:
         env = {}
         for pair in args.assign:
@@ -140,28 +145,17 @@ def _expr_and_env(args) -> tuple:
         if missing:
             raise CliError(f"unbound variables: {', '.join(missing)} (add --assign)")
     elif args.random_assign:
-        env = random_assignment(names, random.Random(args.seed))
+        env = random_assignment(names, rng)
     else:
         raise CliError("provide --assign for every variable or --random-assign")
-    return tree, env
+    return tree, values, env, rng
 
 
 def cmd_sieve(args) -> dict:
-    tree, env = _expr_and_env(args)
-    if args.random_assign and args.trials < 1:
-        raise CliError("trials must be >= 1")
-    _, values = _evaluator(tree)
-    functions = tuple(map(Octonion, _per_rule(values(env))))
-    distances = sieve(functions)
-    # A random assignment is trial 1 of is_invariant(tree, trials, seed): both
-    # draw it with random_assignment(names, Random(seed)).  So a refutation
-    # here is that verdict, and only an assignment that holds needs the rest.
-    k = _witness_index(distances)
-    if k is None and args.random_assign:
-        verdict = is_invariant(tree, args.trials, args.seed)
-    else:
-        witness = None if k is None else InvarianceWitness(env, k, distances[k])
-        verdict = SieveVerdict(k is None, args.trials, witness, trials_run=1)
+    tree, values, env, rng = _expr_and_env(args, args.trials)
+    functions, distances, verdict = _trials(values, env, rng, args.trials if args.random_assign else 1)
+    if distances is None:  # trial 1 was the same under every rule, so not sieved
+        distances = sieve(functions)
     w = verdict.witness
     return {
         "expr": to_text(tree),
@@ -202,9 +196,10 @@ def text_sieve(payload: dict, args):
 def cmd_derive(args) -> dict:
     u = _parse_octonion(args.u)
     v = _parse_octonion(args.v)
-    tree, env = _expr_and_env(args)
+    tree, values, env, _ = _expr_and_env(args)
     ns = list(range(16)) if args.algebra is None else [args.algebra]
-    outputs = [derive(u, v, evaluate(tree, env, n), n) for n in ns]
+    per_rule = _per_rule(values(env))  # on the float route, rule n is evaluated when read
+    outputs = [derive(u, v, Octonion(per_rule[n]), n) for n in ns]
     payload = {
         "u": list(u),
         "v": list(v),

@@ -18,7 +18,8 @@ whose sign tracks the two triplet orientations involved and therefore
 varies across rules.
 
 Integer inputs stay integer throughout, so span dimensions are computed
-by fraction-free elimination with no rank threshold.
+by fraction-free elimination with no rank threshold.  An expression's
+values under the 16 rules come from the sieve's one all-rules route.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import sub
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import REFERENCE_TRIPLETS, Octonion, _mul, _signs, multiply, norm
-from .dsl import Expr, evaluate, free_vars, parse
+from .dsl import Expr, parse
+from .sieve import _evaluator, _per_rule
 
 __all__ = [
     "commutator",
@@ -122,8 +124,8 @@ def antiassoc_closed_form(u_idx: int, v_idx: int, a_idx: int, n: int) -> Antiass
 
 def cross_algebra_equal(u: Octonion, v: Octonion, a: Octonion) -> frozenset[int]:
     """Rule ids whose derivation output matches rule 0's, exactly."""
-    reference = derive(u, v, a, 0)
-    return frozenset(n for n in range(16) if derive(u, v, a, n) == reference)
+    outputs = [derive(u, v, a, n) for n in range(16)]
+    return frozenset(n for n, o in enumerate(outputs) if o == outputs[0])
 
 
 def derivation_matrix(u_idx: int, v_idx: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -246,28 +248,26 @@ def expr_cross_algebra_equal(
     if u_idx == v_idx:
         raise ValueError("u and v must be distinct basis elements")
     tree = parse(expr) if isinstance(expr, str) else expr
-    names = free_vars(tree)
+    names, values = _evaluator(tree)
     rng = random.Random(seed)
 
+    def outputs(env: dict) -> list[Octonion]:
+        per_rule = _per_rule(values(env))  # on the float route, rule n is evaluated when read
+        return [derive(u, v, Octonion(per_rule[n]), n) for n in range(16)]
+
     # imaginary indices of the quaternion span: u, v, and |uv|
-    w_idx = next(k for k, c in enumerate(multiply(u, v, 0).coeffs) if c != 0)
+    uvs = [multiply(u, v, n) for n in range(16)]
+    w_idx = next(k for k, c in enumerate(uvs[0].coeffs) if c != 0)
     span_idx = {0, u_idx, v_idx, w_idx}
     outside = [k for k in range(8) if k not in span_idx]
-
     in_span = RegimeReport(True)
     out_of_span = RegimeReport(True)
 
     for _ in range(trials):
         coords = {name: tuple(rng.randint(-9, 9) for _ in range(4)) for name in names}
-        outputs = []
-        for n in range(16):
-            w = multiply(u, v, n)
-            env = {
-                name: Octonion.real(c0) + c1 * u + c2 * v + c3 * w
-                for name, (c0, c1, c2, c3) in coords.items()
-            }
-            outputs.append(derive(u, v, evaluate(tree, env, n), n))
-        in_span = _refuted(in_span, outputs, {"coords": coords})
+        env = {name: [Octonion.real(c0) + c1 * u + c2 * v + c3 * w for w in uvs]
+               for name, (c0, c1, c2, c3) in coords.items()}
+        in_span = _refuted(in_span, outputs(env), {"coords": coords})
 
         env = {}
         for name in names:
@@ -276,7 +276,6 @@ def expr_cross_algebra_equal(
             while coeffs[k] == 0:
                 coeffs[k] = rng.randint(-9, 9)
             env[name] = Octonion(coeffs)
-        outputs = [derive(u, v, evaluate(tree, env, n), n) for n in range(16)]
-        out_of_span = _refuted(out_of_span, outputs, {"assignment": env})
+        out_of_span = _refuted(out_of_span, outputs(env), {"assignment": env})
 
     return CrossAlgebraVerdict(in_span, out_of_span, trials)

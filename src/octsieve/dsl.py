@@ -13,15 +13,18 @@ the grouping matters.
 
 Literals are real scalars only: digits alone make an exact int of any
 size, up to Python's int/str digit limit, and a fraction or an exponent
-makes a float.  Basis elements enter through variable assignments, so
-the same expression can be evaluated under any of the 16 multiplication
-rules.  'conj' is a reserved word.
+makes a float, which must not exceed the largest float.  Basis elements
+enter through variable assignments, so the same expression can be
+evaluated under any of the 16 multiplication rules.  'conj' is a
+reserved word.
 
 :func:`_program` compiles a tree to a flat list of steps without recursion,
-so :func:`free_vars` and the sieve's all-rules pass take trees of any depth.
-:func:`evaluate`, ``function_family`` and :func:`to_text` stay recursive;
-for parsed input MAX_DEPTH covers them: expressions nest at most MAX_DEPTH
-levels deep, in the tree and in parentheses, or are an ExprSyntaxError.
+so :func:`free_vars` and the sieve's all-rules pass (behind every caller
+that evaluates under all 16 rules) take trees of any depth.  The parser,
+:func:`evaluate` (called only by the sieve's float route, one rule at a
+time, and ``function_family``) and :func:`to_text` stay recursive; for parsed input
+MAX_DEPTH covers them: expressions nest at most MAX_DEPTH levels deep, in
+the tree and in parentheses, or are an ExprSyntaxError.
 """
 
 from __future__ import annotations
@@ -217,7 +220,7 @@ class _Parser:
 
 def _number(text: str, offset: int) -> int | float:
     """A literal of digits only is an exact int at any size; one with a
-    fraction or an exponent is a float."""
+    fraction or an exponent is a float, which must be finite."""
     if text.isdigit():
         try:
             return int(text)
@@ -226,7 +229,10 @@ def _number(text: str, offset: int) -> int | float:
                 f"integer literal of {len(text)} digits exceeds Python's limit of "
                 f"{sys.get_int_max_str_digits()} digits for int/str conversion", offset
             ) from None
-    return float(text)
+    value = float(text)
+    if value > sys.float_info.max:  # inf, whose text would reparse as a variable
+        raise ExprSyntaxError(f"float literal exceeds the largest float, {sys.float_info.max:.4g}", offset)
+    return value
 
 
 def parse(text: str) -> Expr:

@@ -23,19 +23,23 @@ integer coefficient assignments every sum here is exact (quarters are
 dyadic while they stay below 2^53), so invariance is a zero test with no
 tolerance.
 
-:func:`is_invariant` compiles the expression once (``dsl._program``) and
-runs each trial as one loop over its steps that carries all 16 rules at
-once, on exact ints.  A value is one coefficient 8-tuple while it is the
-same under every rule (variables, constants, their linear combinations,
-real norms such as L*conj(L)), else a list of 16 per-rule 8-tuples that
-collapses back to one tuple when its entries are identical.  A product
-with a real factor is a scaling, a product of two other tuples goes
-through ``algebra._mul_all`` (64 pair products shared by the 16 rules),
-and any other runs the kernel once per rule.  The values are
-:func:`function_family`'s and the CLI prints its family from one run; a
-float literal or coefficient takes :func:`function_family` itself.  A
-trial whose root value is one tuple has every distance past g[0] exactly
-zero and is not sieved.
+Two decisions are made here for every caller.  ``_evaluator`` evaluates
+an expression under all 16 rules: it compiles it once (``dsl._program``)
+and runs an assignment as one loop over its steps that carries all 16
+rules at once, on exact ints.  A value is one coefficient 8-tuple while
+it is the same under every rule (variables, constants, their linear
+combinations, real norms such as L*conj(L)), else a list of 16 per-rule
+8-tuples that collapses back to one tuple when its entries are equal.
+A product with a real factor is a scaling, a product of two other tuples
+goes through ``algebra._mul_all`` (64 pair products shared by the 16
+rules), and any other runs the kernel once per rule.  The values are
+:func:`function_family`'s.  A float literal or coefficient takes the
+float route instead, ``_FloatRules``: rule n runs :func:`evaluate` when
+it is read, and iterating runs :func:`function_family`.
+``_trials`` reaches a verdict: trial 1 on a given assignment, later ones
+drawn from one rng, the first nonzero distance the witness; a trial the
+same under every rule holds without a sieve.  :func:`is_invariant` and
+the CLI's ``sieve`` both call it.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ def random_assignment(
 
 
 # A value of the all-rules pass: one 8-tuple when it is the same under
-# every rule, else a list of 16 8-tuples, entry n under rule n.
+# every rule, else a list of 16 8-tuples, entry n under rule n.  The float
+# route's values (``_FloatRules``) index and iterate like that list.
 AllRules = Union[tuple, list]
 
 _NO_IMAG = (0,) * 7
@@ -183,25 +188,45 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
     return values[-1]
 
 
-def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping[str, Octonion]], AllRules]]:
+class _FloatRules:
+    """The float route: an expression's values under the 16 rules.  Entry n
+    is evaluated by :func:`evaluate` on rule n's inputs when it is read, so
+    a caller reading rules one at a time evaluates no rule it does not
+    reach.  Iterating, which the sieve does with one octonion per name,
+    gives :func:`function_family`'s values."""
+
+    def __init__(self, tree: Expr, env: Mapping):
+        self.tree = tree
+        self.env = env
+
+    def __len__(self) -> int:
+        return 16
+
+    def __getitem__(self, n: int) -> tuple:
+        env = {name: x if isinstance(x, Octonion) else x[n] for name, x in self.env.items()}
+        return evaluate(self.tree, env, n).coeffs
+
+    def __iter__(self):
+        return (f.coeffs for f in function_family(self.tree, self.env))
+
+
+def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
     """Compile ``tree`` once: its variable names, and a function from an
-    assignment to its values under all 16 rules: the compiled program's if
-    every literal and coefficient is an int, else :func:`function_family`'s."""
+    assignment (each name bound to one octonion, or to 16, entry n for rule
+    n) to its values under all 16 rules: the program's if every literal and
+    coefficient is an int, else the float route's."""
     steps, names = _program(tree)
     exact = all(kind is int for op, _, kind in steps if op is Const)
 
-    def values(env: Mapping[str, Octonion]) -> AllRules:
-        if exact and all(type(c) is int for x in env.values() for c in x.coeffs):
-            return _all_rules(steps, {name: x.coeffs for name, x in env.items()})
-        return [f.coeffs for f in function_family(tree, env)]
+    def values(env: Mapping[str, Octonion | Sequence[Octonion]]) -> AllRules | _FloatRules:
+        rules = {name: x.coeffs if isinstance(x, Octonion) else [y.coeffs for y in x]
+                 for name, x in env.items()}
+        rows = [row for x in rules.values() for row in ([x] if type(x) is tuple else x)]
+        if exact and all(type(c) is int for row in rows for c in row):
+            return _all_rules(steps, rules)
+        return _FloatRules(tree, env)
 
     return names, values
-
-
-def _witness_index(distances: DistanceFamily) -> int | None:
-    """The first k > 0 whose distance is nonzero, or None when every
-    distance past g[0] is zero (the family is invariant)."""
-    return next((k for k in range(1, 16) if not distances[k].is_zero()), None)
 
 
 @dataclass(frozen=True)
@@ -224,6 +249,34 @@ class SieveVerdict:
     trials_run: int = field(kw_only=True)
 
 
+def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng: random.Random | None,
+            trials: int) -> tuple[FunctionFamily, DistanceFamily | None, SieveVerdict]:
+    """Trial 1 is ``env``; while every trial holds, trials 2..``trials`` are
+    assignments of the same names drawn from ``rng``.  A trial whose value
+    is the same under every rule holds unsieved; in any other, the first
+    nonzero distance g[k], k > 0, refutes and is the witness.  Returns
+    trial 1's functions, its distances (None when it was not sieved), and
+    the verdict."""
+    names = list(env)
+    for trial in range(1, trials + 1):
+        if trial > 1:
+            env = random_assignment(names, rng)
+        value = values(env)
+        if type(value) is tuple:  # all distances past g[0] are 0
+            if trial == 1:
+                first = tuple(map(Octonion, _per_rule(value))), None
+            continue
+        functions = tuple(map(Octonion, value))
+        distances = sieve(functions)
+        if trial == 1:
+            first = functions, distances
+        k = next((k for k in range(1, 16) if not distances[k].is_zero()), None)
+        if k is not None:
+            witness = InvarianceWitness(env, k, distances[k])
+            return *first, SieveVerdict(False, trials, witness, trials_run=trial)
+    return *first, SieveVerdict(True, trials, trials_run=trials)
+
+
 def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerdict:
     """Randomized refuter for algebraic invariance.
 
@@ -238,14 +291,4 @@ def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerd
     tree = parse(expr) if isinstance(expr, str) else expr
     names, values = _evaluator(tree)
     rng = random.Random(seed)
-    for trial in range(1, trials + 1):
-        env = random_assignment(names, rng)
-        value = values(env)
-        if type(value) is tuple:
-            continue  # the same under every rule: all distances past g[0] are 0
-        distances = sieve(tuple(map(Octonion, value)))
-        k = _witness_index(distances)
-        if k is not None:
-            witness = InvarianceWitness(env, k, distances[k])
-            return SieveVerdict(False, trials, witness, trials_run=trial)
-    return SieveVerdict(True, trials, trials_run=trials)
+    return _trials(values, random_assignment(names, rng), rng, trials)[2]

@@ -344,8 +344,9 @@ def test_assign_ignores_trials(capsys):
 
 
 def test_sieve_verdict_matches_is_invariant(capsys):
-    # The CLI decides trial 1 itself and calls is_invariant only when that
-    # trial holds; the JSON verdict must be is_invariant's in every case.
+    # The CLI runs its printed assignment as trial 1 of is_invariant's trial
+    # loop and draws on from the same rng; the JSON verdict must be
+    # is_invariant's in every case.
     rng = random.Random(31)
     trees = [parse(text) for text in FIXED_EXPRS]
     trees += [_random_tree(rng, rng.randint(1, 4)) for _ in range(40)]
@@ -480,3 +481,86 @@ def test_an_evaluation_error_is_the_one_rule_evaluators(capsys):
     assert (code, out) == (1, "")
     assert err == f"octsieve: error: {exc.value}\n"
     assert "got inf" in err
+
+
+@pytest.mark.parametrize("command", [("sieve",), ("derive", "--u", "i1", "--v", "i2")], ids=["sieve", "derive"])
+def test_a_float_literal_past_the_float_range_is_a_syntax_error(capsys, command):
+    code, out, err = run(capsys, *command, "--expr", "a + 1e400*b", "--assign", "a=i1", "--assign", "b=i2")
+    assert (code, out) == (1, "")
+    assert err == ("octsieve: error: expression syntax error: float literal exceeds the largest float, "
+                   f"{sys.float_info.max:.4g} (at offset 4)\n")
+
+
+def spy(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through every octsieve module that holds it."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for held in list(sys.modules.values()):
+        if getattr(held, "__name__", "").startswith("octsieve") and getattr(held, name, None) is original:
+            monkeypatch.setattr(held, name, counted)
+    return calls
+
+
+def spies(monkeypatch):
+    dsl = importlib.import_module("octsieve.dsl")
+    return [spy(monkeypatch, dsl, "_program"), spy(monkeypatch, SIEVE, "_all_rules"),
+            spy(monkeypatch, SIEVE, "random_assignment"), spy(monkeypatch, dsl, "evaluate"),
+            spy(monkeypatch, SIEVE, "sieve")]
+
+
+@pytest.mark.parametrize("expr, trials, invariant", [("a*b + b*a", 1, True), ("a*b + b*a", 2, True),
+                                                     ("a*b + b*a", 64, True), ("a*b", 64, False)])
+def test_sieve_compiles_once_and_evaluates_each_trial_once(capsys, monkeypatch, expr, trials, invariant):
+    # trial 1 is the printed assignment; trials 2.. draw on from the same rng.
+    # a*b + b*a is the same under every rule, so only the printed trial is
+    # sieved; a*b is refuted by trial 1, whose one sieve is also printed
+    compiles, passes, draws, evaluations, sieves = spies(monkeypatch)
+    code, out, _ = run(capsys, "sieve", "--expr", expr, "--random-assign", "--seed", "3",
+                       "--trials", str(trials), "--format", "json")
+    payload = json.loads(out)
+    ran = trials if invariant else 1
+    assert (code, payload["invariant"], payload["trials_run"]) == (0, invariant, ran)
+    assert (len(compiles), len(passes), len(draws), len(evaluations), len(sieves)) == (1, ran, ran, 0, 1)
+
+
+@pytest.mark.parametrize("algebra", [(), ("--algebra", "5")], ids=["all", "one"])
+def test_derive_compiles_once_and_runs_one_pass(capsys, monkeypatch, algebra):
+    compiles, passes, draws, evaluations, _ = spies(monkeypatch)
+    code, _, _ = run(capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "(a*b)*c", "--random-assign",
+                     "--seed", "4", *algebra)
+    assert code == 0
+    assert (len(compiles), len(passes), len(draws), len(evaluations)) == (1, 1, 1, 0)
+
+
+@pytest.mark.parametrize("u, algebra, outcome", [("i1", 0, None), ("i1", 4, "-inf"), ("i1", None, "-inf"),
+                                                 ("0,1e300,0,0,0,0,0,0", None, "nan"),
+                                                 ("0,1e300,0,0,0,0,0,0", 4, "-inf")])
+def test_derive_evaluates_then_derives_rule_by_rule(capsys, u, algebra, outcome):
+    # rule 0 cancels two 1.5e308 terms that rules 4..7 add past the float
+    # range, so --algebra 0 prints rule 0's output; an error is the first
+    # the rule-by-rule loop meets (with the large u, derive's nan under
+    # rule 0 comes before evaluate's -inf under rule 4)
+    from octsieve.cli import _parse_octonion
+    from octsieve.derivations import derive
+    from octsieve.dsl import evaluate
+
+    text = "1e308*a*b - 1.5e308*c + d"
+    assign = {"a": "i1", "b": "0,0,1.5,0,0,0,0,0", "c": "i3", "d": "0,0,0,0,0,1e10,0,0"}
+    env = {name: _parse_octonion(x) for name, x in assign.items()}
+    outputs, error = [], None
+    try:
+        for n in range(16) if algebra is None else [algebra]:
+            outputs.append(list(derive(_parse_octonion(u), Octonion.unit(2), evaluate(parse(text), env, n), n)))
+    except ValueError as exc:
+        error = f"octsieve: error: {exc}\n"
+    argv = ["derive", "--u", u, "--v", "i2", "--expr", text, *(f"--assign={k}={x}" for k, x in assign.items())]
+    code, out, err = run(capsys, *argv, *([] if algebra is None else ["--algebra", str(algebra)]), "--format", "json")
+    if outcome is None:
+        assert (error, code, json.loads(out)["outputs"]) == (None, 0, outputs)
+    else:
+        assert error.endswith(f"got {outcome}\n")
+        assert (code, out, err) == (1, "", error)

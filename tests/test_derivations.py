@@ -1,11 +1,16 @@
 """Inner derivations: Leibniz rule, closed form, ranks, cross-rule equality."""
 
 import random
+import sys
 
 import pytest
+from test_dsl import _random_tree
 
+from octsieve import derivations
 from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, multiply
 from octsieve.derivations import (
+    CrossAlgebraVerdict,
+    RegimeReport,
     antiassoc_closed_form,
     associator,
     commutator,
@@ -17,6 +22,7 @@ from octsieve.derivations import (
     integer_rank,
     leibniz_check,
 )
+from octsieve.dsl import Add, Const, Mul, Var, evaluate, free_vars, parse
 
 
 def unit(k):
@@ -205,3 +211,105 @@ def test_expr_cross_algebra_equal_validates_inputs():
         expr_cross_algebra_equal(Octonion.one(), unit(2), "a")
     with pytest.raises(ValueError):
         expr_cross_algebra_equal(unit(1), unit(2), "a", trials=0)
+
+
+def test_cross_algebra_equal_derives_each_rule_once(monkeypatch):
+    rng = random.Random(17)
+    triples = [(unit(i), unit(j), unit(k)) for i in range(8) for j in range(8) for k in range(8)]
+    triples += [tuple(rand_oct(rng) for _ in range(3)) for _ in range(20)]
+    expected = [frozenset(n for n in range(16) if derive(u, v, a, n) == derive(u, v, a, 0))
+                for u, v, a in triples]
+    calls = []
+    monkeypatch.setattr(derivations, "derive", lambda *args: calls.append(args) or derive(*args))
+    assert [cross_algebra_equal(u, v, a) for u, v, a in triples] == expected
+    assert len(calls) == 16 * len(triples)
+
+
+def per_rule_cross_algebra_equal(u, v, expr, trials, seed):
+    """The former expr_cross_algebra_equal, kept as the oracle: one
+    recursive evaluate per rule and regime (valid u, v only)."""
+    tree = parse(expr) if isinstance(expr, str) else expr
+    names = free_vars(tree)
+    rng = random.Random(seed)
+    u_idx, v_idx, w_idx = (next(k for k, c in enumerate(x.coeffs) if c) for x in (u, v, multiply(u, v, 0)))
+    outside = [k for k in range(8) if k not in {0, u_idx, v_idx, w_idx}]
+    reports = [RegimeReport(True), RegimeReport(True)]
+
+    def refute(regime, outputs, inputs):
+        bad = next((n for n in range(16) if outputs[n] != outputs[0]), None)
+        if reports[regime].equal and bad is not None:
+            reports[regime] = RegimeReport(False, {**inputs, "algebra": bad, "got": outputs[bad],
+                                                   "expected": outputs[0]})
+
+    for _ in range(trials):
+        coords = {name: tuple(rng.randint(-9, 9) for _ in range(4)) for name in names}
+        outputs = []
+        for n in range(16):
+            w = multiply(u, v, n)
+            env = {name: Octonion.real(c0) + c1 * u + c2 * v + c3 * w
+                   for name, (c0, c1, c2, c3) in coords.items()}
+            outputs.append(derive(u, v, evaluate(tree, env, n), n))
+        refute(0, outputs, {"coords": coords})
+        env = {}
+        for name in names:
+            coeffs = [rng.randint(-9, 9) for _ in range(8)]
+            k = rng.choice(outside)
+            while coeffs[k] == 0:
+                coeffs[k] = rng.randint(-9, 9)
+            env[name] = Octonion(coeffs)
+        refute(1, [derive(u, v, evaluate(tree, env, n), n) for n in range(16)], {"assignment": env})
+    return CrossAlgebraVerdict(*reports, trials)
+
+
+def float_unit(k):
+    return Octonion(tuple(float(c) for c in unit(k).coeffs))
+
+
+def test_expr_cross_algebra_equal_matches_the_per_rule_walks():
+    # repr compares every witness coefficient with its type: 1 vs 1.0, 0.0 vs -0.0
+    rng = random.Random(23)
+    pairs = [(unit(1), unit(2)), (unit(3), unit(7)), (unit(6), unit(4)), (unit(5), unit(1))]
+    cases = [(*pairs[i % 4], _random_tree(rng, rng.randint(1, 4))) for i in range(100)]
+    cases += [(*pairs[i % 4], Add(_random_tree(rng, rng.randint(1, 3)),
+                                  Mul(Const(rng.choice([0.5, -1.5, 2.0, -0.0])), Var(rng.choice("abc")))))
+              for i in range(30)]
+    cases += [(float_unit(1), unit(2), _random_tree(rng, rng.randint(1, 3))) for _ in range(15)]
+    cases += [(unit(3), float_unit(5), parse(text)) for text in ("a", "a*b", "0.5*a*b - b*a", "conj(a)*a")]
+    # past the float range under some rule: the error is the first one the
+    # oracle's rule-by-rule evaluate-then-derive loop meets
+    cases += [(unit(1), unit(2), parse(text)) for text in ("1e307*a*b", "1e300*a*b*c - 1e300*c*b*a",
+                                                           "1e308*a - 1e308*b", "1e306*(a*b)*c")]
+    cases += [(float_unit(1), unit(2), parse("1e306*(a*b)*c + 1e306*a*(b*c)"))]
+
+    def outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    kinds = set()
+    for i, (u, v, tree) in enumerate(cases):
+        got = outcome(expr_cross_algebra_equal, u, v, tree, 3, i)
+        assert got == outcome(per_rule_cross_algebra_equal, u, v, tree, 3, i)
+        kinds.add("error" if got.startswith("ValueError") else got.count("equal=True"))
+    assert kinds == {2, 1, "error"}
+
+
+def test_expr_cross_algebra_equal_float_route_evaluates_each_rule_once(monkeypatch):
+    # a float unit u puts the in-span bindings on the float route: one
+    # evaluate per rule and trial (the out-of-span bindings are ints)
+    sieve = sys.modules["octsieve.sieve"]
+    calls = []
+    monkeypatch.setattr(sieve, "evaluate", lambda *args: calls.append(args[2]) or evaluate(*args))
+    expr_cross_algebra_equal(float_unit(1), unit(2), "a*b", trials=2, seed=5)
+    assert calls == list(range(16)) * 2
+
+
+def test_expr_cross_algebra_equal_on_a_tree_deeper_than_the_recursion_limit():
+    tree = Mul(Var("a"), Var("b"))
+    for _ in range(5000):
+        tree = Add(tree, Const(1))  # a real: the derivation ignores it
+    assert 5000 > sys.getrecursionlimit()
+    verdict = expr_cross_algebra_equal(unit(1), unit(2), tree, trials=2, seed=3)
+    assert repr(verdict) == repr(per_rule_cross_algebra_equal(unit(1), unit(2), "a*b + 5000", 2, 3))
+    assert verdict.in_span.equal and not verdict.out_of_span.equal

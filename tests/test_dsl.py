@@ -70,6 +70,16 @@ def test_literal_past_the_int_digit_limit_is_a_syntax_error():
     assert f"{limit + 1} digits" in str(err.value) and f"limit of {limit} digits" in str(err.value)
 
 
+@pytest.mark.parametrize("literal", ["1e400", "2.5e308", "1" + "0" * 400 + ".5"])
+def test_a_float_literal_past_the_float_range_is_a_syntax_error(literal):
+    # read as float it is inf, and to_text's 'inf' would reparse as a variable
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(f"a + {literal}*b")
+    assert err.value.offset == 4
+    assert str(err.value) == f"float literal exceeds the largest float, {sys.float_info.max:.4g} (at offset 4)"
+    assert parse("1e-400*a") == Mul(Const(0.0), Var("a"))  # underflow is a finite float
+
+
 DEEP = {
     "2000-deep-parens": "(" * 2000 + "a" + ")" * 2000,
     "1500-factors": "*".join(["a"] * 1500),
