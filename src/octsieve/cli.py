@@ -15,6 +15,7 @@ failed verification, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -259,6 +260,9 @@ def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
+# Built on the first call, not at import; parse_args leaves the parser as it
+# was, so every later call reuses it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="octsieve",

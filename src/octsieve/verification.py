@@ -168,9 +168,9 @@ def check_leibniz(quick: bool = False) -> CheckResult:
     trials = 100 if quick else 1000
     rng = random.Random(24)
     for t in range(trials):
-        u, v, a, b = (_rand_octonion(rng, 5) for _ in range(4))
-        for n in range(16):
-            if derivations.leibniz_check(u, v, a, b, n) != 0.0:
+        u, v, a, b = (_rand_octonion(rng, 5).coeffs for _ in range(4))
+        for n, residual in enumerate(derivations._leibniz_all(u, v, a, b)):
+            if any(residual):
                 return CheckResult("leibniz", False, f"trial {t}, rule {n}: nonzero residual")
     return CheckResult("leibniz", True, f"residual exactly 0 on {trials} quadruples x 16 rules")
 

@@ -9,6 +9,7 @@ import pytest
 from test_dsl import _random_tree
 from test_sieve import FIXED_EXPRS, bit_for_bit
 
+from octsieve import cli
 from octsieve.algebra import Octonion
 from octsieve.cli import main
 from octsieve.dsl import parse, to_text
@@ -205,6 +206,22 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_main_builds_the_parser_once_and_a_usage_error_leaves_it_as_it_was(capsys):
+    cli.build_parser.cache_clear()
+    argv = ("sieve", "--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2", "--format", "json")
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["sieve", "--expr", "a", "--assign", "a=i1", "--trials"])
+    assert exc.value.code == 2
+    usage = capsys.readouterr().err
+    assert run(capsys, *argv) == first
+    with pytest.raises(SystemExit):
+        main(["sieve", "--expr", "a", "--assign", "a=i1", "--trials"])
+    assert capsys.readouterr().err == usage
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()
 
 
 def test_verify_quick(capsys):

@@ -2,12 +2,15 @@
 
 import random
 import sys
+from collections import Counter
+from operator import sub
 
 import pytest
 from test_dsl import _random_tree
 
 from octsieve import derivations
-from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, multiply
+from octsieve import verification
+from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, _mul, _signs, multiply
 from octsieve.derivations import (
     CrossAlgebraVerdict,
     RegimeReport,
@@ -23,6 +26,7 @@ from octsieve.derivations import (
     leibniz_check,
 )
 from octsieve.dsl import Add, Const, Mul, Var, evaluate, free_vars, parse
+from octsieve.sieve import _per_rule
 
 
 def unit(k):
@@ -68,6 +72,88 @@ def test_leibniz_residual_is_exactly_zero():
         for n in range(16):
             assert leibniz_check(u, v, a, b, n) == 0.0
     assert leibniz_check(unit(1), unit(2), Octonion.one(), rand_oct(rng), 3) == 0.0
+
+
+def per_rule_residual(u, v, a, b, n):
+    """The former leibniz_check's residual, kept as the oracle: the literal
+    D through _pair and _derive, 20 kernel calls per rule."""
+    s = _signs(n)
+    pair = derivations._pair(u, v, s)
+    d_ab = derivations._derive(u, v, pair, _mul(a, b, s), s)
+    d_a_b = _mul(derivations._derive(u, v, pair, a, s), b, s)
+    a_d_b = _mul(a, derivations._derive(u, v, pair, b, s), s)
+    return tuple(map(sub, map(sub, d_ab, d_a_b), a_d_b))
+
+
+def rand_ints(rng, bound):
+    return tuple(rng.randint(-bound, bound) for _ in range(8))
+
+
+@pytest.mark.parametrize("bound", [5, 2**70])
+def test_regrouped_derive_equals_derive(bound):
+    rng = random.Random(30)
+    for n in range(16):
+        s = _signs(n)
+        for _ in range(5):
+            u, v, x = (rand_ints(rng, bound) for _ in range(3))
+            uv, vu = _mul(u, v, s), _mul(v, u, s)
+            c = tuple(map(sub, uv, vu))
+            p = tuple(-2 * y - z for y, z in zip(uv, vu))
+            got = derivations._regrouped(u, p, c, x, _mul(v, x, s), s)
+            assert got == derive(Octonion(u), Octonion(v), Octonion(x), n).coeffs
+
+
+@pytest.mark.parametrize("bound", [5, 2**70])
+def test_all_rules_residuals_match_the_per_rule_oracle(bound):
+    rng = random.Random(31)
+    real = (7,) + (0,) * 7
+    for _ in range(5):
+        u, v, a, b = (rand_ints(rng, bound) for _ in range(4))
+        # v = u collapses uv and vu to one tuple, a real v collapses every
+        # product with v, and a = b collapses ab
+        for u, v, a, b in ((u, v, a, b), (u, u, a, b), (u, real, a, b), (u, v, a, a)):
+            expected = [per_rule_residual(u, v, a, b, n) for n in range(16)]
+            assert derivations._leibniz_all(u, v, a, b) == expected
+            assert expected == [(0,) * 8] * 16
+    assert type(derivations._mul_all(u, u)) is tuple
+    assert type(derivations._mul_all(real, a)) is tuple
+    assert type(derivations._mul_all(a, a)) is tuple
+
+
+def counting(monkeypatch, counts, *names):
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(derivations, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(derivations, name, counted)
+
+
+def test_leibniz_shares_five_products_and_runs_twelve_kernels_per_rule(monkeypatch):
+    rng = random.Random(32)
+    u, v, a, b = (rand_ints(rng, 5) for _ in range(4))
+    counts = Counter()
+    counting(monkeypatch, counts, "_mul", "_mul_all")
+    derivations._leibniz_all(u, v, a, b)
+    assert counts == {"_mul_all": 5, "_mul": 16 * 12}
+    counts.clear()
+    leibniz_check(*map(Octonion, (u, v, a, b)), 9)
+    assert counts == {"_mul": 17}
+
+
+def test_check_leibniz_fails_naming_the_rule_whose_uv_is_perturbed(monkeypatch):
+    mul_all, calls = derivations._mul_all, []
+
+    def perturbed(x, y):
+        calls.append((x, y))
+        products = list(_per_rule(mul_all(x, y)))
+        if len(calls) % 5 == 1:  # the first shared product of a quadruple is uv
+            products[9] = (products[9][0] + 1,) + products[9][1:]
+        return products
+
+    monkeypatch.setattr(derivations, "_mul_all", perturbed)
+    result = verification.check_leibniz(quick=True)
+    assert not result.passed
+    assert result.detail == "trial 0, rule 9: nonzero residual"
 
 
 def test_derive_matches_commutator_associator_formula():
@@ -142,6 +228,17 @@ def test_derivation_matrix_is_integer_antisymmetric():
                 for j in range(7):
                     assert isinstance(matrix[i][j], int)
                     assert matrix[i][j] == -matrix[j][i]
+
+
+def test_derivation_matrix_is_derive_column_by_column(monkeypatch):
+    for n in range(16):
+        for u, v in ((1, 2), (1, 4), (3, 6), (5, 5), (7, 2)):
+            cols = [derive(unit(u), unit(v), unit(a), n).coeffs[1:] for a in range(1, 8)]
+            assert derivation_matrix(u, v, n) == tuple(zip(*cols))
+    counts = Counter()
+    counting(monkeypatch, counts, "_mul")
+    derivation_matrix(1, 4, 0)
+    assert counts == {"_mul": 2 + 7 * 5}  # one pair, then five kernels per column
 
 
 def test_integer_rank_basics():
