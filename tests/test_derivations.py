@@ -8,8 +8,7 @@ from operator import sub
 import pytest
 from test_dsl import _random_tree
 
-from octsieve import derivations
-from octsieve import verification
+from octsieve import derivations, verification
 from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, _mul, _signs, multiply
 from octsieve.derivations import (
     CrossAlgebraVerdict,
@@ -111,9 +110,9 @@ def test_all_rules_residuals_match_the_per_rule_oracle(bound):
         u, v, a, b = (rand_ints(rng, bound) for _ in range(4))
         # v = u collapses uv and vu to one tuple, a real v collapses every
         # product with v, and a = b collapses ab
-        for u, v, a, b in ((u, v, a, b), (u, u, a, b), (u, real, a, b), (u, v, a, a)):
-            expected = [per_rule_residual(u, v, a, b, n) for n in range(16)]
-            assert derivations._leibniz_all(u, v, a, b) == expected
+        for case in ((u, v, a, b), (u, u, a, b), (u, real, a, b), (u, v, a, a)):
+            expected = [per_rule_residual(*case, n) for n in range(16)]
+            assert derivations._leibniz_all(*case) == expected
             assert expected == [(0,) * 8] * 16
     assert type(derivations._mul_all(u, u)) is tuple
     assert type(derivations._mul_all(real, a)) is tuple
