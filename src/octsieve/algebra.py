@@ -24,8 +24,12 @@ unrolled kernel over these seven characters; the tables of
 :func:`mul_table` are built independently, from the oriented triplets.
 For two integer 8-tuples, :func:`_mul_all` computes the 64 pair products
 once and reads all 16 products off a rule-independent part and seven
-triplet parts; the product is the same under every rule exactly when all
-seven parts are zero.
+triplet parts.  The product is the same under every rule exactly when all
+seven parts are zero.  Each pair of imaginary indices lies on exactly one
+triplet, so that holds exactly when every minor a_i b_j - a_j b_i
+vanishes, i.e. when the imaginary parts a' and b' are parallel: the
+Cauchy-Schwarz equality (a'.b')^2 == |a'|^2 |b'|^2, which is exact on
+ints and is tested first.
 
 All values here are immutable and all functions are pure.  Integer
 coefficients of any size propagate exactly through every operation, which
@@ -328,27 +332,30 @@ def _mul_all(a: tuple, b: tuple) -> tuple | list[tuple]:
     Output k > 0 of rule n is c + s_t1*x + s_t2*y + s_t3*z: c holds the
     terms with a real factor, and x, y, z the terms of the three triplets
     t through k, each a_i*b_j - a_j*b_i for the cyclic pair (i, j).  The
-    real output is the same in every rule.  So the 64 pair products are
-    computed once; when every triplet part is zero the product is the same
-    under every rule and comes back as one tuple, else as the list of 16,
-    entry n under rule n.  Integer sums do not depend on their order, so
-    every value equals :func:`_mul`'s in type and value.
+    real output is the same in every rule.  Each of the 21 minors
+    a_i*b_j - a_j*b_i is one triplet part, and by Lagrange's identity
+    their squares sum to |a'|^2 |b'|^2 - (a'.b')^2 for the imaginary parts
+    a', b'.  So when a' and b' are parallel (Cauchy-Schwarz equality,
+    exact on ints) every part is zero and the product, the same under
+    every rule, comes back as one tuple from its real and c terms alone.
+    Otherwise the 64 pair products are computed once and the 16 products
+    come back as a list, entry n under rule n.  Integer sums do not depend
+    on their order, so every value equals :func:`_mul`'s in type and value.
     """
     a0, b0 = a[0], b[0]
-    values = [a0 * b0 - sum(map(mul, a[1:], b[1:]))]
-    uniform = True
+    ai, bi = a[1:], b[1:]
+    dot = sum(map(mul, ai, bi))
+    if dot * dot == sum(map(mul, ai, ai)) * sum(map(mul, bi, bi)):
+        return (a0 * b0 - dot, *[a0 * y + x * b0 for x, y in zip(ai, bi)])
+    values = [a0 * b0 - dot]
     for k, ((_, i1, j1), (_, i2, j2), (_, i3, j3)) in enumerate(_THROUGH, 1):
         c = a0 * b[k] + a[k] * b0
         x = a[i1] * b[j1] - a[j1] * b[i1]
         y = a[i2] * b[j2] - a[j2] * b[i2]
         z = a[i3] * b[j3] - a[j3] * b[i3]
-        if x or y or z:
-            uniform = False
         p, q = c + x, c - x
         pp, pm, qp, qm = p + y, p - y, q + y, q - y
         values += (pp + z, pp - z, pm + z, pm - z, qp + z, qp - z, qm + z, qm - z)
-    if uniform:
-        return _PICKS[0](values)  # rule 0 takes c + x + y + z, here c
     return [pick(values) for pick in _PICKS]
 
 

@@ -43,7 +43,7 @@ from typing import Sequence
 
 from .algebra import _SIGNS, REFERENCE_TRIPLETS, Octonion, _mul, _mul_all, _signs, multiply, norm
 from .dsl import Expr, parse
-from .sieve import _evaluator, _per_rule
+from .sieve import _evaluator, _per_rule, _random_ints
 
 __all__ = [
     "commutator",
@@ -299,17 +299,17 @@ def expr_cross_algebra_equal(
     out_of_span = RegimeReport(True)
 
     for _ in range(trials):
-        coords = {name: tuple(rng.randint(-9, 9) for _ in range(4)) for name in names}
+        coords = {name: _random_ints(rng, 9, 4) for name in names}
         env = {name: [Octonion.real(c0) + c1 * u + c2 * v + c3 * w for w in uvs]
                for name, (c0, c1, c2, c3) in coords.items()}
         in_span = _refuted(in_span, outputs(env), {"coords": coords})
 
         env = {}
         for name in names:
-            coeffs = [rng.randint(-9, 9) for _ in range(8)]
+            coeffs = list(_random_ints(rng, 9))
             k = rng.choice(outside)
             while coeffs[k] == 0:
-                coeffs[k] = rng.randint(-9, 9)
+                coeffs[k] = _random_ints(rng, 9, 1)[0]
             env[name] = Octonion(coeffs)
         out_of_span = _refuted(out_of_span, outputs(env), {"assignment": env})
 

@@ -31,8 +31,9 @@ it is the same under every rule (variables, constants, their linear
 combinations, real norms such as L*conj(L)), else a list of 16 per-rule
 8-tuples that collapses back to one tuple when its entries are equal.
 A product with a real factor is a scaling, a product of two other tuples
-goes through ``algebra._mul_all`` (64 pair products shared by the 16
-rules), and any other runs the kernel once per rule.  The values are
+goes through ``algebra._mul_all`` (one product when their imaginary parts
+are parallel, else 64 pair products shared by the 16 rules), and any
+other runs the kernel once per rule.  The values are
 :func:`function_family`'s.  A float literal or coefficient takes the
 float route instead, ``_FloatRules``: rule n runs :func:`evaluate` when
 it is read, and iterating runs :func:`function_family`.
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import add, neg, sub
+from operator import add, index, neg, sub
 from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import _SIGNS, Octonion, _character, _mul, _mul_all
@@ -116,14 +117,36 @@ def unsieve(dist: Sequence[Octonion]) -> FunctionFamily:
     return _transform(dist)
 
 
+def _random_ints(rng: random.Random, bound: int, count: int = 8) -> tuple[int, ...]:
+    """``count`` ints drawn uniformly from -bound..bound, by ``getrandbits``
+    rejection: each is r - bound for the first r = rng.getrandbits(k) below
+    span = 2*bound + 1, k = span.bit_length().  That is how ``randint``
+    draws on ``random.Random``, so the values, and the rng's state after
+    them, are those of ``count`` calls ``rng.randint(-bound, bound)``.  (A
+    subclass that overrides only ``random()`` makes ``randint`` draw
+    differently.)  Every sampler in the package draws its ints here."""
+    span = 2 * index(bound) + 1
+    if span <= 0:
+        raise ValueError(f"coefficient bound must be >= 0, got {bound}")
+    k = span.bit_length()
+    draw = rng.getrandbits
+    out = []
+    while len(out) < count:
+        r = draw(k)
+        if r < span:
+            out.append(r - bound)
+    return tuple(out)
+
+
 def random_assignment(
     names: Sequence[str], rng: random.Random, coeff_bound: int = 9
 ) -> dict[str, Octonion]:
-    """Integer-coefficient octonions for each name, drawn from the rng."""
-    return {
-        name: Octonion(rng.randint(-coeff_bound, coeff_bound) for _ in range(8))
-        for name in names
-    }
+    """Integer-coefficient octonions for each name, drawn from the rng: for
+    each name in turn, 8 coefficients in -coeff_bound..coeff_bound, the
+    values ``rng.randint(-coeff_bound, coeff_bound)`` would draw (see
+    ``_random_ints``).  A negative bound raises ``ValueError`` once there
+    is a name to draw for."""
+    return {name: Octonion(_random_ints(rng, coeff_bound)) for name in names}
 
 
 # A value of the all-rules pass: one 8-tuple when it is the same under

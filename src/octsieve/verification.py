@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import algebra, derivations
 from .algebra import Octonion
-from .sieve import is_invariant, sieve, sign_entry, unsieve
+from .sieve import _random_ints, is_invariant, sieve, sign_entry, unsieve
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks"]
 
@@ -60,7 +60,7 @@ _SIGNATURES = (
 
 
 def _rand_octonion(rng: random.Random, bound: int = 9) -> Octonion:
-    return Octonion(rng.randint(-bound, bound) for _ in range(8))
+    return Octonion(_random_ints(rng, bound))
 
 
 def check_table_fidelity(quick: bool = False) -> CheckResult:
@@ -168,7 +168,7 @@ def check_leibniz(quick: bool = False) -> CheckResult:
     trials = 100 if quick else 1000
     rng = random.Random(24)
     for t in range(trials):
-        u, v, a, b = (_rand_octonion(rng, 5).coeffs for _ in range(4))
+        u, v, a, b = (_random_ints(rng, 5) for _ in range(4))
         for n, residual in enumerate(derivations._leibniz_all(u, v, a, b)):
             if any(residual):
                 return CheckResult("leibniz", False, f"trial {t}, rule {n}: nonzero residual")

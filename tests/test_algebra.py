@@ -349,3 +349,30 @@ def test_mul_all_is_the_kernel_under_every_rule(bound):
         for x, y in commuting:
             assert type(_mul_all(x, y)) is tuple
     assert outcomes == {True, False}
+
+
+IMAG = (1, -2, 0, 3, 0, 5, -1)
+P = 2**70
+COLLAPSE = {  # imaginary parts parallel: one product for all 16 rules
+    "both-real": ((2,) + (0,) * 7, (-3,) + (0,) * 7),
+    "real-right": ((4,) + IMAG, (9,) + (0,) * 7),
+    "times-minus-1": ((4,) + IMAG, (-7,) + tuple(-c for c in IMAG)),
+    "times-3": ((4,) + IMAG, (0,) + tuple(3 * c for c in IMAG)),
+    "times-2^70": ((4,) + IMAG, (1,) + tuple(P * c for c in IMAG)),
+    "other-real-part": ((P,) + IMAG, (5,) + IMAG),
+    "common-factor": ((3,) + tuple(2 * c for c in IMAG), (-1,) + tuple(3 * c for c in IMAG)),
+}
+SPLIT = {  # one nonzero minor, a_1 b_2 - a_2 b_1 = 2^70
+    "one-minor-past-2^64": ((5, P, 0, 0, 0, 0, 0, 0), (7, 3 * P, 1, 0, 0, 0, 0, 0)),
+    "one-minor-swapped": ((7, 3 * P, 1, 0, 0, 0, 0, 0), (5, P, 0, 0, 0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("a, b, collapses", [(*pair, True) for pair in COLLAPSE.values()]
+                         + [(*pair, False) for pair in SPLIT.values()], ids=[*COLLAPSE, *SPLIT])
+def test_mul_all_collapses_exactly_on_parallel_imaginary_parts(a, b, collapses):
+    kernel = [typed(_mul(a, b, s)) for s in _SIGNS]
+    assert (kernel.count(kernel[0]) == 16) is collapses
+    value = _mul_all(a, b)
+    assert (type(value) is tuple) is collapses
+    assert [typed(v) for v in ((value,) * 16 if collapses else value)] == kernel

@@ -99,6 +99,40 @@ def test_plain_product_has_nonzero_distance():
     assert any(not g[k].is_zero() for k in range(1, 16))
 
 
+def randint_assignment(names, rng, coeff_bound=9):
+    """Reference draw: one ``rng.randint`` call per coefficient, name by name."""
+    return {name: Octonion(rng.randint(-coeff_bound, coeff_bound) for _ in range(8)) for name in names}
+
+
+@pytest.mark.parametrize("bound", [0, 1, 9, 2**40])
+def test_random_assignment_draws_what_randint_draws(bound):
+    # CLI assignments and witnesses are pinned to the seed, so the values
+    # and the rng state the trials draw on next must be randint's
+    for seed in range(50):
+        for names in ([], ["a"], ["a", "b"], ["a", "b", "c"]):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            env = random_assignment(names, rng, bound)
+            expected = randint_assignment(names, oracle, bound)
+            assert {k: typed(v.coeffs) for k, v in env.items()} == {k: typed(v.coeffs) for k, v in expected.items()}
+            assert rng.getrandbits(64) == oracle.getrandbits(64)
+
+
+def test_random_assignment_values_are_pinned():
+    # one literal draw: an interpreter whose randint draws otherwise fails here
+    env = random_assignment(["a", "b"], random.Random(3))
+    assert {k: v.coeffs for k, v in env.items()} == {
+        "a": (-2, 9, 8, -5, 2, 6, 9, -7),
+        "b": (-9, 6, -1, 8, -2, -3, 6, 8),
+    }
+
+
+def test_random_assignment_rejects_a_negative_or_non_integer_bound():
+    with pytest.raises(ValueError):
+        random_assignment(["a"], random.Random(0), -1)
+    with pytest.raises(TypeError):  # as randint on Python 3.12
+        random_assignment(["a"], random.Random(0), 9.0)
+
+
 def test_xor_equivariance():
     rng = random.Random(11)
     for _ in range(5):
