@@ -31,10 +31,10 @@ vanishes, i.e. when the imaginary parts a' and b' are parallel: the
 Cauchy-Schwarz equality (a'.b')^2 == |a'|^2 |b'|^2, which is exact on
 ints and is tested first.
 
-All values here are immutable and all functions are pure.  Integer
-coefficients of any size propagate exactly through every operation, which
-is what the verification suite relies on for equality (rather than
-tolerance) assertions.  Float coefficients must be finite.  With float
+All values here are immutable and all functions are pure.  Ints of any
+size and rationals (``numbers.Rational``, such as ``Fraction``) propagate
+exactly through every operation, :func:`inverse` included, so the tests
+assert equality, never tolerance.  Floats must be finite.  With float
 inputs every term of a product is added, zero or not, so a coefficient
 whose terms all vanish can come out as 0.0 where a loop that skips zero
 terms would leave the integer 0; the two are equal.
@@ -43,7 +43,8 @@ terms would leave the integer 0; the two are equal.
 from __future__ import annotations
 
 import math
-from operator import add, itemgetter, mul, neg, sub
+import numbers
+from operator import add, itemgetter, mul, neg, sub, truediv
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -125,7 +126,7 @@ class Octonion:
             if isinstance(c, float):
                 if not math.isfinite(c):
                     raise ValueError(f"coefficients must be finite, got {c!r}")
-            elif not isinstance(c, int) or isinstance(c, bool):
+            elif not isinstance(c, numbers.Rational) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be real numbers, got {c!r}")
         object.__setattr__(self, "coeffs", cs)
 
@@ -179,7 +180,7 @@ class Octonion:
         # Scalar scaling only; octonion products need an algebra id.
         if isinstance(scalar, Octonion):
             raise TypeError("octonion products need a rule: use multiply(a, b, n)")
-        if not isinstance(scalar, (int, float)):
+        if not isinstance(scalar, (numbers.Rational, float)):
             return NotImplemented
         return Octonion(tuple(map(mul, (scalar,) * 8, self.coeffs)))
 
@@ -327,7 +328,7 @@ _PICKS = tuple(
 
 
 def _mul_all(a: tuple, b: tuple) -> tuple | list[tuple]:
-    """Products of two 8-tuples of exact ints under all 16 rules.
+    """Products of two 8-tuples of ints or rationals under all 16 rules.
 
     Output k > 0 of rule n is c + s_t1*x + s_t2*y + s_t3*z: c holds the
     terms with a real factor, and x, y, z the terms of the three triplets
@@ -336,11 +337,11 @@ def _mul_all(a: tuple, b: tuple) -> tuple | list[tuple]:
     a_i*b_j - a_j*b_i is one triplet part, and by Lagrange's identity
     their squares sum to |a'|^2 |b'|^2 - (a'.b')^2 for the imaginary parts
     a', b'.  So when a' and b' are parallel (Cauchy-Schwarz equality,
-    exact on ints) every part is zero and the product, the same under
+    exact here) every part is zero and the product, the same under
     every rule, comes back as one tuple from its real and c terms alone.
     Otherwise the 64 pair products are computed once and the 16 products
-    come back as a list, entry n under rule n.  Integer sums do not depend
-    on their order, so every value equals :func:`_mul`'s in type and value.
+    come back as a list, entry n under rule n.  Exact sums do not depend on
+    their order, so every value equals :func:`_mul`'s (in type too, on ints).
     """
     a0, b0 = a[0], b[0]
     ai, bi = a[1:], b[1:]
@@ -370,7 +371,7 @@ def conjugate(a: Octonion) -> Octonion:
 
 
 def norm_sq(a: Octonion) -> float:
-    """Squared Euclidean norm; exact for integer coefficients."""
+    """Squared Euclidean norm; exact for int and rational coefficients."""
     return sum(c * c for c in a.coeffs)
 
 
@@ -380,12 +381,15 @@ def norm(a: Octonion) -> float:
 
 
 def inverse(a: Octonion, n: int) -> Octonion:
-    """Multiplicative inverse conj(a)/|a|^2; the same for every rule n."""
+    """Multiplicative inverse conj(a)/|a|^2, the same for every rule n;
+    exact (``Fraction`` coefficients) unless ``a`` has a float one."""
     _check_algebra_id(n)
     ns = norm_sq(a)
     if ns == 0:
         raise ZeroDivisionError("the zero octonion has no inverse")
-    return Octonion(c / ns for c in conjugate(a).coeffs)
+    from fractions import Fraction  # not at package import: it pulls in decimal
+    divide = truediv if isinstance(ns, float) else Fraction
+    return Octonion(divide(c, ns) for c in conjugate(a).coeffs)
 
 
 def _check_table_shape(table) -> MulTable:

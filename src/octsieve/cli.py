@@ -3,13 +3,14 @@
 Each command computes one payload dict and :func:`main` alone prints it:
 `--format json` as a versioned schema, the default text through the
 command's renderer, which reads only the payload (and argv).  Text prints
-integers exactly and floats with %g.  All output is rendered before any
-is printed, so a command that fails leaves stdout empty.  Python's
-int/str digit limit (4300 digits by default) stays in force, since it
-guards against quadratic-time conversion: a longer literal or result
-exits 1.  Output is deterministic for a fixed argv (randomness only
-enters through --seed).  Exit codes: 0 success, 1 domain error or
-failed verification, 2 usage error.
+integers exactly, floats with %g and a ``Fraction`` (`sieve` and `derive`
+read floats as exact rationals) as p/q, as JSON does unless it is an int.
+All output is rendered before any is printed, so a command that fails
+leaves stdout empty.  Python's int/str digit limit (4300 digits by
+default) stays in force, since it guards against quadratic-time
+conversion: a longer literal or result exits 1.  Output is deterministic
+for a fixed argv (randomness only enters through --seed).  Exit codes: 0
+success, 1 domain error or failed verification, 2 usage error.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .algebra import Octonion, mul_table, triplet_set
 from .automorphisms import chirality, orbit
 from .derivations import derive
 from .dsl import ExprSyntaxError, UnboundVariableError, parse, to_text
-from .sieve import _evaluator, _per_rule, _trials, random_assignment, sieve
+from .sieve import _evaluator, _per_rule, _exact, _trials, random_assignment, sieve
 from .verification import run_checks
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CliError(Exception):
@@ -75,8 +76,13 @@ def _parse_octonion(text: str) -> Octonion:
 
 
 def _fmt_coeffs(coeffs) -> str:
-    """Integers exactly, at any size; floats with %g."""
-    return "(" + ", ".join(str(c) if isinstance(c, int) else f"{c:g}" for c in coeffs) + ")"
+    """Floats with %g, ints and Fractions (p/q) by str: format(Fraction, "g") needs Python 3.12."""
+    return "(" + ", ".join(f"{c:g}" if isinstance(c, float) else str(c) for c in coeffs) + ")"
+
+
+def _json_exact(c):
+    """A ``Fraction`` in JSON: an int when its denominator is 1, else "p/q"."""
+    return c.numerator if c.denominator == 1 else str(c)
 
 
 def _assignment_lines(assignment: dict):
@@ -163,7 +169,7 @@ def cmd_sieve(args) -> dict:
         "assignment": {name: list(x) for name, x in env.items()},
         "functions": [list(f) for f in functions],
         "distances": [list(g) for g in distances],
-        "mean_function_value": list(0.25 * distances[0]),
+        "mean_function_value": [c / 4 for c in distances[0]],
         "invariant": verdict.invariant,
         "trials_run": verdict.trials_run,
         "witness": None if w is None else {
@@ -199,8 +205,9 @@ def cmd_derive(args) -> dict:
     v = _parse_octonion(args.v)
     tree, values, env, _ = _expr_and_env(args)
     ns = list(range(16)) if args.algebra is None else [args.algebra]
-    per_rule = _per_rule(values(env))  # on the float route, rule n is evaluated when read
-    outputs = [derive(u, v, Octonion(per_rule[n]), n) for n in ns]
+    exact_u, exact_v = (Octonion(_exact(x.coeffs)) for x in (u, v))
+    per_rule = _per_rule(values(env))
+    outputs = [derive(exact_u, exact_v, Octonion(per_rule[n]), n) for n in ns]
     payload = {
         "u": list(u),
         "v": list(v),
@@ -317,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload = args.func(args)
         if args.format == "json":
-            out = json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2)
+            out = json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, default=_json_exact)
         else:
             out = "\n".join(args.render(payload, args))
     except (CliError, ExprSyntaxError, UnboundVariableError, ValueError, ArithmeticError) as exc:

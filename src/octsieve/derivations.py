@@ -31,7 +31,7 @@ the products of its inputs (uv, vu, ab, va, vb) once for all 16 rules.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's
-values under the 16 rules come from the sieve's one all-rules route.
+values under the 16 rules come from the sieve's one exact all-rules route.
 """
 
 from __future__ import annotations
@@ -282,12 +282,13 @@ def expr_cross_algebra_equal(
     v_idx = _basis_index(v, "v")
     if u_idx == v_idx:
         raise ValueError("u and v must be distinct basis elements")
+    u, v = Octonion.unit(u_idx), Octonion.unit(v_idx)  # exact: a float 1.0 is the int 1
     tree = parse(expr) if isinstance(expr, str) else expr
     names, values = _evaluator(tree)
     rng = random.Random(seed)
 
     def outputs(env: dict) -> list[Octonion]:
-        per_rule = _per_rule(values(env))  # on the float route, rule n is evaluated when read
+        per_rule = _per_rule(values(env))
         return [derive(u, v, Octonion(per_rule[n]), n) for n in range(16)]
 
     # imaginary indices of the quaternion span: u, v, and |uv|

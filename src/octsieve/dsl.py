@@ -13,18 +13,18 @@ the grouping matters.
 
 Literals are real scalars only: digits alone make an exact int of any
 size, up to Python's int/str digit limit, and a fraction or an exponent
-makes a float, which must not exceed the largest float.  Basis elements
-enter through variable assignments, so the same expression can be
-evaluated under any of the 16 multiplication rules.  'conj' is a
-reserved word.
+makes a float, which must not exceed the largest float (the sieve reads it
+as the rational it is).  Basis elements enter through variable assignments,
+so the same expression can be evaluated under any of the 16 multiplication
+rules.  'conj' is a reserved word.
 
 :func:`_program` compiles a tree to a flat list of steps without recursion,
 so :func:`free_vars` and the sieve's all-rules pass (behind every caller
 that evaluates under all 16 rules) take trees of any depth.  The parser,
-:func:`evaluate` (called only by the sieve's float route, one rule at a
-time, and ``function_family``) and :func:`to_text` stay recursive; for parsed input
-MAX_DEPTH covers them: expressions nest at most MAX_DEPTH levels deep, in
-the tree and in parentheses, or are an ExprSyntaxError.
+:func:`evaluate` (one rule at a time, in float arithmetic on floats; the
+sieve's ``function_family`` calls it) and :func:`to_text` stay recursive;
+for parsed input MAX_DEPTH covers them: expressions nest at most MAX_DEPTH
+levels deep, in the tree and in parentheses, or are an ExprSyntaxError.
 """
 
 from __future__ import annotations

@@ -20,23 +20,22 @@ x - x is exactly 0 and every later stage adds zeros.
 An expression is algebraically invariant when g[k] = 0 for every k > 0,
 i.e. its value does not depend on which of the 16 rules multiplies.  With
 integer coefficient assignments every sum here is exact (quarters are
-dyadic while they stay below 2^53), so invariance is a zero test with no
-tolerance.
+dyadic while they stay below 2^53), and with rational ones every quarter
+is exact, so invariance is a zero test with no tolerance.
 
 Two decisions are made here for every caller.  ``_evaluator`` evaluates
 an expression under all 16 rules: it compiles it once (``dsl._program``)
 and runs an assignment as one loop over its steps that carries all 16
-rules at once, on exact ints.  A value is one coefficient 8-tuple while
-it is the same under every rule (variables, constants, their linear
-combinations, real norms such as L*conj(L)), else a list of 16 per-rule
-8-tuples that collapses back to one tuple when its entries are equal.
-A product with a real factor is a scaling, a product of two other tuples
-goes through ``algebra._mul_all`` (one product when their imaginary parts
-are parallel, else 64 pair products shared by the 16 rules), and any
-other runs the kernel once per rule.  The values are
-:func:`function_family`'s.  A float literal or coefficient takes the
-float route instead, ``_FloatRules``: rule n runs :func:`evaluate` when
-it is read, and iterating runs :func:`function_family`.
+rules at once, on exact numbers: every finite float is a dyadic rational,
+read as such once per literal and per call for a coefficient (``_rational``).
+A value is one coefficient 8-tuple while it is the same under every rule
+(variables, constants, their linear combinations, real norms such as
+L*conj(L)), else a list of 16 per-rule 8-tuples that collapses back to one
+tuple when its entries are equal.  A product with a real factor is a
+scaling, a product of two other tuples goes through ``algebra._mul_all``
+(one product when their imaginary parts are parallel, else 64 pair
+products shared by the 16 rules), and any other runs the kernel once per
+rule.  The values are :func:`function_family`'s on the same exact inputs.
 ``_trials`` reaches a verdict: trial 1 on a given assignment, later ones
 drawn from one rng, the first nonzero distance the witness; a trial the
 same under every rule holds without a sieve.  :func:`is_invariant` and
@@ -150,8 +149,7 @@ def random_assignment(
 
 
 # A value of the all-rules pass: one 8-tuple when it is the same under
-# every rule, else a list of 16 8-tuples, entry n under rule n.  The float
-# route's values (``_FloatRules``) index and iterate like that list.
+# every rule, else a list of 16 8-tuples, entry n under rule n.
 AllRules = Union[tuple, list]
 
 _NO_IMAG = (0,) * 7
@@ -178,7 +176,7 @@ def _scale(r: int, value: AllRules) -> AllRules:
 
 def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
     """A compiled expression (``dsl._program``) under all 16 rules at once,
-    on coefficient tuples of exact ints; the values of :func:`function_family`."""
+    on coefficient tuples of ints and rationals; :func:`function_family`'s values."""
     values: list[AllRules] = []
     for op, x, y in steps:
         if op is Mul:
@@ -211,43 +209,32 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
     return values[-1]
 
 
-class _FloatRules:
-    """The float route: an expression's values under the 16 rules.  Entry n
-    is evaluated by :func:`evaluate` on rule n's inputs when it is read, so
-    a caller reading rules one at a time evaluates no rule it does not
-    reach.  Iterating, which the sieve does with one octonion per name,
-    gives :func:`function_family`'s values."""
+def _rational(x):
+    """``x`` as the rational it is (exact for every finite float): an int when
+    it is integral, as int arithmetic is many times faster, else a ``Fraction``."""
+    from fractions import Fraction  # not at package import: it pulls in decimal
 
-    def __init__(self, tree: Expr, env: Mapping):
-        self.tree = tree
-        self.env = env
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
-    def __len__(self) -> int:
-        return 16
 
-    def __getitem__(self, n: int) -> tuple:
-        env = {name: x if isinstance(x, Octonion) else x[n] for name, x in self.env.items()}
-        return evaluate(self.tree, env, n).coeffs
-
-    def __iter__(self):
-        return (f.coeffs for f in function_family(self.tree, self.env))
+def _exact(coeffs: tuple) -> tuple:
+    """``coeffs`` itself when every coefficient is an int, else each read
+    by :func:`_rational`."""
+    return coeffs if all(type(c) is int for c in coeffs) else tuple(map(_rational, coeffs))
 
 
 def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
     """Compile ``tree`` once: its variable names, and a function from an
     assignment (each name bound to one octonion, or to 16, entry n for rule
-    n) to its values under all 16 rules: the program's if every literal and
-    coefficient is an int, else the float route's."""
+    n) to its exact values under all 16 rules, float literals and
+    coefficients read as the rationals they are."""
     steps, names = _program(tree)
-    exact = all(kind is int for op, _, kind in steps if op is Const)
+    steps = [(op, _rational(x), kind) if op is Const and kind is float else (op, x, kind) for op, x, kind in steps]
 
-    def values(env: Mapping[str, Octonion | Sequence[Octonion]]) -> AllRules | _FloatRules:
-        rules = {name: x.coeffs if isinstance(x, Octonion) else [y.coeffs for y in x]
-                 for name, x in env.items()}
-        rows = [row for x in rules.values() for row in ([x] if type(x) is tuple else x)]
-        if exact and all(type(c) is int for row in rows for c in row):
-            return _all_rules(steps, rules)
-        return _FloatRules(tree, env)
+    def values(env: Mapping[str, Octonion | Sequence[Octonion]]) -> AllRules:
+        return _all_rules(steps, {name: _exact(x.coeffs) if isinstance(x, Octonion)
+                                  else [_exact(y.coeffs) for y in x] for name, x in env.items()})
 
     return names, values
 

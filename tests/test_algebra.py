@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +52,14 @@ def table_multiply(a, b, n):
 
 def typed(coeffs):
     return [(type(c), c) for c in coeffs]
+
+
+def rational(coeffs):
+    """Each coefficient's value and whether it is a float.  An int and a
+    Fraction of equal value print alike, and which of the two an exact
+    result is depends on the terms summed: a shortcut that skips a term
+    Fraction(0) * 1 keeps an int where the kernel's full sum is a Fraction."""
+    return [(type(c) is float, c) for c in coeffs]
 
 
 def rand_oct(rng, bound=9):
@@ -204,16 +213,30 @@ def test_norm_values():
 
 def test_inverse():
     assert inverse(unit(1), 0) == -unit(1)
-    assert inverse(Octonion.real(2), 7) == Octonion.real(0.5)
+    assert typed(inverse(Octonion.real(2), 7)) == typed((Fraction(1, 2),) + (Fraction(0),) * 7)
     rng = random.Random(4)
     for n in range(16):
-        a = rand_oct(rng)
-        while a.is_zero():
+        for _ in range(10):
             a = rand_oct(rng)
-        product = multiply(inverse(a, n), a, n)
-        assert all(abs(c - e) < 1e-12 for c, e in zip(product, Octonion.one()))
+            while a.is_zero():
+                a = rand_oct(rng)
+            exact = Octonion(Fraction(c, rng.randint(1, 9)) for c in a)
+            for x in (a, exact):
+                assert multiply(inverse(x, n), x, n) == multiply(x, inverse(x, n), n) == Octonion.one()
+    # a float stays float: |a|^2 = 1 here, so the round trip is exact too
+    half = Octonion((0.5, -0.5, 0.5, 0, 0, 0, 0.5, 0))
+    assert typed(inverse(half, 3)) == typed((0.5, 0.5, -0.5, 0.0, 0.0, 0.0, -0.5, 0.0))
+    assert multiply(inverse(half, 3), half, 3) == Octonion.one()
     with pytest.raises(ZeroDivisionError):
         inverse(Octonion.zero(), 0)
+
+
+def test_rational_coefficients_are_exact():
+    third = Octonion((Fraction(1, 3),) * 8)
+    assert typed((3 * third).coeffs) == typed((Fraction(1),) * 8)
+    assert third * Fraction(3, 2) == Octonion((Fraction(1, 2),) * 8)
+    with pytest.raises(TypeError):
+        Octonion((True,) + (0,) * 7)
 
 
 def test_identify_algebra_roundtrip():

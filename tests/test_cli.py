@@ -6,8 +6,9 @@ import random
 import sys
 
 import pytest
+from test_algebra import typed
 from test_dsl import _random_tree
-from test_sieve import FIXED_EXPRS, bit_for_bit
+from test_sieve import FIXED_EXPRS, exact_env, exact_tree, read_exactly
 
 from octsieve import cli
 from octsieve.algebra import Octonion
@@ -17,6 +18,12 @@ from octsieve.sieve import is_invariant
 
 # the module: the package attribute octsieve.sieve is the function sieve
 SIEVE = importlib.import_module("octsieve.sieve")
+
+
+def encoded(coeffs):
+    """Exact coefficients as JSON writes them: an int, or "p/q" with q > 1."""
+    return [c if type(c) is int else c.numerator if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            for c in coeffs]
 
 
 def run(capsys, *argv):
@@ -35,7 +42,7 @@ def test_triplets_json(capsys):
     code, out, _ = run(capsys, "triplets", "--algebra", "0", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["parity_word"] == "+++++++"
     assert payload["triplets"][0] == [1, 2, 3]
 
@@ -71,7 +78,7 @@ def test_sieve_with_explicit_assignment(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["invariant"] is True
     assert payload["witness"] is None
     assert payload["functions"][0] == [1, 3, 1, 0, 0, 0, 0, 0]
@@ -274,7 +281,7 @@ def test_verify_quick_json(capsys):
     code, out, _ = run(capsys, "verify", "--quick", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1 and payload["quick"] is True
+    assert payload["schema"] == 2 and payload["quick"] is True
     assert payload["passed"] == payload["total"] == len(payload["checks"]) == 12
     for check in payload["checks"]:
         assert set(check) == {"name", "passed", "detail", "elapsed_s"}
@@ -416,9 +423,10 @@ def test_json_key_order(capsys, argv, keys):
 
 
 def test_sieve_prints_one_all_rules_pass(capsys, monkeypatch):
-    # With exact ints the printed family is one run of the compiled
-    # program, and function_family never runs; with a float literal or
-    # coefficient it is function_family's, bit for bit.
+    # The printed family is one run of the compiled program, and
+    # function_family never runs; with a float literal or coefficient it is
+    # function_family's on the same inputs, each float read as the Fraction
+    # it is, and JSON writes it as ints and "p/q" strings.
     reference, calls = SIEVE.function_family, []
 
     def spy(tree, env):
@@ -431,16 +439,15 @@ def test_sieve_prints_one_all_rules_pass(capsys, monkeypatch):
                  ("--expr=-1*a", "--assign", "a=3,0,0,0,0,0,0,-2")):
         code, out, _ = run(capsys, "sieve", *argv, "--format", "json")
         assert code == 0 and len(json.loads(out)["functions"]) == 16
-    assert calls == []
     for text, a in (("-1*a", "1.5,0,0,0,0,0,0,0"), ("a*a", "0.5,1.5,0,0,0,0,0,0"),
-                    ("0.5*a*b", "1,2,0,0,0,0,0,3")):
+                    ("0.5*a*b", "1,2,0,0,0,0,0,3"), ("0.1*a*b + 0.1*b*a", "0.1,1,0,0,2,0,0,0")):
         code, out, _ = run(capsys, "sieve", f"--expr={text}", "--assign", f"a={a}",
                            "--assign", "b=i3", "--format", "json")
         payload = json.loads(out)
-        env = {name: Octonion(c) for name, c in payload["assignment"].items()}
-        expected = reference(parse(text), env)
-        assert code == 0 and calls[-1] == parse(text)
-        assert [bit_for_bit(f) for f in payload["functions"]] == [bit_for_bit(f.coeffs) for f in expected]
+        expected = reference(exact_tree(parse(text)), exact_env(payload["assignment"]))
+        assert code == 0
+        assert [typed(f) for f in payload["functions"]] == [typed(encoded(f.coeffs)) for f in expected]
+    assert calls == []
 
 
 def test_integer_literals_in_expressions_are_exact(capsys):
@@ -487,17 +494,18 @@ def test_json_witness_replays_through_assign(capsys, expr, seed, trials_run):
 
 
 def test_an_evaluation_error_is_the_one_rule_evaluators(capsys):
-    # the all-rules pass reaches inf - inf = nan; evaluate stops at the inf
+    # the public one-rule evaluator stops at 1e308 * 3 = inf in float
+    # arithmetic; the CLI reads 1e308 as the integer it is, and L - L is 0
     from octsieve.algebra import Octonion
     from octsieve.sieve import function_family
 
     text, a = "1e308*a*a - 1e308*a*a", "1.5,2,0,0,0,0,0,0"
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ValueError, match="got inf"):
         function_family(parse(text), {"a": Octonion((1.5, 2, 0, 0, 0, 0, 0, 0))})
     code, out, err = run(capsys, "sieve", "--expr", text, "--assign", f"a={a}")
-    assert (code, out) == (1, "")
-    assert err == f"octsieve: error: {exc.value}\n"
-    assert "got inf" in err
+    assert (code, err) == (0, "")
+    assert all(f"  f[{n:>2}] = (0, 0, 0, 0, 0, 0, 0, 0)" in out for n in range(16))
+    assert "verdict: invariant for this assignment" in out
 
 
 @pytest.mark.parametrize("command", [("sieve",), ("derive", "--u", "i1", "--v", "i2")], ids=["sieve", "derive"])
@@ -555,12 +563,14 @@ def test_derive_compiles_once_and_runs_one_pass(capsys, monkeypatch, algebra):
 
 @pytest.mark.parametrize("u, algebra, outcome", [("i1", 0, None), ("i1", 4, "-inf"), ("i1", None, "-inf"),
                                                  ("0,1e300,0,0,0,0,0,0", None, "nan"),
-                                                 ("0,1e300,0,0,0,0,0,0", 4, "-inf")])
+                                                 ("0,1e300,0,0,0,0,0,0", 4, "-inf"), ("0,0.1,0,0,0,0,0,0", 0, None)])
 def test_derive_evaluates_then_derives_rule_by_rule(capsys, u, algebra, outcome):
     # rule 0 cancels two 1.5e308 terms that rules 4..7 add past the float
-    # range, so --algebra 0 prints rule 0's output; an error is the first
-    # the rule-by-rule loop meets (with the large u, derive's nan under
-    # rule 0 comes before evaluate's -inf under rule 4)
+    # range, so in float arithmetic the rule-by-rule evaluate-then-derive
+    # loop meets an error (with the large u, derive's nan under rule 0
+    # before evaluate's -inf under rule 4).  The CLI reads every float as
+    # the rational it is, u too (1e300 is parsed as an int, 0.1 is not),
+    # and prints that loop's exact outputs.
     from octsieve.cli import _parse_octonion
     from octsieve.derivations import derive
     from octsieve.dsl import evaluate
@@ -568,16 +578,18 @@ def test_derive_evaluates_then_derives_rule_by_rule(capsys, u, algebra, outcome)
     text = "1e308*a*b - 1.5e308*c + d"
     assign = {"a": "i1", "b": "0,0,1.5,0,0,0,0,0", "c": "i3", "d": "0,0,0,0,0,1e10,0,0"}
     env = {name: _parse_octonion(x) for name, x in assign.items()}
-    outputs, error = [], None
+    ns = range(16) if algebra is None else [algebra]
+    error = None
     try:
-        for n in range(16) if algebra is None else [algebra]:
-            outputs.append(list(derive(_parse_octonion(u), Octonion.unit(2), evaluate(parse(text), env, n), n)))
+        for n in ns:
+            derive(_parse_octonion(u), Octonion.unit(2), evaluate(parse(text), env, n), n)
     except ValueError as exc:
-        error = f"octsieve: error: {exc}\n"
+        error = str(exc)
+    assert error is None if outcome is None else error.endswith(f"got {outcome}")
+    exact_u = Octonion(map(read_exactly, _parse_octonion(u)))
+    expected = [encoded(derive(exact_u, Octonion.unit(2), evaluate(exact_tree(parse(text)), exact_env(env), n), n))
+                for n in ns]
     argv = ["derive", "--u", u, "--v", "i2", "--expr", text, *(f"--assign={k}={x}" for k, x in assign.items())]
     code, out, err = run(capsys, *argv, *([] if algebra is None else ["--algebra", str(algebra)]), "--format", "json")
-    if outcome is None:
-        assert (error, code, json.loads(out)["outputs"]) == (None, 0, outputs)
-    else:
-        assert error.endswith(f"got {outcome}\n")
-        assert (code, out, err) == (1, "", error)
+    assert (code, err) == (0, "")
+    assert [typed(o) for o in json.loads(out)["outputs"]] == [typed(o) for o in expected]

@@ -7,6 +7,7 @@ from operator import sub
 
 import pytest
 from test_dsl import _random_tree
+from test_sieve import exact_tree, read_exactly
 
 from octsieve import derivations, verification
 from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, _mul, _signs, multiply
@@ -362,7 +363,8 @@ def float_unit(k):
 
 
 def test_expr_cross_algebra_equal_matches_the_per_rule_walks():
-    # repr compares every witness coefficient with its type: 1 vs 1.0, 0.0 vs -0.0
+    # the oracle gets the same inputs, each float read as the rational it is;
+    # repr compares every witness coefficient with its type: 1 vs Fraction(1, 1)
     rng = random.Random(23)
     pairs = [(unit(1), unit(2)), (unit(3), unit(7)), (unit(6), unit(4)), (unit(5), unit(1))]
     cases = [(*pairs[i % 4], _random_tree(rng, rng.randint(1, 4))) for i in range(100)]
@@ -371,34 +373,35 @@ def test_expr_cross_algebra_equal_matches_the_per_rule_walks():
               for i in range(30)]
     cases += [(float_unit(1), unit(2), _random_tree(rng, rng.randint(1, 3))) for _ in range(15)]
     cases += [(unit(3), float_unit(5), parse(text)) for text in ("a", "a*b", "0.5*a*b - b*a", "conj(a)*a")]
-    # past the float range under some rule: the error is the first one the
-    # oracle's rule-by-rule evaluate-then-derive loop meets
-    cases += [(unit(1), unit(2), parse(text)) for text in ("1e307*a*b", "1e300*a*b*c - 1e300*c*b*a",
-                                                           "1e308*a - 1e308*b", "1e306*(a*b)*c")]
-    cases += [(float_unit(1), unit(2), parse("1e306*(a*b)*c + 1e306*a*(b*c)"))]
-
-    def outcome(fn, *args):
-        try:
-            return repr(fn(*args))
-        except ValueError as exc:
-            return f"ValueError: {exc}"
+    cases += [(unit(1), unit(2), parse("1e300*a*b*c - 1e300*c*b*a"))]
+    # past the float range under some rule: in float arithmetic the oracle's
+    # rule-by-rule evaluate-then-derive loop meets an error
+    overflowing = [(unit(1), unit(2), parse(text)) for text in ("1e307*a*b", "1e308*a - 1e308*b", "1e306*(a*b)*c")]
+    overflowing += [(float_unit(1), unit(2), parse("1e306*(a*b)*c + 1e306*a*(b*c)"))]
 
     kinds = set()
-    for i, (u, v, tree) in enumerate(cases):
-        got = outcome(expr_cross_algebra_equal, u, v, tree, 3, i)
-        assert got == outcome(per_rule_cross_algebra_equal, u, v, tree, 3, i)
-        kinds.add("error" if got.startswith("ValueError") else got.count("equal=True"))
-    assert kinds == {2, 1, "error"}
+    for i, (u, v, tree) in enumerate(cases + overflowing):
+        got = repr(expr_cross_algebra_equal(u, v, tree, 3, i))
+        exact_u, exact_v = (Octonion(map(read_exactly, x)) for x in (u, v))
+        assert got == repr(per_rule_cross_algebra_equal(exact_u, exact_v, exact_tree(tree), 3, i))
+        kinds.add(got.count("equal=True"))
+        if i >= len(cases):
+            with pytest.raises(ValueError):
+                per_rule_cross_algebra_equal(u, v, tree, 3, i)
+    assert kinds == {2, 1}
 
 
-def test_expr_cross_algebra_equal_float_route_evaluates_each_rule_once(monkeypatch):
-    # a float unit u puts the in-span bindings on the float route: one
-    # evaluate per rule and trial (the out-of-span bindings are ints)
-    sieve = sys.modules["octsieve.sieve"]
-    calls = []
-    monkeypatch.setattr(sieve, "evaluate", lambda *args: calls.append(args[2]) or evaluate(*args))
+def test_expr_cross_algebra_equal_on_a_float_unit_runs_one_pass_per_regime_and_trial(monkeypatch):
+    # a float unit u is read as the rational it is: each regime's bindings
+    # run the all-rules pass once per trial, and the one-rule evaluate never
+    dsl, sieve = sys.modules["octsieve.dsl"], sys.modules["octsieve.sieve"]
+    passes, evaluations = [], []
+    all_rules = sieve._all_rules
+    monkeypatch.setattr(sieve, "_all_rules", lambda *args: passes.append(args) or all_rules(*args))
+    for module in (dsl, sieve):
+        monkeypatch.setattr(module, "evaluate", lambda *args: evaluations.append(args) or evaluate(*args))
     expr_cross_algebra_equal(float_unit(1), unit(2), "a*b", trials=2, seed=5)
-    assert calls == list(range(16)) * 2
+    assert (len(passes), evaluations) == (2 * 2, [])
 
 
 def test_expr_cross_algebra_equal_on_a_tree_deeper_than_the_recursion_limit():

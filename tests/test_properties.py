@@ -1,29 +1,51 @@
 """Property tests (Hypothesis): the compiled all-rules pass against the
-one-rule reference on random trees, the shared product against the
-kernel, and the parser's one error type on arbitrary text."""
+one-rule reference on random trees, on ints and read exactly from
+rationals and floats; the sieve on rational families; the shared product
+against the kernel; and the parser's one error type on arbitrary text and
+its round trip through to_text."""
+
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from test_algebra import typed  # noqa: E402
+from test_algebra import rational, typed  # noqa: E402
+from test_sieve import exact_env, exact_tree  # noqa: E402
 
 from octsieve.algebra import _SIGNS, Octonion, _mul, _mul_all  # noqa: E402
-from octsieve.dsl import Add, Conj, Const, ExprSyntaxError, Mul, Neg, Sub, Var, _program, parse  # noqa: E402
-from octsieve.sieve import _all_rules, _per_rule, function_family  # noqa: E402
-
-LEAVES = st.one_of(st.sampled_from("abc").map(Var), st.integers(-3, 3).map(Const),
-                   st.integers(-(2**70), 2**70).map(Const))
-TREES = st.recursive(
-    LEAVES,
-    lambda sub: st.one_of(st.builds(Add, sub, sub), st.builds(Sub, sub, sub), st.builds(Mul, sub, sub),
-                          st.builds(Neg, sub), st.builds(Conj, sub)),
-    max_leaves=12,
+from octsieve.dsl import Add, Conj, Const, ExprSyntaxError, Mul, Neg, Sub, Var, _program, parse, to_text  # noqa: E402
+from octsieve.sieve import (  # noqa: E402
+    _all_rules,
+    _evaluator,
+    _per_rule,
+    function_family,
+    sieve,
+    sign_entry,
+    unsieve,
 )
+
+def trees(leaves):
+    return st.recursive(
+        st.one_of(st.sampled_from("abc").map(Var), leaves.map(Const)),
+        lambda sub: st.one_of(st.builds(Add, sub, sub), st.builds(Sub, sub, sub), st.builds(Mul, sub, sub),
+                              st.builds(Neg, sub), st.builds(Conj, sub)),
+        max_leaves=12,
+    )
+
+
+def envs(coeffs):
+    return st.fixed_dictionaries({name: st.lists(coeffs, min_size=8, max_size=8).map(Octonion) for name in "abc"})
+
+
+INT_LEAVES = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+TREES = trees(INT_LEAVES)
 COEFFS = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))
-OCTONIONS = st.lists(COEFFS, min_size=8, max_size=8).map(Octonion)
-ENVS = st.fixed_dictionaries({name: OCTONIONS for name in "abc"})
+ENVS = envs(COEFFS)
+# st.fractions draws about ten times slower
+FRACTIONS = st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**20))
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -34,6 +56,29 @@ def test_program_family_is_function_family_on_int_leaves(tree, env):
     assert [typed(v) for v in _per_rule(value)] == [typed(f.coeffs) for f in fam]
     # one tuple exactly when the value is the same under every rule
     assert (type(value) is tuple) is all(f == fam[0] for f in fam)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(trees(st.one_of(INT_LEAVES, FRACTIONS, FLOATS)), envs(st.one_of(COEFFS, FRACTIONS, FLOATS)))
+def test_program_family_is_function_family_read_exactly(tree, env):
+    # the oracle reads each float literal and coefficient as the rational it is
+    value = _evaluator(tree)[1](env)
+    fam = function_family(exact_tree(tree), exact_env(env))
+    assert [rational(v) for v in _per_rule(value)] == [rational(f.coeffs) for f in fam]
+    assert (type(value) is tuple) is all(f == fam[0] for f in fam)
+
+
+FAMILIES = st.lists(st.lists(FRACTIONS, min_size=8, max_size=8).map(Octonion), min_size=16, max_size=16)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(FAMILIES, st.integers(0, 15))
+def test_sieve_is_an_exact_involution_and_xor_equivariant_on_fractions(fam, m):
+    distances = sieve(fam)
+    assert unsieve(distances) == tuple(fam)
+    assert not any(type(c) is float for g in distances for c in g)
+    shifted = sieve([fam[j ^ m] for j in range(16)])
+    assert all(shifted[k] == sign_entry(m, k) * distances[k] for k in range(16))
 
 
 INTS = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**70), 2**70))
@@ -80,3 +125,16 @@ def test_parse_raises_only_expr_syntax_error(text):
         parse(text)
     except ExprSyntaxError:
         pass
+
+
+# The literals the parser makes: ints, also past 2^64, and non-negative
+# finite floats (a sign is a Neg node).
+PARSED_TREES = trees(st.one_of(st.integers(0, 9), st.integers(2**64, 2**200), st.floats(min_value=0, allow_infinity=False)))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(PARSED_TREES)
+def test_to_text_round_trips_parser_shaped_trees(tree):
+    text = to_text(tree)
+    # equal trees may still differ in a literal's type (1 == 1.0); the text does not
+    assert parse(text) == tree and to_text(parse(text)) == text

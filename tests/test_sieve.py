@@ -1,9 +1,10 @@
 """Sign matrix, sieve/unsieve duality, and the invariance refuter."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from test_algebra import typed
+from test_algebra import rational, typed
 from test_dsl import _random_tree
 
 from octsieve.algebra import Octonion
@@ -224,14 +225,37 @@ def all_rules(tree, env):
     return _evaluator(tree)[1](env)
 
 
-def with_float_consts(node):
+def with_consts(node, f):
+    """``node`` with each literal's value replaced by f(value)."""
     if isinstance(node, Const):
-        return Const(node.value + 0.1)
+        return Const(f(node.value))
     if isinstance(node, Var):
         return node
     if isinstance(node, (Neg, Conj)):
-        return type(node)(with_float_consts(node.operand))
-    return type(node)(with_float_consts(node.left), with_float_consts(node.right))
+        return type(node)(with_consts(node.operand, f))
+    return type(node)(with_consts(node.left, f), with_consts(node.right, f))
+
+
+def with_float_consts(node):
+    return with_consts(node, lambda x: x + 0.1)
+
+
+def read_exactly(x):
+    """A float as the rational it is, an int when integral, else a Fraction;
+    anything else as it is."""
+    if not isinstance(x, float):
+        return x
+    return int(x) if x.is_integer() else Fraction(x)
+
+
+def exact_tree(tree):
+    """``tree`` with each float literal read as the rational it is."""
+    return with_consts(tree, read_exactly)
+
+
+def exact_env(env):
+    """An assignment with each float coefficient read as the rational it is."""
+    return {name: Octonion(map(read_exactly, x)) for name, x in env.items()}
 
 
 @pytest.mark.parametrize("kind", ["small", "past-2^62", "float-consts"])
@@ -244,30 +268,22 @@ def test_all_rules_pass_matches_function_family(kind):
         if kind == "float-consts":
             tree = with_float_consts(tree)
         env = {name: Octonion(rng.randint(-bound, bound) for _ in range(8)) for name in "abc"}
-        fam = function_family(tree, env)
+        # the oracle reads each float literal as the rational it is, as the pass does
+        fam = function_family(exact_tree(tree), env)
         value = all_rules(tree, env)
         collapsed = all(f == fam[0] for f in fam)
         outcomes.add(collapsed)
-        # the program collapses a family that is the same under every rule;
-        # a float literal takes function_family, whose 16 values stay a list
-        floats = any(type(x) is float for op, x, _ in _program(tree)[0] if op is Const)
-        assert (type(value) is tuple) is (collapsed and not floats)
+        # the program collapses a family that is the same under every rule
+        assert (type(value) is tuple) is collapsed
         values = _per_rule(value)
         assert len(values) == 16
-        for v, f in zip(values, fam):
-            if kind == "float-consts":
-                assert v == f.coeffs
-            else:
-                assert typed(v) == typed(f.coeffs)
+        assert [typed(v) for v in values] == [typed(f.coeffs) for f in fam]
     assert outcomes == {True, False}
 
 
-def bit_for_bit(coeffs):
-    """Type, and value down to the sign of a zero: float.hex for floats."""
-    return [(type(c), c.hex() if isinstance(c, float) else c) for c in coeffs]
-
-
 def test_all_rules_pass_is_function_family_bit_for_bit():
+    # the oracle gets the same inputs, each float read as the rational it is
+    # (-0.0 as 0); the pass gives its values and no float
     rng = random.Random(16)
     draws = (lambda: rng.randint(-9, 9), lambda: rng.uniform(-3, 3), lambda: rng.choice((0.0, -0.0)),
              lambda: float(rng.randint(-2, 2)), lambda: 0)
@@ -284,9 +300,9 @@ def test_all_rules_pass_is_function_family_bit_for_bit():
     for tree, env in cases:
         env = {name: Octonion(c) for name, c in env.items()}
         values = _per_rule(all_rules(tree, env))
-        fam = function_family(tree, env)
+        fam = function_family(exact_tree(tree), exact_env(env))
         assert len(values) == 16
-        assert [bit_for_bit(v) for v in values] == [bit_for_bit(f.coeffs) for f in fam], to_text(tree)
+        assert [rational(v) for v in values] == [rational(f.coeffs) for f in fam], to_text(tree)
 
 
 def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
@@ -301,7 +317,9 @@ def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
 
 
 def reference_verdict(tree, trials, seed):
-    """The former is_invariant: sieve(function_family(...)) on every trial."""
+    """The former is_invariant: sieve(function_family(...)) on every trial,
+    each float literal read as the rational it is."""
+    tree = exact_tree(tree)
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
         env = random_assignment(free_vars(tree), rng)
@@ -336,7 +354,7 @@ def test_is_invariant_matches_the_per_trial_loop():
             assert verdict.witness is None
         else:
             w = verdict.witness
-            assert (w.index, w.distance, w.assignment) == (index, distance, env)
+            assert (w.index, typed(w.distance), w.assignment) == (index, typed(distance), env)
     assert seen == {(True, True), (False, False), (False, True)}
 
 
@@ -361,12 +379,30 @@ def test_trials_run_counts_the_trials_that_ran():
 
 @pytest.mark.parametrize("text", ["1e308*a*a", "1e308*1e308*a"])
 def test_float_overflow_raises_in_both_paths(text):
+    # the public one-rule evaluator overflows in float arithmetic; the
+    # verdict reads 1e308 as the integer it is and holds on every trial
     tree = parse(text)
-    with pytest.raises(ValueError):
-        is_invariant(tree, trials=4, seed=0)
     env = random_assignment(["a"], random.Random(0))
     with pytest.raises(ValueError):
         function_family(tree, env)
+    fam = function_family(exact_tree(tree), env)
+    assert all(f == fam[0] for f in fam)
+    verdict = is_invariant(tree, seed=0)
+    assert (verdict.invariant, verdict.trials_run, verdict.witness) == (True, 64, None)
+
+
+@pytest.mark.parametrize("text, invariant, trials_run", [
+    ("0.1*a*b + 0.1*b*a", True, 64), ("(0.1*a)*(0.1*a)", True, 64), ("1e308*a*a", True, 64),
+    ("0.1*a*b", False, 1),
+])
+def test_float_literals_are_read_as_exact_rationals(text, invariant, trials_run):
+    # in float arithmetic 0.1*(a*b) + 0.1*(b*a) rounds per rule and came out
+    # rule-dependent, and (0.1*a)*(0.1*a) too
+    verdict = is_invariant(text)
+    assert (verdict.invariant, verdict.trials_run) == (invariant, trials_run)
+    if not invariant:
+        assert verdict.witness.distance == sieve(function_family(exact_tree(parse(text)),
+                                                                 verdict.witness.assignment))[verdict.witness.index]
 
 
 def test_trees_at_the_depth_limit_run_through_the_all_rules_pass():
