@@ -26,9 +26,9 @@ from dataclasses import asdict
 from . import __version__
 from .algebra import Octonion, mul_table, triplet_set
 from .automorphisms import chirality, orbit
-from .derivations import derive
+from .derivations import _derive_all
 from .dsl import ExprSyntaxError, UnboundVariableError, parse, to_text
-from .sieve import _evaluator, _per_rule, _exact, _trials, random_assignment, sieve
+from .sieve import _evaluator, _trials, random_assignment, sieve
 from .verification import run_checks
 
 SCHEMA_VERSION = 2
@@ -205,9 +205,8 @@ def cmd_derive(args) -> dict:
     v = _parse_octonion(args.v)
     tree, values, env, _ = _expr_and_env(args)
     ns = list(range(16)) if args.algebra is None else [args.algebra]
-    exact_u, exact_v = (Octonion(_exact(x.coeffs)) for x in (u, v))
-    per_rule = _per_rule(values(env))
-    outputs = [derive(exact_u, exact_v, Octonion(per_rule[n]), n) for n in ns]
+    derived = _derive_all(u, v, values(env))
+    outputs = [derived[n] for n in ns]
     payload = {
         "u": list(u),
         "v": list(v),

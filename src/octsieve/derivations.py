@@ -17,17 +17,16 @@ antiassociative basis triples the whole formula collapses to -2 (u v) a,
 whose sign tracks the two triplet orientations involved and therefore
 varies across rules.
 
-The Leibniz residual uses the same D regrouped by bilinearity,
+D is stated once, regrouped by bilinearity,
 
-    D(u, v; x) = p x - x c + 3 u (v x),   c = uv - vu,  p = c - 3 uv,
+    D(u, v; x) = p x - x c + 3 u (v x),   c = uv - vu,  p = -2 uv - vu,
 
-three kernel calls per argument where the literal formula takes five.
-On ints the two agree exactly, so the residual is exactly zero as before
-and :func:`leibniz_check` returns 0.0; on floats they round differently,
-so its residual there may differ from the literal formula's.
-:func:`derive` keeps the literal formula: its float output matches
-``[[u, v], a] - 3 (u, v, a)`` bit for bit.  The acceptance check computes
-the products of its inputs (uv, vu, ab, va, vb) once for all 16 rules.
+as the one-rule tuple kernel ``_regrouped`` (two kernel calls for p and
+c, then four per argument) and as the expression ``_D`` that the sieve's
+exact all-rules pass runs, computing each product of two inputs (uv, vu,
+and in the Leibniz residual ab, va, vb) once for all 16 rules.  On exact
+inputs both equal the literal formula; :func:`derive` on floats rounds as
+the regrouped one does.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's
@@ -39,11 +38,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import sub
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .algebra import _SIGNS, REFERENCE_TRIPLETS, Octonion, _mul, _mul_all, _signs, multiply, norm
-from .dsl import Expr, parse
-from .sieve import _evaluator, _per_rule, _random_ints
+from .algebra import REFERENCE_TRIPLETS, Octonion, _mul, _signs, multiply, norm
+from .dsl import Expr, _program, parse
+from .sieve import AllRules, _all_rules, _evaluator, _exact, _per_rule, _random_ints
 
 __all__ = [
     "commutator",
@@ -72,61 +71,50 @@ def associator(a: Octonion, b: Octonion, c: Octonion, n: int) -> Octonion:
     return multiply(multiply(a, b, n), c, n) - multiply(a, multiply(b, c, n), n)
 
 
-def _pair(u: tuple, v: tuple, s: tuple) -> tuple[tuple, tuple]:
-    """uv and [u, v] = uv - vu: the parts of D(u, v; .) that do not depend
-    on its argument, on coefficient tuples."""
-    uv = _mul(u, v, s)
-    return uv, tuple(map(sub, uv, _mul(v, u, s)))
+def _regrouped(u: tuple, v: tuple, s: tuple) -> Callable[[tuple], tuple]:
+    """D(u, v; .) = p x - x c + 3 u (v x) under the rule with characters
+    ``s``, on coefficient tuples: two kernel calls for p = -2 uv - vu and
+    c = uv - vu, then four per argument."""
+    uv, vu = _mul(u, v, s), _mul(v, u, s)
+    p = tuple([-2 * x - y for x, y in zip(uv, vu)])
+    c = tuple(map(sub, uv, vu))
 
+    def d(x: tuple) -> tuple:
+        return tuple([w - y + 3 * z for w, y, z in zip(_mul(p, x, s), _mul(x, c, s), _mul(u, _mul(v, x, s), s))])
 
-def _derive(u: tuple, v: tuple, pair: tuple[tuple, tuple], a: tuple, s: tuple) -> tuple:
-    """D(u, v; a) on coefficient tuples, given ``pair = _pair(u, v, s)``."""
-    uv, c = pair
-    ca, ac = _mul(c, a, s), _mul(a, c, s)
-    uv_a, u_va = _mul(uv, a, s), _mul(u, _mul(v, a, s), s)
-    return tuple([(w - x) - 3 * (y - z) for w, x, y, z in zip(ca, ac, uv_a, u_va)])
+    return d
 
 
 def derive(u: Octonion, v: Octonion, a: Octonion, n: int) -> Octonion:
     """D(u, v; a) under rule n; linear in each argument."""
-    s = _signs(n)
-    u, v = u.coeffs, v.coeffs
-    return Octonion(_derive(u, v, _pair(u, v, s), a.coeffs, s))
-
-
-def _regrouped(u: tuple, p: tuple, c: tuple, x: tuple, vx: tuple, s: tuple) -> tuple:
-    """D(u, v; x) = p x - x c + 3 u (v x) on coefficient tuples, given
-    ``p = -2 uv - vu``, ``c = uv - vu`` and ``vx = v x``: three kernel calls."""
-    return tuple([w - y + 3 * z for w, y, z in zip(_mul(p, x, s), _mul(x, c, s), _mul(u, vx, s))])
-
-
-def _residual(u: tuple, v: tuple, a: tuple, b: tuple, s: tuple,
-              uv: tuple, vu: tuple, ab: tuple, va: tuple, vb: tuple) -> tuple:
-    """D(ab) - D(a) b - a D(b) under the rule with characters ``s``, given
-    that rule's products of the inputs uv, vu, ab, va and vb: twelve kernel
-    calls."""
-    c = tuple(map(sub, uv, vu))
-    p = tuple([-2 * x - y for x, y in zip(uv, vu)])
-    d_ab = _regrouped(u, p, c, ab, _mul(v, ab, s), s)
-    d_a_b = _mul(_regrouped(u, p, c, a, va, s), b, s)
-    a_d_b = _mul(a, _regrouped(u, p, c, b, vb, s), s)
-    return tuple([x - y - z for x, y, z in zip(d_ab, d_a_b, a_d_b)])
-
-
-def _leibniz_all(u: tuple, v: tuple, a: tuple, b: tuple) -> list[tuple]:
-    """The Leibniz residuals of all 16 rules, entry n under rule n, on
-    8-tuples of exact ints.  Each product of two inputs is one
-    :func:`_mul_all` call shared by the 16 rules."""
-    shared = [_per_rule(_mul_all(x, y)) for x, y in ((u, v), (v, u), (a, b), (v, a), (v, b))]
-    return [_residual(u, v, a, b, s, *products) for s, *products in zip(_SIGNS, *shared)]
+    return Octonion(_regrouped(u.coeffs, v.coeffs, _signs(n))(a.coeffs))
 
 
 def leibniz_check(u: Octonion, v: Octonion, a: Octonion, b: Octonion, n: int) -> float:
     """Norm of D(ab) - D(a)b - a D(b); zero iff the Leibniz rule holds here."""
     s = _signs(n)
-    u, v, a, b = u.coeffs, v.coeffs, a.coeffs, b.coeffs
-    products = [_mul(x, y, s) for x, y in ((u, v), (v, u), (a, b), (v, a), (v, b))]
-    return norm(Octonion(_residual(u, v, a, b, s, *products)))
+    a, b = a.coeffs, b.coeffs
+    d = _regrouped(u.coeffs, v.coeffs, s)
+    residual = map(sub, map(sub, d(_mul(a, b, s)), _mul(d(a), b, s)), _mul(a, d(b), s))
+    return norm(Octonion(tuple(residual)))
+
+
+# The same D as an expression in u, v and {x}, for the all-rules pass.
+_D = "(-2*(u*v) - v*u)*{x} - {x}*(u*v - v*u) + (3*u)*(v*{x})"
+_DERIVE = _program(parse(_D.format(x="x")))[0]
+_LEIBNIZ = _program(parse(f"({_D.format(x='(a*b)')}) - ({_D.format(x='a')})*b - a*({_D.format(x='b')})"))[0]
+
+
+def _derive_all(u: Octonion, v: Octonion, x: AllRules) -> Sequence[tuple]:
+    """D(u, v; x) under all 16 rules, entry n under rule n, given x's
+    all-rules value; u and v are read as the rationals they are."""
+    return _per_rule(_all_rules(_DERIVE, {"u": _exact(u.coeffs), "v": _exact(v.coeffs), "x": x}))
+
+
+def _leibniz_all(u: tuple, v: tuple, a: tuple, b: tuple) -> Sequence[tuple]:
+    """The Leibniz residuals of all 16 rules, entry n under rule n, on
+    8-tuples of exact ints: one all-rules pass."""
+    return _per_rule(_all_rules(_LEIBNIZ, {"u": u, "v": v, "a": a, "b": b}))
 
 
 @dataclass(frozen=True)
@@ -159,8 +147,10 @@ def antiassoc_closed_form(u_idx: int, v_idx: int, a_idx: int, n: int) -> Antiass
 
 
 def cross_algebra_equal(u: Octonion, v: Octonion, a: Octonion) -> frozenset[int]:
-    """Rule ids whose derivation output matches rule 0's, exactly."""
-    outputs = [derive(u, v, a, n) for n in range(16)]
+    """Rule ids whose derivation output matches rule 0's.  Every coefficient
+    is read as the rational it is, so the comparison is exact for floats
+    too."""
+    outputs = _derive_all(u, v, _exact(a.coeffs))
     return frozenset(n for n, o in enumerate(outputs) if o == outputs[0])
 
 
@@ -171,10 +161,8 @@ def derivation_matrix(u_idx: int, v_idx: int, n: int) -> tuple[tuple[int, ...], 
     Derivations kill the real unit and output no real component, so the
     restriction is lossless; the matrices come out antisymmetric.
     """
-    s = _signs(n)
-    u, v = Octonion.unit(u_idx).coeffs, Octonion.unit(v_idx).coeffs
-    pair = _pair(u, v, s)
-    cols = [_derive(u, v, pair, Octonion.unit(a_idx).coeffs, s)[1:] for a_idx in range(1, 8)]
+    d = _regrouped(Octonion.unit(u_idx).coeffs, Octonion.unit(v_idx).coeffs, _signs(n))
+    cols = [d(Octonion.unit(a_idx).coeffs)[1:] for a_idx in range(1, 8)]
     return tuple(tuple(cols[a][i] for a in range(7)) for i in range(7))
 
 
@@ -239,12 +227,13 @@ class RegimeReport:
     witness: dict | None = None
 
 
-def _refuted(report: RegimeReport, outputs: list[Octonion], inputs: dict) -> RegimeReport:
+def _refuted(report: RegimeReport, outputs: Sequence[tuple], inputs: dict) -> RegimeReport:
     """``report``, or a refutation by the first rule whose output is not rule 0's."""
     bad = next((n for n in range(16) if outputs[n] != outputs[0]), None)
     if not report.equal or bad is None:
         return report
-    return RegimeReport(False, {**inputs, "algebra": bad, "got": outputs[bad], "expected": outputs[0]})
+    return RegimeReport(False, {**inputs, "algebra": bad, "got": Octonion(outputs[bad]),
+                                "expected": Octonion(outputs[0])})
 
 
 @dataclass(frozen=True)
@@ -287,10 +276,6 @@ def expr_cross_algebra_equal(
     names, values = _evaluator(tree)
     rng = random.Random(seed)
 
-    def outputs(env: dict) -> list[Octonion]:
-        per_rule = _per_rule(values(env))
-        return [derive(u, v, Octonion(per_rule[n]), n) for n in range(16)]
-
     # imaginary indices of the quaternion span: u, v, and |uv|
     uvs = [multiply(u, v, n) for n in range(16)]
     w_idx = next(k for k, c in enumerate(uvs[0].coeffs) if c != 0)
@@ -303,7 +288,7 @@ def expr_cross_algebra_equal(
         coords = {name: _random_ints(rng, 9, 4) for name in names}
         env = {name: [Octonion.real(c0) + c1 * u + c2 * v + c3 * w for w in uvs]
                for name, (c0, c1, c2, c3) in coords.items()}
-        in_span = _refuted(in_span, outputs(env), {"coords": coords})
+        in_span = _refuted(in_span, _derive_all(u, v, values(env)), {"coords": coords})
 
         env = {}
         for name in names:
@@ -312,6 +297,6 @@ def expr_cross_algebra_equal(
             while coeffs[k] == 0:
                 coeffs[k] = _random_ints(rng, 9, 1)[0]
             env[name] = Octonion(coeffs)
-        out_of_span = _refuted(out_of_span, outputs(env), {"assignment": env})
+        out_of_span = _refuted(out_of_span, _derive_all(u, v, values(env)), {"assignment": env})
 
     return CrossAlgebraVerdict(in_span, out_of_span, trials)

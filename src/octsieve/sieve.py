@@ -211,10 +211,15 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
 
 def _rational(x):
     """``x`` as the rational it is (exact for every finite float): an int when
-    it is integral, as int arithmetic is many times faster, else a ``Fraction``."""
+    it is integral, as int arithmetic is many times faster, else a ``Fraction``.
+    An infinite or NaN float raises ``ValueError``, as an ``Octonion``
+    coefficient does."""
     from fractions import Fraction  # not at package import: it pulls in decimal
 
-    q = Fraction(x)
+    try:
+        q = Fraction(x)
+    except (OverflowError, ValueError):  # Fraction's errors for inf and nan
+        raise ValueError(f"coefficients must be finite, got {x!r}") from None
     return q.numerator if q.denominator == 1 else q
 
 

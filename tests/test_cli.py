@@ -558,7 +558,8 @@ def test_derive_compiles_once_and_runs_one_pass(capsys, monkeypatch, algebra):
     code, _, _ = run(capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "(a*b)*c", "--random-assign",
                      "--seed", "4", *algebra)
     assert code == 0
-    assert (len(compiles), len(passes), len(draws), len(evaluations)) == (1, 1, 1, 0)
+    # two all-rules passes: the expression's, then D's on its value
+    assert (len(compiles), len(passes), len(draws), len(evaluations)) == (1, 2, 1, 0)
 
 
 @pytest.mark.parametrize("u, algebra, outcome", [("i1", 0, None), ("i1", 4, "-inf"), ("i1", None, "-inf"),

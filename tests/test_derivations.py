@@ -1,8 +1,10 @@
 """Inner derivations: Leibniz rule, closed form, ranks, cross-rule equality."""
 
 import random
+import re
 import sys
 from collections import Counter
+from fractions import Fraction
 from operator import sub
 
 import pytest
@@ -10,7 +12,7 @@ from test_dsl import _random_tree
 from test_sieve import exact_tree, read_exactly
 
 from octsieve import derivations, verification
-from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, _mul, _signs, multiply
+from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, _mul, _mul_all, _signs, multiply
 from octsieve.derivations import (
     CrossAlgebraVerdict,
     RegimeReport,
@@ -26,7 +28,9 @@ from octsieve.derivations import (
     leibniz_check,
 )
 from octsieve.dsl import Add, Const, Mul, Var, evaluate, free_vars, parse
-from octsieve.sieve import _per_rule
+from octsieve.sieve import _per_rule, is_invariant
+
+SIEVE = sys.modules["octsieve.sieve"]  # the package's ``sieve`` is the function
 
 
 def unit(k):
@@ -74,14 +78,23 @@ def test_leibniz_residual_is_exactly_zero():
     assert leibniz_check(unit(1), unit(2), Octonion.one(), rand_oct(rng), 3) == 0.0
 
 
+def literal_derive(u, v, a, s):
+    """D(u, v; a) = [[u, v], a] - 3 ((uv) a - u (va)) on coefficient tuples,
+    term by term as the formula reads (seven kernel calls), under the rule
+    with characters ``s``: the oracle for both encodings of D."""
+    uv = _mul(u, v, s)
+    c = tuple(map(sub, uv, _mul(v, u, s)))
+    ca, ac = _mul(c, a, s), _mul(a, c, s)
+    uv_a, u_va = _mul(uv, a, s), _mul(u, _mul(v, a, s), s)
+    return tuple([(w - x) - 3 * (y - z) for w, x, y, z in zip(ca, ac, uv_a, u_va)])
+
+
 def per_rule_residual(u, v, a, b, n):
-    """The former leibniz_check's residual, kept as the oracle: the literal
-    D through _pair and _derive, 20 kernel calls per rule."""
+    """The Leibniz residual through the literal D, rule by rule: the oracle."""
     s = _signs(n)
-    pair = derivations._pair(u, v, s)
-    d_ab = derivations._derive(u, v, pair, _mul(a, b, s), s)
-    d_a_b = _mul(derivations._derive(u, v, pair, a, s), b, s)
-    a_d_b = _mul(a, derivations._derive(u, v, pair, b, s), s)
+    d_ab = literal_derive(u, v, _mul(a, b, s), s)
+    d_a_b = _mul(literal_derive(u, v, a, s), b, s)
+    a_d_b = _mul(a, literal_derive(u, v, b, s), s)
     return tuple(map(sub, map(sub, d_ab, d_a_b), a_d_b))
 
 
@@ -96,11 +109,7 @@ def test_regrouped_derive_equals_derive(bound):
         s = _signs(n)
         for _ in range(5):
             u, v, x = (rand_ints(rng, bound) for _ in range(3))
-            uv, vu = _mul(u, v, s), _mul(v, u, s)
-            c = tuple(map(sub, uv, vu))
-            p = tuple(-2 * y - z for y, z in zip(uv, vu))
-            got = derivations._regrouped(u, p, c, x, _mul(v, x, s), s)
-            assert got == derive(Octonion(u), Octonion(v), Octonion(x), n).coeffs
+            assert derive(Octonion(u), Octonion(v), Octonion(x), n).coeffs == literal_derive(u, v, x, s)
 
 
 @pytest.mark.parametrize("bound", [5, 2**70])
@@ -113,35 +122,37 @@ def test_all_rules_residuals_match_the_per_rule_oracle(bound):
         # product with v, and a = b collapses ab
         for case in ((u, v, a, b), (u, u, a, b), (u, real, a, b), (u, v, a, a)):
             expected = [per_rule_residual(*case, n) for n in range(16)]
-            assert derivations._leibniz_all(*case) == expected
+            assert list(derivations._leibniz_all(*case)) == expected
             assert expected == [(0,) * 8] * 16
-    assert type(derivations._mul_all(u, u)) is tuple
-    assert type(derivations._mul_all(real, a)) is tuple
-    assert type(derivations._mul_all(a, a)) is tuple
+    assert type(_mul_all(u, u)) is tuple
+    assert type(_mul_all(real, a)) is tuple
+    assert type(_mul_all(a, a)) is tuple
 
 
-def counting(monkeypatch, counts, *names):
+def counting(monkeypatch, counts, module, *names):
     for name in names:
-        def counted(*args, _name=name, _original=getattr(derivations, name)):
+        def counted(*args, _name=name, _original=getattr(module, name)):
             counts[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(derivations, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
 
 def test_leibniz_shares_five_products_and_runs_twelve_kernels_per_rule(monkeypatch):
+    # all 16 rules run as one pass of the sieve's engine, whose kernels count here
     rng = random.Random(32)
     u, v, a, b = (rand_ints(rng, 5) for _ in range(4))
     counts = Counter()
-    counting(monkeypatch, counts, "_mul", "_mul_all")
+    counting(monkeypatch, counts, SIEVE, "_mul", "_mul_all")
     derivations._leibniz_all(u, v, a, b)
     assert counts == {"_mul_all": 5, "_mul": 16 * 12}
     counts.clear()
+    counting(monkeypatch, counts, derivations, "_mul")
     leibniz_check(*map(Octonion, (u, v, a, b)), 9)
     assert counts == {"_mul": 17}
 
 
 def test_check_leibniz_fails_naming_the_rule_whose_uv_is_perturbed(monkeypatch):
-    mul_all, calls = derivations._mul_all, []
+    mul_all, calls = SIEVE._mul_all, []
 
     def perturbed(x, y):
         calls.append((x, y))
@@ -150,7 +161,7 @@ def test_check_leibniz_fails_naming_the_rule_whose_uv_is_perturbed(monkeypatch):
             products[9] = (products[9][0] + 1,) + products[9][1:]
         return products
 
-    monkeypatch.setattr(derivations, "_mul_all", perturbed)
+    monkeypatch.setattr(SIEVE, "_mul_all", perturbed)
     result = verification.check_leibniz(quick=True)
     assert not result.passed
     assert result.detail == "trial 0, rule 9: nonzero residual"
@@ -160,13 +171,20 @@ def test_derive_matches_commutator_associator_formula():
     def formula(u, v, a, n):
         return commutator(commutator(u, v, n), a, n) - 3 * associator(u, v, a, n)
 
+    def regrouped(u, v, a, n):
+        uv, vu = multiply(u, v, n), multiply(v, u, n)
+        return multiply(-2 * uv - vu, a, n) - multiply(a, uv - vu, n) + 3 * multiply(u, multiply(v, a, n), n)
+
     rng = random.Random(15)
     for n in range(16):
         for _ in range(10):
             ints = (rand_oct(rng), rand_oct(rng), rand_oct(rng))
             floats = tuple(Octonion(c + rng.random() for c in x) for x in ints)
-            for args in (ints, floats):
+            fractions = tuple(Octonion(map(Fraction, x)) for x in floats)
+            for args in (ints, fractions):
                 assert derive(*args, n) == formula(*args, n)
+            # floats round as the regrouped formula does, bit for bit
+            assert repr(derive(*floats, n)) == repr(regrouped(*floats, n))
 
 
 def test_float_overflow_raises_value_error():
@@ -236,9 +254,9 @@ def test_derivation_matrix_is_derive_column_by_column(monkeypatch):
             cols = [derive(unit(u), unit(v), unit(a), n).coeffs[1:] for a in range(1, 8)]
             assert derivation_matrix(u, v, n) == tuple(zip(*cols))
     counts = Counter()
-    counting(monkeypatch, counts, "_mul")
+    counting(monkeypatch, counts, derivations, "_mul")
     derivation_matrix(1, 4, 0)
-    assert counts == {"_mul": 2 + 7 * 5}  # one pair, then five kernels per column
+    assert counts == {"_mul": 2 + 7 * 4}  # uv and vu, then four kernels per column
 
 
 def test_integer_rank_basics():
@@ -316,10 +334,24 @@ def test_cross_algebra_equal_derives_each_rule_once(monkeypatch):
     triples += [tuple(rand_oct(rng) for _ in range(3)) for _ in range(20)]
     expected = [frozenset(n for n in range(16) if derive(u, v, a, n) == derive(u, v, a, 0))
                 for u, v, a in triples]
-    calls = []
+    calls, passes, all_rules = [], [], derivations._all_rules
     monkeypatch.setattr(derivations, "derive", lambda *args: calls.append(args) or derive(*args))
+    monkeypatch.setattr(derivations, "_all_rules", lambda *args: passes.append(args) or all_rules(*args))
     assert [cross_algebra_equal(u, v, a) for u, v, a in triples] == expected
-    assert len(calls) == 16 * len(triples)
+    assert (len(passes), calls) == (len(triples), [])  # one all-rules pass per call
+
+
+def test_cross_algebra_equal_reads_floats_exactly():
+    rng = random.Random(18)
+    triples = [tuple(Octonion(c + rng.random() for c in rand_oct(rng)) for _ in range(3)) for _ in range(5)]
+    triples += [(0.5 * unit(i), 1.5 * unit(j), -0.25 * unit(k)) for i, j, k in ((1, 2, 3), (1, 2, 4), (3, 6, 5))]
+    for triple in triples:
+        exact = [Octonion(map(Fraction, x)) for x in triple]
+        assert cross_algebra_equal(*triple) == cross_algebra_equal(*exact)
+    assert cross_algebra_equal(*triples[-2]) == frozenset({0, 3, 5, 6, 9, 10, 12, 15})
+    # past the float range in float arithmetic (derive raises), exact here
+    big = Octonion((1e200,) * 8)
+    assert cross_algebra_equal(big, unit(1), big) == frozenset(range(16))
 
 
 def per_rule_cross_algebra_equal(u, v, expr, trials, seed):
@@ -402,6 +434,17 @@ def test_expr_cross_algebra_equal_on_a_float_unit_runs_one_pass_per_regime_and_t
         monkeypatch.setattr(module, "evaluate", lambda *args: evaluations.append(args) or evaluate(*args))
     expr_cross_algebra_equal(float_unit(1), unit(2), "a*b", trials=2, seed=5)
     assert (len(passes), evaluations) == (2 * 2, [])
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_literal_is_a_value_error(x):
+    # the parser never makes one; a hand-built tree can
+    tree = Mul(Const(x), Var("a"))
+    message = re.escape(f"coefficients must be finite, got {x!r}")
+    with pytest.raises(ValueError, match=message):
+        is_invariant(tree)
+    with pytest.raises(ValueError, match=message):
+        expr_cross_algebra_equal(unit(1), unit(2), tree)
 
 
 def test_expr_cross_algebra_equal_on_a_tree_deeper_than_the_recursion_limit():

@@ -1,8 +1,9 @@
 """Property tests (Hypothesis): the compiled all-rules pass against the
 one-rule reference on random trees, on ints and read exactly from
 rationals and floats; the sieve on rational families; the shared product
-against the kernel; and the parser's one error type on arbitrary text and
-its round trip through to_text."""
+against the kernel; both encodings of the derivation D against its literal
+formula; and the parser's one error type on arbitrary text and its round
+trip through to_text."""
 
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from test_algebra import rational, typed  # noqa: E402
+from test_derivations import literal_derive  # noqa: E402
 from test_sieve import exact_env, exact_tree  # noqa: E402
 
 from octsieve.algebra import _SIGNS, Octonion, _mul, _mul_all  # noqa: E402
+from octsieve.derivations import _derive_all, derive  # noqa: E402
 from octsieve.dsl import Add, Conj, Const, ExprSyntaxError, Mul, Neg, Sub, Var, _program, parse, to_text  # noqa: E402
 from octsieve.sieve import (  # noqa: E402
     _all_rules,
@@ -108,6 +111,21 @@ def test_mul_all_collapses_iff_the_kernel_products_are_equal(pair):
     value = _mul_all(a, b)
     assert (type(value) is tuple) is all(k == kernel[0] for k in kernel)
     assert [typed(v) for v in _per_rule(value)] == [typed(k) for k in kernel]
+
+
+# int octonions, or ones of small fractions: an example takes ~4 ms on
+# ints and ~0.1 s on fractions, whose every operation takes a gcd
+EXACT_OCTONIONS = st.lists(INTS, min_size=8, max_size=8).map(Octonion) | st.lists(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), min_size=8, max_size=8).map(Octonion)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(EXACT_OCTONIONS, EXACT_OCTONIONS, EXACT_OCTONIONS)
+def test_derive_all_is_derive_is_the_literal_formula(u, v, x):
+    # the all-rules expression and the one-rule kernel are two encodings of D
+    outputs = _derive_all(u, v, x.coeffs)
+    for n, s in enumerate(_SIGNS):
+        assert outputs[n] == derive(u, v, x, n).coeffs == literal_derive(u.coeffs, v.coeffs, x.coeffs, s)
 
 
 GRAMMAR = "abc conj()+-*.0123456789eE\t"
