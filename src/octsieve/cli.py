@@ -28,7 +28,7 @@ from .algebra import Octonion, mul_table, triplet_set
 from .automorphisms import chirality, orbit
 from .derivations import _derive_all
 from .dsl import ExprSyntaxError, UnboundVariableError, parse, to_text
-from .sieve import _evaluator, _trials, random_assignment, sieve
+from .sieve import _butterfly, _evaluator, _per_rule, _quarter, _trials, random_assignment
 from .verification import run_checks
 
 SCHEMA_VERSION = 2
@@ -160,16 +160,17 @@ def _expr_and_env(args, trials: int = 1) -> tuple:
 
 def cmd_sieve(args) -> dict:
     tree, values, env, rng = _expr_and_env(args, args.trials)
-    functions, distances, verdict = _trials(values, env, rng, args.trials if args.random_assign else 1)
-    if distances is None:  # trial 1 was the same under every rule, so not sieved
-        distances = sieve(functions)
+    value, sums, verdict = _trials(values, env, rng, args.trials if args.random_assign else 1)
+    functions = _per_rule(value)
+    if sums is None:  # trial 1 was the same under every rule, so not transformed
+        sums = _butterfly(list(functions))
     w = verdict.witness
     return {
         "expr": to_text(tree),
         "assignment": {name: list(x) for name, x in env.items()},
         "functions": [list(f) for f in functions],
-        "distances": [list(g) for g in distances],
-        "mean_function_value": [c / 4 for c in distances[0]],
+        "distances": [list(map(_quarter, g)) for g in sums],
+        "mean_function_value": [_quarter(_quarter(c)) for c in sums[0]],
         "invariant": verdict.invariant,
         "trials_run": verdict.trials_run,
         "witness": None if w is None else {

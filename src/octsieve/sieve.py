@@ -11,17 +11,20 @@ same transform to the distances restores the functions exactly (the
 scaled matrix is its own inverse).
 
 The transform is the Walsh transform over Z2^4, computed as a radix-2
-butterfly: four stages, one per bit of the index, each replacing the
-entries x, y whose indices differ only in that bit by x + y and x - y;
-then every sum is divided by 4.  A constant family therefore has
-distances g[k], k > 0, that are exactly zero, for float coefficients too:
-x - x is exactly 0 and every later stage adds zeros.
+butterfly (``_butterfly``): four stages, one per bit of the index, each
+replacing the entries x, y whose indices differ only in that bit by x + y
+and x - y.  Its sums are exact on ints and rationals.  A constant family
+therefore has distances g[k], k > 0, that are exactly zero, for float
+coefficients too: x - x is exactly 0 and every later stage adds zeros.
+The public :func:`sieve` and :func:`unsieve` then divide every sum by 4
+in floating point, so an int distance past 2^53 rounds there and one past
+the float range raises ``OverflowError``; the verdict and the CLI divide
+exactly (``_quarter``).
 
 An expression is algebraically invariant when g[k] = 0 for every k > 0,
-i.e. its value does not depend on which of the 16 rules multiplies.  With
-integer coefficient assignments every sum here is exact (quarters are
-dyadic while they stay below 2^53), and with rational ones every quarter
-is exact, so invariance is a zero test with no tolerance.
+i.e. its value does not depend on which of the 16 rules multiplies.  The
+verdict is exact, so invariance is a zero test with no tolerance; its
+witness distance is an int on int inputs, else a ``Fraction``.
 
 Two decisions are made here for every caller.  ``_evaluator`` evaluates
 an expression under all 16 rules: it compiles it once (``dsl._program``)
@@ -38,8 +41,8 @@ products shared by the 16 rules), and any other runs the kernel once per
 rule.  The values are :func:`function_family`'s on the same exact inputs.
 ``_trials`` reaches a verdict: trial 1 on a given assignment, later ones
 drawn from one rng, the first nonzero distance the witness; a trial the
-same under every rule holds without a sieve.  :func:`is_invariant` and
-the CLI's ``sieve`` both call it.
+same under every rule holds without a transform, and any other is
+refuted.  :func:`is_invariant` and the CLI's ``sieve`` both call it.
 """
 
 from __future__ import annotations
@@ -94,16 +97,30 @@ def function_family(expr: Expr, env: Mapping[str, Octonion]) -> FunctionFamily:
 _BUTTERFLY = tuple((j, j | h) for h in (1, 2, 4, 8) for j in range(16) if not j & h)
 
 
-def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
-    fam = tuple(values)
-    if len(fam) != 16 or not all(isinstance(v, Octonion) for v in fam):
-        raise ValueError("a family is a 16-tuple of octonions")
-    rows = [f.coeffs for f in fam]
+def _butterfly(rows: list[tuple]) -> list[tuple]:
+    """The Walsh transform of 16 coefficient tuples, in place and exact: entry
+    k becomes sum_j b[j][k] rows[j], four times distance g[k]."""
     for j, k in _BUTTERFLY:
         x, y = rows[j], rows[k]
         rows[j] = tuple(map(add, x, y))
         rows[k] = tuple(map(sub, x, y))
-    return tuple(Octonion(c / 4 for c in row) for row in rows)
+    return rows
+
+
+def _quarter(c):
+    """``c / 4`` exactly: an int when ``c`` is an int that 4 divides, else a ``Fraction``."""
+    if type(c) is int and not c % 4:
+        return c // 4
+    from fractions import Fraction  # not at package import: it pulls in decimal
+
+    return Fraction(c, 4)
+
+
+def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
+    fam = tuple(values)
+    if len(fam) != 16 or not all(isinstance(v, Octonion) for v in fam):
+        raise ValueError("a family is a 16-tuple of octonions")
+    return tuple(Octonion(c / 4 for c in row) for row in _butterfly([f.coeffs for f in fam]))
 
 
 def sieve(fam: Sequence[Octonion]) -> DistanceFamily:
@@ -246,7 +263,8 @@ def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
 
 @dataclass(frozen=True)
 class InvarianceWitness:
-    """A refuting assignment: distance ``index`` came out nonzero."""
+    """A refuting assignment: distance ``index`` came out nonzero, and
+    ``distance`` is its exact value."""
 
     assignment: dict[str, Octonion]
     index: int
@@ -265,29 +283,25 @@ class SieveVerdict:
 
 
 def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng: random.Random | None,
-            trials: int) -> tuple[FunctionFamily, DistanceFamily | None, SieveVerdict]:
+            trials: int) -> tuple[AllRules, list[tuple] | None, SieveVerdict]:
     """Trial 1 is ``env``; while every trial holds, trials 2..``trials`` are
     assignments of the same names drawn from ``rng``.  A trial whose value
-    is the same under every rule holds unsieved; in any other, the first
-    nonzero distance g[k], k > 0, refutes and is the witness.  Returns
-    trial 1's functions, its distances (None when it was not sieved), and
-    the verdict."""
+    is one tuple, the same under every rule, holds untransformed.  Any other
+    is 16 values not all equal, so it refutes: its first nonzero distance
+    g[k], k > 0, divided exactly, is the witness.  Returns trial 1's value,
+    its Walsh sums (4 g[k]; None when it was not transformed), and the
+    verdict."""
     names = list(env)
     for trial in range(1, trials + 1):
         if trial > 1:
             env = random_assignment(names, rng)
         value = values(env)
-        if type(value) is tuple:  # all distances past g[0] are 0
-            if trial == 1:
-                first = tuple(map(Octonion, _per_rule(value))), None
-            continue
-        functions = tuple(map(Octonion, value))
-        distances = sieve(functions)
+        sums = None if type(value) is tuple else _butterfly(list(value))
         if trial == 1:
-            first = functions, distances
-        k = next((k for k in range(1, 16) if not distances[k].is_zero()), None)
-        if k is not None:
-            witness = InvarianceWitness(env, k, distances[k])
+            first = value, sums
+        if sums is not None:
+            k = next(k for k in range(1, 16) if any(sums[k]))
+            witness = InvarianceWitness(env, k, Octonion(map(_quarter, sums[k])))
             return *first, SieveVerdict(False, trials, witness, trials_run=trial)
     return *first, SieveVerdict(True, trials, trials_run=trials)
 
@@ -295,9 +309,9 @@ def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng
 def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerdict:
     """Randomized refuter for algebraic invariance.
 
-    Runs ``trials`` integer-coefficient random assignments; each one is
-    sieved and the distances g[k], k > 0, are tested for exact zero.  The
-    first nonzero distance refutes invariance and is returned as the
+    Runs ``trials`` integer-coefficient random assignments; for each one
+    the distances g[k], k > 0, are tested for exact zero.  The first
+    nonzero distance refutes invariance and is returned, exact, as the
     witness.  A verdict of invariant means no counterexample was found in
     the given trials, not a proof over all assignments.
     """

@@ -1,14 +1,16 @@
 """Self-contained verification checks behind the `verify` CLI command.
 
 Every check is exact: integer inputs keep all arithmetic exact, so each
-criterion asserts equality, never closeness.  ``quick`` trims trial
-counts for a fast smoke run; the full counts are the contract.
+criterion asserts equality, never closeness.  A check returns
+``(passed, detail)``; :func:`run_checks` names and times it from its
+``ALL_CHECKS`` entry.  ``quick`` trims trial counts for a fast smoke run;
+the full counts are the contract.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
 from typing import Callable
@@ -28,9 +30,13 @@ class CheckResult:
     elapsed_s: float = 0.0  # wall time of the check, set by run_checks
 
 
-# Frozen reference data: the triplets of rule 0, the parity words of the
-# eight left-handed rules, and the sign-matrix row generators.
+Outcome = tuple[bool, str]
+
+# Frozen reference data: the triplets of rule 0 (and the quaternionic lines
+# they span), the parity words of the eight left-handed rules, and the
+# sign-matrix row generators.
 _REFERENCE_TRIPLETS = ((1, 2, 3), (7, 6, 1), (5, 7, 2), (6, 5, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7))
+_LINES = frozenset(frozenset(t) for t in _REFERENCE_TRIPLETS)
 _LEFT_PARITY_WORDS = (
     "+++++++",
     "++--+--",
@@ -63,24 +69,22 @@ def _rand_octonion(rng: random.Random, bound: int = 9) -> Octonion:
     return Octonion(_random_ints(rng, bound))
 
 
-def check_table_fidelity(quick: bool = False) -> CheckResult:
+def check_table_fidelity(quick: bool = False) -> Outcome:
     triplets, word = algebra.triplet_set(0)
     if triplets != _REFERENCE_TRIPLETS or word != "+++++++":
-        return CheckResult("table-fidelity", False, f"rule 0 mismatch: {triplets} {word}")
+        return False, f"rule 0 mismatch: {triplets} {word}"
     for n in range(8):
         if algebra.parity_word(n) != _LEFT_PARITY_WORDS[n]:
-            return CheckResult(
-                "table-fidelity", False, f"rule {n}: {algebra.parity_word(n)} != {_LEFT_PARITY_WORDS[n]}"
-            )
+            return False, f"rule {n}: {algebra.parity_word(n)} != {_LEFT_PARITY_WORDS[n]}"
     for n in range(8):
         low = algebra.flip_vector(n)
         high = algebra.flip_vector(n + 8)
         if tuple(a ^ b for a, b in zip(low, high)) != _T0_FLIPS:
-            return CheckResult("table-fidelity", False, f"rules {n}/{n + 8} do not differ by T0")
-    return CheckResult("table-fidelity", True, "rule 0 triplets, words 0..7, T0 pairing all exact")
+            return False, f"rules {n}/{n + 8} do not differ by T0"
+    return True, "rule 0 triplets, words 0..7, T0 pairing all exact"
 
 
-def check_norm_multiplicativity(quick: bool = False) -> CheckResult:
+def check_norm_multiplicativity(quick: bool = False) -> Outcome:
     trials = 100 if quick else 1000
     rng = random.Random(20)
     for t in range(trials):
@@ -88,27 +92,21 @@ def check_norm_multiplicativity(quick: bool = False) -> CheckResult:
         na, nb = algebra.norm_sq(a), algebra.norm_sq(b)
         for n in range(16):
             if algebra.norm_sq(algebra.multiply(a, b, n)) != na * nb:
-                return CheckResult(
-                    "norm-multiplicativity", False, f"trial {t}, rule {n}: |ab|^2 != |a|^2 |b|^2"
-                )
-    return CheckResult(
-        "norm-multiplicativity", True, f"|ab|^2 == |a|^2 |b|^2 exactly, {trials} pairs x 16 rules"
-    )
+                return False, f"trial {t}, rule {n}: |ab|^2 != |a|^2 |b|^2"
+    return True, f"|ab|^2 == |a|^2 |b|^2 exactly, {trials} pairs x 16 rules"
 
 
-def check_hadamard_involution(quick: bool = False) -> CheckResult:
+def check_hadamard_involution(quick: bool = False) -> Outcome:
     trials = 20 if quick else 100
     rng = random.Random(21)
     for t in range(trials):
         fam = tuple(_rand_octonion(rng, 99) for _ in range(16))
         if unsieve(sieve(fam)) != fam:
-            return CheckResult("hadamard-involution", False, f"family {t} did not round-trip")
-    return CheckResult(
-        "hadamard-involution", True, f"unsieve(sieve(x)) == x exactly on {trials} integer families"
-    )
+            return False, f"family {t} did not round-trip"
+    return True, f"unsieve(sieve(x)) == x exactly on {trials} integer families"
 
 
-def check_row_generators(quick: bool = False) -> CheckResult:
+def check_row_generators(quick: bool = False) -> Outcome:
     for k in range(16):
         expected = [1] * 16
         for bit, vec in _ROW_GENERATORS.items():
@@ -116,36 +114,32 @@ def check_row_generators(quick: bool = False) -> CheckResult:
                 expected = [a * b for a, b in zip(expected, vec)]
         for j in range(16):
             if sign_entry(j, k) != expected[j]:
-                return CheckResult("row-generators", False, f"row {k} entry {j} mismatch")
+                return False, f"row {k} entry {j} mismatch"
     for j in range(16):
         for k in range(16):
             if sign_entry(j, k) != sign_entry(k, j):
-                return CheckResult("row-generators", False, f"asymmetric at ({j}, {k})")
-    return CheckResult("row-generators", True, "all 16 rows rebuilt from generators; 256 entries symmetric")
+                return False, f"asymmetric at ({j}, {k})"
+    return True, "all 16 rows rebuilt from generators; 256 entries symmetric"
 
 
-def check_sieve_invariance(quick: bool = False) -> CheckResult:
+def check_sieve_invariance(quick: bool = False) -> Outcome:
     trials = 8 if quick else 64
     for text in ("a+b", "a*a", "a*b+b*a"):
         verdict = is_invariant(text, trials=trials, seed=22)
         if not verdict.invariant:
-            return CheckResult(
-                "sieve-invariance", False, f"{text!r} refuted at k={verdict.witness.index}"
-            )
+            return False, f"{text!r} refuted at k={verdict.witness.index}"
     verdict = is_invariant("a*b", trials=trials, seed=22)
     if verdict.invariant:
-        return CheckResult("sieve-invariance", False, "'a*b' should have a nonzero distance")
+        return False, "'a*b' should have a nonzero distance"
     w = verdict.witness
-    return CheckResult(
-        "sieve-invariance",
-        True,
+    return True, (
         f"a+b, a*a, a*b+b*a invariant over {trials} trials; a*b witness: "
         f"g[{w.index}] = {list(w.distance.coeffs)} at "
-        + ", ".join(f"{k}={list(v.coeffs)}" for k, v in sorted(w.assignment.items())),
+        + ", ".join(f"{k}={list(v.coeffs)}" for k, v in sorted(w.assignment.items()))
     )
 
 
-def check_xor_equivariance(quick: bool = False) -> CheckResult:
+def check_xor_equivariance(quick: bool = False) -> Outcome:
     trials = 4 if quick else 20
     rng = random.Random(23)
     for t in range(trials):
@@ -156,108 +150,88 @@ def check_xor_equivariance(quick: bool = False) -> CheckResult:
             shifted = sieve(permuted)
             for k in range(16):
                 if shifted[k] != sign_entry(m, k) * base[k]:
-                    return CheckResult(
-                        "xor-equivariance", False, f"family {t}, mask {m}, distance {k} mismatch"
-                    )
-    return CheckResult(
-        "xor-equivariance", True, f"all 16 masks on {trials} families: g'[k] == b[m][k] g[k]"
-    )
+                    return False, f"family {t}, mask {m}, distance {k} mismatch"
+    return True, f"all 16 masks on {trials} families: g'[k] == b[m][k] g[k]"
 
 
-def check_leibniz(quick: bool = False) -> CheckResult:
+def check_leibniz(quick: bool = False) -> Outcome:
     trials = 100 if quick else 1000
     rng = random.Random(24)
     for t in range(trials):
         u, v, a, b = (_random_ints(rng, 5) for _ in range(4))
         for n, residual in enumerate(derivations._leibniz_all(u, v, a, b)):
             if any(residual):
-                return CheckResult("leibniz", False, f"trial {t}, rule {n}: nonzero residual")
-    return CheckResult("leibniz", True, f"residual exactly 0 on {trials} quadruples x 16 rules")
+                return False, f"trial {t}, rule {n}: nonzero residual"
+    return True, f"residual exactly 0 on {trials} quadruples x 16 rules"
 
 
-def check_antiassoc_closed_form(quick: bool = False) -> CheckResult:
-    lines = {frozenset(t) for t in _REFERENCE_TRIPLETS}
+def check_antiassoc_closed_form(quick: bool = False) -> Outcome:
     cases = 0
     for n in range(16):
         for u, v, a in product(range(1, 8), repeat=3):
-            if len({u, v, a}) != 3 or frozenset((u, v, a)) in lines:
+            if len({u, v, a}) != 3 or frozenset((u, v, a)) in _LINES:
                 continue
             report = derivations.antiassoc_closed_form(u, v, a, n)
             if not report.equal:
-                return CheckResult(
-                    "antiassociative-closed-form", False, f"rule {n}, triple {(u, v, a)}"
-                )
+                return False, f"rule {n}, triple {(u, v, a)}"
             cases += 1
-    return CheckResult(
-        "antiassociative-closed-form", True, f"D == -2(uv)a in all {cases} ordered cases"
-    )
+    return True, f"D == -2(uv)a in all {cases} ordered cases"
 
 
-def check_flip_signatures(quick: bool = False) -> CheckResult:
+def check_flip_signatures(quick: bool = False) -> Outcome:
     patterns = [algebra.GENERATOR_FLIPS[bit] for bit in (8, 4, 2, 1)]
     signatures = tuple(tuple(p[t] for p in patterns) for t in range(7))
     if signatures != _SIGNATURES:
-        return CheckResult("flip-signatures", False, f"signatures {signatures}")
+        return False, f"signatures {signatures}"
     if len(set(signatures)) != 7:
-        return CheckResult("flip-signatures", False, "signatures not pairwise distinct")
-    return CheckResult("flip-signatures", True, "7 per-triplet signatures pairwise distinct")
+        return False, "signatures not pairwise distinct"
+    return True, "7 per-triplet signatures pairwise distinct"
 
 
-def check_derivation_ranks(quick: bool = False) -> CheckResult:
+def check_derivation_ranks(quick: bool = False) -> Outcome:
     all_pairs = [(u, v) for u in range(1, 8) for v in range(u + 1, 8)]
     rules = range(4) if quick else range(16)
     for n in rules:
         rank = derivations.derivation_span_rank(all_pairs, n)
         if rank != 14:
-            return CheckResult("derivation-ranks", False, f"rule {n}: full span rank {rank} != 14")
+            return False, f"rule {n}: full span rank {rank} != 14"
         for triplet in _REFERENCE_TRIPLETS:
             idxs = sorted(triplet)
             pairs = [(idxs[0], idxs[1]), (idxs[0], idxs[2]), (idxs[1], idxs[2])]
             rank = derivations.derivation_span_rank(pairs, n, restrict_to=idxs)
             if rank != 3:
-                return CheckResult(
-                    "derivation-ranks", False, f"rule {n}, triplet {idxs}: rank {rank} != 3"
-                )
-    return CheckResult(
-        "derivation-ranks",
-        True,
-        f"full span rank 14 and triplet-restricted rank 3 for {len(list(rules))} rules",
-    )
+                return False, f"rule {n}, triplet {idxs}: rank {rank} != 3"
+    return True, f"full span rank 14 and triplet-restricted rank 3 for {len(list(rules))} rules"
 
 
-def check_equality_criterion(quick: bool = False) -> CheckResult:
-    lines = {frozenset(t) for t in _REFERENCE_TRIPLETS}
+def check_equality_criterion(quick: bool = False) -> Outcome:
     full = frozenset(range(16))
     for u, v, a in product(range(1, 8), repeat=3):
         got = derivations.cross_algebra_equal(
             Octonion.unit(u), Octonion.unit(v), Octonion.unit(a)
         )
         idxs = {u, v, a}
-        quaternionic = len(idxs) <= 2 or frozenset(idxs) in lines
+        quaternionic = len(idxs) <= 2 or frozenset(idxs) in _LINES
         if (got == full) != quaternionic:
-            return CheckResult(
-                "equality-criterion", False, f"triple {(u, v, a)}: equal set {sorted(got)}"
-            )
-    return CheckResult(
-        "equality-criterion", True, "all 343 ordered imaginary triples match the iff condition"
-    )
+            return False, f"triple {(u, v, a)}: equal set {sorted(got)}"
+    return True, "all 343 ordered imaginary triples match the iff condition"
 
 
-def check_identify_roundtrip(quick: bool = False) -> CheckResult:
+def check_identify_roundtrip(quick: bool = False) -> Outcome:
     for n in range(16):
         if algebra.identify_algebra(algebra.mul_table(n)) != n:
-            return CheckResult("identify-roundtrip", False, f"rule {n} did not round-trip")
+            return False, f"rule {n} did not round-trip"
     mutated = [list(row) for row in algebra.mul_table(0)]
     mutated[1][2] = (1, 4)  # i1 i2 = i4 is not a Fano line
     mutated[2][1] = (-1, 4)
     try:
         algebra.identify_algebra(tuple(tuple(row) for row in mutated))
     except algebra.NotEquivalentAlgebraError:
-        return CheckResult("identify-roundtrip", True, "16 round-trips; mutated table rejected")
-    return CheckResult("identify-roundtrip", False, "mutated table was not rejected")
+        return True, "16 round-trips; mutated table rejected"
+    return False, "mutated table was not rejected"
 
 
-ALL_CHECKS: tuple[tuple[str, Callable[[bool], CheckResult]], ...] = (
+ALL_CHECKS: tuple[tuple[str, Callable[[bool], Outcome]], ...] = (
     ("table-fidelity", check_table_fidelity),
     ("norm-multiplicativity", check_norm_multiplicativity),
     ("hadamard-involution", check_hadamard_involution),
@@ -274,11 +248,11 @@ ALL_CHECKS: tuple[tuple[str, Callable[[bool], CheckResult]], ...] = (
 
 
 def run_checks(quick: bool = False) -> list[CheckResult]:
-    """Run every check, always all of them, in declaration order, and
-    record each one's wall time."""
+    """Run every check, always all of them, in declaration order; each
+    result carries the check's name and its wall time."""
     results = []
-    for _, fn in ALL_CHECKS:
+    for name, fn in ALL_CHECKS:
         start = perf_counter()
-        result = fn(quick)
-        results.append(replace(result, elapsed_s=perf_counter() - start))
+        passed, detail = fn(quick)
+        results.append(CheckResult(name, passed, detail, perf_counter() - start))
     return results

@@ -1,74 +1,16 @@
 """Acceptance suite: every criterion at full trial counts, exact tolerances.
 
-Each test prints one PASS/FAIL line (visible with `pytest -s` and in the
+Each case prints one PASS/FAIL line (visible with `pytest -s` and in the
 `octsieve verify` command, which runs the same checks).
 """
 
-from octsieve.verification import (
-    check_antiassoc_closed_form,
-    check_derivation_ranks,
-    check_equality_criterion,
-    check_flip_signatures,
-    check_hadamard_involution,
-    check_identify_roundtrip,
-    check_leibniz,
-    check_norm_multiplicativity,
-    check_row_generators,
-    check_sieve_invariance,
-    check_table_fidelity,
-    check_xor_equivariance,
-)
+import pytest
+
+from octsieve.verification import ALL_CHECKS
 
 
-def _run(check):
-    result = check(quick=False)
-    print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
-    assert result.passed, f"{result.name}: {result.detail}"
-
-
-def test_criterion_01_table_fidelity():
-    _run(check_table_fidelity)
-
-
-def test_criterion_02_norm_multiplicativity():
-    _run(check_norm_multiplicativity)
-
-
-def test_criterion_03_hadamard_involution():
-    _run(check_hadamard_involution)
-
-
-def test_criterion_04_row_generators():
-    _run(check_row_generators)
-
-
-def test_criterion_05_sieve_invariance():
-    _run(check_sieve_invariance)
-
-
-def test_criterion_06_xor_equivariance():
-    _run(check_xor_equivariance)
-
-
-def test_criterion_07_leibniz():
-    _run(check_leibniz)
-
-
-def test_criterion_08_antiassociative_closed_form():
-    _run(check_antiassoc_closed_form)
-
-
-def test_criterion_09_flip_signatures():
-    _run(check_flip_signatures)
-
-
-def test_criterion_10_derivation_ranks():
-    _run(check_derivation_ranks)
-
-
-def test_criterion_11_equality_criterion():
-    _run(check_equality_criterion)
-
-
-def test_criterion_12_identify_roundtrip():
-    _run(check_identify_roundtrip)
+@pytest.mark.parametrize("name, check", ALL_CHECKS, ids=[name for name, _ in ALL_CHECKS])
+def test_criterion(name, check):
+    passed, detail = check(quick=False)
+    print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
+    assert passed, f"{name}: {detail}"

@@ -4,6 +4,7 @@ import importlib
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from test_algebra import typed
@@ -270,11 +271,23 @@ def test_literal_past_the_int_digit_limit_is_a_domain_error(capsys):
     assert f"{limit + 100} digits" in err and f"limit of {limit} digits" in err
 
 
-def test_sieve_past_float_range_is_a_domain_error(capsys):
-    # the distances divide by 4 in floating point, which overflows here
-    code, _, err = run(capsys, "sieve", "--expr", "a", "--assign", f"a={10**400},0,0,0,0,0,0,0")
-    assert code == 1
-    assert err.startswith("octsieve: error:")
+def test_sieve_past_float_range_is_exact(capsys):
+    # a quarter of 16 * 10**400 does not fit a float; the CLI divides exactly
+    big = 10**400
+    code, out, err = run(capsys, "sieve", "--expr", "a", "--assign", f"a={big},0,0,0,0,0,0,0", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["distances"] == [[4 * big] + [0] * 7] + [[0] * 8] * 15
+    assert payload["mean_function_value"] == [big] + [0] * 7
+
+
+def test_integer_literal_past_float_range_gives_exact_distances(capsys):
+    big = 10**400
+    code, out, err = run(capsys, "sieve", "--expr", f"{big}*a", "--assign", "a=i1", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["invariant"] is True
+    assert payload["distances"] == [[0, 4 * big] + [0] * 6] + [[0] * 8] * 15
 
 
 def test_verify_quick_json(capsys):
@@ -286,6 +299,18 @@ def test_verify_quick_json(capsys):
     for check in payload["checks"]:
         assert set(check) == {"name", "passed", "detail", "elapsed_s"}
         assert check["passed"] is True and check["elapsed_s"] >= 0
+
+
+def test_check_names_are_the_benchmark_metrics_and_the_verify_json_names(capsys):
+    # the benchmark names its per-check timings after ALL_CHECKS, and verify its results
+    from octsieve.verification import ALL_CHECKS
+
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    timed = [m["name"][len("verification."):-len(".s")] for m in spec["per_layer"]
+             if m["name"].startswith("verification.") and m["name"].endswith(".s")]
+    code, out, _ = run(capsys, "verify", "--quick", "--format", "json")
+    assert code == 0
+    assert timed == [c["name"] for c in json.loads(out)["checks"]] == [name for name, _ in ALL_CHECKS]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -534,7 +559,7 @@ def spies(monkeypatch):
     dsl = importlib.import_module("octsieve.dsl")
     return [spy(monkeypatch, dsl, "_program"), spy(monkeypatch, SIEVE, "_all_rules"),
             spy(monkeypatch, SIEVE, "random_assignment"), spy(monkeypatch, dsl, "evaluate"),
-            spy(monkeypatch, SIEVE, "sieve")]
+            spy(monkeypatch, SIEVE, "_butterfly")]
 
 
 @pytest.mark.parametrize("expr, trials, invariant", [("a*b + b*a", 1, True), ("a*b + b*a", 2, True),
@@ -542,14 +567,14 @@ def spies(monkeypatch):
 def test_sieve_compiles_once_and_evaluates_each_trial_once(capsys, monkeypatch, expr, trials, invariant):
     # trial 1 is the printed assignment; trials 2.. draw on from the same rng.
     # a*b + b*a is the same under every rule, so only the printed trial is
-    # sieved; a*b is refuted by trial 1, whose one sieve is also printed
-    compiles, passes, draws, evaluations, sieves = spies(monkeypatch)
+    # transformed; a*b is refuted by trial 1, whose one transform is also printed
+    compiles, passes, draws, evaluations, transforms = spies(monkeypatch)
     code, out, _ = run(capsys, "sieve", "--expr", expr, "--random-assign", "--seed", "3",
                        "--trials", str(trials), "--format", "json")
     payload = json.loads(out)
     ran = trials if invariant else 1
     assert (code, payload["invariant"], payload["trials_run"]) == (0, invariant, ran)
-    assert (len(compiles), len(passes), len(draws), len(evaluations), len(sieves)) == (1, ran, ran, 0, 1)
+    assert (len(compiles), len(passes), len(draws), len(evaluations), len(transforms)) == (1, ran, ran, 0, 1)
 
 
 @pytest.mark.parametrize("algebra", [(), ("--algebra", "5")], ids=["all", "one"])

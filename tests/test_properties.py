@@ -14,7 +14,8 @@ st = hypothesis.strategies
 
 from test_algebra import rational, typed  # noqa: E402
 from test_derivations import literal_derive  # noqa: E402
-from test_sieve import exact_env, exact_tree  # noqa: E402
+from test_dsl import _random_tree  # noqa: E402
+from test_sieve import exact_env, exact_tree, walsh_sums  # noqa: E402
 
 from octsieve.algebra import _SIGNS, Octonion, _mul, _mul_all  # noqa: E402
 from octsieve.derivations import _derive_all, derive  # noqa: E402
@@ -23,6 +24,7 @@ from octsieve.sieve import (  # noqa: E402
     _all_rules,
     _evaluator,
     _per_rule,
+    _trials,
     function_family,
     sieve,
     sign_entry,
@@ -69,6 +71,28 @@ def test_program_family_is_function_family_read_exactly(tree, env):
     fam = function_family(exact_tree(tree), exact_env(env))
     assert [rational(v) for v in _per_rule(value)] == [rational(f.coeffs) for f in fam]
     assert (type(value) is tuple) is all(f == fam[0] for f in fam)
+
+
+INT_TREES = TREES | st.builds(_random_tree, st.randoms(use_true_random=False), st.integers(1, 4))
+# most random trees are the same under every rule; t*(a*b) + u seldom is
+WITNESS_TREES = INT_TREES | st.builds(lambda t, u: Add(Mul(t, Mul(Var("a"), Var("b"))), u), INT_TREES, INT_TREES)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(WITNESS_TREES, ENVS)
+def test_the_witness_is_the_first_nonzero_distance_exactly(tree, env):
+    verdict = _trials(_evaluator(tree)[1], env, None, 1)[2]
+    fam = function_family(tree, env)
+    floats, sums = sieve(fam), walsh_sums(fam)
+    k = next((k for k in range(1, 16) if not floats[k].is_zero()), None)
+    assert verdict.invariant is (k is None)
+    if k is not None:
+        w = verdict.witness
+        assert w.index == k
+        # on ints every sum is a multiple of 16, so the exact quarter is an int
+        assert [4 * c for c in w.distance] == sums[k] and all(type(c) is int for c in w.distance)
+        # the float quarter is exact where the sum fits a float's 53 bits
+        assert all(c == f for c, f, s in zip(w.distance, floats[k], sums[k]) if abs(s) <= 2**53)
 
 
 FAMILIES = st.lists(st.lists(FRACTIONS, min_size=8, max_size=8).map(Octonion), min_size=16, max_size=16)

@@ -179,16 +179,14 @@ def test_is_invariant_accepts_trees_and_is_deterministic():
         is_invariant("a*b", trials=0)
 
 
+def walsh_sums(fam):
+    """4 g[k], exact on exact coefficients: the 256-term sum over the sign matrix."""
+    return [[sum(sign_entry(j, k) * f.coeffs[i] for j, f in enumerate(fam)) for i in range(8)] for k in range(16)]
+
+
 def loop_transform(fam):
-    """Reference transform: the 256-term loop over the sign matrix."""
-    out = []
-    for k in range(16):
-        acc = [0] * 8
-        for j in range(16):
-            for i in range(8):
-                acc[i] += sign_entry(j, k) * fam[j].coeffs[i]
-        out.append(Octonion(c / 4 for c in acc))
-    return tuple(out)
+    """Reference transform: the 256-term loop, each sum divided by 4 in floats."""
+    return tuple(Octonion(c / 4 for c in row) for row in walsh_sums(fam))
 
 
 def bits(fam):
@@ -317,16 +315,17 @@ def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
 
 
 def reference_verdict(tree, trials, seed):
-    """The former is_invariant: sieve(function_family(...)) on every trial,
-    each float literal read as the rational it is."""
+    """The former is_invariant, exact: the Walsh sums of function_family(...)
+    on every trial, each float literal read as the rational it is, and the
+    first nonzero distance as the exact quarter of its sum."""
     tree = exact_tree(tree)
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
         env = random_assignment(free_vars(tree), rng)
-        g = sieve(function_family(tree, env))
+        sums = walsh_sums(function_family(tree, env))
         for k in range(1, 16):
-            if not g[k].is_zero():
-                return False, trial, k, g[k], env
+            if any(sums[k]):
+                return False, trial, k, [Fraction(c, 4) for c in sums[k]], env
     return True, trials, None, None, None
 
 
@@ -354,8 +353,21 @@ def test_is_invariant_matches_the_per_trial_loop():
             assert verdict.witness is None
         else:
             w = verdict.witness
-            assert (w.index, typed(w.distance), w.assignment) == (index, typed(distance), env)
+            assert (w.index, rational(w.distance), w.assignment) == (index, rational(distance), env)
+            if exact_tree(tree) == tree:  # int literals: every sum is a multiple of 16
+                assert all(type(c) is int for c in w.distance)
     assert seen == {(True, True), (False, False), (False, True)}
+
+
+def test_a_witness_past_the_float_range_is_exact():
+    # 1e308*1e308 is an int of 616 digits, so a float quarter of these
+    # distances overflows; the verdict divides exactly
+    scale = int(1e308) ** 2
+    verdict, small = is_invariant("1e308*1e308*(a*b)", seed=0), is_invariant("a*b", seed=0)
+    assert (verdict.invariant, verdict.trials_run) == (False, 1)
+    w = verdict.witness
+    assert (w.index, w.assignment) == (small.witness.index, small.witness.assignment)
+    assert typed(w.distance) == typed(scale * small.witness.distance)
 
 
 @pytest.mark.parametrize("text", [f"{2**1100}*a", f"a*conj(a)*{2**1100} - b"], ids=["scaled", "norm"])
