@@ -20,8 +20,9 @@ i = j > 0; otherwise i and j lie on one triplet, and the sign is that
 triplet's reference orientation times its character in rule n:
 (-1) ** popcount(n & m_t) for the triplet's 4-bit mask m_t, which is -1
 if rule n flips the triplet and +1 if not.  :func:`multiply` is one
-unrolled kernel over these seven characters; the tables of
-:func:`mul_table` are built independently, from the oriented triplets.
+unrolled kernel over these seven characters; the table of rule n in
+:func:`mul_table` is built independently, from rule n's oriented
+triplets (:func:`triplet_set`).
 For two integer 8-tuples, :func:`_mul_all` computes the 64 pair products
 once and reads all 16 products off a rule-independent part and seven
 triplet parts.  The product is the same under every rule exactly when all
@@ -249,18 +250,13 @@ def triplet_set(n: int) -> tuple[TripletSet, str]:
 
 
 def _build_table(n: int) -> MulTable:
-    entries: list[list[TableEntry]] = [[(1, 0)] * 8 for _ in range(8)]
-    for k in range(8):
-        entries[0][k] = (1, k)
-        entries[k][0] = (1, k)
-    for k in range(1, 8):
-        entries[k][k] = (-1, 0)
-    flips = flip_vector(n)
-    for idx, (l, m, k) in enumerate(REFERENCE_TRIPLETS):
-        s = -1 if flips[idx] else 1
+    # 1 e_k = e_k 1 = e_k and i_k^2 = -1; the triplets overwrite every
+    # other (-1, 0), as each pair of distinct imaginary units lies on one
+    entries: list[list[TableEntry]] = [[(1, k) for k in range(8)]]
+    entries += [[(1, k)] + [(-1, 0)] * 7 for k in range(1, 8)]
+    for l, m, k in triplet_set(n)[0]:  # i_l i_m = i_k cyclically in rule n
         for x, y, z in ((l, m, k), (m, k, l), (k, l, m)):
-            entries[x][y] = (s, z)
-            entries[y][x] = (-s, z)
+            entries[x][y], entries[y][x] = (1, z), (-1, z)
     return tuple(tuple(row) for row in entries)
 
 

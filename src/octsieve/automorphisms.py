@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import TripletSet, _check_algebra_id, flip_vector, oriented_triplets, parity_word
+from .algebra import TripletSet, _check_algebra_id, flip_vector, parity_word, triplet_set
 
 __all__ = [
     "Automorphism",
@@ -35,9 +35,8 @@ __all__ = [
 
 _GENERATOR_NAMES = ((8, "T0"), (4, "T1"), (2, "T2"), (1, "T3"))
 
-# The sixteen reachable parity words, indexed by rule id.
-_ORBIT_WORDS = tuple(parity_word(n) for n in range(16))
-_WORD_TO_ID = {w: n for n, w in enumerate(_ORBIT_WORDS)}
+# The rule id of each of the sixteen reachable parity words.
+_WORD_TO_ID = {parity_word(n): n for n in range(16)}
 
 
 @dataclass(frozen=True, order=True)
@@ -72,8 +71,7 @@ class Automorphism:
         n = _WORD_TO_ID.get(word)
         if n is None:
             raise ValueError(f"parity word {word!r} is not one of the 16 orbit elements")
-        new_word = _ORBIT_WORDS[n ^ self.mask]
-        return oriented_triplets(new_word), new_word
+        return triplet_set(n ^ self.mask)
 
     def __repr__(self) -> str:
         return f"Automorphism({self.mask})  # {self.word}"
@@ -99,20 +97,14 @@ class OrbitEntry(NamedTuple):
 
 def orbit() -> list[OrbitEntry]:
     """The full orbit of the reference rule, in algebra-id order."""
-    return [OrbitEntry(n, Automorphism(n), _ORBIT_WORDS[n]) for n in range(16)]
+    return [OrbitEntry(n, Automorphism(n), parity_word(n)) for n in range(16)]
 
 
 def fano_lines() -> tuple[frozenset[Automorphism], ...]:
     """The 7 lines of the Fano plane over the non-identity elements of
     <T1, T2, T3>: unordered triples {a, b, a*b}, listed by ascending masks."""
-    lines = []
-    for a in range(1, 8):
-        for b in range(a + 1, 8):
-            c = a ^ b
-            if b < c:
-                lines.append(frozenset(Automorphism(m) for m in (a, b, c)))
-    lines.sort(key=lambda line: sorted(e.mask for e in line))
-    return tuple(lines)
+    return tuple(frozenset(map(Automorphism, (a, b, a ^ b)))
+                 for a in range(1, 8) for b in range(a + 1, 8) if b < a ^ b)
 
 
 def chirality(n: int) -> str:

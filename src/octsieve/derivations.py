@@ -24,13 +24,14 @@ D is stated once, regrouped by bilinearity,
 as the one-rule tuple kernel ``_regrouped`` (two kernel calls for p and
 c, then four per argument) and as the expression ``_D`` that the sieve's
 exact all-rules pass runs, computing each product of two inputs (uv, vu,
-and in the Leibniz residual ab, va, vb) once for all 16 rules.  On exact
-inputs both equal the literal formula; :func:`derive` on floats rounds as
-the regrouped one does.
+and in the Leibniz residual ab, va, vb) once for all 16 rules.  Both read
+every coefficient as the rational it is and equal the literal formula.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's
 values under the 16 rules come from the sieve's one exact all-rules route.
+Three distinct imaginary units u, v, a lie on one triplet exactly when
+u XOR v == a, the basis index of their product under every rule.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Callable, Sequence
 
-from .algebra import REFERENCE_TRIPLETS, Octonion, _mul, _signs, multiply, norm
+from .algebra import Octonion, _check_algebra_id, _mul, _signs, multiply, norm
 from .dsl import Expr, _program, parse
 from .sieve import AllRules, _all_rules, _evaluator, _exact, _per_rule, _random_ints
 
@@ -59,8 +60,6 @@ __all__ = [
     "CrossAlgebraVerdict",
     "expr_cross_algebra_equal",
 ]
-
-_LINES = tuple(frozenset(t) for t in REFERENCE_TRIPLETS)
 
 
 def commutator(a: Octonion, b: Octonion, n: int) -> Octonion:
@@ -86,17 +85,16 @@ def _regrouped(u: tuple, v: tuple, s: tuple) -> Callable[[tuple], tuple]:
 
 
 def derive(u: Octonion, v: Octonion, a: Octonion, n: int) -> Octonion:
-    """D(u, v; a) under rule n; linear in each argument."""
-    return Octonion(_regrouped(u.coeffs, v.coeffs, _signs(n))(a.coeffs))
+    """D(u, v; a) under rule n, every coefficient read as the rational it
+    is; linear in each argument."""
+    return Octonion(_regrouped(_exact(u.coeffs), _exact(v.coeffs), _signs(n))(_exact(a.coeffs)))
 
 
 def leibniz_check(u: Octonion, v: Octonion, a: Octonion, b: Octonion, n: int) -> float:
-    """Norm of D(ab) - D(a)b - a D(b); zero iff the Leibniz rule holds here."""
-    s = _signs(n)
-    a, b = a.coeffs, b.coeffs
-    d = _regrouped(u.coeffs, v.coeffs, s)
-    residual = map(sub, map(sub, d(_mul(a, b, s)), _mul(d(a), b, s)), _mul(a, d(b), s))
-    return norm(Octonion(tuple(residual)))
+    """Norm of D(ab) - D(a)b - a D(b) under rule n, every coefficient read
+    as the rational it is; zero iff the Leibniz rule holds here."""
+    residuals = _leibniz_all(*(_exact(x.coeffs) for x in (u, v, a, b)))
+    return norm(Octonion(residuals[_check_algebra_id(n)]))
 
 
 # The same D as an expression in u, v and {x}, for the all-rules pass.
@@ -113,7 +111,7 @@ def _derive_all(u: Octonion, v: Octonion, x: AllRules) -> Sequence[tuple]:
 
 def _leibniz_all(u: tuple, v: tuple, a: tuple, b: tuple) -> Sequence[tuple]:
     """The Leibniz residuals of all 16 rules, entry n under rule n, on
-    8-tuples of exact ints: one all-rules pass."""
+    8-tuples of ints or rationals: one all-rules pass."""
     return _per_rule(_all_rules(_LEIBNIZ, {"u": u, "v": v, "a": a, "b": b}))
 
 
@@ -136,7 +134,7 @@ def antiassoc_closed_form(u_idx: int, v_idx: int, a_idx: int, n: int) -> Antiass
             raise ValueError(f"basis indices must be in 1..7, got {idx}")
     if len({u_idx, v_idx, a_idx}) != 3:
         raise ValueError(f"indices must be pairwise distinct, got {(u_idx, v_idx, a_idx)}")
-    if frozenset((u_idx, v_idx, a_idx)) in _LINES:
+    if u_idx ^ v_idx == a_idx:
         raise ValueError(
             f"{(u_idx, v_idx, a_idx)} is an associative triplet; the closed form needs an antiassociative triple"
         )
@@ -276,10 +274,9 @@ def expr_cross_algebra_equal(
     names, values = _evaluator(tree)
     rng = random.Random(seed)
 
-    # imaginary indices of the quaternion span: u, v, and |uv|
+    # imaginary indices of the quaternion span: u, v, and uv = +-i_(u XOR v)
     uvs = [multiply(u, v, n) for n in range(16)]
-    w_idx = next(k for k, c in enumerate(uvs[0].coeffs) if c != 0)
-    span_idx = {0, u_idx, v_idx, w_idx}
+    span_idx = {0, u_idx, v_idx, u_idx ^ v_idx}
     outside = [k for k in range(8) if k not in span_idx]
     in_span = RegimeReport(True)
     out_of_span = RegimeReport(True)

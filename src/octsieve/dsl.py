@@ -20,7 +20,9 @@ rules.  'conj' is a reserved word.
 
 :func:`_program` compiles a tree to a flat list of steps without recursion,
 so :func:`free_vars` and the sieve's all-rules pass (behind every caller
-that evaluates under all 16 rules) take trees of any depth.  The parser,
+that evaluates under all 16 rules) take trees of any depth.  It compiles a
+node object once however often the tree reuses it, so a hand-built
+``t = Mul(t, t)`` repeated n times is n + 1 steps in linear time.  The parser,
 :func:`evaluate` (one rule at a time, in float arithmetic on floats; the
 sieve's ``function_family`` calls it) and :func:`to_text` stay recursive;
 for parsed input MAX_DEPTH covers them: expressions nest at most MAX_DEPTH
@@ -274,30 +276,37 @@ def _program(expr: Expr) -> tuple[list[tuple], list[str]]:
     its variable names in first-occurrence order.  A step is ``(Var, name,
     None)``, ``(Const, value, type(value))``, ``(Neg|Conj, i, i)`` or
     ``(Add|Sub|Mul, i, j)``, i and j being slots of earlier steps.  A step
-    is its own key: equal subtrees share one, while 1 and 1.0 stay apart."""
-    nodes, stack = [], [expr]
-    while stack:  # right operands first, so that reversed it is post-order
-        node = stack.pop()
-        nodes.append(node)
+    is its own key: equal subtrees share one, while 1 and 1.0 stay apart;
+    a node object that the tree reuses is compiled once."""
+    slots, names, done = {}, {}, {}  # step -> slot; id(node) -> its slot
+    stack = [expr]
+    while stack:  # a node stays on the stack until its operands are done
+        node = stack[-1]
         kind = type(node)
         if kind is Add or kind is Sub or kind is Mul:
-            stack += (node.left, node.right)
+            x, y = done.get(id(node.left)), done.get(id(node.right))
+            if x is None or y is None:
+                if y is None:
+                    stack.append(node.right)
+                if x is None:
+                    stack.append(node.left)  # on top: left operands first
+                continue
+            step = (kind, x, y)
         elif kind is Neg or kind is Conj:
-            stack.append(node.operand)
-    slots, names, operands = {}, {}, []  # step -> slot; the slots not yet used
-    for node in reversed(nodes):
-        kind = type(node)
-        if kind is Var:
+            x = done.get(id(node.operand))
+            if x is None:
+                stack.append(node.operand)
+                continue
+            step = (kind, x, x)
+        elif kind is Var:
             names.setdefault(node.name)
             step = (Var, node.name, None)
         elif kind is Const:
             step = (Const, node.value, type(node.value))
-        elif kind in (Neg, Conj, Add, Sub, Mul):  # its operands' slots are on top
-            y = operands.pop()
-            step = (kind, y if kind is Neg or kind is Conj else operands.pop(), y)
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        operands.append(slots.setdefault(step, len(slots)))
+        stack.pop()
+        done[id(node)] = slots.setdefault(step, len(slots))
     return list(slots), list(names)
 
 

@@ -275,6 +275,11 @@ def test_table_from_tensor():
     tensor[1][2] = [0, 0, 0, 1, 1, 0, 0, 0]
     with pytest.raises(ValueError):
         table_from_tensor(tensor)
+    with pytest.raises(ValueError, match="8x8x8"):
+        table_from_tensor(tensor[:7])  # 7x8x8
+    tensor[1][2] = [0, 0, 0, 1, 0, 0, 0]
+    with pytest.raises(ValueError, match="8x8x8"):
+        table_from_tensor(tensor)  # one entry of 7 components
 
 
 def test_octonion_validation_and_immutability():
@@ -291,6 +296,8 @@ def test_octonion_validation_and_immutability():
         a.coeffs = (0,) * 8
     with pytest.raises(TypeError):
         a * unit(2)  # octonion products need a rule
+    with pytest.raises(ValueError, match="basis index"):
+        unit(8)
 
 
 def test_octonion_vector_ops():
@@ -301,6 +308,8 @@ def test_octonion_vector_ops():
     assert -a == Octonion((-1, -2, 0, 0, 0, 0, 0, 1))
     assert 2 * a == a * 2 == Octonion((2, 4, 0, 0, 0, 0, 0, -2))
     assert a[1] == 2 and list(a)[7] == -1
+    # equal octonions hash alike, so they key one dict entry
+    assert hash(a) == hash(Octonion(list(a.coeffs))) and len({a: 1, Octonion(a): 2}) == 1
 
 
 @pytest.mark.parametrize("bound", [9, 2**62 + 5, 2**1030], ids=["small", "past-2^62", "past-2^1024"])

@@ -150,6 +150,26 @@ def test_bad_octonion_literal(capsys):
     assert "octonion literal" in err
 
 
+COMMANDS = pytest.mark.parametrize("command", [("sieve",), ("derive", "--u", "i1", "--v", "i2")],
+                                   ids=["sieve", "derive"])
+
+
+@COMMANDS
+@pytest.mark.parametrize("args, message", [
+    (("--expr", "a", "--assign", "a"), "--assign needs name=v0,...,v7 (got 'a')"),
+    (("--expr", "a*b", "--assign", "a=i1"), "unbound variables: b (add --assign)"),
+    (("--expr", "a", "--assign", "a=1,2,x,0,0,0,0,0"), "bad coefficient 'x' in '1,2,x,0,0,0,0,0'"),
+], ids=["no-equals", "unbound", "bad-coefficient"])
+def test_a_bad_assignment_is_a_domain_error_with_empty_stdout(capsys, command, args, message):
+    assert run(capsys, *command, *args) == (1, "", f"octsieve: error: {message}\n")
+
+
+@COMMANDS
+def test_the_shorthand_1_assigns_the_real_unit(capsys, command):
+    code, out, _ = run(capsys, *command, "--expr", "a", "--assign", "a=1", "--format", "json")
+    assert (code, json.loads(out)["assignment"]) == (0, {"a": [1, 0, 0, 0, 0, 0, 0, 0]})
+
+
 def test_derive_all_algebras(capsys):
     code, out, _ = run(
         capsys,
@@ -533,7 +553,7 @@ def test_an_evaluation_error_is_the_one_rule_evaluators(capsys):
     assert "verdict: invariant for this assignment" in out
 
 
-@pytest.mark.parametrize("command", [("sieve",), ("derive", "--u", "i1", "--v", "i2")], ids=["sieve", "derive"])
+@COMMANDS
 def test_a_float_literal_past_the_float_range_is_a_syntax_error(capsys, command):
     code, out, err = run(capsys, *command, "--expr", "a + 1e400*b", "--assign", "a=i1", "--assign", "b=i2")
     assert (code, out) == (1, "")
@@ -588,15 +608,15 @@ def test_derive_compiles_once_and_runs_one_pass(capsys, monkeypatch, algebra):
 
 
 @pytest.mark.parametrize("u, algebra, outcome", [("i1", 0, None), ("i1", 4, "-inf"), ("i1", None, "-inf"),
-                                                 ("0,1e300,0,0,0,0,0,0", None, "nan"),
+                                                 ("0,1e300,0,0,0,0,0,0", None, "-inf"),
                                                  ("0,1e300,0,0,0,0,0,0", 4, "-inf"), ("0,0.1,0,0,0,0,0,0", 0, None)])
 def test_derive_evaluates_then_derives_rule_by_rule(capsys, u, algebra, outcome):
     # rule 0 cancels two 1.5e308 terms that rules 4..7 add past the float
     # range, so in float arithmetic the rule-by-rule evaluate-then-derive
-    # loop meets an error (with the large u, derive's nan under rule 0
-    # before evaluate's -inf under rule 4).  The CLI reads every float as
-    # the rational it is, u too (1e300 is parsed as an int, 0.1 is not),
-    # and prints that loop's exact outputs.
+    # loop meets evaluate's -inf under rule 4 (derive reads its inputs as
+    # rationals, so the large u overflows nothing under rule 0).  The CLI
+    # reads every float as the rational it is, u too (1e300 is parsed as
+    # an int, 0.1 is not), and prints that loop's exact outputs.
     from octsieve.cli import _parse_octonion
     from octsieve.derivations import derive
     from octsieve.dsl import evaluate

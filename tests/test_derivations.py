@@ -145,10 +145,12 @@ def test_leibniz_shares_five_products_and_runs_twelve_kernels_per_rule(monkeypat
     counting(monkeypatch, counts, SIEVE, "_mul", "_mul_all")
     derivations._leibniz_all(u, v, a, b)
     assert counts == {"_mul_all": 5, "_mul": 16 * 12}
+    # leibniz_check reads entry 9 of that one pass: the sieve's kernels above,
+    # and no kernel call of its own (its own _mul would count under "_mul" too)
     counts.clear()
-    counting(monkeypatch, counts, derivations, "_mul")
-    leibniz_check(*map(Octonion, (u, v, a, b)), 9)
-    assert counts == {"_mul": 17}
+    counting(monkeypatch, counts, derivations, "_mul", "_leibniz_all")
+    assert leibniz_check(*map(Octonion, (u, v, a, b)), 9) == 0.0
+    assert counts == {"_leibniz_all": 1, "_mul_all": 5, "_mul": 16 * 12}
 
 
 def test_check_leibniz_fails_naming_the_rule_whose_uv_is_perturbed(monkeypatch):
@@ -169,29 +171,31 @@ def test_derive_matches_commutator_associator_formula():
     def formula(u, v, a, n):
         return commutator(commutator(u, v, n), a, n) - 3 * associator(u, v, a, n)
 
-    def regrouped(u, v, a, n):
-        uv, vu = multiply(u, v, n), multiply(v, u, n)
-        return multiply(-2 * uv - vu, a, n) - multiply(a, uv - vu, n) + 3 * multiply(u, multiply(v, a, n), n)
-
     rng = random.Random(15)
     for n in range(16):
         for _ in range(10):
             ints = (rand_oct(rng), rand_oct(rng), rand_oct(rng))
             floats = tuple(Octonion(c + rng.random() for c in x) for x in ints)
-            fractions = tuple(Octonion(map(Fraction, x)) for x in floats)
+            fractions = tuple(Octonion(map(Fraction, x)) for x in floats)  # the floats' exact readings
             for args in (ints, fractions):
                 assert derive(*args, n) == formula(*args, n)
-            # floats round as the regrouped formula does, bit for bit
-            assert repr(derive(*floats, n)) == repr(regrouped(*floats, n))
+            # floats are read as the rationals they are: the literal formula on
+            # their exact readings, with no float coefficient left
+            exact = derive(*floats, n)
+            assert exact == formula(*fractions, n)
+            assert not any(type(c) is float for c in exact)
 
 
-def test_float_overflow_raises_value_error():
+def test_floats_past_the_float_range_are_exact():
     big = Octonion((1e200,) * 8)
+    ints = (int(1e200),) * 8
     for n in range(16):
-        with pytest.raises(ValueError):
-            derive(big, big, big, n)
-        with pytest.raises(ValueError):
-            leibniz_check(big, big, big, big, n)
+        s = _signs(n)
+        # D(u, u; u) = 0 exactly, where float products of 1e200 overflowed
+        assert derive(big, big, big, n).coeffs == literal_derive(ints, ints, ints, s) == (0,) * 8
+        d = derive(big, unit(1), unit(2), n).coeffs
+        assert d == literal_derive(ints, unit(1).coeffs, unit(2).coeffs, s) and all(type(c) is int for c in d)
+        assert any(d) and leibniz_check(big, big, big, big, n) == 0.0
 
 
 def test_antiassoc_closed_form_report():

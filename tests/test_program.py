@@ -58,6 +58,61 @@ def test_free_vars_matches_the_recursive_walk():
         assert free_vars(tree) == recursive_free_vars(tree)
 
 
+def recursive_program(expr):
+    """_program as a recursive walk that compiles every occurrence: the oracle."""
+    slots, names = {}, {}
+
+    def walk(node):
+        kind = type(node)
+        if kind is Var:
+            names.setdefault(node.name)
+            step = (Var, node.name, None)
+        elif kind is Const:
+            step = (Const, node.value, type(node.value))
+        elif kind in (Add, Sub, Mul):
+            step = (kind, walk(node.left), walk(node.right))
+        else:
+            x = walk(node.operand)
+            step = (kind, x, x)
+        return slots.setdefault(step, len(slots))
+
+    walk(expr)
+    return list(slots), list(names)
+
+
+def random_dag(rng, size):
+    """A hand-built expression whose operands are drawn from the nodes built so far."""
+    nodes = [Var("a"), Var("b"), Const(2), Const(0.5)]
+    for _ in range(size):
+        kind = rng.choice((Add, Sub, Mul, Neg, Conj))
+        operands = [rng.choice(nodes[-6:]) for _ in range(1 if kind in (Neg, Conj) else 2)]
+        nodes.append(kind(*operands))
+    return nodes[-1]
+
+
+def test_program_is_the_recursive_compile_on_trees_and_shared_nodes():
+    rng = random.Random(41)
+    for tree in [_random_tree(rng, rng.randint(0, 6)) for _ in range(300)] + [random_dag(rng, 14) for _ in range(300)]:
+        assert _program(tree) == recursive_program(tree)
+
+
+def test_a_shared_node_is_compiled_once():
+    # walked as a tree, this chain would be 2^60 leaves
+    tree = chain(60, lambda t: Mul(t, t), Var("a"))
+    steps, names = _program(tree)
+    assert len(steps) == 61 and steps[-1] == (Mul, 59, 59)
+    assert names == free_vars(tree) == ["a"]
+
+
+@pytest.mark.parametrize("leaf, invariant", [(Var("a"), True), (Mul(Var("a"), Var("b")), False)], ids=["a", "a*b"])
+def test_shared_add_chains_are_decided(leaf, invariant):
+    verdict = is_invariant(chain(40, lambda t: Add(t, t), leaf), trials=2, seed=5)
+    assert verdict.invariant is invariant
+    if not invariant:  # 2^40 (a*b) on the same draws: 2^40 times the witness of a*b
+        w = is_invariant(leaf, trials=2, seed=5).witness
+        assert (verdict.witness.index, verdict.witness.distance) == (w.index, 2**40 * w.distance)
+
+
 def test_a_non_node_is_a_type_error():
     with pytest.raises(TypeError):
         _program(Add(Var("a"), "b"))

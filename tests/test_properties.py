@@ -44,6 +44,12 @@ def envs(coeffs):
     return st.fixed_dictionaries({name: st.lists(coeffs, min_size=8, max_size=8).map(Octonion) for name in "abc"})
 
 
+def with_a_product(trees):
+    """``trees`` or t*(a*b) + u of two of them: most random trees are the same
+    under every rule, t*(a*b) + u seldom is, so it reaches the per-rule values."""
+    return trees | st.builds(lambda t, u: Add(Mul(t, Mul(Var("a"), Var("b"))), u), trees, trees)
+
+
 INT_LEAVES = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
 TREES = trees(INT_LEAVES)
 COEFFS = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64))
@@ -54,7 +60,7 @@ FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
-@hypothesis.given(TREES, ENVS)
+@hypothesis.given(with_a_product(TREES), ENVS)
 def test_program_family_is_function_family_on_int_leaves(tree, env):
     value = _all_rules(_program(tree)[0], {name: x.coeffs for name, x in env.items()})
     fam = function_family(tree, env)
@@ -74,8 +80,7 @@ def test_program_family_is_function_family_read_exactly(tree, env):
 
 
 INT_TREES = TREES | st.builds(_random_tree, st.randoms(use_true_random=False), st.integers(1, 4))
-# most random trees are the same under every rule; t*(a*b) + u seldom is
-WITNESS_TREES = INT_TREES | st.builds(lambda t, u: Add(Mul(t, Mul(Var("a"), Var("b"))), u), INT_TREES, INT_TREES)
+WITNESS_TREES = with_a_product(INT_TREES)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
