@@ -100,10 +100,17 @@ class NotEquivalentAlgebraError(ValueError):
     """A multiplication table does not match any of the 16 rules."""
 
 
+def _check_int(value: int, what: str, low: int, high: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, in low..high (no upper bound if
+    ``high`` is None); anything else, 7.0 too, is a ``ValueError`` naming ``what``."""
+    if isinstance(value, int) and not isinstance(value, bool) and low <= value and (high is None or value <= high):
+        return value
+    bounds = f">= {low}" if high is None else f"in {low}..{high}"
+    raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
+
+
 def _check_algebra_id(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= 15:
-        raise ValueError(f"algebra id must be an integer in 0..15, got {n!r}")
-    return n
+    return _check_int(n, "algebra id", 0, 15)
 
 
 class Octonion:
@@ -144,9 +151,8 @@ class Octonion:
 
     @classmethod
     def unit(cls, k: int) -> "Octonion":
-        """Basis element e_k: the real unit for k=0, else i_k."""
-        if not 0 <= k <= 7:
-            raise ValueError(f"basis index must be in 0..7, got {k}")
+        """Basis element e_k, k an int in 0..7: the real unit for k=0, else i_k."""
+        _check_int(k, "basis index", 0, 7)
         return cls(tuple(1 if i == k else 0 for i in range(8)))
 
     @classmethod

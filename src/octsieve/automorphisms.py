@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algebra import TripletSet, _check_algebra_id, flip_vector, parity_word, triplet_set
+from .algebra import TripletSet, _check_algebra_id, _check_int, flip_vector, parity_word, triplet_set
 
 __all__ = [
     "Automorphism",
@@ -41,13 +41,12 @@ _WORD_TO_ID = {parity_word(n): n for n in range(16)}
 
 @dataclass(frozen=True, order=True)
 class Automorphism:
-    """An element of the parity group, identified by its 4-bit mask."""
+    """An element of the parity group, identified by its 4-bit mask (an int in 0..15)."""
 
     mask: int
 
     def __post_init__(self):
-        if not isinstance(self.mask, int) or not 0 <= self.mask <= 15:
-            raise ValueError(f"mask must be an integer in 0..15, got {self.mask!r}")
+        _check_int(self.mask, "mask", 0, 15)
 
     @property
     def flip_pattern(self) -> tuple[int, ...]:
@@ -66,11 +65,10 @@ class Automorphism:
         return Automorphism(self.mask ^ other.mask)
 
     def apply(self, t: tuple[TripletSet, str]) -> tuple[TripletSet, str]:
-        """Act on an orbit element given as (oriented triplets, parity word)."""
-        _, word = t
-        n = _WORD_TO_ID.get(word)
-        if n is None:
-            raise ValueError(f"parity word {word!r} is not one of the 16 orbit elements")
+        """Act on an orbit element: the pair (oriented triplets, parity word) of ``triplet_set(n)``."""
+        n = _WORD_TO_ID.get(t[1])
+        if n is None or t != triplet_set(n):
+            raise ValueError(f"{t!r} is not one of the 16 orbit elements")
         return triplet_set(n ^ self.mask)
 
     def __repr__(self) -> str:

@@ -24,10 +24,10 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .algebra import Octonion, mul_table, triplet_set
+from .algebra import Octonion, _check_algebra_id, _check_int, mul_table, triplet_set
 from .automorphisms import chirality, orbit
 from .derivations import _derive_all
-from .dsl import ExprSyntaxError, UnboundVariableError, parse, to_text
+from .dsl import ExprSyntaxError, UnboundVariableError, _number, parse, to_text
 from .sieve import _butterfly, _evaluator, _per_rule, _quarter, _trials, random_assignment
 from .verification import run_checks
 
@@ -38,15 +38,11 @@ class CliError(Exception):
     """Domain-level failure; printed to stderr, exit code 1."""
 
 
-_INT_LITERAL = re.compile(r"\s*[+-]?(\d+)\s*")
-
-
 def _parse_octonion(text: str) -> Octonion:
     """Either a basis shorthand like 'i3' (or '1') or 8 comma-separated reals.
 
-    Integer literals stay exact Python ints up to Python's int/str digit
-    limit (longer ones are a domain error); other literals are read as
-    floats, and an integral float becomes an int.
+    Each real is read as the expression parser reads a literal
+    (``dsl._number``), and an integral float becomes an int.
     """
     t = text.strip()
     if t == "1":
@@ -59,19 +55,10 @@ def _parse_octonion(text: str) -> Octonion:
     coeffs = []
     for p in parts:
         try:
-            coeffs.append(int(p))
+            value = _number(p)
         except ValueError:
-            literal = _INT_LITERAL.fullmatch(p)
-            if literal:  # a well-formed integer that int() refused: too many digits
-                raise CliError(
-                    f"integer literal of {len(literal[1])} digits exceeds Python's "
-                    f"limit of {sys.get_int_max_str_digits()} digits for int/str conversion"
-                ) from None
-            try:
-                value = float(p)
-            except ValueError:
-                raise CliError(f"bad coefficient {p!r} in {text!r}") from None
-            coeffs.append(int(value) if value.is_integer() else value)
+            raise CliError(f"bad coefficient {p!r} in {text!r}") from None
+        coeffs.append(int(value) if type(value) is float and value.is_integer() else value)
     return Octonion(coeffs)
 
 
@@ -137,17 +124,20 @@ def _expr_and_env(args, trials: int = 1) -> tuple:
         raise CliError(f"expression syntax error: {exc}") from None
     if args.assign and args.random_assign:
         raise CliError("--assign and --random-assign are mutually exclusive")
-    if args.random_assign and trials < 1:  # before anything is compiled
-        raise CliError("trials must be >= 1")
+    if args.random_assign:  # before anything is compiled
+        _check_int(trials, "trials", 1)
     names, values = _evaluator(tree)
     rng = random.Random(args.seed) if args.random_assign else None
     if args.assign:
         env = {}
         for pair in args.assign:
             name, eq, value = pair.partition("=")
-            if not eq or not name.strip():
+            name = name.strip()
+            if not eq or not name:
                 raise CliError(f"--assign needs name=v0,...,v7 (got {pair!r})")
-            env[name.strip()] = _parse_octonion(value)
+            if name in env:
+                raise CliError(f"--assign binds {name} more than once")
+            env[name] = _parse_octonion(value)
         missing = [n for n in names if n not in env]
         if missing:
             raise CliError(f"unbound variables: {', '.join(missing)} (add --assign)")
@@ -255,12 +245,9 @@ def text_verify(payload: dict, args):
 
 def _algebra_arg(value: str) -> int:
     try:
-        n = int(value)
+        return _check_algebra_id(int(value))
     except ValueError:
         raise argparse.ArgumentTypeError("algebra id must be an integer in 0..15") from None
-    if not 0 <= n <= 15:
-        raise argparse.ArgumentTypeError("algebra id must be in 0..15")
-    return n
 
 
 def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:

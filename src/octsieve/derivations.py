@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Callable, Sequence
 
-from .algebra import Octonion, _check_algebra_id, _mul, _signs, multiply, norm
+from .algebra import Octonion, _check_algebra_id, _check_int, _mul, _signs, multiply, norm
 from .dsl import Expr, _program, parse
 from .sieve import AllRules, _all_rules, _evaluator, _exact, _per_rule, _random_ints
 
@@ -125,13 +125,12 @@ class AntiassocReport:
 def antiassoc_closed_form(u_idx: int, v_idx: int, a_idx: int, n: int) -> AntiassocReport:
     """Both sides of the antiassociative collapse D = -2 (uv) a.
 
-    The indices must be pairwise distinct imaginary units that do not form
-    an associative triplet (the collapse needs pairwise anticommutation
-    with the product of the other two).
+    The indices must be pairwise distinct imaginary units, ints in 1..7,
+    that do not form an associative triplet (the collapse needs pairwise
+    anticommutation with the product of the other two).
     """
     for idx in (u_idx, v_idx, a_idx):
-        if not 1 <= idx <= 7:
-            raise ValueError(f"basis indices must be in 1..7, got {idx}")
+        _check_int(idx, "basis index", 1, 7)
     if len({u_idx, v_idx, a_idx}) != 3:
         raise ValueError(f"indices must be pairwise distinct, got {(u_idx, v_idx, a_idx)}")
     if u_idx ^ v_idx == a_idx:
@@ -193,18 +192,17 @@ def derivation_span_rank(
 ) -> int:
     """Dimension of the real span of the derivations D(i_u, i_v; .).
 
-    Each pair contributes its 7x7 matrix flattened to a vector; with
-    ``restrict_to`` only the rows and columns on those imaginary indices
-    are kept (for probing a quaternion subalgebra).
+    Each pair of imaginary indices (ints in 1..7) contributes its 7x7
+    matrix flattened to a vector; with ``restrict_to`` only the rows and
+    columns on those indices are kept (for probing a quaternion subalgebra).
     """
     keep = tuple(range(1, 8)) if restrict_to is None else tuple(restrict_to)
     for idx in keep:
-        if not 1 <= idx <= 7:
-            raise ValueError(f"restriction indices must be in 1..7, got {idx}")
+        _check_int(idx, "restriction index", 1, 7)
     rows = []
     for u_idx, v_idx in pairs:
-        if not 1 <= u_idx <= 7 or not 1 <= v_idx <= 7:
-            raise ValueError(f"generator pair indices must be in 1..7, got {(u_idx, v_idx)}")
+        _check_int(u_idx, "generator pair index", 1, 7)
+        _check_int(v_idx, "generator pair index", 1, 7)
         matrix = derivation_matrix(u_idx, v_idx, n)
         rows.append([matrix[i - 1][j - 1] for i in keep for j in keep])
     return integer_rank(rows)
@@ -261,10 +259,9 @@ def expr_cross_algebra_equal(
       expressions then disagree somewhere.
 
     Each regime reports whether all rules matched rule 0 in all trials,
-    with the first refuting trial as witness.
+    with the first refuting trial as witness.  ``trials`` is an int >= 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_int(trials, "trials", 1)
     u_idx = _basis_index(u, "u")
     v_idx = _basis_index(v, "v")
     if u_idx == v_idx:

@@ -11,10 +11,11 @@ grouping verbatim; since octonion multiplication is nonassociative,
 "a*b*c" and "a*(b*c)" are different expressions.  Parenthesize whenever
 the grouping matters.
 
-Literals are real scalars only: digits alone make an exact int of any
-size, up to Python's int/str digit limit, and a fraction or an exponent
-makes a float, which must not exceed the largest float (the sieve reads it
-as the rational it is).  Basis elements enter through variable assignments,
+Literals are real scalars only, read by :func:`_number` (as are the CLI's
+coefficients): digits alone make an exact int of any size, up to Python's
+int/str digit limit, and a fraction or an exponent makes a float, which
+must not read as inf, nor as 0 unless it is zero (the sieve reads it as
+the rational it is).  Basis elements enter through variable assignments,
 so the same expression can be evaluated under any of the 16 multiplication
 rules.  'conj' is a reserved word.
 
@@ -31,6 +32,7 @@ levels deep, in the tree and in parentheses, or are an ExprSyntaxError.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -199,7 +201,10 @@ class _Parser:
     def parse_factor(self) -> tuple[Expr, int]:
         kind, text, offset = self.next()
         if kind == "num":
-            return Const(_number(text, offset)), 1
+            try:
+                return Const(_number(text)), 1
+            except OverflowError as exc:
+                raise ExprSyntaxError(str(exc), offset) from None
         if kind == "ident" and text != "conj":
             return Var(text), 1
         if kind == "end" or (kind == "op" and text not in "-("):
@@ -220,20 +225,26 @@ class _Parser:
         return node, height
 
 
-def _number(text: str, offset: int) -> int | float:
-    """A literal of digits only is an exact int at any size; one with a
-    fraction or an exponent is a float, which must be finite."""
-    if text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int/str conversion allows
-            raise ExprSyntaxError(
-                f"integer literal of {len(text)} digits exceeds Python's limit of "
-                f"{sys.get_int_max_str_digits()} digits for int/str conversion", offset
-            ) from None
+def _number(text: str) -> int | float:
+    """An exact int when ``int()`` reads ``text``, else ``float()``'s finite
+    reading; text that neither reads, and NaN, raise ``ValueError``.  An
+    ``OverflowError`` rejects an int past Python's int/str digit limit and a
+    float literal read as inf, or as 0 though a digit before its exponent is
+    nonzero: either would stand for another number, and change a verdict."""
+    try:
+        return int(text)
+    except ValueError:
+        digits, limit = text.strip().lstrip("+-"), sys.get_int_max_str_digits()
+        if digits.isdecimal() and 0 < limit < len(digits):
+            raise OverflowError(f"integer literal of {len(digits)} digits exceeds Python's limit of "
+                                f"{limit} digits for int/str conversion") from None
     value = float(text)
-    if value > sys.float_info.max:  # inf, whose text would reparse as a variable
-        raise ExprSyntaxError(f"float literal exceeds the largest float, {sys.float_info.max:.4g}", offset)
+    if math.isnan(value):
+        raise ValueError(f"not a number: {text!r}")
+    if math.isinf(value):
+        raise OverflowError(f"float literal exceeds the largest float, {sys.float_info.max:.4g}")
+    if value == 0 and any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0]):
+        raise OverflowError(f"nonzero float literal is below the smallest float, {math.ulp(0.0):.4g}")
     return value
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from operator import add, index, neg, sub
 from typing import Callable, Mapping, Sequence, Union
 
-from .algebra import _SIGNS, Octonion, _character, _mul, _mul_all
+from .algebra import _SIGNS, Octonion, _character, _check_int, _mul, _mul_all
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
 
 __all__ = [
@@ -72,10 +72,8 @@ DistanceFamily = tuple[Octonion, ...]
 
 
 def sign_entry(j: int, k: int) -> int:
-    """Sign matrix entry: -1 to the popcount of the bitwise AND."""
-    if not 0 <= j <= 15 or not 0 <= k <= 15:
-        raise ValueError(f"sign matrix indices must be in 0..15, got ({j}, {k})")
-    return _character(j, k)
+    """Sign matrix entry, j and k ints in 0..15: -1 to the popcount of j & k."""
+    return _character(_check_int(j, "sign matrix index", 0, 15), _check_int(k, "sign matrix index", 0, 15))
 
 
 _MATRIX: tuple[tuple[int, ...], ...] = tuple(
@@ -309,14 +307,13 @@ def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng
 def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerdict:
     """Randomized refuter for algebraic invariance.
 
-    Runs ``trials`` integer-coefficient random assignments; for each one
-    the distances g[k], k > 0, are tested for exact zero.  The first
-    nonzero distance refutes invariance and is returned, exact, as the
-    witness.  A verdict of invariant means no counterexample was found in
-    the given trials, not a proof over all assignments.
+    Runs ``trials`` (an int >= 1) integer-coefficient random assignments;
+    for each one the distances g[k], k > 0, are tested for exact zero.  The
+    first nonzero distance refutes invariance and is returned, exact, as
+    the witness.  A verdict of invariant means no counterexample was found
+    in the given trials, not a proof over all assignments.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_int(trials, "trials", 1)
     tree = parse(expr) if isinstance(expr, str) else expr
     names, values = _evaluator(tree)
     rng = random.Random(seed)

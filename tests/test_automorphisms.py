@@ -75,6 +75,8 @@ def test_apply_is_involutive():
 def test_apply_rejects_foreign_parity_word():
     with pytest.raises(ValueError):
         T1.apply((triplet_set(0)[0], "+++++-+"))
+    with pytest.raises(ValueError):  # a known word with triplets that are not its rule's
+        T1.apply(((), "+++++++"))
 
 
 def test_orbit_entries():

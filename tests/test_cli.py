@@ -159,7 +159,10 @@ COMMANDS = pytest.mark.parametrize("command", [("sieve",), ("derive", "--u", "i1
     (("--expr", "a", "--assign", "a"), "--assign needs name=v0,...,v7 (got 'a')"),
     (("--expr", "a*b", "--assign", "a=i1"), "unbound variables: b (add --assign)"),
     (("--expr", "a", "--assign", "a=1,2,x,0,0,0,0,0"), "bad coefficient 'x' in '1,2,x,0,0,0,0,0'"),
-], ids=["no-equals", "unbound", "bad-coefficient"])
+    (("--expr", "a", "--assign", "a=i1", "--assign", " a=i2"), "--assign binds a more than once"),
+    (("--expr", "a*b", "--assign", "a=1e-400,1e-400,0,0,0,0,0,0", "--assign", "b=i3"),
+     "nonzero float literal is below the smallest float, 4.941e-324"),
+], ids=["no-equals", "unbound", "bad-coefficient", "repeated", "underflow"])
 def test_a_bad_assignment_is_a_domain_error_with_empty_stdout(capsys, command, args, message):
     assert run(capsys, *command, *args) == (1, "", f"octsieve: error: {message}\n")
 
@@ -215,13 +218,14 @@ def test_derive_quaternionic_verdict(capsys):
                                   ("derive", "--u", "i1", "--v", "i2", "--expr", "a", "--assign", "a=i4")],
                          ids=["tables", "triplets", "derive"])
 def test_a_non_integer_algebra_is_a_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--algebra", "x"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith(": error: argument --algebra: algebra id must be an integer in 0..15\n")
-    assert "_algebra_arg" not in captured.err
+    for value in ("x", "1.5", "True", "16", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--algebra", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(": error: argument --algebra: algebra id must be an integer in 0..15\n")
+        assert "_algebra_arg" not in captured.err
 
 
 def test_usage_errors_exit_2():
@@ -389,9 +393,10 @@ def test_random_assign_rejects_zero_trials_before_evaluating(capsys, monkeypatch
     # neither the compiled program nor the one-rule reference runs
     monkeypatch.setattr(SIEVE, "_all_rules", fail)
     monkeypatch.setattr(SIEVE, "function_family", fail)
-    code, out, err = run(capsys, "sieve", "--expr", expr, "--random-assign", "--trials", "0")
-    assert (code, out) == (1, "")
-    assert err == "octsieve: error: trials must be >= 1\n"
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "sieve", "--expr", expr, "--random-assign", "--trials", trials)
+        assert (code, out) == (1, "")
+        assert err == f"octsieve: error: trials must be an integer >= 1, got {trials}\n"
 
 
 @pytest.mark.parametrize("expr", ["a*b", "a*b + b*a"])
@@ -402,7 +407,14 @@ def test_random_assign_rejects_zero_trials_before_the_all_rules_pass(capsys, mon
     monkeypatch.setattr(cli, "_evaluator", fail)
     code, out, err = run(capsys, "sieve", "--expr", expr, "--random-assign", "--trials", "0")
     assert (code, out) == (1, "")
-    assert err == "octsieve: error: trials must be >= 1\n"
+    assert err == "octsieve: error: trials must be an integer >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("trials", ["1.5", "True"])
+def test_a_non_integer_trial_count_is_a_usage_error(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["sieve", "--expr", "a*b", "--random-assign", "--trials", trials])
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
 
 
 def test_assign_ignores_trials(capsys):
@@ -555,10 +567,11 @@ def test_an_evaluation_error_is_the_one_rule_evaluators(capsys):
 
 @COMMANDS
 def test_a_float_literal_past_the_float_range_is_a_syntax_error(capsys, command):
-    code, out, err = run(capsys, *command, "--expr", "a + 1e400*b", "--assign", "a=i1", "--assign", "b=i2")
-    assert (code, out) == (1, "")
-    assert err == ("octsieve: error: expression syntax error: float literal exceeds the largest float, "
-                   f"{sys.float_info.max:.4g} (at offset 4)\n")
+    for literal, message in (("1e400", f"float literal exceeds the largest float, {sys.float_info.max:.4g}"),
+                             ("1e-400", "nonzero float literal is below the smallest float, 4.941e-324")):
+        code, out, err = run(capsys, *command, "--expr", f"a + {literal}*b", "--assign", "a=i1", "--assign", "b=i2")
+        assert (code, out) == (1, "")
+        assert err == f"octsieve: error: expression syntax error: {message} (at offset 4)\n"
 
 
 def spy(monkeypatch, module, name):

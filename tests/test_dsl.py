@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from octsieve.dsl import (
     parse,
     to_text,
 )
+from octsieve.sieve import _evaluator, is_invariant
 
 
 def unit(k):
@@ -77,7 +79,20 @@ def test_a_float_literal_past_the_float_range_is_a_syntax_error(literal):
         parse(f"a + {literal}*b")
     assert err.value.offset == 4
     assert str(err.value) == f"float literal exceeds the largest float, {sys.float_info.max:.4g} (at offset 4)"
-    assert parse("1e-400*a") == Mul(Const(0.0), Var("a"))  # underflow is a finite float
+    # read as float, 1e-400 is 0.0: a nonzero literal read as 0 flips a verdict
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("a + 1e-400*b")
+    assert str(err.value) == "nonzero float literal is below the smallest float, 4.941e-324 (at offset 4)"
+    with pytest.raises(ExprSyntaxError):
+        is_invariant("1e-400*(a*b)")  # was invariant: 0*(a*b) is the same under every rule
+
+
+@pytest.mark.parametrize("literal", ["0e-400", "0.0", "00.000e-999", "1e-320", "5e-324"])
+def test_a_zero_or_subnormal_float_literal_is_read_as_its_float(literal):
+    value = float(literal)
+    assert parse(f"{literal}*a") == Mul(Const(value), Var("a"))
+    _, values = _evaluator(parse(f"{literal}*a"))
+    assert values({"a": Octonion.one()}) == (Fraction(value), 0, 0, 0, 0, 0, 0, 0)
 
 
 DEEP = {
