@@ -6,23 +6,23 @@ triplets (the lines of the Fano plane): for an oriented triplet (l, m, n)
 the units satisfy i_l i_m = i_n cyclically, together with i_k^2 = -1 and
 anticommutativity of distinct imaginary units.
 
-Flipping the orientation of triplets in a structured way produces sixteen
-pairwise distinct but equivalent algebras O[0]..O[15].  The flips are
-generated by four involutions T0..T3 acting on the triplet parities; an
-algebra id n encodes which generators are applied to the reference rule
-O[0] (bit weights: T0=8, T1=4, T2=2, T3=1).  Ids 0..7 are the left-handed
-rules, 8..15 the right-handed ones.
+The sixteen rules O[0]..O[15] are one algebra written in sixteen bases.
+Each unit e_i has a key kappa_i in Z2^4 (``_KEYS``), and rule n is the
+reference rule O[0] in the basis phi_n: e_i -> chi(kappa_i, n) e_i, where
+chi(k, n) = (-1) ** popcount(k & n) are the characters of Z2^4.  So a
+triplet t = {a, b, c} has the 4-bit mask m_t = kappa_a ^ kappa_b ^ kappa_c,
+and rule n flips its orientation exactly when chi(m_t, n) = -1.  The bits
+of n are four generators T0=8, T1=4, T2=2, T3=1 acting on the triplet
+parities; ids 0..7 are the left-handed rules, 8..15 the right-handed ones.
 
 The basis index of a product is the same in every rule: e_i e_j =
-+-e_{i XOR j}, because each triplet (l, m, n) satisfies l XOR m = n.  Only
-the sign depends on the rule.  It is +1 when i or j is 0 and -1 when
-i = j > 0; otherwise i and j lie on one triplet, and the sign is that
-triplet's reference orientation times its character in rule n:
-(-1) ** popcount(n & m_t) for the triplet's 4-bit mask m_t, which is -1
-if rule n flips the triplet and +1 if not.  :func:`multiply` is one
-unrolled kernel over these seven characters; the table of rule n in
-:func:`mul_table` is built independently, from rule n's oriented
-triplets (:func:`triplet_set`).
++-e_{i XOR j}, because each triplet (l, m, n) satisfies l XOR m = n.  The
+sign is +1 when i or j is 0, -1 when i = j > 0, and otherwise the
+reference orientation of the triplet t holding i and j times chi(m_t, n).
+:func:`multiply` is one unrolled kernel over these seven characters; the
+table of rule n in :func:`mul_table` is built independently, from rule
+n's oriented triplets (:func:`triplet_set`), and :func:`identify_algebra`
+reads a table's rule off its seven reference products.
 For two integer 8-tuples, :func:`_mul_all` computes the 64 pair products
 once and reads all 16 products off a rule-independent part and seven
 triplet parts.  The product is the same under every rule exactly when all
@@ -79,10 +79,16 @@ REFERENCE_TRIPLETS: tuple[tuple[int, int, int], ...] = (
     (3, 4, 7),
 )
 
-# The seven triplet masks: bit b of m_t is set when generator b flips
-# reference triplet t (bit weights T0=8, T1=4, T2=2, T3=1, as in an
-# algebra id).  Rule n flips triplet t when popcount(n & m_t) is odd.
-_TRIPLET_MASKS: tuple[int, ...] = (4, 6, 5, 7, 10, 9, 11)
+# The one statement of Z2^4: kappa_i is the key of unit e_i, and rule n is
+# rule 0 in the basis phi_n: e_i -> (-1) ** popcount(n & kappa_i) e_i.
+# e1, e2 and e4 generate the algebra; with their keys fixed at 0, the
+# triplet masks below determine the other four.
+_KEYS: tuple[int, ...] = (0, 0, 0, 4, 0, 10, 9, 15)
+
+# The seven triplet masks m_t = kappa_a ^ kappa_b ^ kappa_c, in the bit
+# weights of an algebra id (T0=8, T1=4, T2=2, T3=1): rule n flips reference
+# triplet t when popcount(n & m_t) is odd.
+_TRIPLET_MASKS: tuple[int, ...] = tuple(_KEYS[a] ^ _KEYS[b] ^ _KEYS[c] for a, b, c in REFERENCE_TRIPLETS)
 
 
 def _character(j: int, k: int) -> int:
@@ -255,7 +261,9 @@ def triplet_set(n: int) -> tuple[TripletSet, str]:
     return oriented_triplets(word), word
 
 
-def _build_table(n: int) -> MulTable:
+def mul_table(n: int) -> MulTable:
+    """The 8x8 signed basis table of rule n: table[i][j] = (sign, k) with
+    e_i e_j = sign * e_k."""
     # 1 e_k = e_k 1 = e_k and i_k^2 = -1; the triplets overwrite every
     # other (-1, 0), as each pair of distinct imaginary units lies on one
     entries: list[list[TableEntry]] = [[(1, k) for k in range(8)]]
@@ -264,15 +272,6 @@ def _build_table(n: int) -> MulTable:
         for x, y, z in ((l, m, k), (m, k, l), (k, l, m)):
             entries[x][y], entries[y][x] = (1, z), (-1, z)
     return tuple(tuple(row) for row in entries)
-
-
-_TABLES: tuple[MulTable, ...] = tuple(_build_table(n) for n in range(16))
-
-
-def mul_table(n: int) -> MulTable:
-    """The 8x8 signed basis table of rule n: table[i][j] = (sign, k) with
-    e_i e_j = sign * e_k."""
-    return _TABLES[_check_algebra_id(n)]
 
 
 # The seven triplet characters of each rule: -1 where rule n flips the
@@ -413,11 +412,14 @@ def _check_table_shape(table) -> MulTable:
 def identify_algebra(table) -> int:
     """The unique rule id whose table equals ``table``.
 
-    Raises NotEquivalentAlgebraError when the table is none of the 16.
+    The signs of the seven reference products e_a e_b = +-e_c give a parity
+    word, which names at most one rule n, and the whole table must then be
+    rule n's.  Raises NotEquivalentAlgebraError when it is none of the 16.
     """
     rows = _check_table_shape(table)
+    word = "".join("+" if rows[a][b][0] == 1 else "-" for a, b, _ in REFERENCE_TRIPLETS)
     for n in range(16):
-        if rows == _TABLES[n]:
+        if parity_word(n) == word and rows == mul_table(n):
             return n
     raise NotEquivalentAlgebraError("table does not match any of the 16 equivalent rules")
 

@@ -35,9 +35,6 @@ __all__ = [
 
 _GENERATOR_NAMES = ((8, "T0"), (4, "T1"), (2, "T2"), (1, "T3"))
 
-# The rule id of each of the sixteen reachable parity words.
-_WORD_TO_ID = {parity_word(n): n for n in range(16)}
-
 
 @dataclass(frozen=True, order=True)
 class Automorphism:
@@ -66,8 +63,8 @@ class Automorphism:
 
     def apply(self, t: tuple[TripletSet, str]) -> tuple[TripletSet, str]:
         """Act on an orbit element: the pair (oriented triplets, parity word) of ``triplet_set(n)``."""
-        n = _WORD_TO_ID.get(t[1])
-        if n is None or t != triplet_set(n):
+        n = next((n for n in range(16) if triplet_set(n) == t), None)
+        if n is None:
             raise ValueError(f"{t!r} is not one of the 16 orbit elements")
         return triplet_set(n ^ self.mask)
 

@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebra import Octonion, conjugate, multiply
+from .algebra import Octonion, _check_algebra_id, conjugate, multiply
 
 __all__ = [
     "Expr",
@@ -262,12 +262,14 @@ def parse(text: str) -> Expr:
 
 def evaluate(expr: Expr, env: Mapping[str, Octonion], n: int) -> Octonion:
     """Evaluate under rule n; every Mul node multiplies with that rule."""
-    if isinstance(expr, Var):
+    if isinstance(expr, Var):  # n is checked at the leaves: every walk reaches one
+        _check_algebra_id(n)
         try:
             return env[expr.name]
         except KeyError:
             raise UnboundVariableError(expr.name) from None
     if isinstance(expr, Const):
+        _check_algebra_id(n)
         return Octonion.real(expr.value)
     if isinstance(expr, Add):
         return evaluate(expr.left, env, n) + evaluate(expr.right, env, n)

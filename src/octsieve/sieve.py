@@ -76,14 +76,9 @@ def sign_entry(j: int, k: int) -> int:
     return _character(_check_int(j, "sign matrix index", 0, 15), _check_int(k, "sign matrix index", 0, 15))
 
 
-_MATRIX: tuple[tuple[int, ...], ...] = tuple(
-    tuple(_character(j, k) for k in range(16)) for j in range(16)
-)
-
-
 def sign_matrix() -> tuple[tuple[int, ...], ...]:
     """The full 16x16 sign matrix, rows indexed by j, columns by k."""
-    return _MATRIX
+    return tuple(tuple(_character(j, k) for k in range(16)) for j in range(16))
 
 
 def function_family(expr: Expr, env: Mapping[str, Octonion]) -> FunctionFamily:

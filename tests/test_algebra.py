@@ -2,12 +2,15 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from octsieve.algebra import (
+    _KEYS,
     _SIGNS,
+    _character,
     _mul,
     _mul_all,
     GENERATOR_FLIPS,
@@ -60,6 +63,18 @@ def rational(coeffs):
     result is depends on the terms summed: a shortcut that skips a term
     Fraction(0) * 1 keeps an int where the kernel's full sum is a Fraction."""
     return [(type(c) is float, c) for c in coeffs]
+
+
+def phi(n, coeffs):
+    """The basis change phi_n of rule 0 into rule n: coefficient i times the
+    character of unit i's key at n.  It is its own inverse."""
+    return tuple(_character(key, n) * c for key, c in zip(_KEYS, coeffs))
+
+
+def flipped(table, signs):
+    """``table`` in the basis e_i -> signs[i] e_i."""
+    return tuple(tuple((s * signs[i] * signs[j] * signs[k], k) for j, (s, k) in enumerate(row))
+                 for i, row in enumerate(table))
 
 
 def rand_oct(rng, bound=9):
@@ -153,6 +168,26 @@ def test_mul_table_invariants_all_rules():
                 assert 0 <= k <= 7
                 if l != m:
                     assert table[m][l] == (-s, k)
+
+
+def test_every_rule_is_rule_0_conjugated_by_phi_n():
+    # (s, k) at [i][j] in rule 0 is (s * chi(kappa_i ^ kappa_j ^ kappa_k, n), k) in rule n
+    base = mul_table(0)
+    for n in range(16):
+        table = mul_table(n)
+        for i in range(8):
+            for j in range(8):
+                s, k = base[i][j]
+                assert table[i][j] == (s * _character(_KEYS[i] ^ _KEYS[j] ^ _KEYS[k], n), k)
+
+
+def test_the_128_sign_flips_of_the_imaginary_units_give_the_16_rules_8_each():
+    base = mul_table(0)
+    counts = Counter()
+    for bits in range(128):
+        signs = (1,) + tuple(-1 if bits >> i & 1 else 1 for i in range(7))
+        counts[identify_algebra(flipped(base, signs))] += 1
+    assert counts == dict.fromkeys(range(16), 8)
 
 
 def test_triplets_associate_within_each_rule():
@@ -250,6 +285,11 @@ def test_identify_algebra_rejects_non_fano_table():
     mutated[2][1] = (-1, 4)
     with pytest.raises(NotEquivalentAlgebraError):
         identify_algebra(tuple(tuple(row) for row in mutated))
+    # the seven read products e_a e_b are rule 0's, only the mirror e2 e1 is not
+    mirror = [list(row) for row in mul_table(0)]
+    mirror[2][1] = (1, 3)
+    with pytest.raises(NotEquivalentAlgebraError):
+        identify_algebra(mirror)
 
 
 def test_identify_algebra_rejects_malformed_shapes():

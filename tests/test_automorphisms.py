@@ -77,6 +77,9 @@ def test_apply_rejects_foreign_parity_word():
         T1.apply((triplet_set(0)[0], "+++++-+"))
     with pytest.raises(ValueError):  # a known word with triplets that are not its rule's
         T1.apply(((), "+++++++"))
+    for foreign in (([], ["x"]), 5):  # not a pair of triplets and a word at all
+        with pytest.raises(ValueError, match="not one of the 16 orbit elements"):
+            T1.apply(foreign)
 
 
 def test_orbit_entries():

@@ -11,6 +11,7 @@ import octsieve
 from octsieve.algebra import Octonion, mul_table
 from octsieve.automorphisms import Automorphism
 from octsieve.derivations import antiassoc_closed_form, derivation_span_rank, expr_cross_algebra_equal
+from octsieve.dsl import evaluate, parse
 from octsieve.sieve import is_invariant, sign_entry
 
 # (call with the value under test, what the message names, low, high or None)
@@ -29,6 +30,10 @@ SITES = {
     "span-pair-v": (lambda x: derivation_span_rank([(1, x)], 0), "generator pair index", 1, 7),
     "span-restrict": (lambda x: derivation_span_rank([(1, 2)], 0, restrict_to=[x]), "restriction index", 1, 7),
     "algebra-id": (mul_table, "algebra id", 0, 15),
+    # no Mul node: the id is checked at the leaves
+    "evaluate-var": (lambda x: evaluate(parse("a+b"), {"a": Octonion.unit(1), "b": Octonion.unit(2)}, x),
+                     "algebra id", 0, 15),
+    "evaluate-const": (lambda x: evaluate(parse("-3"), {}, x), "algebra id", 0, 15),
 }
 
 

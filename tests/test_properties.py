@@ -1,6 +1,7 @@
 """Property tests (Hypothesis): the compiled all-rules pass against the
 one-rule reference on random trees, on ints and read exactly from
-rationals and floats; the sieve on rational families; the shared product
+rationals and floats, and each of its rules as rule 0 in a sign-flipped
+basis; the sieve on rational families; the shared product
 against the kernel; both encodings of the derivation D against its literal
 formula; and the parser's one error type on arbitrary text and its round
 trip through to_text."""
@@ -12,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from test_algebra import rational, typed  # noqa: E402
+from test_algebra import phi, rational, typed  # noqa: E402
 from test_derivations import literal_derive  # noqa: E402
 from test_dsl import _random_tree  # noqa: E402
 from test_sieve import exact_env, exact_tree, walsh_sums  # noqa: E402
@@ -67,6 +68,17 @@ def test_program_family_is_function_family_on_int_leaves(tree, env):
     assert [typed(v) for v in _per_rule(value)] == [typed(f.coeffs) for f in fam]
     # one tuple exactly when the value is the same under every rule
     assert (type(value) is tuple) is all(f == fam[0] for f in fam)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(with_a_product(TREES), ENVS)
+def test_each_rule_is_rule_0_in_the_basis_phi_n(tree, env):
+    # f_n(x) = phi_n f_0(phi_n x): rule n is rule 0 in the basis phi_n
+    steps = _program(tree)[0]
+    family = _per_rule(_all_rules(steps, {name: x.coeffs for name, x in env.items()}))
+    for n in range(16):
+        flipped = {name: phi(n, x.coeffs) for name, x in env.items()}
+        assert family[n] == phi(n, _per_rule(_all_rules(steps, flipped))[0])
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
