@@ -399,9 +399,11 @@ def _check_table_shape(table) -> MulTable:
         raise ValueError("multiplication table must be 8x8")
     for row in rows:
         for entry in row:
+            # ints, not bools, as _check_int reads them: 1.0 == 1 and True == 1
             if (
                 not isinstance(entry, tuple)
                 or len(entry) != 2
+                or any(isinstance(x, bool) or not isinstance(x, int) for x in entry)
                 or entry[0] not in (1, -1)
                 or entry[1] not in range(8)
             ):

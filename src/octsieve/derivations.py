@@ -26,6 +26,11 @@ c, then four per argument) and as the expression ``_D`` that the sieve's
 exact all-rules pass runs, computing each product of two inputs (uv, vu,
 and in the Leibniz residual ab, va, vb) once for all 16 rules.  Both read
 every coefficient as the rational it is and equal the literal formula.
+The ``verify`` command proves the Leibniz rule with ``_regrouped`` under
+rule 0 on the 4096 basis quadruples, where the residual, linear in each
+argument, is fixed, and carries it to all 16 rules by the basis change
+of :mod:`octsieve.algebra`; ``leibniz_check`` and ``_leibniz_all`` run
+the all-rules pass on any input.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's

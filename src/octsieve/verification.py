@@ -5,6 +5,17 @@ criterion asserts equality, never closeness.  A check returns
 ``(passed, detail)``; :func:`run_checks` names and times it from its
 ``ALL_CHECKS`` entry.  ``quick`` trims trial counts for a fast smoke run;
 the full counts are the contract.
+
+Two identities are proved, not sampled, so ``quick`` runs the same
+proofs.  The kernel ``_mul`` is bilinear code, each output a sum of
++-s_t a_i b_j.  So the Leibniz residual D(ab) - D(a)b - aD(b) is linear
+in each of u, v, a and b, and vanishes under rule 0 iff it vanishes on
+the 8^4 basis quadruples; |ab|^2 - |a|^2 |b|^2 is a quadratic form in a
+and in b, fixed by its values at e_i and e_i + e_j, so 36 x 36 pairs
+decide it under rule 0.  Rule n is rule 0 in the basis phi_n: e_i ->
+chi(kappa_i, n) e_i, which :func:`_phi_failure` checks on the kernel
+itself (64 basis pairs per rule, both sides bilinear); phi_n is a sign
+flip per unit, so it carries each identity to all 16 rules.
 """
 
 from __future__ import annotations
@@ -12,11 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
+from operator import add, mul
 from time import perf_counter
 from typing import Callable
 
 from . import algebra, derivations
-from .algebra import Octonion
+from .algebra import _KEYS, _SIGNS, Octonion, _character, _mul
 from .sieve import _random_ints, is_invariant, sieve, sign_entry, unsieve
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks"]
@@ -69,6 +81,26 @@ def _rand_octonion(rng: random.Random, bound: int = 9) -> Octonion:
     return Octonion(_random_ints(rng, bound))
 
 
+_BASIS = tuple(Octonion.unit(k).coeffs for k in range(8))
+_PHI_DETAIL = "checked on 64 basis pairs x 16 rules"
+
+
+def _phi_failure() -> str | None:
+    """None if the kernel under every rule n is rule 0 in the basis phi_n:
+    e_i -> chi(kappa_i, n) e_i, i.e. _mul(phi_n x, phi_n y, s_n) ==
+    phi_n _mul(x, y, s_0).  Both sides are bilinear, so the 64 basis pairs
+    per rule prove it for all x and y, and phi_n (a sign flip per unit, its
+    own inverse, norm-preserving) carries an identity proved under rule 0
+    to rule n."""
+    for n, s in enumerate(_SIGNS):
+        chi = tuple(_character(key, n) for key in _KEYS)
+        phi = [tuple(map(mul, chi, x)) for x in _BASIS]
+        for i, j in product(range(8), repeat=2):
+            if _mul(phi[i], phi[j], s) != tuple(map(mul, chi, _mul(_BASIS[i], _BASIS[j], _SIGNS[0]))):
+                return f"rule {n} is not rule 0 in the basis phi_{n}: e{i} e{j} differs"
+    return None
+
+
 def check_table_fidelity(quick: bool = False) -> Outcome:
     triplets, word = algebra.triplet_set(0)
     if triplets != _REFERENCE_TRIPLETS or word != "+++++++":
@@ -85,15 +117,19 @@ def check_table_fidelity(quick: bool = False) -> Outcome:
 
 
 def check_norm_multiplicativity(quick: bool = False) -> Outcome:
-    trials = 100 if quick else 1000
-    rng = random.Random(20)
-    for t in range(trials):
-        a, b = _rand_octonion(rng), _rand_octonion(rng)
-        na, nb = algebra.norm_sq(a), algebra.norm_sq(b)
-        for n in range(16):
-            if algebra.norm_sq(algebra.multiply(a, b, n)) != na * nb:
-                return False, f"trial {t}, rule {n}: |ab|^2 != |a|^2 |b|^2"
-    return True, f"|ab|^2 == |a|^2 |b|^2 exactly, {trials} pairs x 16 rules"
+    # Q(a, b) = |ab|^2 - |a|^2 |b|^2 is a quadratic form in a and in b, and a
+    # quadratic form is fixed by its values at e_i and e_i + e_j (i < j)
+    if (failure := _phi_failure()) is not None:
+        return False, failure
+    vectors = [Octonion.unit(k) for k in range(8)]
+    vectors += [x + y for i, x in enumerate(vectors) for y in vectors[i + 1:]]
+    for a, b in product(vectors, repeat=2):
+        if algebra.norm_sq(algebra.multiply(a, b, 0)) != algebra.norm_sq(a) * algebra.norm_sq(b):
+            return False, f"rule 0, pair {list(a.coeffs)}, {list(b.coeffs)}: |ab|^2 != |a|^2 |b|^2"
+    return True, (
+        f"|ab|^2 == |a|^2 |b|^2 proved: exact on all {len(vectors) ** 2} pairs of e_i, e_i + e_j "
+        f"under rule 0, carried to all 16 rules by phi_n ({_PHI_DETAIL})"
+    )
 
 
 def check_hadamard_involution(quick: bool = False) -> Outcome:
@@ -154,15 +190,30 @@ def check_xor_equivariance(quick: bool = False) -> Outcome:
     return True, f"all 16 masks on {trials} families: g'[k] == b[m][k] g[k]"
 
 
+def _leibniz_counterexample(s: tuple[int, ...]) -> tuple[int, int, int, int] | None:
+    """The first basis quadruple (u, v, a, b) on which D(ab) - D(a)b - aD(b)
+    is nonzero under the kernel with characters ``s``, D = D(e_u, e_v; .);
+    None if there is none.  The residual is linear in each of u, v, a and b,
+    so None proves it is 0 everywhere under those characters."""
+    products = [[_mul(x, y, s) for y in _BASIS] for x in _BASIS]
+    for u, v in product(range(8), repeat=2):
+        d = derivations._regrouped(_BASIS[u], _BASIS[v], s)
+        ds = [d(x) for x in _BASIS]
+        for a, b in product(range(8), repeat=2):
+            if d(products[a][b]) != tuple(map(add, _mul(ds[a], _BASIS[b], s), _mul(_BASIS[a], ds[b], s))):
+                return u, v, a, b
+    return None
+
+
 def check_leibniz(quick: bool = False) -> Outcome:
-    trials = 100 if quick else 1000
-    rng = random.Random(24)
-    for t in range(trials):
-        u, v, a, b = (_random_ints(rng, 5) for _ in range(4))
-        for n, residual in enumerate(derivations._leibniz_all(u, v, a, b)):
-            if any(residual):
-                return False, f"trial {t}, rule {n}: nonzero residual"
-    return True, f"residual exactly 0 on {trials} quadruples x 16 rules"
+    if (failure := _phi_failure()) is not None:
+        return False, failure
+    if (quadruple := _leibniz_counterexample(_SIGNS[0])) is not None:
+        return False, "rule 0, basis quadruple (e%d, e%d, e%d, e%d): nonzero residual" % quadruple
+    return True, (
+        "D(ab) == D(a)b + aD(b) proved: residual exactly 0 on all 4096 basis quadruples "
+        f"under rule 0, carried to all 16 rules by phi_n ({_PHI_DETAIL})"
+    )
 
 
 def check_antiassoc_closed_form(quick: bool = False) -> Outcome:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -299,6 +300,14 @@ def test_identify_algebra_rejects_malformed_shapes():
     bad_entry[1][2] = (2, 3)
     with pytest.raises(ValueError):
         identify_algebra(bad_entry)
+    # rule 5's table with float entries, True for each +1 sign, or True for
+    # index 1: each compares equal to the int entry, but is not one
+    rule5 = mul_table(5)
+    for bad in ([[(float(s), float(k)) for s, k in row] for row in rule5],
+                [[(True if s == 1 else s, k) for s, k in row] for row in rule5],
+                [[(s, True if k == 1 else k) for s, k in row] for row in rule5]):
+        with pytest.raises(ValueError, match=re.escape("table entries must be (sign, index 0..7)")):
+            identify_algebra(bad)
 
 
 def test_table_from_tensor():

@@ -1,0 +1,106 @@
+"""verify's proofs of the Leibniz and norm identities: the samples they
+replaced, kept as independent cross-checks, and mutations of the kernel
+that the proofs must catch."""
+
+import inspect
+import random
+import re
+import sys
+from itertools import product
+
+import pytest
+
+from octsieve import algebra, derivations, verification
+from octsieve.algebra import _SIGNS, Octonion, multiply, norm_sq
+from octsieve.sieve import _per_rule, _random_ints
+
+SIEVE = sys.modules["octsieve.sieve"]  # the package's ``sieve`` is the function
+
+
+def sampled_leibniz(trials=1000):
+    """(trial, rule) of the first nonzero Leibniz residual over ``trials``
+    seeded quadruples x 16 rules through the all-rules pass, or None."""
+    rng = random.Random(24)
+    for t in range(trials):
+        u, v, a, b = (_random_ints(rng, 5) for _ in range(4))
+        for n, residual in enumerate(derivations._leibniz_all(u, v, a, b)):
+            if any(residual):
+                return t, n
+    return None
+
+
+def test_sampled_leibniz_agrees_with_the_proof():
+    assert sampled_leibniz() is None
+
+
+def test_sampled_norm_multiplicativity_agrees_with_the_proof():
+    rng = random.Random(20)
+    for _ in range(1000):
+        a, b = (Octonion(_random_ints(rng, 9)) for _ in range(2))
+        for n in range(16):
+            assert norm_sq(multiply(a, b, n)) == norm_sq(a) * norm_sq(b)
+
+
+def test_sampled_leibniz_fails_naming_the_rule_whose_uv_is_perturbed(monkeypatch):
+    mul_all, calls = SIEVE._mul_all, []
+
+    def perturbed(x, y):
+        calls.append((x, y))
+        products = list(_per_rule(mul_all(x, y)))
+        if len(calls) % 5 == 1:  # the first shared product of a quadruple is uv
+            products[9] = (products[9][0] + 1,) + products[9][1:]
+        return products
+
+    monkeypatch.setattr(SIEVE, "_mul_all", perturbed)
+    assert sampled_leibniz() == (0, 9)
+
+
+def test_proofs_pass_and_say_what_they_were_proved_on():
+    passed, detail = verification.check_leibniz()
+    assert passed and detail.startswith("D(ab) == D(a)b + aD(b) proved") and "4096 basis quadruples" in detail
+    passed, detail = verification.check_norm_multiplicativity()
+    assert passed and detail.startswith("|ab|^2 == |a|^2 |b|^2 proved") and "1296 pairs" in detail
+    # no trials: quick runs the same proofs
+    assert verification.check_leibniz(quick=True) == verification.check_leibniz()
+    assert verification.check_norm_multiplicativity(quick=True) == verification.check_norm_multiplicativity()
+
+
+def mutate_kernel(monkeypatch, old, new):
+    """Patch ``_mul`` with the term ``old`` rewritten as ``new`` into every
+    module the two proofs read it from."""
+    source = inspect.getsource(algebra._mul)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), namespace)
+    for module in (algebra, derivations, verification):
+        monkeypatch.setattr(module, "_mul", namespace["_mul"])
+
+
+@pytest.mark.parametrize("old, new", [("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1")])
+def test_a_sign_flipped_in_one_rule_0_term_fails_both_proofs(monkeypatch, old, new):
+    mutate_kernel(monkeypatch, old, new)
+    # the flipped kernel is still rule 0 in each basis phi_n, so the rule-0
+    # proofs, not the isomorphism, catch it
+    assert verification._phi_failure() is None
+    passed, detail = verification.check_leibniz()
+    assert not passed and re.fullmatch(r"rule 0, basis quadruple \(e\d, e\d, e\d, e\d\): nonzero residual", detail)
+    passed, detail = verification.check_norm_multiplicativity()
+    assert not passed and re.fullmatch(r"rule 0, pair \[.*\], \[.*\]: \|ab\|\^2 != \|a\|\^2 \|b\|\^2", detail)
+
+
+def test_a_dropped_character_fails_both_proofs_at_the_isomorphism(monkeypatch):
+    mutate_kernel(monkeypatch, "+ s6*a7*b3", "+ a7*b3")
+    # under rule 0 every character is +1, so the rule-0 parts still hold
+    assert verification._leibniz_counterexample(_SIGNS[0]) is None
+    for check in (verification.check_leibniz, verification.check_norm_multiplicativity):
+        passed, detail = check()
+        assert not passed and re.fullmatch(r"rule (\d+) is not rule 0 in the basis phi_\1: e\d e\d differs", detail)
+
+
+def test_the_16_rules_are_exactly_the_orientations_whose_inner_maps_are_derivations():
+    # the paper's derivation-algebra description as a fact: over all 128
+    # orientations of the seven reference triplets, D(u, v; .) is a
+    # derivation (the Leibniz residual vanishes on every basis quadruple,
+    # hence everywhere) for exactly the 16 rules' characters
+    derivations_of = {s for s in product((1, -1), repeat=7) if verification._leibniz_counterexample(s) is None}
+    assert derivations_of == set(_SIGNS)
