@@ -377,8 +377,14 @@ def norm_sq(a: Octonion) -> float:
 
 
 def norm(a: Octonion) -> float:
-    """Euclidean length of the coefficient 8-tuple (the multiplicative norm)."""
-    return math.sqrt(norm_sq(a))
+    """Euclidean length of the coefficient 8-tuple (the multiplicative norm).
+    An int or rational square past the float range has its integer root
+    taken first, so a root that fits a float is returned, within one ulp."""
+    ns = norm_sq(a)
+    try:
+        return math.sqrt(ns)
+    except OverflowError:
+        return float(math.isqrt(int(ns)))
 
 
 def inverse(a: Octonion, n: int) -> Octonion:

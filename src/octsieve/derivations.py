@@ -17,20 +17,21 @@ antiassociative basis triples the whole formula collapses to -2 (u v) a,
 whose sign tracks the two triplet orientations involved and therefore
 varies across rules.
 
-D is stated once, regrouped by bilinearity,
+D has two forms, each regrouped by bilinearity as
 
     D(u, v; x) = p x - x c + 3 u (v x),   c = uv - vu,  p = -2 uv - vu,
 
-as the one-rule tuple kernel ``_regrouped`` (two kernel calls for p and
-c, then four per argument) and as the expression ``_D`` that the sieve's
-exact all-rules pass runs, computing each product of two inputs (uv, vu,
-and in the Leibniz residual ab, va, vb) once for all 16 rules.  Both read
-every coefficient as the rational it is and equal the literal formula.
-The ``verify`` command proves the Leibniz rule with ``_regrouped`` under
-rule 0 on the 4096 basis quadruples, where the residual, linear in each
-argument, is fixed, and carries it to all 16 rules by the basis change
-of :mod:`octsieve.algebra`; ``leibniz_check`` and ``_leibniz_all`` run
-the all-rules pass on any input.
+each reading every coefficient as the rational it is, and each kept
+because it measured faster where it is used.  The per-rule tuple kernel
+``_regrouped`` (two kernel calls for p and c, then four per argument)
+serves ``derive``, ``derivation_matrix`` and ``leibniz_check``, which
+computes only its own rule's residual with it.  The all-rules expression
+``_DERIVE`` runs on the sieve's exact pass, which computes uv and vu once
+for all 16 rules, for ``cross_algebra_equal``, ``expr_cross_algebra_equal``
+and CLI ``derive``.  The ``verify`` command proves the Leibniz rule with
+``_regrouped`` under rule 0 on the 4096 basis quadruples, where the
+residual, linear in each argument, is fixed, and carries it to all 16
+rules by the basis change of :mod:`octsieve.algebra`.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Callable, Sequence
 
-from .algebra import Octonion, _check_algebra_id, _check_int, _mul, _signs, multiply, norm
+from .algebra import Octonion, _check_int, _mul, _signs, multiply, norm
 from .dsl import Expr, _program, parse
 from .sieve import AllRules, _all_rules, _evaluator, _exact, _per_rule, _random_ints
 
@@ -98,26 +99,21 @@ def derive(u: Octonion, v: Octonion, a: Octonion, n: int) -> Octonion:
 def leibniz_check(u: Octonion, v: Octonion, a: Octonion, b: Octonion, n: int) -> float:
     """Norm of D(ab) - D(a)b - a D(b) under rule n, every coefficient read
     as the rational it is; zero iff the Leibniz rule holds here."""
-    residuals = _leibniz_all(*(_exact(x.coeffs) for x in (u, v, a, b)))
-    return norm(Octonion(residuals[_check_algebra_id(n)]))
+    s = _signs(n)
+    d = _regrouped(_exact(u.coeffs), _exact(v.coeffs), s)
+    a, b = _exact(a.coeffs), _exact(b.coeffs)
+    d_ab, d_a_b, a_d_b = d(_mul(a, b, s)), _mul(d(a), b, s), _mul(a, d(b), s)
+    return norm(Octonion([x - y - z for x, y, z in zip(d_ab, d_a_b, a_d_b)]))
 
 
-# The same D as an expression in u, v and {x}, for the all-rules pass.
-_D = "(-2*(u*v) - v*u)*{x} - {x}*(u*v - v*u) + (3*u)*(v*{x})"
-_DERIVE = _program(parse(_D.format(x="x")))[0]
-_LEIBNIZ = _program(parse(f"({_D.format(x='(a*b)')}) - ({_D.format(x='a')})*b - a*({_D.format(x='b')})"))[0]
+# The same D as an expression in u, v and x, for the all-rules pass.
+_DERIVE = _program(parse("(-2*(u*v) - v*u)*x - x*(u*v - v*u) + (3*u)*(v*x)"))[0]
 
 
 def _derive_all(u: Octonion, v: Octonion, x: AllRules) -> Sequence[tuple]:
     """D(u, v; x) under all 16 rules, entry n under rule n, given x's
     all-rules value; u and v are read as the rationals they are."""
     return _per_rule(_all_rules(_DERIVE, {"u": _exact(u.coeffs), "v": _exact(v.coeffs), "x": x}))
-
-
-def _leibniz_all(u: tuple, v: tuple, a: tuple, b: tuple) -> Sequence[tuple]:
-    """The Leibniz residuals of all 16 rules, entry n under rule n, on
-    8-tuples of ints or rationals: one all-rules pass."""
-    return _per_rule(_all_rules(_LEIBNIZ, {"u": u, "v": v, "a": a, "b": b}))
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,8 @@ def _rational(x):
     it is integral, as int arithmetic is many times faster, else a ``Fraction``.
     An infinite or NaN float raises ``ValueError``, as an ``Octonion``
     coefficient does."""
+    if type(x) is int:
+        return x
     from fractions import Fraction  # not at package import: it pulls in decimal
 
     try:
@@ -243,9 +245,11 @@ def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
     """Compile ``tree`` once: its variable names, and a function from an
     assignment (each name bound to one octonion, or to 16, entry n for rule
     n) to its exact values under all 16 rules, float literals and
-    coefficients read as the rationals they are."""
+    coefficients read as the rationals they are.  A constant is read as an
+    ``Octonion`` coefficient is, so a value that is not one raises as there."""
     steps, names = _program(tree)
-    steps = [(op, _rational(x), kind) if op is Const and kind is float else (op, x, kind) for op, x, kind in steps]
+    steps = [(op, _rational(Octonion.real(x).real_part), kind) if op is Const else (op, x, kind)
+             for op, x, kind in steps]
 
     def values(env: Mapping[str, Octonion | Sequence[Octonion]]) -> AllRules:
         return _all_rules(steps, {name: _exact(x.coeffs) if isinstance(x, Octonion)

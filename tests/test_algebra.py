@@ -247,6 +247,17 @@ def test_norm_values():
         assert norm(multiply(a, b, n)) == 2
 
 
+def test_norm_of_an_exact_square_past_the_float_range():
+    # |a|^2 overflows a float, |a| does not
+    assert norm(Octonion((10**200,) + (0,) * 7)) == 1e200
+    assert norm(Octonion((3 * 10**200, 4 * 10**200) + (0,) * 6)) == 5e200
+    root = Fraction(10**200, 3)
+    got = norm(Octonion((root,) + (0,) * 7))
+    assert type(got) is float and abs(Fraction(got) - root) <= Fraction(math.ulp(got))
+    with pytest.raises(OverflowError):
+        norm(Octonion((10**400,) + (0,) * 7))
+
+
 def test_inverse():
     assert inverse(unit(1), 0) == -unit(1)
     assert typed(inverse(Octonion.real(2), 7)) == typed((Fraction(1, 2),) + (Fraction(0),) * 7)

@@ -12,7 +12,7 @@ from test_dsl import _random_tree
 from test_sieve import exact_tree, read_exactly
 
 from octsieve import derivations
-from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, _mul, _mul_all, _signs, multiply
+from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, _mul, _mul_all, _signs, multiply, norm
 from octsieve.derivations import (
     CrossAlgebraVerdict,
     RegimeReport,
@@ -121,9 +121,10 @@ def test_all_rules_residuals_match_the_per_rule_oracle(bound):
         # v = u collapses uv and vu to one tuple, a real v collapses every
         # product with v, and a = b collapses ab
         for case in ((u, v, a, b), (u, u, a, b), (u, real, a, b), (u, v, a, a)):
-            expected = [per_rule_residual(*case, n) for n in range(16)]
-            assert list(derivations._leibniz_all(*case)) == expected
-            assert expected == [(0,) * 8] * 16
+            for n in range(16):
+                expected = per_rule_residual(*case, n)
+                assert leibniz_check(*map(Octonion, case), n) == norm(Octonion(expected))
+                assert expected == (0,) * 8
     assert type(_mul_all(u, u)) is tuple
     assert type(_mul_all(real, a)) is tuple
     assert type(_mul_all(a, a)) is tuple
@@ -137,20 +138,16 @@ def counting(monkeypatch, counts, module, *names):
         monkeypatch.setattr(module, name, counted)
 
 
-def test_leibniz_shares_five_products_and_runs_twelve_kernels_per_rule(monkeypatch):
-    # all 16 rules run as one pass of the sieve's engine, whose kernels count here
+def test_leibniz_check_runs_seventeen_kernels_under_its_own_rule(monkeypatch):
+    # rule n alone: 2 kernel calls for p and c, 4 for each of D(ab), D(a)
+    # and D(b), and 3 for ab, D(a)b and aD(b); no all-rules pass
     rng = random.Random(32)
     u, v, a, b = (rand_ints(rng, 5) for _ in range(4))
     counts = Counter()
-    counting(monkeypatch, counts, SIEVE, "_mul", "_mul_all")
-    derivations._leibniz_all(u, v, a, b)
-    assert counts == {"_mul_all": 5, "_mul": 16 * 12}
-    # leibniz_check reads entry 9 of that one pass: the sieve's kernels above,
-    # and no kernel call of its own (its own _mul would count under "_mul" too)
-    counts.clear()
-    counting(monkeypatch, counts, derivations, "_mul", "_leibniz_all")
+    counting(monkeypatch, counts, derivations, "_mul", "_all_rules")
+    counting(monkeypatch, counts, SIEVE, "_mul", "_mul_all", "_all_rules")
     assert leibniz_check(*map(Octonion, (u, v, a, b)), 9) == 0.0
-    assert counts == {"_leibniz_all": 1, "_mul_all": 5, "_mul": 16 * 12}
+    assert counts == {"_mul": 17}
 
 
 def test_derive_matches_commutator_associator_formula():

@@ -1,8 +1,9 @@
-"""Indices and counts from outside the package: one rule, one message."""
+"""Indices, counts and constants from outside the package: one rule, one message."""
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import octsieve
 from octsieve.algebra import Octonion, mul_table
 from octsieve.automorphisms import Automorphism
 from octsieve.derivations import antiassoc_closed_form, derivation_span_rank, expr_cross_algebra_equal
-from octsieve.dsl import evaluate, parse
+from octsieve.dsl import Const, Mul, Var, evaluate, parse
 from octsieve.sieve import is_invariant, sign_entry
 
 # (call with the value under test, what the message names, low, high or None)
@@ -47,6 +48,31 @@ def test_a_non_int_or_out_of_range_index_or_count_is_a_value_error(site, value):
     with pytest.raises(ValueError) as err:
         call(value)
     assert str(err.value) == f"{what} must be an integer {bounds}, got {value!r}"
+
+
+# a constant in a hand-built tree, read as an Octonion coefficient is
+CONSTANT_SITES = {
+    "is_invariant": lambda c: is_invariant(Mul(Const(c), parse("a*b")), trials=4),
+    "cross_algebra": lambda c: expr_cross_algebra_equal(Octonion.unit(1), Octonion.unit(2), Mul(Const(c), Var("a")),
+                                                        trials=2),
+}
+
+
+@pytest.mark.parametrize("site", CONSTANT_SITES)
+@pytest.mark.parametrize("value", ["x", 1j, True, None])
+def test_a_constant_that_is_not_a_real_number_is_a_type_error(site, value):
+    with pytest.raises(TypeError) as err:
+        CONSTANT_SITES[site](value)
+    assert str(err.value) == f"coefficients must be real numbers, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), 2, 0.5])
+def test_a_real_constant_is_read_as_the_rational_it_is(value):
+    plain = is_invariant("a*b", trials=4)
+    verdict = CONSTANT_SITES["is_invariant"](value)
+    assert not verdict.invariant and verdict.witness.distance == value * plain.witness.distance
+    verdict = CONSTANT_SITES["cross_algebra"](value)
+    assert verdict.in_span.equal and not verdict.out_of_span.equal
 
 
 def test_importing_the_package_and_cli_loads_neither_fractions_nor_decimal():

@@ -1,30 +1,29 @@
 """verify's proofs of the Leibniz and norm identities: the samples they
-replaced, kept as independent cross-checks, and mutations of the kernel
-that the proofs must catch."""
+replaced, kept as independent cross-checks, mutations of the kernel that
+the proofs must catch, and the identities that single out the 16 rules
+among the 128 orientations."""
 
 import inspect
 import random
 import re
-import sys
 from itertools import product
+from operator import add
 
 import pytest
 
 from octsieve import algebra, derivations, verification
-from octsieve.algebra import _SIGNS, Octonion, multiply, norm_sq
-from octsieve.sieve import _per_rule, _random_ints
-
-SIEVE = sys.modules["octsieve.sieve"]  # the package's ``sieve`` is the function
+from octsieve.algebra import _SIGNS, Octonion, _mul, multiply, norm_sq
+from octsieve.sieve import _random_ints
 
 
 def sampled_leibniz(trials=1000):
     """(trial, rule) of the first nonzero Leibniz residual over ``trials``
-    seeded quadruples x 16 rules through the all-rules pass, or None."""
+    seeded quadruples x 16 rules through ``leibniz_check``, or None."""
     rng = random.Random(24)
     for t in range(trials):
-        u, v, a, b = (_random_ints(rng, 5) for _ in range(4))
-        for n, residual in enumerate(derivations._leibniz_all(u, v, a, b)):
-            if any(residual):
+        u, v, a, b = (Octonion(_random_ints(rng, 5)) for _ in range(4))
+        for n in range(16):
+            if derivations.leibniz_check(u, v, a, b, n) != 0.0:
                 return t, n
     return None
 
@@ -42,16 +41,17 @@ def test_sampled_norm_multiplicativity_agrees_with_the_proof():
 
 
 def test_sampled_leibniz_fails_naming_the_rule_whose_uv_is_perturbed(monkeypatch):
-    mul_all, calls = SIEVE._mul_all, []
+    mul, calls = derivations._mul, []
 
-    def perturbed(x, y):
-        calls.append((x, y))
-        products = list(_per_rule(mul_all(x, y)))
-        if len(calls) % 5 == 1:  # the first shared product of a quadruple is uv
-            products[9] = (products[9][0] + 1,) + products[9][1:]
-        return products
+    def perturbed(x, y, s):
+        product = mul(x, y, s)
+        if s == _SIGNS[9]:
+            calls.append((x, y))
+            if len(calls) % 17 == 1:  # the first of a check's 17 kernel calls is uv
+                product = (product[0] + 1,) + product[1:]
+        return product
 
-    monkeypatch.setattr(SIEVE, "_mul_all", perturbed)
+    monkeypatch.setattr(derivations, "_mul", perturbed)
     assert sampled_leibniz() == (0, 9)
 
 
@@ -104,3 +104,22 @@ def test_the_16_rules_are_exactly_the_orientations_whose_inner_maps_are_derivati
     # hence everywhere) for exactly the 16 rules' characters
     derivations_of = {s for s in product((1, -1), repeat=7) if verification._leibniz_counterexample(s) is None}
     assert derivations_of == set(_SIGNS)
+
+
+def left_alternative(s):
+    """Whether (aa)b == a(ab) holds under the kernel with characters ``s``:
+    its polarization (ac + ca)b == a(cb) + c(ab) is trilinear, so the 512
+    basis triples decide it."""
+    basis = [tuple(int(i == k) for i in range(8)) for k in range(8)]
+    products = [[_mul(x, y, s) for y in basis] for x in basis]
+    for a, c, b in product(range(8), repeat=3):
+        left = _mul(tuple(map(add, products[a][c], products[c][a])), basis[b], s)
+        if left != tuple(map(add, _mul(basis[a], products[c][b], s), _mul(basis[c], products[a][b], s))):
+            return False
+    return True
+
+
+def test_the_16_rules_are_exactly_the_left_alternative_orientations():
+    # over all 128 orientations of the seven reference triplets, the algebra
+    # is left-alternative for exactly the 16 rules' characters
+    assert {s for s in product((1, -1), repeat=7) if left_alternative(s)} == set(_SIGNS)
