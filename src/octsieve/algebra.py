@@ -23,14 +23,15 @@ reference orientation of the triplet t holding i and j times chi(m_t, n).
 table of rule n in :func:`mul_table` is built independently, from rule
 n's oriented triplets (:func:`triplet_set`), and :func:`identify_algebra`
 reads a table's rule off its seven reference products.
-For two integer 8-tuples, :func:`_mul_all` computes the 64 pair products
-once and reads all 16 products off a rule-independent part and seven
-triplet parts.  The product is the same under every rule exactly when all
-seven parts are zero.  Each pair of imaginary indices lies on exactly one
-triplet, so that holds exactly when every minor a_i b_j - a_j b_i
-vanishes, i.e. when the imaginary parts a' and b' are parallel: the
-Cauchy-Schwarz equality (a'.b')^2 == |a'|^2 |b'|^2, which is exact on
-ints and is tested first.
+For two 8-tuples of ints or rationals, :func:`_mul_all` gives the product
+under all 16 rules as its Walsh spectrum: under rule n it is
+P0 + sum_t chi(m_t, n) P_t, a rule-independent part and seven triplet
+parts, so P_t sits at key m_t.  The product is the same under every rule
+exactly when all seven parts are zero.  Each pair of imaginary indices
+lies on exactly one triplet, so that holds exactly when every minor
+a_i b_j - a_j b_i vanishes, i.e. when the imaginary parts a' and b' are
+parallel: the Cauchy-Schwarz equality (a'.b')^2 == |a'|^2 |b'|^2, which is
+exact on ints and is tested first.
 
 All values here are immutable and all functions are pure.  Ints of any
 size and rationals (``numbers.Rational``, such as ``Fraction``) propagate
@@ -45,7 +46,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from operator import add, itemgetter, mul, neg, sub, truediv
+import sys
+from operator import add, mul, neg, sub, truediv
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -309,56 +311,30 @@ def _mul(a: tuple, b: tuple, s: tuple[int, ...]) -> tuple:
     )
 
 
-# The three reference triplets through each imaginary index k = 1..7: the
-# triplet's index t and the cyclic pair (i, j) with e_i e_j = +e_k in rule 0.
-_THROUGH: tuple[tuple[tuple[int, int, int], ...], ...] = tuple(
-    tuple((t, tr[tr.index(k) - 2], tr[tr.index(k) - 1])
-          for t, tr in enumerate(REFERENCE_TRIPLETS) if k in tr)
-    for k in range(1, 8)
-)
-
-# Rule n's product, read off the 57 values of :func:`_mul_all`: the real
-# coefficient, then for each k the 8 sign combinations of its three
-# triplet parts; rule n takes combination 4*[s_t1 < 0] + 2*[s_t2 < 0] +
-# [s_t3 < 0] of its characters s = _SIGNS[n].
-_PICKS = tuple(
-    itemgetter(0, *(8 * k - 7 + 4 * (s[t1] < 0) + 2 * (s[t2] < 0) + (s[t3] < 0)
-                    for k, ((t1, _, _), (t2, _, _), (t3, _, _)) in enumerate(_THROUGH, 1)))
-    for s in _SIGNS
-)
-
-
-def _mul_all(a: tuple, b: tuple) -> tuple | list[tuple]:
-    """Products of two 8-tuples of ints or rationals under all 16 rules.
-
-    Output k > 0 of rule n is c + s_t1*x + s_t2*y + s_t3*z: c holds the
-    terms with a real factor, and x, y, z the terms of the three triplets
-    t through k, each a_i*b_j - a_j*b_i for the cyclic pair (i, j).  The
-    real output is the same in every rule.  Each of the 21 minors
-    a_i*b_j - a_j*b_i is one triplet part, and by Lagrange's identity
-    their squares sum to |a'|^2 |b'|^2 - (a'.b')^2 for the imaginary parts
-    a', b'.  So when a' and b' are parallel (Cauchy-Schwarz equality,
-    exact here) every part is zero and the product, the same under
-    every rule, comes back as one tuple from its real and c terms alone.
-    Otherwise the 64 pair products are computed once and the 16 products
-    come back as a list, entry n under rule n.  Exact sums do not depend on
-    their order, so every value equals :func:`_mul`'s (in type too, on ints).
-    """
+def _mul_all(a: tuple, b: tuple) -> tuple | dict[int, tuple]:
+    """The product of two 8-tuples of ints or rationals under all 16 rules,
+    P0 + sum_t chi(m_t, n) P_t under rule n, as the tuple P0 when the
+    imaginary parts are parallel, else as the spectrum {0: P0, m_t: P_t}
+    without its zero parts.  P0 holds the real output and the terms with a
+    real factor; P_t is triplet t = (i, j, k) under rule 0: a_j b_k - a_k b_j
+    at i, a_k b_i - a_i b_k at j and a_i b_j - a_j b_i at k.  By Lagrange's
+    identity the squares of these 21 minors sum to |a'|^2 |b'|^2 - (a'.b')^2,
+    so they all vanish exactly at Cauchy-Schwarz equality.  Exact sums do
+    not depend on their order, so under each rule this is :func:`_mul`'s."""
     a0, b0 = a[0], b[0]
     ai, bi = a[1:], b[1:]
     dot = sum(map(mul, ai, bi))
+    p0 = (a0 * b0 - dot, *[a0 * y + x * b0 for x, y in zip(ai, bi)])
     if dot * dot == sum(map(mul, ai, ai)) * sum(map(mul, bi, bi)):
-        return (a0 * b0 - dot, *[a0 * y + x * b0 for x, y in zip(ai, bi)])
-    values = [a0 * b0 - dot]
-    for k, ((_, i1, j1), (_, i2, j2), (_, i3, j3)) in enumerate(_THROUGH, 1):
-        c = a0 * b[k] + a[k] * b0
-        x = a[i1] * b[j1] - a[j1] * b[i1]
-        y = a[i2] * b[j2] - a[j2] * b[i2]
-        z = a[i3] * b[j3] - a[j3] * b[i3]
-        p, q = c + x, c - x
-        pp, pm, qp, qm = p + y, p - y, q + y, q - y
-        values += (pp + z, pp - z, pm + z, pm - z, qp + z, qp - z, qm + z, qm - z)
-    return [pick(values) for pick in _PICKS]
+        return p0
+    spectrum = {0: p0} if any(p0) else {}
+    for m, (i, j, k) in zip(_TRIPLET_MASKS, REFERENCE_TRIPLETS):
+        x, y, z = a[j] * b[k] - a[k] * b[j], a[k] * b[i] - a[i] * b[k], a[i] * b[j] - a[j] * b[i]
+        if x or y or z:
+            part = [0] * 8
+            part[i], part[j], part[k] = x, y, z
+            spectrum[m] = tuple(part)
+    return spectrum
 
 
 def multiply(a: Octonion, b: Octonion, n: int) -> Octonion:
@@ -376,11 +352,20 @@ def norm_sq(a: Octonion) -> float:
     return sum(c * c for c in a.coeffs)
 
 
+def _out_of_range(ns, a: Octonion) -> bool:
+    """Whether ``a``'s float ``norm_sq`` ``ns`` overflowed, or underflowed
+    below the least normal float though ``a`` is not zero."""
+    return type(ns) is float and not sys.float_info.min <= ns <= sys.float_info.max and not a.is_zero()
+
+
 def norm(a: Octonion) -> float:
     """Euclidean length of the coefficient 8-tuple (the multiplicative norm).
     An int or rational square past the float range has its integer root
-    taken first, so a root that fits a float is returned, within one ulp."""
+    taken first, and a float one out of range is scaled (``math.hypot``), so
+    a root that fits a float is returned, within one ulp."""
     ns = norm_sq(a)
+    if _out_of_range(ns, a):
+        return math.hypot(*a.coeffs)
     try:
         return math.sqrt(ns)
     except OverflowError:
@@ -389,11 +374,17 @@ def norm(a: Octonion) -> float:
 
 def inverse(a: Octonion, n: int) -> Octonion:
     """Multiplicative inverse conj(a)/|a|^2, the same for every rule n;
-    exact (``Fraction`` coefficients) unless ``a`` has a float one."""
+    exact (``Fraction`` coefficients) unless ``a`` has a float one.  A float
+    |a|^2 out of range is computed on a scaled by its largest |coefficient|."""
     _check_algebra_id(n)
-    ns = norm_sq(a)
-    if ns == 0:
+    if a.is_zero():
         raise ZeroDivisionError("the zero octonion has no inverse")
+    ns = norm_sq(a)
+    if _out_of_range(ns, a):
+        scale = max(map(abs, a.coeffs))
+        cs = [c / scale for c in conjugate(a).coeffs]
+        ns = sum(c * c for c in cs)
+        return Octonion(c / ns / scale for c in cs)
     from fractions import Fraction  # not at package import: it pulls in decimal
     divide = truediv if isinstance(ns, float) else Fraction
     return Octonion(divide(c, ns) for c in conjugate(a).coeffs)

@@ -28,7 +28,7 @@ from .algebra import Octonion, _check_algebra_id, _check_int, mul_table, triplet
 from .automorphisms import chirality, orbit
 from .derivations import _derive_all
 from .dsl import ExprSyntaxError, UnboundVariableError, _number, parse, to_text
-from .sieve import _butterfly, _evaluator, _per_rule, _quarter, _trials, random_assignment
+from .sieve import _ZERO, _evaluator, _per_rule, _spectrum, _trials, random_assignment
 from .verification import run_checks
 
 SCHEMA_VERSION = 2
@@ -150,17 +150,15 @@ def _expr_and_env(args, trials: int = 1) -> tuple:
 
 def cmd_sieve(args) -> dict:
     tree, values, env, rng = _expr_and_env(args, args.trials)
-    value, sums, verdict = _trials(values, env, rng, args.trials if args.random_assign else 1)
-    functions = _per_rule(value)
-    if sums is None:  # trial 1 was the same under every rule, so not transformed
-        sums = _butterfly(list(functions))
+    value, verdict = _trials(values, env, rng, args.trials if args.random_assign else 1)
+    spectrum = _spectrum(value)
     w = verdict.witness
     return {
         "expr": to_text(tree),
         "assignment": {name: list(x) for name, x in env.items()},
-        "functions": [list(f) for f in functions],
-        "distances": [list(map(_quarter, g)) for g in sums],
-        "mean_function_value": [_quarter(_quarter(c)) for c in sums[0]],
+        "functions": [list(f) for f in _per_rule(value)],
+        "distances": [[4 * c for c in spectrum.get(k, _ZERO)] for k in range(16)],
+        "mean_function_value": list(spectrum.get(0, _ZERO)),
         "invariant": verdict.invariant,
         "trials_run": verdict.trials_run,
         "witness": None if w is None else {

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Callable, Sequence
 
-from .algebra import Octonion, _check_int, _mul, _signs, multiply, norm
+from .algebra import Octonion, _check_int, _mul, _mul_all, _signs, multiply, norm
 from .dsl import Expr, _program, parse
 from .sieve import AllRules, _all_rules, _evaluator, _exact, _per_rule, _random_ints
 
@@ -272,8 +272,10 @@ def expr_cross_algebra_equal(
     names, values = _evaluator(tree)
     rng = random.Random(seed)
 
-    # imaginary indices of the quaternion span: u, v, and uv = +-i_(u XOR v)
-    uvs = [multiply(u, v, n) for n in range(16)]
+    # imaginary indices of the quaternion span: u, v, and uv = +-i_(u XOR v),
+    # which is chi(m, n) uv0 under rule n: one spectrum component at key m
+    ((m, uv0),) = _mul_all(u.coeffs, v.coeffs).items()
+    uv0 = Octonion(uv0)
     span_idx = {0, u_idx, v_idx, u_idx ^ v_idx}
     outside = [k for k in range(8) if k not in span_idx]
     in_span = RegimeReport(True)
@@ -281,7 +283,7 @@ def expr_cross_algebra_equal(
 
     for _ in range(trials):
         coords = {name: _random_ints(rng, 9, 4) for name in names}
-        env = {name: [Octonion.real(c0) + c1 * u + c2 * v + c3 * w for w in uvs]
+        env = {name: {0: Octonion.real(c0) + c1 * u + c2 * v, m: c3 * uv0}
                for name, (c0, c1, c2, c3) in coords.items()}
         in_span = _refuted(in_span, _derive_all(u, v, values(env)), {"coords": coords})
 

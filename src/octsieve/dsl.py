@@ -290,7 +290,8 @@ def _program(expr: Expr) -> tuple[list[tuple], list[str]]:
     None)``, ``(Const, value, type(value))``, ``(Neg|Conj, i, i)`` or
     ``(Add|Sub|Mul, i, j)``, i and j being slots of earlier steps.  A step
     is its own key: equal subtrees share one, while 1 and 1.0 stay apart;
-    a node object that the tree reuses is compiled once."""
+    a node object that the tree reuses is compiled once.  A constant is
+    read as an ``Octonion`` coefficient is, and raises as there."""
     slots, names, done = {}, {}, {}  # step -> slot; id(node) -> its slot
     stack = [expr]
     while stack:  # a node stays on the stack until its operands are done
@@ -315,7 +316,7 @@ def _program(expr: Expr) -> tuple[list[tuple], list[str]]:
             names.setdefault(node.name)
             step = (Var, node.name, None)
         elif kind is Const:
-            step = (Const, node.value, type(node.value))
+            step = (Const, Octonion.real(node.value)[0], type(node.value))
         else:
             raise TypeError(f"not an expression node: {node!r}")
         stack.pop()

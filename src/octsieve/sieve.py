@@ -18,8 +18,8 @@ therefore has distances g[k], k > 0, that are exactly zero, for float
 coefficients too: x - x is exactly 0 and every later stage adds zeros.
 The public :func:`sieve` and :func:`unsieve` then divide every sum by 4
 in floating point, so an int distance past 2^53 rounds there and one past
-the float range raises ``OverflowError``; the verdict and the CLI divide
-exactly (``_quarter``).
+the float range raises ``OverflowError``.  The verdict and the CLI never
+divide: they read the distances off the all-rules pass, below.
 
 An expression is algebraically invariant when g[k] = 0 for every k > 0,
 i.e. its value does not depend on which of the 16 rules multiplies.  The
@@ -33,16 +33,15 @@ rules at once, on exact numbers: every finite float is a dyadic rational,
 read as such once per literal and per call for a coefficient (``_rational``).
 A value is one coefficient 8-tuple while it is the same under every rule
 (variables, constants, their linear combinations, real norms such as
-L*conj(L)), else a list of 16 per-rule 8-tuples that collapses back to one
-tuple when its entries are equal.  A product with a real factor is a
-scaling, a product of two other tuples goes through ``algebra._mul_all``
-(one product when their imaginary parts are parallel, else 64 pair
-products shared by the 16 rules), and any other runs the kernel once per
-rule.  The values are :func:`function_family`'s on the same exact inputs.
-``_trials`` reaches a verdict: trial 1 on a given assignment, later ones
-drawn from one rng, the first nonzero distance the witness; a trial the
-same under every rule holds without a transform, and any other is
-refuted.  :func:`is_invariant` and the CLI's ``sieve`` both call it.
+L*conj(L)), else its Walsh spectrum {k: F_k} (see ``AllRules``), whose
+distances are g[k] = 4 F_k.  A product with a real factor is a scaling,
+one of two tuples is ``algebra._mul_all``'s spectrum, and any other
+multiplies component by component, keys combining by XOR.  ``_per_rule``
+transforms a spectrum into :func:`function_family`'s values on the same
+exact inputs.  ``_trials`` reaches a verdict, trial 1 on a given
+assignment and later ones drawn from one rng, by a key test with no
+transform: a tuple holds, and a spectrum refutes with its least key k > 0
+as the witness.  :func:`is_invariant` and the CLI's ``sieve`` both call it.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from dataclasses import dataclass, field
 from operator import add, index, neg, sub
 from typing import Callable, Mapping, Sequence, Union
 
-from .algebra import _SIGNS, Octonion, _character, _check_int, _mul, _mul_all
+from .algebra import Octonion, _character, _check_int, _mul_all
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
 
 __all__ = [
@@ -98,15 +97,6 @@ def _butterfly(rows: list[tuple]) -> list[tuple]:
         rows[j] = tuple(map(add, x, y))
         rows[k] = tuple(map(sub, x, y))
     return rows
-
-
-def _quarter(c):
-    """``c / 4`` exactly: an int when ``c`` is an int that 4 divides, else a ``Fraction``."""
-    if type(c) is int and not c % 4:
-        return c // 4
-    from fractions import Fraction  # not at package import: it pulls in decimal
-
-    return Fraction(c, 4)
 
 
 def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
@@ -159,19 +149,30 @@ def random_assignment(
 
 
 # A value of the all-rules pass: one 8-tuple when it is the same under
-# every rule, else a list of 16 8-tuples, entry n under rule n.
-AllRules = Union[tuple, list]
+# every rule, else its Walsh spectrum {k: F_k}, the value under rule n being
+# sum_k chi(k, n) F_k.  A spectrum holds only nonzero components, and at
+# least one at a key k > 0.
+AllRules = Union[tuple, dict]
 
-_NO_IMAG = (0,) * 7
+_ZERO = (0,) * 8
+_NO_IMAG = _ZERO[1:]
+
+
+def _spectrum(value: AllRules) -> dict:
+    return {0: value} if type(value) is tuple else value
 
 
 def _per_rule(value: AllRules) -> Sequence[tuple]:
-    return (value,) * 16 if type(value) is tuple else value
+    """The 16 values under rules 0..15: for a spectrum, its Walsh transform."""
+    if type(value) is tuple:
+        return (value,) * 16
+    return _butterfly([value.get(k, _ZERO) for k in range(16)])
 
 
-def _collapse(values: list) -> AllRules:
-    """One tuple when the 16 values are identical, else the list."""
-    return values[0] if values.count(values[0]) == 16 else values
+def _pruned(spectrum: dict) -> AllRules:
+    """``spectrum`` without its zero components, or F_0 if no key k > 0 is left."""
+    spectrum = {k: v for k, v in spectrum.items() if any(v)}
+    return spectrum if len(spectrum) > (0 in spectrum) else spectrum.get(0, _ZERO)
 
 
 def _conj(c: tuple) -> tuple:
@@ -181,7 +182,7 @@ def _conj(c: tuple) -> tuple:
 def _scale(r: int, value: AllRules) -> AllRules:
     if type(value) is tuple:
         return tuple([r * c for c in value])
-    return _collapse([tuple([r * c for c in v]) for v in value])
+    return _pruned({k: tuple([r * c for c in v]) for k, v in value.items()})
 
 
 def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
@@ -197,15 +198,24 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
                 value = _scale(right[0], left)
             elif type(left) is tuple and type(right) is tuple:
                 value = _mul_all(left, right)
-            else:
-                value = _collapse(list(map(_mul, _per_rule(left), _per_rule(right), _SIGNS)))
+            else:  # component F_a times G_b puts _mul_all's parts at a ^ b ^ their keys
+                value = {}
+                for a, f in _spectrum(left).items():
+                    for b, g in _spectrum(right).items():
+                        for k, part in _spectrum(_mul_all(f, g)).items():
+                            k ^= a ^ b
+                            value[k] = tuple(map(add, value[k], part)) if k in value else part
+                value = _pruned(value)
         elif op is Add or op is Sub:
             f = add if op is Add else sub
             left, right = values[x], values[y]
             if type(left) is tuple and type(right) is tuple:
                 value = tuple(map(f, left, right))
             else:
-                value = _collapse([tuple(map(f, a, b)) for a, b in zip(_per_rule(left), _per_rule(right))])
+                value = dict(_spectrum(left))
+                for k, v in _spectrum(right).items():
+                    value[k] = tuple(map(f, value.get(k, _ZERO), v))
+                value = _pruned(value)
         elif op is Var:
             value = env[x]
         elif op is Const:
@@ -214,7 +224,7 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
             value = _scale(-1, values[x])
         else:
             value = values[x]
-            value = _conj(value) if type(value) is tuple else list(map(_conj, value))
+            value = _conj(value) if type(value) is tuple else {k: _conj(v) for k, v in value.items()}
         values.append(value)
     return values[-1]
 
@@ -243,17 +253,17 @@ def _exact(coeffs: tuple) -> tuple:
 
 def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
     """Compile ``tree`` once: its variable names, and a function from an
-    assignment (each name bound to one octonion, or to 16, entry n for rule
-    n) to its exact values under all 16 rules, float literals and
-    coefficients read as the rationals they are.  A constant is read as an
-    ``Octonion`` coefficient is, so a value that is not one raises as there."""
+    assignment (each name bound to one octonion, or to a spectrum
+    {k: octonion}, the value under rule n being sum_k chi(k, n) x_k) to its
+    exact values under all 16 rules, float literals and coefficients read
+    as the rationals they are."""
     steps, names = _program(tree)
-    steps = [(op, _rational(Octonion.real(x).real_part), kind) if op is Const else (op, x, kind)
-             for op, x, kind in steps]
+    steps = [(op, _rational(x), kind) if op is Const else (op, x, kind) for op, x, kind in steps]
 
-    def values(env: Mapping[str, Octonion | Sequence[Octonion]]) -> AllRules:
+    def values(env: Mapping[str, Octonion | Mapping[int, Octonion]]) -> AllRules:
         return _all_rules(steps, {name: _exact(x.coeffs) if isinstance(x, Octonion)
-                                  else [_exact(y.coeffs) for y in x] for name, x in env.items()})
+                                  else _pruned({k: _exact(y.coeffs) for k, y in x.items()})
+                                  for name, x in env.items()})
 
     return names, values
 
@@ -280,27 +290,23 @@ class SieveVerdict:
 
 
 def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng: random.Random | None,
-            trials: int) -> tuple[AllRules, list[tuple] | None, SieveVerdict]:
+            trials: int) -> tuple[AllRules, SieveVerdict]:
     """Trial 1 is ``env``; while every trial holds, trials 2..``trials`` are
     assignments of the same names drawn from ``rng``.  A trial whose value
-    is one tuple, the same under every rule, holds untransformed.  Any other
-    is 16 values not all equal, so it refutes: its first nonzero distance
-    g[k], k > 0, divided exactly, is the witness.  Returns trial 1's value,
-    its Walsh sums (4 g[k]; None when it was not transformed), and the
-    verdict."""
+    is one tuple holds; a spectrum refutes, its least key k > 0 the witness
+    with distance g[k] = 4 F_k.  Returns trial 1's value and the verdict."""
     names = list(env)
     for trial in range(1, trials + 1):
         if trial > 1:
             env = random_assignment(names, rng)
         value = values(env)
-        sums = None if type(value) is tuple else _butterfly(list(value))
         if trial == 1:
-            first = value, sums
-        if sums is not None:
-            k = next(k for k in range(1, 16) if any(sums[k]))
-            witness = InvarianceWitness(env, k, Octonion(map(_quarter, sums[k])))
-            return *first, SieveVerdict(False, trials, witness, trials_run=trial)
-    return *first, SieveVerdict(True, trials, trials_run=trials)
+            first = value
+        if type(value) is dict:
+            k = min(k for k in value if k)
+            witness = InvarianceWitness(env, k, Octonion([4 * c for c in value[k]]))
+            return first, SieveVerdict(False, trials, witness, trials_run=trial)
+    return first, SieveVerdict(True, trials, trials_run=trials)
 
 
 def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerdict:
@@ -316,4 +322,4 @@ def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerd
     tree = parse(expr) if isinstance(expr, str) else expr
     names, values = _evaluator(tree)
     rng = random.Random(seed)
-    return _trials(values, random_assignment(names, rng), rng, trials)[2]
+    return _trials(values, random_assignment(names, rng), rng, trials)[1]

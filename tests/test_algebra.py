@@ -29,6 +29,7 @@ from octsieve.algebra import (
     table_from_tensor,
     triplet_set,
 )
+from octsieve.sieve import _per_rule
 
 # The eight left-handed parity words, in algebra-id order.
 LEFT_WORDS = ["+++++++", "++--+--", "+-+--+-", "+--+--+", "----+++", "--+++--", "-+-+-+-", "-++---+"]
@@ -258,6 +259,30 @@ def test_norm_of_an_exact_square_past_the_float_range():
         norm(Octonion((10**400,) + (0,) * 7))
 
 
+@pytest.mark.parametrize("coeffs, expected", [((1e200,), 1e200), ((3e200, 4e200), 5e200), ((1e-200,), 1e-200)],
+                         ids=["1e200", "3e200-4e200", "1e-200"])
+def test_a_float_norm_whose_square_leaves_the_float_range(coeffs, expected):
+    # the squares overflow to inf or underflow to 0.0; the norm does neither
+    got = norm(Octonion(coeffs + (0,) * (8 - len(coeffs))))
+    assert abs(got - expected) <= math.ulp(expected)
+
+
+@pytest.mark.parametrize("c, expected", [(1e200, 1e-200), (1e-200, 1e200)], ids=["1e200", "1e-200"])
+def test_a_float_inverse_whose_norm_square_leaves_the_float_range(c, expected):
+    # once the zero octonion, once a ZeroDivisionError
+    got = inverse(Octonion((c,) + (0,) * 7), 0)
+    assert abs(got[0] - expected) <= math.ulp(expected) and all(x == 0 for x in got[1:])
+
+
+def test_a_float_norm_and_inverse_in_range_are_the_plain_formulas():
+    rng = random.Random(5)
+    for _ in range(200):
+        a = Octonion(rng.uniform(-1e3, 1e3) for _ in range(8))
+        ns = norm_sq(a)
+        assert norm(a) == math.sqrt(ns)
+        assert inverse(a, 0) == Octonion(c / ns for c in conjugate(a))
+
+
 def test_inverse():
     assert inverse(unit(1), 0) == -unit(1)
     assert typed(inverse(Octonion.real(2), 7)) == typed((Fraction(1, 2),) + (Fraction(0),) * 7)
@@ -436,8 +461,7 @@ def test_mul_all_is_the_kernel_under_every_rule(bound):
             value = _mul_all(x, y)
             # one tuple exactly when all 16 kernel products are equal
             assert (type(value) is tuple) is uniform
-            values = (value,) * 16 if uniform else value
-            assert [typed(v) for v in values] == [typed(k) for k in kernel]
+            assert [typed(v) for v in _per_rule(value)] == [typed(k) for k in kernel]
         for x, y in commuting:
             assert type(_mul_all(x, y)) is tuple
     assert outcomes == {True, False}
@@ -467,4 +491,4 @@ def test_mul_all_collapses_exactly_on_parallel_imaginary_parts(a, b, collapses):
     assert (kernel.count(kernel[0]) == 16) is collapses
     value = _mul_all(a, b)
     assert (type(value) is tuple) is collapses
-    assert [typed(v) for v in ((value,) * 16 if collapses else value)] == kernel
+    assert [typed(v) for v in _per_rule(value)] == kernel

@@ -145,7 +145,7 @@ def test_leibniz_check_runs_seventeen_kernels_under_its_own_rule(monkeypatch):
     u, v, a, b = (rand_ints(rng, 5) for _ in range(4))
     counts = Counter()
     counting(monkeypatch, counts, derivations, "_mul", "_all_rules")
-    counting(monkeypatch, counts, SIEVE, "_mul", "_mul_all", "_all_rules")
+    counting(monkeypatch, counts, SIEVE, "_mul_all", "_all_rules")
     assert leibniz_check(*map(Octonion, (u, v, a, b)), 9) == 0.0
     assert counts == {"_mul": 17}
 

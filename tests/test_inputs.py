@@ -12,7 +12,7 @@ import octsieve
 from octsieve.algebra import Octonion, mul_table
 from octsieve.automorphisms import Automorphism
 from octsieve.derivations import antiassoc_closed_form, derivation_span_rank, expr_cross_algebra_equal
-from octsieve.dsl import Const, Mul, Var, evaluate, parse
+from octsieve.dsl import Const, Mul, Var, evaluate, free_vars, parse
 from octsieve.sieve import is_invariant, sign_entry
 
 # (call with the value under test, what the message names, low, high or None)
@@ -55,11 +55,12 @@ CONSTANT_SITES = {
     "is_invariant": lambda c: is_invariant(Mul(Const(c), parse("a*b")), trials=4),
     "cross_algebra": lambda c: expr_cross_algebra_equal(Octonion.unit(1), Octonion.unit(2), Mul(Const(c), Var("a")),
                                                         trials=2),
+    "free_vars": lambda c: free_vars(Mul(Const(c), Var("a"))),
 }
 
 
 @pytest.mark.parametrize("site", CONSTANT_SITES)
-@pytest.mark.parametrize("value", ["x", 1j, True, None])
+@pytest.mark.parametrize("value", ["x", 1j, True, None, [1], {}])
 def test_a_constant_that_is_not_a_real_number_is_a_type_error(site, value):
     with pytest.raises(TypeError) as err:
         CONSTANT_SITES[site](value)

@@ -91,6 +91,15 @@ def test_program_family_is_function_family_read_exactly(tree, env):
     assert (type(value) is tuple) is all(f == fam[0] for f in fam)
 
 
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(with_a_product(TREES), ENVS)
+def test_a_spectrum_has_no_zero_component_and_a_key_past_0(tree, env):
+    # the verdict reads a dict as refuted and its least key > 0 as the witness
+    value = _all_rules(_program(tree)[0], {name: x.coeffs for name, x in env.items()})
+    if type(value) is dict:
+        assert all(any(v) for v in value.values()) and any(value)
+
+
 INT_TREES = TREES | st.builds(_random_tree, st.randoms(use_true_random=False), st.integers(1, 4))
 WITNESS_TREES = with_a_product(INT_TREES)
 
@@ -98,7 +107,7 @@ WITNESS_TREES = with_a_product(INT_TREES)
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(WITNESS_TREES, ENVS)
 def test_the_witness_is_the_first_nonzero_distance_exactly(tree, env):
-    verdict = _trials(_evaluator(tree)[1], env, None, 1)[2]
+    verdict = _trials(_evaluator(tree)[1], env, None, 1)[1]
     fam = function_family(tree, env)
     floats, sums = sieve(fam), walsh_sums(fam)
     k = next((k for k in range(1, 16) if not floats[k].is_zero()), None)

@@ -304,14 +304,37 @@ def test_all_rules_pass_is_function_family_bit_for_bit():
 
 
 def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
-    # 15 equal rules and one other: not the same under every rule
-    env = {"a": (1, 2, 3, 4, 5, 6, 7, 8), "b": (0,) * 8}
+    # 15 equal rules and one other: not the same under every rule.  b is
+    # bound to the family's exact spectrum, F_k = (1/16) sum_j b[j][k] odd[j]
+    env = {"a": (1, 2, 3, 4, 5, 6, 7, 8)}
     for n in range(16):
         odd = [(0,) * 8] * 16
         odd[n] = (0, 1, 0, 0, 0, 0, 0, 0)
-        assert _all_rules(_program(parse("a + b"))[0], {**env, "b": odd}) == [
-            tuple(map(sum, zip(env["a"], v))) for v in odd
-        ]
+        spectrum = {k: tuple(Fraction(c, 16) for c in g) for k, g in enumerate(walsh_sums([Octonion(v) for v in odd]))}
+        value = _all_rules(_program(parse("a + b"))[0], {**env, "b": spectrum})
+        assert type(value) is dict
+        assert list(_per_rule(value)) == [tuple(map(sum, zip(env["a"], v))) for v in odd]
+
+
+def keys(value):
+    """The keys of a value's nonzero spectrum components."""
+    return set(value) if type(value) is dict else {0} if any(value) else set()
+
+
+@pytest.mark.parametrize("text, support", [
+    ("a*b", {0, 4, 5, 6, 7, 9, 10, 11}), ("(a*b)*c - a*(b*c)", {1, 2, 3, 12, 13, 14, 15}),
+    ("a*b + b*a", {0}), ("(a*a)*b - a*(a*b)", set()),
+])
+def test_the_distances_supports_are_exact_key_sets(text, support):
+    # a*b: key 0 and the seven triplet masks; the associator: the other
+    # seven keys > 0; a*b + b*a: rule-independent; (a*a)*b - a*(a*b): zero
+    names, values = _evaluator(parse(text))
+    seen = set()
+    for seed in range(20):
+        found = keys(values(random_assignment(names, random.Random(seed))))
+        assert found <= support
+        seen |= found
+    assert seen == support
 
 
 def reference_verdict(tree, trials, seed):
