@@ -159,9 +159,9 @@ class Octonion:
 
     @classmethod
     def unit(cls, k: int) -> "Octonion":
-        """Basis element e_k, k an int in 0..7: the real unit for k=0, else i_k."""
-        _check_int(k, "basis index", 0, 7)
-        return cls(tuple(1 if i == k else 0 for i in range(8)))
+        """Basis element e_k, k an int in 0..7: the real unit for k=0, else i_k;
+        one shared immutable instance per k."""
+        return _UNITS[_check_int(k, "basis index", 0, 7)]
 
     @classmethod
     def real(cls, value: float) -> "Octonion":
@@ -217,6 +217,9 @@ class Octonion:
 
     def __repr__(self) -> str:
         return f"Octonion({list(self.coeffs)!r})"
+
+
+_UNITS = tuple(Octonion(tuple(1 if i == k else 0 for i in range(8))) for k in range(8))
 
 
 def flip_vector(mask: int) -> tuple[int, ...]:

@@ -24,8 +24,8 @@ D has two forms, each regrouped by bilinearity as
 each reading every coefficient as the rational it is, and each kept
 because it measured faster where it is used.  The per-rule tuple kernel
 ``_regrouped`` (two kernel calls for p and c, then four per argument)
-serves ``derive``, ``derivation_matrix`` and ``leibniz_check``, which
-computes only its own rule's residual with it.  The all-rules expression
+serves ``derive``, ``derivation_matrix``, ``antiassoc_closed_form`` and
+``leibniz_check``, which computes only its own rule's residual with it.  The all-rules expression
 ``_DERIVE`` runs on the sieve's exact pass, which computes uv and vu once
 for all 16 rules, for ``cross_algebra_equal``, ``expr_cross_algebra_equal``
 and CLI ``derive``.  The ``verify`` command proves the Leibniz rule with
@@ -138,10 +138,11 @@ def antiassoc_closed_form(u_idx: int, v_idx: int, a_idx: int, n: int) -> Antiass
         raise ValueError(
             f"{(u_idx, v_idx, a_idx)} is an associative triplet; the closed form needs an antiassociative triple"
         )
-    u, v, a = Octonion.unit(u_idx), Octonion.unit(v_idx), Octonion.unit(a_idx)
-    lhs = derive(u, v, a, n)
-    rhs = -2 * multiply(multiply(u, v, n), a, n)
-    return AntiassocReport(lhs, rhs, lhs == rhs)
+    s = _signs(n)
+    u, v, a = (Octonion.unit(k).coeffs for k in (u_idx, v_idx, a_idx))
+    lhs = _regrouped(u, v, s)(a)
+    rhs = tuple([-2 * c for c in _mul(_mul(u, v, s), a, s)])
+    return AntiassocReport(Octonion(lhs), Octonion(rhs), lhs == rhs)
 
 
 def cross_algebra_equal(u: Octonion, v: Octonion, a: Octonion) -> frozenset[int]:

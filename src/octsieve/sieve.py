@@ -13,7 +13,9 @@ scaled matrix is its own inverse).
 The transform is the Walsh transform over Z2^4, computed as a radix-2
 butterfly (``_butterfly``): four stages, one per bit of the index, each
 replacing the entries x, y whose indices differ only in that bit by x + y
-and x - y.  Its sums are exact on ints and rationals.  A constant family
+and x - y.  It runs per coefficient: each of the 8 coefficients goes
+through the four stages, in that order, on its column of 16 scalars.  Its
+sums are exact on ints and rationals.  A constant family
 therefore has distances g[k], k > 0, that are exactly zero, for float
 coefficients too: x - x is exactly 0 and every later stage adds zeros.
 The public :func:`sieve` and :func:`unsieve` then divide every sum by 4
@@ -89,21 +91,26 @@ def function_family(expr: Expr, env: Mapping[str, Octonion]) -> FunctionFamily:
 _BUTTERFLY = tuple((j, j | h) for h in (1, 2, 4, 8) for j in range(16) if not j & h)
 
 
-def _butterfly(rows: list[tuple]) -> list[tuple]:
-    """The Walsh transform of 16 coefficient tuples, in place and exact: entry
-    k becomes sum_j b[j][k] rows[j], four times distance g[k]."""
-    for j, k in _BUTTERFLY:
-        x, y = rows[j], rows[k]
-        rows[j] = tuple(map(add, x, y))
-        rows[k] = tuple(map(sub, x, y))
-    return rows
+def _butterfly(rows: Sequence[tuple]) -> list[tuple]:
+    """The Walsh transform of 16 coefficient tuples, exact: entry k becomes
+    sum_j b[j][k] rows[j], four times distance g[k].  Each coefficient's
+    column of 16 scalars runs through the stages of ``_BUTTERFLY`` in order,
+    which fixes the order of every output's float additions."""
+    cols = []
+    for col in zip(*rows):
+        col = list(col)
+        for j, k in _BUTTERFLY:
+            x, y = col[j], col[k]
+            col[j], col[k] = x + y, x - y
+        cols.append(col)
+    return list(zip(*cols))
 
 
 def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
     fam = tuple(values)
     if len(fam) != 16 or not all(isinstance(v, Octonion) for v in fam):
         raise ValueError("a family is a 16-tuple of octonions")
-    return tuple(Octonion(c / 4 for c in row) for row in _butterfly([f.coeffs for f in fam]))
+    return tuple(Octonion([c / 4 for c in row]) for row in _butterfly([f.coeffs for f in fam]))
 
 
 def sieve(fam: Sequence[Octonion]) -> DistanceFamily:

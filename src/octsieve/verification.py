@@ -10,7 +10,8 @@ Two identities are proved, not sampled, so ``quick`` runs the same
 proofs.  The kernel ``_mul`` is bilinear code, each output a sum of
 +-s_t a_i b_j.  So the Leibniz residual D(ab) - D(a)b - aD(b) is linear
 in each of u, v, a and b, and vanishes under rule 0 iff it vanishes on
-the 8^4 basis quadruples; |ab|^2 - |a|^2 |b|^2 is a quadratic form in a
+the 8^4 basis quadruples, where D(e_a e_b) is read off the eight D(e_c)
+by the linearity of D; |ab|^2 - |a|^2 |b|^2 is a quadratic form in a
 and in b, fixed by its values at e_i and e_i + e_j, so 36 x 36 pairs
 decide it under rule 0.  Rule n is rule 0 in the basis phi_n: e_i ->
 chi(kappa_i, n) e_i, which :func:`_phi_failure` checks on the kernel
@@ -22,14 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from operator import add, mul
 from time import perf_counter
 from typing import Callable
 
 from . import algebra, derivations
 from .algebra import _KEYS, _SIGNS, Octonion, _character, _mul
-from .sieve import _random_ints, is_invariant, sieve, sign_entry, unsieve
+from .sieve import _ZERO, _random_ints, is_invariant, sieve, sign_entry, sign_matrix, unsieve
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks"]
 
@@ -92,11 +93,12 @@ def _phi_failure() -> str | None:
     per rule prove it for all x and y, and phi_n (a sign flip per unit, its
     own inverse, norm-preserving) carries an identity proved under rule 0
     to rule n."""
+    products = [[_mul(x, y, _SIGNS[0]) for y in _BASIS] for x in _BASIS]
     for n, s in enumerate(_SIGNS):
         chi = tuple(_character(key, n) for key in _KEYS)
         phi = [tuple(map(mul, chi, x)) for x in _BASIS]
         for i, j in product(range(8), repeat=2):
-            if _mul(phi[i], phi[j], s) != tuple(map(mul, chi, _mul(_BASIS[i], _BASIS[j], _SIGNS[0]))):
+            if _mul(phi[i], phi[j], s) != tuple(map(mul, chi, products[i][j])):
                 return f"rule {n} is not rule 0 in the basis phi_{n}: e{i} e{j} differs"
     return None
 
@@ -178,14 +180,15 @@ def check_sieve_invariance(quick: bool = False) -> Outcome:
 def check_xor_equivariance(quick: bool = False) -> Outcome:
     trials = 4 if quick else 20
     rng = random.Random(23)
+    matrix = sign_matrix()
     for t in range(trials):
         fam = tuple(_rand_octonion(rng) for _ in range(16))
         base = sieve(fam)
-        for m in range(16):
+        for m, signs in enumerate(matrix):
             permuted = tuple(fam[j ^ m] for j in range(16))
             shifted = sieve(permuted)
-            for k in range(16):
-                if shifted[k] != sign_entry(m, k) * base[k]:
+            for k, sign in enumerate(signs):
+                if shifted[k].coeffs != tuple([sign * c for c in base[k].coeffs]):
                     return False, f"family {t}, mask {m}, distance {k} mismatch"
     return True, f"all 16 masks on {trials} families: g'[k] == b[m][k] g[k]"
 
@@ -194,13 +197,18 @@ def _leibniz_counterexample(s: tuple[int, ...]) -> tuple[int, int, int, int] | N
     """The first basis quadruple (u, v, a, b) on which D(ab) - D(a)b - aD(b)
     is nonzero under the kernel with characters ``s``, D = D(e_u, e_v; .);
     None if there is none.  The residual is linear in each of u, v, a and b,
-    so None proves it is 0 everywhere under those characters."""
-    products = [[_mul(x, y, s) for y in _BASIS] for x in _BASIS]
+    so None proves it is 0 everywhere under those characters.  D is linear
+    too, so D(e_a e_b) is read off the eight D(e_c) as sum_c p_c D(e_c), p
+    the product e_a e_b: the same exact numbers as D applied to p."""
+    terms = [[[(c, pc) for c, pc in enumerate(_mul(x, y, s)) if pc] for y in _BASIS] for x in _BASIS]
     for u, v in product(range(8), repeat=2):
         d = derivations._regrouped(_BASIS[u], _BASIS[v], s)
         ds = [d(x) for x in _BASIS]
         for a, b in product(range(8), repeat=2):
-            if d(products[a][b]) != tuple(map(add, _mul(ds[a], _BASIS[b], s), _mul(_BASIS[a], ds[b], s))):
+            d_ab = _ZERO
+            for c, pc in terms[a][b]:
+                d_ab = tuple([y + pc * z for y, z in zip(d_ab, ds[c])])
+            if d_ab != tuple(map(add, _mul(ds[a], _BASIS[b], s), _mul(_BASIS[a], ds[b], s))):
                 return u, v, a, b
     return None
 
@@ -217,16 +225,12 @@ def check_leibniz(quick: bool = False) -> Outcome:
 
 
 def check_antiassoc_closed_form(quick: bool = False) -> Outcome:
-    cases = 0
+    triples = [t for t in product(range(1, 8), repeat=3) if len(set(t)) == 3 and frozenset(t) not in _LINES]
     for n in range(16):
-        for u, v, a in product(range(1, 8), repeat=3):
-            if len({u, v, a}) != 3 or frozenset((u, v, a)) in _LINES:
-                continue
-            report = derivations.antiassoc_closed_form(u, v, a, n)
-            if not report.equal:
-                return False, f"rule {n}, triple {(u, v, a)}"
-            cases += 1
-    return True, f"D == -2(uv)a in all {cases} ordered cases"
+        for triple in triples:
+            if not derivations.antiassoc_closed_form(*triple, n).equal:
+                return False, f"rule {n}, triple {triple}"
+    return True, f"D == -2(uv)a in all {16 * len(triples)} ordered cases"
 
 
 def check_flip_signatures(quick: bool = False) -> Outcome:
@@ -240,16 +244,18 @@ def check_flip_signatures(quick: bool = False) -> Outcome:
 
 
 def check_derivation_ranks(quick: bool = False) -> Outcome:
-    all_pairs = [(u, v) for u in range(1, 8) for v in range(u + 1, 8)]
+    # each of the 21 pairs lies on one triplet: build its matrix once, and
+    # rank the flattened matrices and their restrictions to each triplet
     rules = range(4) if quick else range(16)
     for n in rules:
-        rank = derivations.derivation_span_rank(all_pairs, n)
+        matrices = {pair: derivations.derivation_matrix(*pair, n) for pair in combinations(range(1, 8), 2)}
+        rank = derivations.integer_rank([sum(m, ()) for m in matrices.values()])
         if rank != 14:
             return False, f"rule {n}: full span rank {rank} != 14"
         for triplet in _REFERENCE_TRIPLETS:
             idxs = sorted(triplet)
-            pairs = [(idxs[0], idxs[1]), (idxs[0], idxs[2]), (idxs[1], idxs[2])]
-            rank = derivations.derivation_span_rank(pairs, n, restrict_to=idxs)
+            rows = [[matrices[pair][i - 1][j - 1] for i in idxs for j in idxs] for pair in combinations(idxs, 2)]
+            rank = derivations.integer_rank(rows)
             if rank != 3:
                 return False, f"rule {n}, triplet {idxs}: rank {rank} != 3"
     return True, f"full span rank 14 and triplet-restricted rank 3 for {len(list(rules))} rules"

@@ -385,6 +385,18 @@ def test_octonion_validation_and_immutability():
         unit(8)
 
 
+def test_unit_is_one_shared_immutable_instance_per_index():
+    for k in range(8):
+        e = Octonion.unit(k)
+        assert e is Octonion.unit(k) and e.coeffs == tuple(int(i == k) for i in range(8))
+        with pytest.raises(AttributeError):
+            e.coeffs = (0,) * 8
+    assert Octonion.one() is Octonion.unit(0)
+    for bad in (8, True, 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"basis index must be an integer in 0..7, got {bad!r}")):
+            Octonion.unit(bad)
+
+
 def test_octonion_vector_ops():
     a = Octonion((1, 2, 0, 0, 0, 0, 0, -1))
     b = Octonion((0, 1, 1, 0, 0, 0, 0, 3))

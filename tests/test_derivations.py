@@ -5,6 +5,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from operator import sub
 
 import pytest
@@ -253,10 +254,14 @@ def test_integer_rank_basics():
 
 
 def test_derivation_span_ranks():
-    all_pairs = [(u, v) for u in range(1, 8) for v in range(u + 1, 8)]
-    assert derivation_span_rank(all_pairs, 0) == 14
-    assert derivation_span_rank(all_pairs, 9) == 14
-    assert derivation_span_rank([(1, 2), (1, 3), (2, 3)], 0, restrict_to=(1, 2, 3)) == 3
+    # every rule and triplet: verify ranks the matrices itself, so this is
+    # the public route's one full run
+    all_pairs = list(combinations(range(1, 8), 2))
+    for n in range(16):
+        assert derivation_span_rank(all_pairs, n) == 14
+        for triplet in REFERENCE_TRIPLETS:
+            idxs = sorted(triplet)
+            assert derivation_span_rank(list(combinations(idxs, 2)), n, restrict_to=idxs) == 3
     assert derivation_span_rank([], 0) == 0
     with pytest.raises(ValueError):
         derivation_span_rank([(0, 1)], 0)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from test_algebra import rational, typed
@@ -11,6 +12,7 @@ from octsieve.algebra import Octonion
 from octsieve.dsl import MAX_DEPTH, Conj, Const, Neg, Var, _program, free_vars, parse, to_text
 from octsieve.sieve import (
     _all_rules,
+    _butterfly,
     _evaluator,
     _per_rule,
     function_family,
@@ -206,6 +208,54 @@ def test_butterfly_matches_loop_on_integers(bound):
             sieve(fam)
         with pytest.raises(OverflowError):
             loop_transform(fam)
+
+
+def stage_by_stage(rows):
+    """Reference butterfly: the four stages on whole rows, 32 steps of two
+    tuple maps each."""
+    rows = list(rows)
+    for h in (1, 2, 4, 8):
+        for j in range(16):
+            if not j & h:
+                x, y = rows[j], rows[j | h]
+                rows[j], rows[j | h] = tuple(map(add, x, y)), tuple(map(sub, x, y))
+    return rows
+
+
+def exact_bits(rows):
+    """Each coefficient's type and value to the last bit: ``hex`` for a float
+    (so -0.0 and 0.0 differ), ``repr`` otherwise."""
+    return [[(type(c), c.hex() if isinstance(c, float) else repr(c)) for c in row] for row in rows]
+
+
+def float_row(rng):
+    # signed zeros, values past 2^53 and magnitudes far apart, so that the
+    # order of the additions shows in the rounding
+    return tuple(rng.choice([-0.0, 0.0, 2.0**53 + 2, -(2.0**60), rng.uniform(-1, 1) * 10.0 ** rng.randint(-20, 20)])
+                 for _ in range(8))
+
+
+ROWS = {
+    "float": float_row,
+    "int-past-2^62": lambda rng: tuple(rng.randint(-(2**70), 2**70) for _ in range(8)),
+    "fraction": lambda rng: tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 50)) for _ in range(8)),
+}
+
+
+@pytest.mark.parametrize("kind", ROWS)
+def test_the_butterfly_is_the_stage_by_stage_loop_bit_for_bit(kind):
+    rng = random.Random(len(kind))
+    for t in range(50):
+        rows = [ROWS[kind](rng) for _ in range(16)]
+        if t == 0 and kind == "float":
+            rows = [(-0.0,) * 8] * 16  # -0.0 + -0.0 is -0.0, and -0.0 - -0.0 is 0.0
+        expected = stage_by_stage(rows)
+        assert exact_bits(_butterfly(list(rows))) == exact_bits(expected)
+        fam = tuple(Octonion(row) for row in rows)
+        quarters = [[c / 4 for c in row] for row in expected]
+        assert exact_bits(f.coeffs for f in sieve(fam)) == exact_bits(quarters)
+        assert exact_bits(f.coeffs for f in unsieve(fam)) == exact_bits(quarters)
+        assert exact_bits(_per_rule(dict(enumerate(rows)))) == exact_bits(expected)
 
 
 def test_constant_float_family_sieves_to_exact_zeros():

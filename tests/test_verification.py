@@ -97,6 +97,44 @@ def test_a_dropped_character_fails_both_proofs_at_the_isomorphism(monkeypatch):
         assert not passed and re.fullmatch(r"rule (\d+) is not rule 0 in the basis phi_\1: e\d e\d differs", detail)
 
 
+def kernel_route_counterexample(s):
+    """``_leibniz_counterexample`` with D(e_a e_b) computed as D applied to
+    the product, through D's four kernels, on the kernel the proof reads."""
+    basis, mul = verification._BASIS, verification._mul
+    products = [[mul(x, y, s) for y in basis] for x in basis]
+    for u, v in product(range(8), repeat=2):
+        d = derivations._regrouped(basis[u], basis[v], s)
+        ds = [d(x) for x in basis]
+        for a, b in product(range(8), repeat=2):
+            if d(products[a][b]) != tuple(map(add, mul(ds[a], basis[b], s), mul(basis[a], ds[b], s))):
+                return u, v, a, b
+    return None
+
+
+def test_the_linear_route_to_d_of_a_product_is_the_kernel_route_on_all_128_orientations():
+    for s in product((1, -1), repeat=7):
+        assert verification._leibniz_counterexample(s) == kernel_route_counterexample(s)
+
+
+@pytest.mark.parametrize("old, new", [("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1"),
+                                      ("+ s6*a7*b3", "+ a7*b3")])
+def test_the_linear_route_is_the_kernel_route_under_a_mutated_kernel(monkeypatch, old, new):
+    mutate_kernel(monkeypatch, old, new)
+    found = [verification._leibniz_counterexample(s) for s in _SIGNS]
+    assert found == [kernel_route_counterexample(s) for s in _SIGNS]
+    assert any(found)  # each mutation breaks the identity under some rule
+
+
+def test_a_zero_derivation_matrix_fails_the_rank_check_at_its_triplet(monkeypatch):
+    matrix = derivations.derivation_matrix
+
+    def zeroed(u_idx, v_idx, n):
+        return ((0,) * 7,) * 7 if (u_idx, v_idx, n) == (1, 2, 5) else matrix(u_idx, v_idx, n)
+
+    monkeypatch.setattr(derivations, "derivation_matrix", zeroed)
+    assert verification.check_derivation_ranks() == (False, "rule 5, triplet [1, 2, 3]: rank 2 != 3")
+
+
 def test_the_16_rules_are_exactly_the_orientations_whose_inner_maps_are_derivations():
     # the paper's derivation-algebra description as a fact: over all 128
     # orientations of the seven reference triplets, D(u, v; .) is a
