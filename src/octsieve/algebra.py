@@ -31,9 +31,12 @@ exactly when all seven parts are zero.  Each pair of imaginary indices
 lies on exactly one triplet, so that holds exactly when every minor
 a_i b_j - a_j b_i vanishes, i.e. when the imaginary parts a' and b' are
 parallel: the Cauchy-Schwarz equality (a'.b')^2 == |a'|^2 |b'|^2, which is
-exact on ints and is tested first.
+exact on ints and is tested first.  :func:`_add_product` writes the parts,
+shifted by a key, into mutable rows; it builds :func:`_mul_all`'s spectrum
+and accumulates the sieve's products of spectra.
 
-All values here are immutable and all functions are pure.  Ints of any
+All values here are immutable and all functions but :func:`_add_product`,
+which adds into the rows it is given, are pure.  Ints of any
 size and rationals (``numbers.Rational``, such as ``Fraction``) propagate
 exactly through every operation, :func:`inverse` included, so the tests
 assert equality, never tolerance.  Floats must be finite.  With float
@@ -314,30 +317,55 @@ def _mul(a: tuple, b: tuple, s: tuple[int, ...]) -> tuple:
     )
 
 
-def _mul_all(a: tuple, b: tuple) -> tuple | dict[int, tuple]:
-    """The product of two 8-tuples of ints or rationals under all 16 rules,
-    P0 + sum_t chi(m_t, n) P_t under rule n, as the tuple P0 when the
-    imaginary parts are parallel, else as the spectrum {0: P0, m_t: P_t}
-    without its zero parts.  P0 holds the real output and the terms with a
-    real factor; P_t is triplet t = (i, j, k) under rule 0: a_j b_k - a_k b_j
-    at i, a_k b_i - a_i b_k at j and a_i b_j - a_j b_i at k.  By Lagrange's
-    identity the squares of these 21 minors sum to |a'|^2 |b'|^2 - (a'.b')^2,
-    so they all vanish exactly at Cauchy-Schwarz equality.  Exact sums do
-    not depend on their order, so under each rule this is :func:`_mul`'s."""
-    a0, b0 = a[0], b[0]
-    ai, bi = a[1:], b[1:]
-    dot = sum(map(mul, ai, bi))
-    p0 = (a0 * b0 - dot, *[a0 * y + x * b0 for x, y in zip(ai, bi)])
-    if dot * dot == sum(map(mul, ai, ai)) * sum(map(mul, bi, bi)):
-        return p0
-    spectrum = {0: p0} if any(p0) else {}
-    for m, (i, j, k) in zip(_TRIPLET_MASKS, REFERENCE_TRIPLETS):
+# Each triplet's mask and indices, flat for the loop in _add_product.
+_PARTS = tuple((m, i, j, k) for m, (i, j, k) in zip(_TRIPLET_MASKS, REFERENCE_TRIPLETS))
+
+
+def _add_product(rows: dict[int, list], key: int, a: tuple, b: tuple) -> None:
+    """Add the product of two 8-tuples of ints or rationals under all 16
+    rules, shifted by ``key``, into ``rows``, a spectrum of mutable 8-lists:
+    P0 at ``key`` unless it is zero, and each triplet part P_t at
+    ``key ^ m_t`` unless its three minors are zero, a row created where
+    there is none.  P0 holds the real output and the terms with a real
+    factor; P_t is triplet t = (i, j, k) under rule 0: a_j b_k - a_k b_j at
+    i, a_k b_i - a_i b_k at j and a_i b_j - a_j b_i at k.  Under rule n the
+    product is P0 + sum_t chi(m_t, n) P_t, and exact sums do not depend on
+    their order, so under each rule this is :func:`_mul`'s.  Rows that
+    cancel to zero are left for the caller to drop."""
+    a0, b0, ai, bi = a[0], b[0], a[1:], b[1:]
+    p0 = [a0 * b0 - sum(map(mul, ai, bi)), *[a0 * y + x * b0 for x, y in zip(ai, bi)]]
+    if any(p0):
+        row = rows.get(key)
+        rows[key] = p0 if row is None else list(map(add, row, p0))
+    for m, i, j, k in _PARTS:
         x, y, z = a[j] * b[k] - a[k] * b[j], a[k] * b[i] - a[i] * b[k], a[i] * b[j] - a[j] * b[i]
         if x or y or z:
-            part = [0] * 8
-            part[i], part[j], part[k] = x, y, z
-            spectrum[m] = tuple(part)
-    return spectrum
+            row = rows.get(key ^ m)
+            if row is None:
+                row = rows[key ^ m] = [0] * 8
+                row[i], row[j], row[k] = x, y, z
+            else:
+                row[i] += x
+                row[j] += y
+                row[k] += z
+
+
+def _mul_all(a: tuple, b: tuple) -> tuple | dict[int, tuple]:
+    """The product of two 8-tuples of ints or rationals under all 16 rules
+    (see :func:`_add_product`), as the tuple P0 when the imaginary parts are
+    parallel, else as the spectrum {0: P0, m_t: P_t} without its zero
+    parts.  By Lagrange's identity the squares of the 21 minors sum to
+    |a'|^2 |b'|^2 - (a'.b')^2, so they all vanish exactly at Cauchy-Schwarz
+    equality, which is tested first: it costs less than the minors, and
+    most products in an invariant expression collapse."""
+    ai, bi = a[1:], b[1:]
+    dot = sum(map(mul, ai, bi))
+    if dot * dot == sum(map(mul, ai, ai)) * sum(map(mul, bi, bi)):
+        a0, b0 = a[0], b[0]
+        return (a0 * b0 - dot, *[a0 * y + x * b0 for x, y in zip(ai, bi)])
+    rows: dict[int, list] = {}
+    _add_product(rows, 0, a, b)
+    return {k: tuple(row) for k, row in rows.items()}  # each key written once: none is zero
 
 
 def multiply(a: Octonion, b: Octonion, n: int) -> Octonion:

@@ -2,7 +2,11 @@
 
 Each command computes one payload dict and :func:`main` alone prints it:
 `--format json` as a versioned schema, the default text through the
-command's renderer, which reads only the payload (and argv).  Text prints
+command's renderer, which reads only the payload (and argv).  JSON output
+is exactly the bytes of ``json.dumps(payload, indent=2)``, written by
+:func:`_json`: json's indent path always runs its pure-Python encoder.
+Compact output, faster still, was rejected because it changes the
+format.  Text prints
 integers exactly, floats with %g and a ``Fraction`` (`sieve` and `derive`
 read floats as exact rationals) as p/q, as JSON does unless it is an int.
 All output is rendered before any is printed, so a command that fails
@@ -22,6 +26,7 @@ import random
 import re
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import Octonion, _check_algebra_id, _check_int, mul_table, triplet_set
@@ -70,6 +75,28 @@ def _fmt_coeffs(coeffs) -> str:
 def _json_exact(c):
     """A ``Fraction`` in JSON: an int when its denominator is 1, else "p/q"."""
     return c.numerator if c.denominator == 1 else str(c)
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``value``, a payload of dicts with str keys, lists, tuples and
+    scalars, as ``json.dumps(value, indent=2, default=_json_exact)`` writes
+    it, ``indent`` being a newline and the spaces of its nesting depth.
+    json's indent path runs its pure-Python encoder; this is the same
+    recursion with its ints, the bulk of every payload, written without a
+    call, and every other scalar left to json's C encoder."""
+    t = type(value)
+    if t is list or t is tuple or t is dict:
+        if not value:
+            return "{}" if t is dict else "[]"
+        inner = indent + "  "
+        if t is dict:
+            items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if t is int:
+        return int.__repr__(value)  # past the digit limit: ValueError
+    return json.dumps(value, default=_json_exact)  # a scalar: the same text at any depth
 
 
 def _assignment_lines(assignment: dict):
@@ -309,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload = args.func(args)
         if args.format == "json":
-            out = json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, default=_json_exact)
+            out = _json({"schema": SCHEMA_VERSION, **payload})
         else:
             out = "\n".join(args.render(payload, args))
     except (CliError, ExprSyntaxError, UnboundVariableError, ValueError, ArithmeticError) as exc:

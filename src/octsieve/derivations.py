@@ -76,11 +76,13 @@ def associator(a: Octonion, b: Octonion, c: Octonion, n: int) -> Octonion:
     return multiply(multiply(a, b, n), c, n) - multiply(a, multiply(b, c, n), n)
 
 
-def _regrouped(u: tuple, v: tuple, s: tuple) -> Callable[[tuple], tuple]:
+def _regrouped(u: tuple, v: tuple, s: tuple, uv: tuple | None = None) -> Callable[[tuple], tuple]:
     """D(u, v; .) = p x - x c + 3 u (v x) under the rule with characters
     ``s``, on coefficient tuples: two kernel calls for p = -2 uv - vu and
-    c = uv - vu, then four per argument."""
-    uv, vu = _mul(u, v, s), _mul(v, u, s)
+    c = uv - vu, uv first and skipped when the caller passes it, then four
+    per argument."""
+    uv = _mul(u, v, s) if uv is None else uv
+    vu = _mul(v, u, s)
     p = tuple([-2 * x - y for x, y in zip(uv, vu)])
     c = tuple(map(sub, uv, vu))
 
@@ -140,8 +142,9 @@ def antiassoc_closed_form(u_idx: int, v_idx: int, a_idx: int, n: int) -> Antiass
         )
     s = _signs(n)
     u, v, a = (Octonion.unit(k).coeffs for k in (u_idx, v_idx, a_idx))
-    lhs = _regrouped(u, v, s)(a)
-    rhs = tuple([-2 * c for c in _mul(_mul(u, v, s), a, s)])
+    uv = _mul(u, v, s)
+    lhs = _regrouped(u, v, s, uv)(a)
+    rhs = tuple([-2 * c for c in _mul(uv, a, s)])
     return AntiassocReport(Octonion(lhs), Octonion(rhs), lhs == rhs)
 
 

@@ -38,7 +38,10 @@ A value is one coefficient 8-tuple while it is the same under every rule
 L*conj(L)), else its Walsh spectrum {k: F_k} (see ``AllRules``), whose
 distances are g[k] = 4 F_k.  A product with a real factor is a scaling,
 one of two tuples is ``algebra._mul_all``'s spectrum, and any other
-multiplies component by component, keys combining by XOR.  ``_per_rule``
+multiplies component by component: ``algebra._add_product`` adds the
+product of F_a and G_b in place into one set of mutable rows, its
+rule-independent part at key a ^ b and each triplet part at a ^ b ^ m_t,
+and the rows left nonzero are the spectrum.  ``_per_rule``
 transforms a spectrum into :func:`function_family`'s values on the same
 exact inputs.  ``_trials`` reaches a verdict, trial 1 on a given
 assignment and later ones drawn from one rng, by a key test with no
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 from operator import add, index, neg, sub
 from typing import Callable, Mapping, Sequence, Union
 
-from .algebra import Octonion, _character, _check_int, _mul_all
+from .algebra import Octonion, _add_product, _character, _check_int, _mul_all
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
 
 __all__ = [
@@ -177,8 +180,9 @@ def _per_rule(value: AllRules) -> Sequence[tuple]:
 
 
 def _pruned(spectrum: dict) -> AllRules:
-    """``spectrum`` without its zero components, or F_0 if no key k > 0 is left."""
-    spectrum = {k: v for k, v in spectrum.items() if any(v)}
+    """``spectrum`` without its zero components, each as a tuple, or F_0 if
+    no key k > 0 is left."""
+    spectrum = {k: tuple(v) for k, v in spectrum.items() if any(v)}
     return spectrum if len(spectrum) > (0 in spectrum) else spectrum.get(0, _ZERO)
 
 
@@ -205,14 +209,12 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
                 value = _scale(right[0], left)
             elif type(left) is tuple and type(right) is tuple:
                 value = _mul_all(left, right)
-            else:  # component F_a times G_b puts _mul_all's parts at a ^ b ^ their keys
-                value = {}
+            else:  # component F_a times G_b adds its parts at a ^ b and a ^ b ^ m_t
+                rows = {}
                 for a, f in _spectrum(left).items():
                     for b, g in _spectrum(right).items():
-                        for k, part in _spectrum(_mul_all(f, g)).items():
-                            k ^= a ^ b
-                            value[k] = tuple(map(add, value[k], part)) if k in value else part
-                value = _pruned(value)
+                        _add_product(rows, a ^ b, f, g)
+                value = _pruned(rows)
         elif op is Add or op is Sub:
             f = add if op is Add else sub
             left, right = values[x], values[y]

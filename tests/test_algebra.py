@@ -489,6 +489,7 @@ COLLAPSE = {  # imaginary parts parallel: one product for all 16 rules
     "times-2^70": ((4,) + IMAG, (1,) + tuple(P * c for c in IMAG)),
     "other-real-part": ((P,) + IMAG, (5,) + IMAG),
     "common-factor": ((3,) + tuple(2 * c for c in IMAG), (-1,) + tuple(3 * c for c in IMAG)),
+    "times-2/3": ((4,) + IMAG, (Fraction(1, 5),) + tuple(Fraction(2, 3) * c for c in IMAG)),
 }
 SPLIT = {  # one nonzero minor, a_1 b_2 - a_2 b_1 = 2^70
     "one-minor-past-2^64": ((5, P, 0, 0, 0, 0, 0, 0), (7, 3 * P, 1, 0, 0, 0, 0, 0)),

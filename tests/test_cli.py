@@ -384,6 +384,45 @@ def test_a_result_past_the_int_digit_limit_leaves_stdout_empty(capsys, fmt):
     assert err.startswith("octsieve: error:") and "Traceback" not in err
 
 
+def test_the_json_writer_is_json_dumps_with_indent_2():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from fractions import Fraction
+
+    texts = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\u2028\U0001f600\ud800ab')
+    ints = st.integers() | st.integers(min_value=2**64, max_value=2**300).flatmap(lambda n: st.sampled_from((n, -n)))
+    floats = st.sampled_from((-0.0, 0.0, 1e300, float("inf"), float("-inf"), float("nan"))) | st.floats()
+    fractions = st.fractions() | ints.map(Fraction)
+    leaves = st.none() | st.booleans() | ints | floats | fractions | texts
+    values = st.recursive(
+        leaves | st.lists(ints | st.booleans()),
+        lambda sub: st.lists(sub) | st.lists(sub).map(tuple) | st.dictionaries(texts, sub),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(values)
+    def writes_what_json_writes(value):
+        assert cli._json(value) == json.dumps(value, indent=2, default=cli._json_exact)
+
+    writes_what_json_writes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--algebra", "5"), ("triplets", "--algebra", "5"), ("orbit",),
+    ("sieve", "--expr", "a*b+b*a", "--random-assign", "--seed", "1", "--trials", "4"),
+    ("sieve", "--expr", "(a*b)*c", "--random-assign", "--seed", "1"),
+    ("sieve", "--expr", "0.5*a*b", "--assign", "a=1.5,-0.0,2,0,0,0,1e300,0", "--assign", "b=i3"),
+    ("derive", "--u", "i1", "--v", "i2", "--expr", "a", "--assign", "a=i4"),
+    ("derive", "--u", "i1", "--v", "i2", "--expr", "0.5*a", "--assign", "a=0.25,1,0,0,0,0,0,0", "--algebra", "5"),
+    ("verify", "--quick"),
+])
+def test_json_output_is_json_dumps_byte_for_byte(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def fail(*args):
     raise AssertionError("evaluated before --trials was checked")
 

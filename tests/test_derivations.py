@@ -208,6 +208,13 @@ def test_antiassoc_closed_form_spot_rules():
                     assert antiassoc_closed_form(u, v, a, n).equal
 
 
+def test_antiassoc_closed_form_computes_uv_once(monkeypatch):
+    counts = Counter()
+    counting(monkeypatch, counts, derivations, "_mul")
+    assert antiassoc_closed_form(1, 2, 4, 9).equal
+    assert counts == {"_mul": 7}  # uv, vu, four for D(a), and (uv)a
+
+
 def test_cross_algebra_equal_quaternionic_triple():
     assert cross_algebra_equal(unit(1), unit(2), unit(3)) == frozenset(range(16))
 

@@ -8,8 +8,8 @@ import pytest
 from test_algebra import rational, typed
 from test_dsl import _random_tree
 
-from octsieve.algebra import Octonion
-from octsieve.dsl import MAX_DEPTH, Conj, Const, Neg, Var, _program, free_vars, parse, to_text
+from octsieve.algebra import _SIGNS, Octonion, _character, _mul
+from octsieve.dsl import MAX_DEPTH, Add, Conj, Const, Mul, Neg, Var, _program, free_vars, parse, to_text
 from octsieve.sieve import (
     _all_rules,
     _butterfly,
@@ -364,6 +364,72 @@ def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
         value = _all_rules(_program(parse("a + b"))[0], {**env, "b": spectrum})
         assert type(value) is dict
         assert list(_per_rule(value)) == [tuple(map(sum, zip(env["a"], v))) for v in odd]
+
+
+def per_rule_oracle(node, env, s):
+    """``node`` under the rule with triplet characters ``s``, through the
+    kernel ``_mul`` alone; ``env`` binds each name to its value under that rule."""
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Const):
+        return (node.value,) + (0,) * 7
+    if isinstance(node, Neg):
+        return tuple(-c for c in per_rule_oracle(node.operand, env, s))
+    if isinstance(node, Conj):
+        c = per_rule_oracle(node.operand, env, s)
+        return (c[0],) + tuple(-x for x in c[1:])
+    left, right = per_rule_oracle(node.left, env, s), per_rule_oracle(node.right, env, s)
+    if isinstance(node, Mul):
+        return _mul(left, right, s)
+    return tuple(map(add if isinstance(node, Add) else sub, left, right))
+
+
+def spectrum_draw(rng, exact):
+    """A spectrum {k: octonion} of 1-4 components, entries ints or Fractions, some zero."""
+    bound = 2**70 if exact == "int" else 9
+
+    def entry():
+        x = rng.choice((0, rng.randint(-9, 9), rng.randint(-bound, bound)))
+        return Fraction(x, rng.randint(1, 6)) if exact == "fraction" else x
+
+    return {k: Octonion(entry() for _ in range(8)) for k in rng.sample(range(16), rng.randint(1, 4))}
+
+
+def under_rule(x, n):
+    """An octonion, or a spectrum's value sum_k chi(k, n) x_k, under rule n, as a tuple."""
+    if isinstance(x, Octonion):
+        return x.coeffs
+    return sum((_character(k, n) * v for k, v in x.items()), Octonion.zero()).coeffs
+
+
+@pytest.mark.parametrize("exact", ["int", "fraction"])
+@pytest.mark.parametrize("text, collapse", [
+    ("a*b", None), ("(a*b)*c", None), ("a*(b*c)", None), ("(a*b)*(b*a) + c*conj(c)", None),
+    ("a*b - a*b", "to zero"), ("(a*b)*c - (a*b)*c", "to zero"),
+    ("a*b + b*a", "on tuples"), ("(a*b)*conj(a*b)", "on tuples"),
+])
+def test_the_in_place_spectrum_product_is_the_kernel_under_every_rule(text, collapse, exact):
+    # spectrum x spectrum and spectrum x tuple products accumulate into rows;
+    # each rule's value is the kernel's on that rule's values of the inputs.
+    # a*b + b*a and the norm of a*b are the same under every rule when the
+    # inputs are, and are tuples then
+    tree = parse(text)
+    names, values = _evaluator(tree)
+    rng = random.Random(text)
+    for trial in range(6):
+        env = {name: spectrum_draw(rng, exact) for name in names}
+        tuples = names if trial % 3 == 2 else names[-1:] if trial % 3 == 1 else []
+        for name in tuples:
+            env[name] = env[name].popitem()[1]
+        value = values(env)
+        expected = [per_rule_oracle(tree, {name: under_rule(x, n) for name, x in env.items()}, _SIGNS[n])
+                    for n in range(16)]
+        assert list(_per_rule(value)) == expected
+        assert (type(value) is tuple) is all(e == expected[0] for e in expected)
+        if collapse == "to zero" or collapse == "on tuples" and tuples == names:
+            assert type(value) is tuple
+        if collapse == "to zero":
+            assert value == (0,) * 8
 
 
 def keys(value):
