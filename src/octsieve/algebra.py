@@ -15,14 +15,17 @@ and rule n flips its orientation exactly when chi(m_t, n) = -1.  The bits
 of n are four generators T0=8, T1=4, T2=2, T3=1 acting on the triplet
 parities; ids 0..7 are the left-handed rules, 8..15 the right-handed ones.
 
+The seven characters chi(m_t, n) of rule n, ``_SIGNS[n]``, are its
+orientation, stated once: :func:`flip_vector`, :func:`parity_word` and
+:func:`triplet_set` read them, and :func:`identify_algebra` finds the row
+equal to a table's seven reference signs.
 The basis index of a product is the same in every rule: e_i e_j =
 +-e_{i XOR j}, because each triplet (l, m, n) satisfies l XOR m = n.  The
 sign is +1 when i or j is 0, -1 when i = j > 0, and otherwise the
 reference orientation of the triplet t holding i and j times chi(m_t, n).
 :func:`multiply` is one unrolled kernel over these seven characters; the
 table of rule n in :func:`mul_table` is built independently, from rule
-n's oriented triplets (:func:`triplet_set`), and :func:`identify_algebra`
-reads a table's rule off its seven reference products.
+n's oriented triplets (:func:`triplet_set`).
 For two 8-tuples of ints or rationals, :func:`_mul_all` gives the product
 under all 16 rules as its Walsh spectrum: under rule n it is
 P0 + sum_t chi(m_t, n) P_t, a rule-independent part and seven triplet
@@ -39,10 +42,13 @@ All values here are immutable and all functions but :func:`_add_product`,
 which adds into the rows it is given, are pure.  Ints of any
 size and rationals (``numbers.Rational``, such as ``Fraction``) propagate
 exactly through every operation, :func:`inverse` included, so the tests
-assert equality, never tolerance.  Floats must be finite.  With float
-inputs every term of a product is added, zero or not, so a coefficient
-whose terms all vanish can come out as 0.0 where a loop that skips zero
-terms would leave the integer 0; the two are equal.
+assert equality, never tolerance.  Floats must be finite.
+:func:`_rational` reads a checked coefficient as the rational it is, and
+:func:`_exact` a tuple of them, for every exact route in the package: the
+sieve's all-rules pass, compiled constants and the derivations.  With
+float inputs every term of a product is added, zero or not, so a
+coefficient whose terms all vanish can come out as 0.0 where a loop that
+skips zero terms would leave the integer 0; the two are equal.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ __all__ = [
     "Octonion",
     "flip_vector",
     "parity_word",
-    "oriented_triplets",
     "triplet_set",
     "mul_table",
     "multiply",
@@ -99,6 +104,11 @@ _TRIPLET_MASKS: tuple[int, ...] = tuple(_KEYS[a] ^ _KEYS[b] ^ _KEYS[c] for a, b,
 def _character(j: int, k: int) -> int:
     """The characters of Z2^4: (-1) ** popcount(j & k)."""
     return -1 if bin(j & k).count("1") % 2 else 1
+
+
+# The orientation of each rule, and its only statement: row n holds the seven
+# triplet characters chi(m_t, n), -1 where rule n flips reference triplet t.
+_SIGNS: tuple[tuple[int, ...], ...] = tuple(tuple(_character(n, m) for m in _TRIPLET_MASKS) for n in range(16))
 
 
 # Table entry: (sign, basis index), index 0 being the real unit.
@@ -225,12 +235,34 @@ class Octonion:
 _UNITS = tuple(Octonion(tuple(1 if i == k else 0 for i in range(8))) for k in range(8))
 
 
+def _rational(x):
+    """A coefficient that :class:`Octonion` accepts, so finite, as the
+    rational it is: an int when it is integral, as int arithmetic is many
+    times faster, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    from fractions import Fraction  # not at package import: it pulls in decimal
+
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _exact(coeffs: tuple) -> tuple:
+    """``coeffs`` itself when every coefficient is an int, else each read
+    by :func:`_rational`."""
+    return coeffs if all(type(c) is int for c in coeffs) else tuple(map(_rational, coeffs))
+
+
+def _signs(n: int) -> tuple[int, ...]:
+    """The triplet characters of rule n, ``_SIGNS[n]``."""
+    return _SIGNS[_check_algebra_id(n)]
+
+
 def flip_vector(mask: int) -> tuple[int, ...]:
     """Seven parity-flip flags of the generators selected by ``mask`` (bit
-    weights T0=8, T1=4, T2=2, T3=1): flag t is 1 where the character of
-    triplet mask m_t is -1 on ``mask``, i.e. popcount(mask & m_t) is odd."""
-    _check_algebra_id(mask)
-    return tuple(int(_character(mask, m) < 0) for m in _TRIPLET_MASKS)
+    weights T0=8, T1=4, T2=2, T3=1): flag t is 1 where rule ``mask`` flips
+    triplet t, i.e. popcount(mask & m_t) is odd."""
+    return tuple(int(s < 0) for s in _signs(mask))
 
 
 # Parity-flip patterns of the four generators, one flag per reference
@@ -242,31 +274,15 @@ GENERATOR_FLIPS: dict[int, tuple[int, ...]] = {bit: flip_vector(bit) for bit in 
 
 def parity_word(n: int) -> str:
     """Orientation of each reference triplet in rule n, as '+'/'-' chars."""
-    return "".join("-" if f else "+" for f in flip_vector(n))
-
-
-def _flips_from_word(word: str) -> tuple[int, ...]:
-    if len(word) != 7 or any(c not in "+-" for c in word):
-        raise ValueError(f"parity word must be 7 chars of '+'/'-', got {word!r}")
-    return tuple(1 if c == "-" else 0 for c in word)
-
-
-def oriented_triplets(word: str) -> TripletSet:
-    """Reference triplets reoriented per a parity word.
-
-    A '-' triplet is written with its last two indices transposed, the
-    canonical odd-permutation representative.
-    """
-    out = []
-    for flag, (l, m, n) in zip(_flips_from_word(word), REFERENCE_TRIPLETS):
-        out.append((l, n, m) if flag else (l, m, n))
-    return tuple(out)
+    return "".join("-" if s < 0 else "+" for s in _signs(n))
 
 
 def triplet_set(n: int) -> tuple[TripletSet, str]:
-    """Oriented triplets and parity word of rule n (0..15)."""
-    word = parity_word(n)
-    return oriented_triplets(word), word
+    """Oriented triplets and parity word of rule n (0..15).  A flipped
+    triplet is written with its last two indices transposed, the canonical
+    odd-permutation representative."""
+    triplets = tuple((l, m, k) if s > 0 else (l, k, m) for s, (l, m, k) in zip(_signs(n), REFERENCE_TRIPLETS))
+    return triplets, parity_word(n)
 
 
 def mul_table(n: int) -> MulTable:
@@ -280,18 +296,6 @@ def mul_table(n: int) -> MulTable:
         for x, y, z in ((l, m, k), (m, k, l), (k, l, m)):
             entries[x][y], entries[y][x] = (1, z), (-1, z)
     return tuple(tuple(row) for row in entries)
-
-
-# The seven triplet characters of each rule: -1 where rule n flips the
-# reference triplet, else +1.
-_SIGNS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(_character(n, m) for m in _TRIPLET_MASKS) for n in range(16)
-)
-
-
-def _signs(n: int) -> tuple[int, ...]:
-    """The triplet characters of rule n, for :func:`_mul`."""
-    return _SIGNS[_check_algebra_id(n)]
 
 
 def _mul(a: tuple, b: tuple, s: tuple[int, ...]) -> tuple:
@@ -442,15 +446,14 @@ def _check_table_shape(table) -> MulTable:
 def identify_algebra(table) -> int:
     """The unique rule id whose table equals ``table``.
 
-    The signs of the seven reference products e_a e_b = +-e_c give a parity
-    word, which names at most one rule n, and the whole table must then be
-    rule n's.  Raises NotEquivalentAlgebraError when it is none of the 16.
+    The signs of the seven reference products e_a e_b = +-e_c are rule n's
+    characters ``_SIGNS[n]`` for at most one n, and the whole table must then
+    be rule n's.  Raises NotEquivalentAlgebraError when it is none of the 16.
     """
     rows = _check_table_shape(table)
-    word = "".join("+" if rows[a][b][0] == 1 else "-" for a, b, _ in REFERENCE_TRIPLETS)
-    for n in range(16):
-        if parity_word(n) == word and rows == mul_table(n):
-            return n
+    signs = tuple(rows[a][b][0] for a, b, _ in REFERENCE_TRIPLETS)
+    if signs in _SIGNS and rows == mul_table(n := _SIGNS.index(signs)):
+        return n
     raise NotEquivalentAlgebraError("table does not match any of the 16 equivalent rules")
 
 

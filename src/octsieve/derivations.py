@@ -47,9 +47,9 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Callable, Sequence
 
-from .algebra import Octonion, _check_int, _mul, _mul_all, _signs, multiply, norm
+from .algebra import Octonion, _check_int, _exact, _mul, _mul_all, _signs, multiply, norm
 from .dsl import Expr, _program, parse
-from .sieve import AllRules, _all_rules, _evaluator, _exact, _per_rule, _random_ints
+from .sieve import AllRules, _all_rules, _evaluator, _per_rule, _random_ints
 
 __all__ = [
     "commutator",

@@ -14,10 +14,11 @@ the grouping matters.
 Literals are real scalars only, read by :func:`_number` (as are the CLI's
 coefficients): digits alone make an exact int of any size, up to Python's
 int/str digit limit, and a fraction or an exponent makes a float, which
-must not read as inf, nor as 0 unless it is zero (the sieve reads it as
-the rational it is).  Basis elements enter through variable assignments,
-so the same expression can be evaluated under any of the 16 multiplication
-rules.  'conj' is a reserved word.
+must not read as inf, nor as 0 unless it is zero.  :func:`_program` reads
+every constant once, exactly, when it compiles: as the rational it is, so
+1, 1.0 and Fraction(1) are one step.  Basis elements enter through
+variable assignments, so the same expression can be evaluated under any of
+the 16 multiplication rules.  'conj' is a reserved word.
 
 :func:`_program` compiles a tree to a flat list of steps without recursion,
 so :func:`free_vars` and the sieve's all-rules pass (behind every caller
@@ -38,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebra import Octonion, _check_algebra_id, conjugate, multiply
+from .algebra import Octonion, _check_algebra_id, _rational, conjugate, multiply
 
 __all__ = [
     "Expr",
@@ -116,26 +117,19 @@ class UnboundVariableError(ValueError):
         self.name = name
 
 
+# Every character that is not whitespace starts a token; one that starts
+# no other token is "bad".
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*()]))"
+    r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*()])|(?P<bad>\S)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-            )
-        kind = m.lastgroup  # "num", "ident" or "op"
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -287,11 +281,13 @@ def evaluate(expr: Expr, env: Mapping[str, Octonion], n: int) -> Octonion:
 def _program(expr: Expr) -> tuple[list[tuple], list[str]]:
     """Compile ``expr`` to a post-order list of steps, the root last, and
     its variable names in first-occurrence order.  A step is ``(Var, name,
-    None)``, ``(Const, value, type(value))``, ``(Neg|Conj, i, i)`` or
-    ``(Add|Sub|Mul, i, j)``, i and j being slots of earlier steps.  A step
-    is its own key: equal subtrees share one, while 1 and 1.0 stay apart;
-    a node object that the tree reuses is compiled once.  A constant is
-    read as an ``Octonion`` coefficient is, and raises as there."""
+    None)``, ``(Const, value, None)``, ``(Neg|Conj, i, i)`` or
+    ``(Add|Sub|Mul, i, j)``, i and j being slots of earlier steps.  A
+    constant is checked as an ``Octonion`` coefficient is, and raises as
+    there, then read exactly (``algebra._rational``): its value is an int
+    or a ``Fraction``.  A step is its own key: equal subtrees share one, so
+    do equal constants such as 1 and 1.0, and a node object that the tree
+    reuses is compiled once."""
     slots, names, done = {}, {}, {}  # step -> slot; id(node) -> its slot
     stack = [expr]
     while stack:  # a node stays on the stack until its operands are done
@@ -316,7 +312,7 @@ def _program(expr: Expr) -> tuple[list[tuple], list[str]]:
             names.setdefault(node.name)
             step = (Var, node.name, None)
         elif kind is Const:
-            step = (Const, Octonion.real(node.value)[0], type(node.value))
+            step = (Const, _rational(Octonion.real(node.value)[0]), None)
         else:
             raise TypeError(f"not an expression node: {node!r}")
         stack.pop()

@@ -29,10 +29,11 @@ verdict is exact, so invariance is a zero test with no tolerance; its
 witness distance is an int on int inputs, else a ``Fraction``.
 
 Two decisions are made here for every caller.  ``_evaluator`` evaluates
-an expression under all 16 rules: it compiles it once (``dsl._program``)
-and runs an assignment as one loop over its steps that carries all 16
-rules at once, on exact numbers: every finite float is a dyadic rational,
-read as such once per literal and per call for a coefficient (``_rational``).
+an expression under all 16 rules: it compiles it once (``dsl._program``,
+which reads each literal as the rational it is) and runs an assignment as
+one loop over its steps that carries all 16 rules at once, on exact
+numbers: every finite float is a dyadic rational, and each coefficient is
+read as such once per call (``algebra._exact``).
 A value is one coefficient 8-tuple while it is the same under every rule
 (variables, constants, their linear combinations, real norms such as
 L*conj(L)), else its Walsh spectrum {k: F_k} (see ``AllRules``), whose
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from operator import add, index, neg, sub
 from typing import Callable, Mapping, Sequence, Union
 
-from .algebra import Octonion, _add_product, _character, _check_int, _mul_all
+from .algebra import Octonion, _add_product, _character, _check_int, _exact, _mul_all
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
 
 __all__ = [
@@ -238,36 +239,13 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
     return values[-1]
 
 
-def _rational(x):
-    """``x`` as the rational it is (exact for every finite float): an int when
-    it is integral, as int arithmetic is many times faster, else a ``Fraction``.
-    An infinite or NaN float raises ``ValueError``, as an ``Octonion``
-    coefficient does."""
-    if type(x) is int:
-        return x
-    from fractions import Fraction  # not at package import: it pulls in decimal
-
-    try:
-        q = Fraction(x)
-    except (OverflowError, ValueError):  # Fraction's errors for inf and nan
-        raise ValueError(f"coefficients must be finite, got {x!r}") from None
-    return q.numerator if q.denominator == 1 else q
-
-
-def _exact(coeffs: tuple) -> tuple:
-    """``coeffs`` itself when every coefficient is an int, else each read
-    by :func:`_rational`."""
-    return coeffs if all(type(c) is int for c in coeffs) else tuple(map(_rational, coeffs))
-
-
 def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
     """Compile ``tree`` once: its variable names, and a function from an
     assignment (each name bound to one octonion, or to a spectrum
     {k: octonion}, the value under rule n being sum_k chi(k, n) x_k) to its
-    exact values under all 16 rules, float literals and coefficients read
-    as the rationals they are."""
+    exact values under all 16 rules, coefficients read as the rationals
+    they are (the program's literals already are)."""
     steps, names = _program(tree)
-    steps = [(op, _rational(x), kind) if op is Const else (op, x, kind) for op, x, kind in steps]
 
     def values(env: Mapping[str, Octonion | Mapping[int, Octonion]]) -> AllRules:
         return _all_rules(steps, {name: _exact(x.coeffs) if isinstance(x, Octonion)

@@ -5,9 +5,11 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from octsieve import algebra
 from octsieve.algebra import (
     _KEYS,
     _SIGNS,
@@ -16,6 +18,7 @@ from octsieve.algebra import (
     _mul_all,
     GENERATOR_FLIPS,
     NotEquivalentAlgebraError,
+    REFERENCE_TRIPLETS,
     Octonion,
     conjugate,
     flip_vector,
@@ -130,6 +133,31 @@ def test_flips_and_characters_are_views_of_the_triplet_masks():
                 composed = tuple(a ^ b for a, b in zip(composed, pattern))
         assert flip_vector(n) == composed
         assert _SIGNS[n] == tuple(-1 if f else 1 for f in composed)
+
+
+def orientation(n):
+    """Rule n's flips, parity word, oriented triplets and reference products."""
+    table = mul_table(n)
+    return flip_vector(n), parity_word(n), triplet_set(n), tuple(table[a][b] for a, b, _ in REFERENCE_TRIPLETS)
+
+
+def read_off(signs):
+    """The same four, read off a row of seven triplet characters."""
+    word = "".join("-" if s < 0 else "+" for s in signs)
+    triplets = tuple((a, b, c) if s > 0 else (a, c, b) for s, (a, b, c) in zip(signs, REFERENCE_TRIPLETS))
+    return (tuple(int(s < 0) for s in signs), word, (triplets, word),
+            tuple((s, c) for s, (_, _, c) in zip(signs, REFERENCE_TRIPLETS)))
+
+
+def test_each_rule_s_orientation_is_read_off_its_row_of_signs(monkeypatch):
+    for n in range(16):
+        assert orientation(n) == read_off(_SIGNS[n])
+    # a row that is no rule: rule 3's with triplet 0 flipped; all four follow it
+    row = (-_SIGNS[3][0],) + _SIGNS[3][1:]
+    assert row not in _SIGNS
+    monkeypatch.setattr(algebra, "_SIGNS", _SIGNS[:3] + (row,) + _SIGNS[4:])
+    assert orientation(3) == read_off(row)
+    assert all(orientation(n) == read_off(_SIGNS[n]) for n in range(16) if n != 3)
 
 
 def test_sixteen_parity_words_distinct_and_xor_closed():
@@ -327,6 +355,15 @@ def test_identify_algebra_rejects_non_fano_table():
     mirror[2][1] = (1, 3)
     with pytest.raises(NotEquivalentAlgebraError):
         identify_algebra(mirror)
+    # triplet (1, 2, 3) reversed on all six of its entries: a consistent
+    # orientation, one of the 112 that are no rule
+    reversed_123 = [list(row) for row in mul_table(0)]
+    for i, j in permutations((1, 2, 3), 2):
+        s, k = reversed_123[i][j]
+        reversed_123[i][j] = (-s, k)
+    assert sum(tuple(row) != base for row, base in zip(reversed_123, mul_table(0))) == 3
+    with pytest.raises(NotEquivalentAlgebraError):
+        identify_algebra(reversed_123)
 
 
 def test_identify_algebra_rejects_malformed_shapes():

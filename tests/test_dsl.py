@@ -145,6 +145,19 @@ def test_syntax_errors_carry_offsets():
         parse("conj a")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("a $ b", "unexpected character '$'", 2),
+    ("1.2.3*a", "unexpected character '.'", 3),
+    ("  \u00e9", "unexpected character '\u00e9'", 2),
+    ("a\t#", "unexpected character '#'", 2),
+    ("a +  \n", "unexpected end of input", 6),  # trailing whitespace: the end is the text's length
+])
+def test_a_bad_character_or_end_is_named_at_its_offset(text, message, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert (str(err.value), err.value.offset) == (f"{message} (at offset {offset})", offset)
+
+
 def test_free_vars_first_occurrence_order():
     assert free_vars(parse("a*b + b*a")) == ["a", "b"]
     assert free_vars(parse("3")) == []

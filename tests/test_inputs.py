@@ -1,5 +1,6 @@
 """Indices, counts and constants from outside the package: one rule, one message."""
 
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +66,15 @@ def test_a_constant_that_is_not_a_real_number_is_a_type_error(site, value):
     with pytest.raises(TypeError) as err:
         CONSTANT_SITES[site](value)
     assert str(err.value) == f"coefficients must be real numbers, got {value!r}"
+
+
+@pytest.mark.parametrize("site", CONSTANT_SITES)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_constant_that_is_not_finite_is_a_value_error(site, value):
+    # checked before the constant is read as a rational, which needs it finite
+    with pytest.raises(ValueError) as err:
+        CONSTANT_SITES[site](value)
+    assert str(err.value) == f"coefficients must be finite, got {value!r}"
 
 
 @pytest.mark.parametrize("value", [Fraction(1, 3), 2, 0.5])

@@ -2,10 +2,12 @@
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from test_dsl import _random_tree
 
+from octsieve.algebra import _rational
 from octsieve.dsl import Add, Conj, Const, Mul, Neg, Sub, Var, _program, free_vars, parse
 from octsieve.sieve import is_invariant
 
@@ -43,11 +45,12 @@ def test_equal_subtrees_share_one_step():
     assert steps[-1] == (Mul, 6, 4)
 
 
-def test_int_and_float_constants_stay_apart():
-    steps, _ = _program(Add(Const(1), Const(1.0)))
-    assert steps == [(Const, 1, int), (Const, 1.0, float), (Add, 0, 1)]
-    steps, _ = _program(Add(Const(1), Const(1)))
-    assert steps == [(Const, 1, int), (Add, 0, 0)]
+def test_equal_rationals_share_one_step():
+    steps, _ = _program(Add(Add(Const(1), Const(1.0)), Const(Fraction(1))))
+    assert steps == [(Const, 1, None), (Add, 0, 0), (Add, 1, 0)]
+    assert all(type(x) is int for op, x, _ in steps if op is Const)
+    steps, _ = _program(Add(Const(0.5), Const(1)))
+    assert steps == [(Const, Fraction(1, 2), None), (Const, 1, None), (Add, 0, 1)]
 
 
 def test_free_vars_matches_the_recursive_walk():
@@ -68,7 +71,7 @@ def recursive_program(expr):
             names.setdefault(node.name)
             step = (Var, node.name, None)
         elif kind is Const:
-            step = (Const, node.value, type(node.value))
+            step = (Const, _rational(node.value), None)
         elif kind in (Add, Sub, Mul):
             step = (kind, walk(node.left), walk(node.right))
         else:
