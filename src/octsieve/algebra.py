@@ -134,7 +134,48 @@ def _check_algebra_id(n: int) -> int:
     return _check_int(n, "algebra id", 0, 15)
 
 
-class Octonion:
+class _Record:
+    """An immutable value: a subclass names its fields, in constructor
+    order, in ``__slots__`` and sets each once in its ``__init__`` through
+    ``object.__setattr__``.  Records of one class compare and hash by their
+    field values, records of two classes never compare equal, and the repr
+    is ``Name(field=value, ...)``.  Assignment and deletion raise
+    ``AttributeError``; copying and pickling rebuild through the
+    constructor, passing each field by keyword."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), dict(zip(self.__slots__, self._fields())))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _rebuild(cls: type, fields: dict) -> _Record:
+    """A copied or unpickled record, built and checked by its constructor."""
+    return cls(**fields)
+
+
+class Octonion(_Record):
     """An immutable 8-tuple of real coefficients (a0, ..., a7).
 
     a0 is the real part; a1..a7 sit on the imaginary units i1..i7.  The
@@ -158,9 +199,6 @@ class Octonion:
             elif not isinstance(c, numbers.Rational) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be real numbers, got {c!r}")
         object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Octonion is immutable")
 
     @classmethod
     def zero(cls) -> "Octonion":

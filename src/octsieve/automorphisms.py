@@ -14,10 +14,10 @@ right-handed ones (ids 8..15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import NamedTuple
 
-from .algebra import TripletSet, _check_algebra_id, _check_int, flip_vector, parity_word, triplet_set
+from .algebra import TripletSet, _check_algebra_id, _check_int, _Record, flip_vector, parity_word, triplet_set
 
 __all__ = [
     "Automorphism",
@@ -36,14 +36,18 @@ __all__ = [
 _GENERATOR_NAMES = ((8, "T0"), (4, "T1"), (2, "T2"), (1, "T3"))
 
 
-@dataclass(frozen=True, order=True)
-class Automorphism:
-    """An element of the parity group, identified by its 4-bit mask (an int in 0..15)."""
+@total_ordering
+class Automorphism(_Record):
+    """An element of the parity group, identified by its 4-bit mask (an int
+    in 0..15); automorphisms are ordered by mask."""
 
-    mask: int
+    __slots__ = __match_args__ = ("mask",)
 
-    def __post_init__(self):
-        _check_int(self.mask, "mask", 0, 15)
+    def __init__(self, mask: int):
+        object.__setattr__(self, "mask", _check_int(mask, "mask", 0, 15))
+
+    def __lt__(self, other):
+        return self.mask < other.mask if type(other) is Automorphism else NotImplemented
 
     @property
     def flip_pattern(self) -> tuple[int, ...]:

@@ -25,7 +25,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -254,7 +253,8 @@ def cmd_verify(args) -> dict:
     results = run_checks(quick=args.quick)
     return {
         "quick": args.quick,
-        "checks": [asdict(r) for r in results],
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed_s": r.elapsed_s}
+                   for r in results],
         "passed": sum(r.passed for r in results),
         "total": len(results),
     }

@@ -43,11 +43,10 @@ u XOR v == a, the basis index of their product under every rule.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import sub
 from typing import Callable, Sequence
 
-from .algebra import Octonion, _check_int, _exact, _mul, _mul_all, _signs, multiply, norm
+from .algebra import Octonion, _check_int, _exact, _mul, _mul_all, _Record, _signs, multiply, norm
 from .dsl import Expr, _program, parse
 from .sieve import AllRules, _all_rules, _evaluator, _per_rule, _random_ints
 
@@ -118,11 +117,16 @@ def _derive_all(u: Octonion, v: Octonion, x: AllRules) -> Sequence[tuple]:
     return _per_rule(_all_rules(_DERIVE, {"u": _exact(u.coeffs), "v": _exact(v.coeffs), "x": x}))
 
 
-@dataclass(frozen=True)
-class AntiassocReport:
-    lhs: Octonion  # D(i_u, i_v; i_a)
-    rhs: Octonion  # -2 (i_u i_v) i_a
-    equal: bool
+class AntiassocReport(_Record):
+    """Both sides of the collapse: ``lhs`` is D(i_u, i_v; i_a), ``rhs`` is
+    -2 (i_u i_v) i_a."""
+
+    __slots__ = __match_args__ = ("lhs", "rhs", "equal")
+
+    def __init__(self, lhs: Octonion, rhs: Octonion, equal: bool):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "equal", equal)
 
 
 def antiassoc_closed_form(u_idx: int, v_idx: int, a_idx: int, n: int) -> AntiassocReport:
@@ -220,12 +224,14 @@ def _basis_index(x: Octonion, label: str) -> int:
     raise ValueError(f"{label} must be an imaginary basis element i1..i7, got {x!r}")
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(_Record):
     """Outcome of one sampling regime: did all 16 rules agree every trial?"""
 
-    equal: bool
-    witness: dict | None = None
+    __slots__ = __match_args__ = ("equal", "witness")
+
+    def __init__(self, equal: bool, witness: dict | None = None):
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "witness", witness)
 
 
 def _refuted(report: RegimeReport, outputs: Sequence[tuple], inputs: dict) -> RegimeReport:
@@ -237,11 +243,15 @@ def _refuted(report: RegimeReport, outputs: Sequence[tuple], inputs: dict) -> Re
                                 "expected": Octonion(outputs[0])})
 
 
-@dataclass(frozen=True)
-class CrossAlgebraVerdict:
-    in_span: RegimeReport
-    out_of_span: RegimeReport
-    trials: int
+class CrossAlgebraVerdict(_Record):
+    """The two regimes of :func:`expr_cross_algebra_equal`, over ``trials`` trials."""
+
+    __slots__ = __match_args__ = ("in_span", "out_of_span", "trials")
+
+    def __init__(self, in_span: RegimeReport, out_of_span: RegimeReport, trials: int):
+        object.__setattr__(self, "in_span", in_span)
+        object.__setattr__(self, "out_of_span", out_of_span)
+        object.__setattr__(self, "trials", trials)
 
 
 def expr_cross_algebra_equal(

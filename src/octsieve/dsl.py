@@ -20,6 +20,10 @@ every constant once, exactly, when it compiles: as the rational it is, so
 variable assignments, so the same expression can be evaluated under any of
 the 16 multiplication rules.  'conj' is a reserved word.
 
+Tree nodes are immutable ``__slots__`` classes (``algebra._Record``),
+compared and hashed by value: two nodes are equal when they are of one
+class with equal operands, so ``Add(a, b) != Sub(a, b)``.
+
 :func:`_program` compiles a tree to a flat list of steps without recursion,
 so :func:`free_vars` and the sieve's all-rules pass (behind every caller
 that evaluates under all 16 rules) take trees of any depth.  It compiles a
@@ -36,10 +40,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebra import Octonion, _check_algebra_id, _rational, conjugate, multiply
+from .algebra import Octonion, _check_algebra_id, _rational, _Record, conjugate, multiply
 
 __all__ = [
     "Expr",
@@ -60,42 +63,69 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Record):
+    """A variable, bound to an octonion when the tree is evaluated."""
+
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class Const(_Record):
+    """A real literal: an int, a float or a rational."""
+
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class _Binary(_Record):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Binary):
+    """left + right"""
+
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Sub(_Binary):
+    """left - right"""
+
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Binary):
+    """left * right, under the rule the tree is evaluated in"""
+
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Conj:
-    operand: "Expr"
+class _Unary(_Record):
+    __slots__ = ()
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        object.__setattr__(self, "operand", operand)
+
+
+class Neg(_Unary):
+    """-operand"""
+
+    __slots__ = ("operand",)
+
+
+class Conj(_Unary):
+    """conj(operand)"""
+
+    __slots__ = ("operand",)
 
 
 Expr = Union[Var, Const, Add, Sub, Neg, Mul, Conj]
@@ -221,10 +251,11 @@ class _Parser:
 
 def _number(text: str) -> int | float:
     """An exact int when ``int()`` reads ``text``, else ``float()``'s finite
-    reading; text that neither reads, and NaN, raise ``ValueError``.  An
-    ``OverflowError`` rejects an int past Python's int/str digit limit and a
-    float literal read as inf, or as 0 though a digit before its exponent is
-    nonzero: either would stand for another number, and change a verdict."""
+    reading; text that neither reads, NaN and infinity spelled out (``inf``,
+    ``-Infinity``) raise ``ValueError``.  An ``OverflowError`` rejects an int
+    past Python's int/str digit limit and a float literal read as inf, or as
+    0 though a digit before its exponent is nonzero: either would stand for
+    another number, and change a verdict."""
     try:
         return int(text)
     except ValueError:
@@ -233,7 +264,7 @@ def _number(text: str) -> int | float:
             raise OverflowError(f"integer literal of {len(digits)} digits exceeds Python's limit of "
                                 f"{limit} digits for int/str conversion") from None
     value = float(text)
-    if math.isnan(value):
+    if math.isnan(value) or text.strip().lstrip("+-").lower() in ("inf", "infinity"):
         raise ValueError(f"not a number: {text!r}")
     if math.isinf(value):
         raise OverflowError(f"float literal exceeds the largest float, {sys.float_info.max:.4g}")

@@ -53,11 +53,10 @@ as the witness.  :func:`is_invariant` and the CLI's ``sieve`` both call it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from operator import add, index, neg, sub
 from typing import Callable, Mapping, Sequence, Union
 
-from .algebra import Octonion, _add_product, _character, _check_int, _exact, _mul_all
+from .algebra import Octonion, _add_product, _character, _check_int, _exact, _mul_all, _Record
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
 
 __all__ = [
@@ -255,25 +254,31 @@ def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
     return names, values
 
 
-@dataclass(frozen=True)
-class InvarianceWitness:
+class InvarianceWitness(_Record):
     """A refuting assignment: distance ``index`` came out nonzero, and
     ``distance`` is its exact value."""
 
-    assignment: dict[str, Octonion]
-    index: int
-    distance: Octonion
+    __slots__ = __match_args__ = ("assignment", "index", "distance")
+
+    def __init__(self, assignment: dict[str, Octonion], index: int, distance: Octonion):
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "distance", distance)
 
 
-@dataclass(frozen=True)
-class SieveVerdict:
+class SieveVerdict(_Record):
     """``trials`` is the number requested; ``trials_run`` the number that
     ran, which is fewer when an early trial refutes."""
 
-    invariant: bool
-    trials: int
-    witness: InvarianceWitness | None = None
-    trials_run: int = field(kw_only=True)
+    __slots__ = ("invariant", "trials", "witness", "trials_run")
+    __match_args__ = ("invariant", "trials", "witness")
+
+    def __init__(self, invariant: bool, trials: int, witness: InvarianceWitness | None = None, *,
+                 trials_run: int):
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trials_run", trials_run)
 
 
 def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng: random.Random | None,

@@ -22,25 +22,28 @@ flip per unit, so it carries each identity to all 16 rules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import add, mul
 from time import perf_counter
 from typing import Callable
 
 from . import algebra, derivations
-from .algebra import _KEYS, _SIGNS, Octonion, _character, _mul
+from .algebra import _KEYS, _SIGNS, Octonion, _character, _mul, _Record
 from .sieve import _ZERO, _random_ints, is_invariant, sieve, sign_entry, sign_matrix, unsieve
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    elapsed_s: float = 0.0  # wall time of the check, set by run_checks
+class CheckResult(_Record):
+    """One check's outcome; ``elapsed_s`` is its wall time, set by :func:`run_checks`."""
+
+    __slots__ = __match_args__ = ("name", "passed", "detail", "elapsed_s")
+
+    def __init__(self, name: str, passed: bool, detail: str, elapsed_s: float = 0.0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed_s", elapsed_s)
 
 
 Outcome = tuple[bool, str]

@@ -162,7 +162,18 @@ COMMANDS = pytest.mark.parametrize("command", [("sieve",), ("derive", "--u", "i1
     (("--expr", "a", "--assign", "a=i1", "--assign", " a=i2"), "--assign binds a more than once"),
     (("--expr", "a*b", "--assign", "a=1e-400,1e-400,0,0,0,0,0,0", "--assign", "b=i3"),
      "nonzero float literal is below the smallest float, 4.941e-324"),
-], ids=["no-equals", "unbound", "bad-coefficient", "repeated", "underflow"])
+    (("--expr", "a*b", "--assign", "a=1e400,0,0,0,0,0,0,0", "--assign", "b=i1"),
+     f"float literal exceeds the largest float, {sys.float_info.max:.4g}"),
+    (("--expr", "a*b", "--assign", "a=nan,0,0,0,0,0,0,0", "--assign", "b=i1"),
+     "bad coefficient 'nan' in 'nan,0,0,0,0,0,0,0'"),
+    (("--expr", "a*b", "--assign", "a=inf,0,0,0,0,0,0,0", "--assign", "b=i1"),
+     "bad coefficient 'inf' in 'inf,0,0,0,0,0,0,0'"),
+    (("--expr", "a*b", "--assign", "a=1,-inf,0,0,0,0,0,0", "--assign", "b=i1"),
+     "bad coefficient '-inf' in '1,-inf,0,0,0,0,0,0'"),
+    (("--expr", "a*b", "--assign", "a=0,0,0,0,0,0,0, +Infinity", "--assign", "b=i1"),
+     "bad coefficient ' +Infinity' in '0,0,0,0,0,0,0, +Infinity'"),
+], ids=["no-equals", "unbound", "bad-coefficient", "repeated", "underflow", "overflow", "nan", "inf", "minus-inf",
+        "infinity"])
 def test_a_bad_assignment_is_a_domain_error_with_empty_stdout(capsys, command, args, message):
     assert run(capsys, *command, *args) == (1, "", f"octsieve: error: {message}\n")
 
@@ -321,7 +332,7 @@ def test_verify_quick_json(capsys):
     assert payload["schema"] == 2 and payload["quick"] is True
     assert payload["passed"] == payload["total"] == len(payload["checks"]) == 12
     for check in payload["checks"]:
-        assert set(check) == {"name", "passed", "detail", "elapsed_s"}
+        assert list(check) == ["name", "passed", "detail", "elapsed_s"]  # CheckResult's field order
         assert check["passed"] is True and check["elapsed_s"] >= 0
 
 

@@ -18,6 +18,7 @@ from octsieve.dsl import (
     Sub,
     UnboundVariableError,
     Var,
+    _number,
     evaluate,
     free_vars,
     parse,
@@ -85,6 +86,14 @@ def test_a_float_literal_past_the_float_range_is_a_syntax_error(literal):
     assert str(err.value) == "nonzero float literal is below the smallest float, 4.941e-324 (at offset 4)"
     with pytest.raises(ExprSyntaxError):
         is_invariant("1e-400*(a*b)")  # was invariant: 0*(a*b) is the same under every rule
+
+
+@pytest.mark.parametrize("text", ["nan", "-NaN", "inf", "-inf", "+inf", "Infinity", " -infinity ", "INF"])
+def test_nan_or_infinity_spelled_out_is_not_a_number(text):
+    with pytest.raises(ValueError, match="^not a number: ") as err:
+        _number(text)
+    assert not isinstance(err.value, OverflowError)
+    assert parse(f"{text.strip().lstrip('+-')}*a") == Mul(Var(text.strip().lstrip("+-")), Var("a"))  # a name
 
 
 @pytest.mark.parametrize("literal", ["0e-400", "0.0", "00.000e-999", "1e-320", "5e-324"])
