@@ -56,8 +56,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Iterable, Sequence
 from operator import add, mul, neg, sub, truediv
-from typing import Iterable, Sequence
 
 __all__ = [
     "REFERENCE_TRIPLETS",

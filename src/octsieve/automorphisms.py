@@ -14,8 +14,8 @@ right-handed ones (ids 8..15).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import total_ordering
-from typing import NamedTuple
 
 from .algebra import TripletSet, _check_algebra_id, _check_int, _Record, flip_vector, parity_word, triplet_set
 
@@ -88,10 +88,7 @@ def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     return a * b
 
 
-class OrbitEntry(NamedTuple):
-    algebra: int
-    automorphism: Automorphism
-    parity_word: str
+OrbitEntry = namedtuple("OrbitEntry", ("algebra", "automorphism", "parity_word"))
 
 
 def orbit() -> list[OrbitEntry]:

@@ -43,10 +43,10 @@ u XOR v == a, the basis index of their product under every rule.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 from operator import sub
-from typing import Callable, Sequence
 
-from .algebra import Octonion, _check_int, _exact, _mul, _mul_all, _Record, _signs, multiply, norm
+from .algebra import Octonion, _check_algebra_id, _check_int, _exact, _mul, _mul_all, _Record, _signs, multiply, norm
 from .dsl import Expr, _program, parse
 from .sieve import AllRules, _all_rules, _evaluator, _per_rule, _random_ints
 
@@ -173,12 +173,13 @@ def derivation_matrix(u_idx: int, v_idx: int, n: int) -> tuple[tuple[int, ...], 
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+    """Rank of an integer matrix, its rows of equal length, by fraction-free Gaussian elimination."""
     m = [list(row) for row in rows]
-    if not m:
-        return 0
+    widths = {len(row) for row in m}
+    if len(widths) > 1:
+        raise ValueError(f"matrix rows must have equal lengths, got {sorted(widths)}")
     rank = 0  # also the next pivot row
-    for col in range(len(m[0])):
+    for col in range(max(widths, default=0)):
         pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
@@ -205,6 +206,7 @@ def derivation_span_rank(
     matrix flattened to a vector; with ``restrict_to`` only the rows and
     columns on those indices are kept (for probing a quaternion subalgebra).
     """
+    _check_algebra_id(n)
     keep = tuple(range(1, 8)) if restrict_to is None else tuple(restrict_to)
     for idx in keep:
         _check_int(idx, "restriction index", 1, 7)

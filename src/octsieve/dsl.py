@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import Mapping, Union
+from collections.abc import Mapping
 
 from .algebra import Octonion, _check_algebra_id, _rational, _Record, conjugate, multiply
 
@@ -128,7 +128,7 @@ class Conj(_Unary):
     __slots__ = ("operand",)
 
 
-Expr = Union[Var, Const, Add, Sub, Neg, Mul, Conj]
+Expr = Var | Const | Add | Sub | Neg | Mul | Conj
 
 
 class ExprSyntaxError(ValueError):

@@ -53,8 +53,8 @@ as the witness.  :func:`is_invariant` and the CLI's ``sieve`` both call it.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Mapping, Sequence
 from operator import add, index, neg, sub
-from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import Octonion, _add_product, _character, _check_int, _exact, _mul_all, _Record
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
@@ -162,7 +162,7 @@ def random_assignment(
 # every rule, else its Walsh spectrum {k: F_k}, the value under rule n being
 # sum_k chi(k, n) F_k.  A spectrum holds only nonzero components, and at
 # least one at a key k > 0.
-AllRules = Union[tuple, dict]
+AllRules = tuple | dict
 
 _ZERO = (0,) * 8
 _NO_IMAG = _ZERO[1:]

@@ -22,10 +22,10 @@ flip per unit, so it carries each identity to all 16 rules.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from itertools import combinations, product
 from operator import add, mul
 from time import perf_counter
-from typing import Callable
 
 from . import algebra, derivations
 from .algebra import _KEYS, _SIGNS, Octonion, _character, _mul, _Record

@@ -1,5 +1,7 @@
 """Group structure of the parity automorphisms and their orbit."""
 
+import pickle
+
 import pytest
 
 from octsieve.algebra import GENERATOR_FLIPS, triplet_set
@@ -91,6 +93,18 @@ def test_orbit_entries():
     assert entries[5].parity_word == "--+++--"
     words = [e.parity_word for e in entries]
     assert len(set(words)) == 16  # free and transitive action
+
+
+def test_orbit_entries_are_named_tuples():
+    entry = orbit()[5]
+    n, automorphism, word = entry
+    assert entry == (5, Automorphism(5), "--+++--") == (n, automorphism, word)
+    assert entry[0] == entry.algebra == 5 and entry[1] is entry.automorphism and entry[-1] == entry.parity_word
+    assert type(entry)._fields == ("algebra", "automorphism", "parity_word")
+    assert entry._asdict() == {"algebra": 5, "automorphism": Automorphism(5), "parity_word": "--+++--"}
+    assert repr(entry) == "OrbitEntry(algebra=5, automorphism=Automorphism(5)  # T1*T3, parity_word='--+++--')"
+    copied = pickle.loads(pickle.dumps(entry))
+    assert type(copied) is type(entry) and copied == entry
 
 
 def test_generator_words():

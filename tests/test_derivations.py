@@ -260,6 +260,13 @@ def test_integer_rank_basics():
     assert integer_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
 
 
+@pytest.mark.parametrize("rows", [[[1], [0, 1]], [[0, 1], [1]], [[1, 0], [0, 1], []]])
+def test_integer_rank_rejects_rows_of_unequal_length(rows):
+    # zip would cut the longer rows short, so the rank would depend on the row order
+    with pytest.raises(ValueError, match="matrix rows must have equal lengths"):
+        integer_rank(rows)
+
+
 def test_derivation_span_ranks():
     # every rule and triplet: verify ranks the matrices itself, so this is
     # the public route's one full run

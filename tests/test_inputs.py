@@ -1,15 +1,10 @@
 """Indices, counts and constants from outside the package: one rule, one message."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import octsieve
 from octsieve.algebra import Octonion, mul_table
 from octsieve.automorphisms import Automorphism
 from octsieve.derivations import antiassoc_closed_form, derivation_span_rank, expr_cross_algebra_equal
@@ -31,6 +26,7 @@ SITES = {
     "span-pair-u": (lambda x: derivation_span_rank([(x, 2)], 0), "generator pair index", 1, 7),
     "span-pair-v": (lambda x: derivation_span_rank([(1, x)], 0), "generator pair index", 1, 7),
     "span-restrict": (lambda x: derivation_span_rank([(1, 2)], 0, restrict_to=[x]), "restriction index", 1, 7),
+    "span-algebra-id": (lambda x: derivation_span_rank([], x), "algebra id", 0, 15),
     "algebra-id": (mul_table, "algebra id", 0, 15),
     # no Mul node: the id is checked at the leaves
     "evaluate-var": (lambda x: evaluate(parse("a+b"), {"a": Octonion.unit(1), "b": Octonion.unit(2)}, x),
@@ -85,11 +81,3 @@ def test_a_real_constant_is_read_as_the_rational_it_is(value):
     verdict = CONSTANT_SITES["cross_algebra"](value)
     assert verdict.in_span.equal and not verdict.out_of_span.equal
 
-
-def test_importing_the_package_and_cli_loads_neither_fractions_nor_decimal():
-    # both are imported where a rational is first needed, which keeps them
-    # out of the start-up time of every CLI call
-    env = {**os.environ, "PYTHONPATH": str(Path(octsieve.__file__).parents[1])}
-    code = "import sys, octsieve, octsieve.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "[]\n")

@@ -12,7 +12,7 @@ import pytest
 from octsieve.algebra import Octonion
 from octsieve.automorphisms import T0, T1, T3, Automorphism, orbit
 from octsieve.derivations import AntiassocReport, CrossAlgebraVerdict, RegimeReport
-from octsieve.dsl import Add, Conj, Const, Mul, Neg, Sub, Var, parse
+from octsieve.dsl import Add, Conj, Const, Expr, Mul, Neg, Sub, Var, parse
 from octsieve.sieve import InvarianceWitness, SieveVerdict, is_invariant
 from octsieve.verification import CheckResult
 
@@ -86,6 +86,13 @@ def test_a_record_is_an_immutable_value(make, text, fields):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert record == twin and repr(record) == text
+
+
+def test_expr_is_the_union_of_the_seven_node_classes():
+    nodes = (Var("a"), Const(2), Add(A, B), Sub(A, B), Neg(A), Mul(A, B), Conj(A))
+    assert all(isinstance(node, Expr) for node in nodes)
+    assert {type(node) for node in nodes} == set(Expr.__args__)
+    assert not isinstance(X, Expr)
 
 
 @pytest.mark.parametrize("left, right", [(Add(A, B), Sub(A, B)), (Add(A, B), Mul(A, B)), (Sub(A, B), Mul(A, B)),
@@ -172,10 +179,28 @@ def test_an_unpickled_automorphism_is_checked():
         pickle.loads(forged)
 
 
-def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # -S: site may preload modules, and pytest itself imports dataclasses
+# Every CLI call pays for `import octsieve, octsieve.cli`; none of these
+# modules may be loaded by it, for the reason given.  The CI step "importing
+# octsieve loads no dataclasses, inspect, typing, contextlib, fractions or
+# decimal" checks the same list.
+NOT_AT_START_UP = {
+    "dataclasses": "the records are __slots__ classes on algebra._Record",
+    "inspect": "dataclasses pulls it in, with ast, dis and tokenize",
+    "typing": "annotations are strings, Expr and AllRules are X | Y unions, OrbitEntry a collections.namedtuple",
+    "contextlib": "typing pulls it in",
+    "fractions": "imported where a rational is first needed",
+    "decimal": "fractions pulls it in",
+}
+
+
+def test_importing_the_package_and_cli_loads_no_module_kept_out_of_start_up():
+    # -S: site may preload modules (a .pth file can import typing), and
+    # pytest itself imports dataclasses, so the child sees only what the
+    # package imports
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import octsieve, octsieve.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", probe, str(src)], check=True, capture_output=True, text=True)
-    assert out.stdout == "[]\n"
+             "print(' '.join(sorted(set(sys.argv[2:]) & set(sys.modules))))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(src), *NOT_AT_START_UP],
+                         check=True, capture_output=True, text=True, timeout=60)
+    loaded = out.stdout.split()
+    assert not loaded, {name: NOT_AT_START_UP[name] for name in loaded}
