@@ -15,6 +15,13 @@ default) stays in force, since it guards against quadratic-time
 conversion: a longer literal or result exits 1.  Output is deterministic
 for a fixed argv (randomness only enters through --seed).  Exit codes: 0
 success, 1 domain error or failed verification, 2 usage error.
+
+Every call pays this module's import first, so it imports at the top only
+what `sieve`, `triplets`, JSON output and :func:`main` run: ``algebra``,
+``dsl`` and ``sieve``.  ``automorphisms`` (text `tables`, `orbit`),
+``derivations`` (`derive`) and ``verification`` (`verify`) are imported
+inside the functions that use them, and compiled, when no ``.pyc`` file
+exists, in the call that first needs them.
 """
 
 from __future__ import annotations
@@ -29,11 +36,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import Octonion, _check_algebra_id, _check_int, mul_table, triplet_set
-from .automorphisms import chirality, orbit
-from .derivations import _derive_all
 from .dsl import ExprSyntaxError, UnboundVariableError, _number, parse, to_text
 from .sieve import _ZERO, _evaluator, _per_rule, _spectrum, _trials, random_assignment
-from .verification import run_checks
 
 SCHEMA_VERSION = 2
 
@@ -109,6 +113,8 @@ def cmd_tables(args) -> dict:
 
 
 def text_tables(payload: dict, args):
+    from .automorphisms import chirality
+
     n = payload["algebra"]
     labels = ["1"] + [f"i{k}" for k in range(1, 8)]
     yield f"multiplication table, algebra {n} ({chirality(n)}-handed)"
@@ -131,6 +137,8 @@ def text_triplets(payload: dict, args):
 
 
 def cmd_orbit(args) -> dict:
+    from .automorphisms import orbit
+
     rows = [{"algebra": e.algebra, "generator": e.automorphism.word, "parity_word": e.parity_word}
             for e in orbit()]
     return {"orbit": rows}
@@ -216,6 +224,8 @@ def text_sieve(payload: dict, args):
 
 
 def cmd_derive(args) -> dict:
+    from .derivations import _derive_all
+
     u = _parse_octonion(args.u)
     v = _parse_octonion(args.v)
     tree, values, env, _ = _expr_and_env(args)
@@ -250,6 +260,8 @@ def text_derive(payload: dict, args):
 
 
 def cmd_verify(args) -> dict:
+    from .verification import run_checks
+
     results = run_checks(quick=args.quick)
     return {
         "quick": args.quick,

@@ -173,11 +173,18 @@ def derivation_matrix(u_idx: int, v_idx: int, n: int) -> tuple[tuple[int, ...], 
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, its rows of equal length, by fraction-free Gaussian elimination."""
+    """Rank of an integer matrix, its rows of equal length, by fraction-free Gaussian elimination.
+
+    An entry that is not an int (a bool, float or ``Fraction`` too) is a
+    ``ValueError``: the elimination would run in that entry's arithmetic."""
     m = [list(row) for row in rows]
     widths = {len(row) for row in m}
     if len(widths) > 1:
         raise ValueError(f"matrix rows must have equal lengths, got {sorted(widths)}")
+    for row in m:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"matrix entries must be integers, got {x!r}")
     rank = 0  # also the next pivot row
     for col in range(max(widths, default=0)):
         pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)

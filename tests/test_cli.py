@@ -350,11 +350,12 @@ def test_check_names_are_the_benchmark_metrics_and_the_verify_json_names(capsys)
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch, fmt):
-    from octsieve import cli
+    from octsieve import verification
     from octsieve.verification import CheckResult
 
     results = [CheckResult("ok", True, "fine"), CheckResult("bad", False, "broken", 0.5)]
-    monkeypatch.setattr(cli, "run_checks", lambda quick: results)
+    # cli imports run_checks when verify runs, so it reads the patched binding
+    monkeypatch.setattr(verification, "run_checks", lambda quick: results)
     code, out, _ = run(capsys, "verify", "--format", fmt)
     assert code == 1
     if fmt == "json":

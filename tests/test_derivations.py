@@ -267,6 +267,17 @@ def test_integer_rank_rejects_rows_of_unequal_length(rows):
         integer_rank(rows)
 
 
+@pytest.mark.parametrize("rows", [
+    [[3, 1], [1, 1 / 3]],  # rank 2 read exactly (the float is not a third), 1 in float arithmetic
+    [["a", "b"]],
+    [[True, 0], [0, 1]],
+    [[2, 1], [1, Fraction(1, 2)]],
+], ids=["float", "str", "bool", "Fraction"])
+def test_integer_rank_rejects_entries_that_are_not_integers(rows):
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        integer_rank(rows)
+
+
 def test_derivation_span_ranks():
     # every rule and triplet: verify ranks the matrices itself, so this is
     # the public route's one full run
