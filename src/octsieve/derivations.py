@@ -28,10 +28,15 @@ serves ``derive``, ``derivation_matrix``, ``antiassoc_closed_form`` and
 ``leibniz_check``, which computes only its own rule's residual with it.  The all-rules expression
 ``_DERIVE`` runs on the sieve's exact pass, which computes uv and vu once
 for all 16 rules, for ``cross_algebra_equal``, ``expr_cross_algebra_equal``
-and CLI ``derive``.  The ``verify`` command proves the Leibniz rule with
-``_regrouped`` under rule 0 on the 4096 basis quadruples, where the
-residual, linear in each argument, is fixed, and carries it to all 16
-rules by the basis change of :mod:`octsieve.algebra`.
+and CLI ``derive``.  ``_ANTIASSOC_RESIDUAL`` is the same text plus
+2 (uv) x, so D is written once.  The ``verify`` command proves the Leibniz
+rule with ``_regrouped`` under rule 0 on the 4096 basis quadruples, where
+the residual, linear in each argument, is fixed, and carries it to all 16
+rules by the basis change of :mod:`octsieve.algebra`.  Its two cross-rule
+checks run one all-rules pass per basis triple instead of 16 per-rule
+derivations: the residual's value is the zero tuple exactly when the
+collapse holds under every rule, and D's value is one tuple exactly when
+all 16 rules agree.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's
@@ -107,8 +112,12 @@ def leibniz_check(u: Octonion, v: Octonion, a: Octonion, b: Octonion, n: int) ->
     return norm(Octonion([x - y - z for x, y, z in zip(d_ab, d_a_b, a_d_b)]))
 
 
-# The same D as an expression in u, v and x, for the all-rules pass.
-_DERIVE = _program(parse("(-2*(u*v) - v*u)*x - x*(u*v - v*u) + (3*u)*(v*x)"))[0]
+# The same D as an expression in u, v and x, for the all-rules pass, and
+# the antiassociative residual D + 2 (uv) x from the same text: zero under
+# every rule exactly where D collapses to -2 (uv) x under every rule.
+_D = "(-2*(u*v) - v*u)*x - x*(u*v - v*u) + (3*u)*(v*x)"
+_DERIVE = _program(parse(_D))[0]
+_ANTIASSOC_RESIDUAL = _program(parse(f"({_D}) + 2*((u*v)*x)"))[0]
 
 
 def _derive_all(u: Octonion, v: Octonion, x: AllRules) -> Sequence[tuple]:

@@ -17,6 +17,26 @@ decide it under rule 0.  Rule n is rule 0 in the basis phi_n: e_i ->
 chi(kappa_i, n) e_i, which :func:`_phi_failure` checks on the kernel
 itself (64 basis pairs per rule, both sides bilinear); phi_n is a sign
 flip per unit, so it carries each identity to all 16 rules.
+
+Each check's route.  ``table-fidelity``, ``row-generators`` and
+``flip-signatures`` compare the rule tables, sign matrix and generator
+flips with frozen reference data, and ``identify-roundtrip`` reads each
+rule's table back to its id.  ``norm-multiplicativity`` and ``leibniz``
+are the proofs above, on the per-rule kernel under rule 0.
+``hadamard-involution`` and ``xor-equivariance`` run the public
+:func:`sieve` and :func:`unsieve` on sampled families,
+``sieve-invariance`` the refuter :func:`is_invariant`, and
+``derivation-ranks`` the per-rule ``derivation_matrix`` with
+``integer_rank``.  The two cross-rule derivation checks each run one
+all-rules pass (``sieve._all_rules``) per basis triple, where the per-rule
+route would run 16 rules of several kernel calls each:
+``antiassociative-closed-form`` evaluates the residual D + 2(uv)a on the
+168 antiassociative triples, the zero tuple exactly when D == -2(uv)a under
+all 16 rules (a failure names the first rule where it is not), and
+``equality-criterion`` evaluates D on the 343 unit triples, one tuple
+exactly when all 16 rules agree (a failure prints the equal set of
+``cross_algebra_equal``).  The test suite keeps the per-rule routes as
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -29,7 +49,7 @@ from time import perf_counter
 
 from . import algebra, derivations
 from .algebra import _KEYS, _SIGNS, Octonion, _character, _mul, _Record
-from .sieve import _ZERO, _random_ints, is_invariant, sieve, sign_entry, sign_matrix, unsieve
+from .sieve import _ZERO, _all_rules, _per_rule, _random_ints, is_invariant, sieve, sign_entry, sign_matrix, unsieve
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks"]
 
@@ -227,12 +247,20 @@ def check_leibniz(quick: bool = False) -> Outcome:
     )
 
 
+def _units(triple: tuple[int, int, int]) -> dict[str, tuple]:
+    """The all-rules environment u, v, x = e_u, e_v, e_a of a basis triple."""
+    return dict(zip("uvx", (_BASIS[k] for k in triple)))
+
+
 def check_antiassoc_closed_form(quick: bool = False) -> Outcome:
+    # one all-rules pass per triple decides its 16 cases: the residual
+    # D + 2(uv)a is the zero tuple exactly when it is 0 under every rule
     triples = [t for t in product(range(1, 8), repeat=3) if len(set(t)) == 3 and frozenset(t) not in _LINES]
-    for n in range(16):
-        for triple in triples:
-            if not derivations.antiassoc_closed_form(*triple, n).equal:
-                return False, f"rule {n}, triple {triple}"
+    for triple in triples:
+        residual = _all_rules(derivations._ANTIASSOC_RESIDUAL, _units(triple))
+        if residual != _ZERO:
+            n = next(n for n, r in enumerate(_per_rule(residual)) if any(r))
+            return False, f"rule {n}, triple {triple}"
     return True, f"D == -2(uv)a in all {16 * len(triples)} ordered cases"
 
 
@@ -265,15 +293,14 @@ def check_derivation_ranks(quick: bool = False) -> Outcome:
 
 
 def check_equality_criterion(quick: bool = False) -> Outcome:
-    full = frozenset(range(16))
-    for u, v, a in product(range(1, 8), repeat=3):
-        got = derivations.cross_algebra_equal(
-            Octonion.unit(u), Octonion.unit(v), Octonion.unit(a)
-        )
-        idxs = {u, v, a}
-        quaternionic = len(idxs) <= 2 or frozenset(idxs) in _LINES
-        if (got == full) != quaternionic:
-            return False, f"triple {(u, v, a)}: equal set {sorted(got)}"
+    # all 16 rules agree exactly when D's all-rules value is one tuple, no
+    # key k > 0: the sieve's invariance test; the equal set only on failure
+    for triple in product(range(1, 8), repeat=3):
+        agree = type(_all_rules(derivations._DERIVE, _units(triple))) is tuple
+        quaternionic = len(set(triple)) <= 2 or frozenset(triple) in _LINES
+        if agree != quaternionic:
+            got = derivations.cross_algebra_equal(*(Octonion.unit(k) for k in triple))
+            return False, f"triple {triple}: equal set {sorted(got)}"
     return True, "all 343 ordered imaginary triples match the iff condition"
 
 

@@ -5,7 +5,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from operator import sub
 
 import pytest
@@ -13,7 +13,17 @@ from test_dsl import _random_tree
 from test_sieve import exact_tree, read_exactly
 
 from octsieve import derivations
-from octsieve.algebra import REFERENCE_TRIPLETS, Octonion, _mul, _mul_all, _signs, multiply, norm
+from octsieve.algebra import (
+    _TRIPLET_MASKS,
+    REFERENCE_TRIPLETS,
+    Octonion,
+    _character,
+    _mul,
+    _mul_all,
+    _signs,
+    multiply,
+    norm,
+)
 from octsieve.derivations import (
     CrossAlgebraVerdict,
     RegimeReport,
@@ -29,7 +39,7 @@ from octsieve.derivations import (
     leibniz_check,
 )
 from octsieve.dsl import Add, Const, Mul, Var, evaluate, free_vars, parse
-from octsieve.sieve import is_invariant
+from octsieve.sieve import _random_ints, is_invariant
 
 SIEVE = sys.modules["octsieve.sieve"]  # the package's ``sieve`` is the function
 
@@ -225,6 +235,31 @@ def test_cross_algebra_equal_antiassociative_triple():
     got = cross_algebra_equal(unit(1), unit(2), unit(4))
     assert got == frozenset({0, 3, 5, 6, 9, 10, 12, 15})
     assert got < frozenset(range(16))
+
+
+def test_unit_equal_sets_are_all_rules_or_the_kernel_of_an_associator_key():
+    # on the 343 unit triples: all of Z2^4 on 175, and ker chi_m on 24 for each
+    # associator key m = m_s ^ m_t, so every equal set contains 12
+    keys = {1, 2, 3, 12, 13, 14, 15}
+    assert keys == {s ^ t for s, t in combinations(_TRIPLET_MASKS, 2)}
+    kernels = {frozenset(n for n in range(16) if _character(m, n) == 1): m for m in keys}
+    kernels[frozenset(range(16))] = 0
+    counts = Counter()
+    for u, v, a in product(range(1, 8), repeat=3):
+        got = cross_algebra_equal(unit(u), unit(v), unit(a))
+        assert 12 in got
+        counts[kernels[got]] += 1
+    assert counts == {0: 175, **{m: 24 for m in keys}}
+
+
+def test_derive_is_its_own_mirror_on_generic_int_triples():
+    # rule n ^ 12 gives D(u, v; a) of rule n: the commutator changes sign
+    # twice and the associator alternates
+    rng = random.Random(22)
+    for _ in range(300):
+        u, v, a = (Octonion(_random_ints(rng, 9)) for _ in range(3))
+        for n in range(16):
+            assert derive(u, v, a, n) == derive(u, v, a, n ^ 12)
 
 
 def test_cross_algebra_equal_real_argument():

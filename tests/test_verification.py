@@ -1,19 +1,20 @@
-"""verify's proofs of the Leibniz and norm identities: the samples they
-replaced, kept as independent cross-checks, mutations of the kernel that
-the proofs must catch, and the identities that single out the 16 rules
-among the 128 orientations."""
+"""verify's proofs of the Leibniz and norm identities and its all-rules
+derivation checks: the per-rule routes they replaced, kept as independent
+cross-checks, mutations of the kernels that they must catch, and the
+identities that single out the 16 rules among the 128 orientations."""
 
 import inspect
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 from operator import add
 
 import pytest
 
 from octsieve import algebra, derivations, verification
 from octsieve.algebra import _SIGNS, Octonion, _mul, multiply, norm_sq
-from octsieve.sieve import _random_ints
+from octsieve.dsl import _program, parse
+from octsieve.sieve import _all_rules, _per_rule, _random_ints
 
 
 def sampled_leibniz(trials=1000):
@@ -133,6 +134,76 @@ def test_a_zero_derivation_matrix_fails_the_rank_check_at_its_triplet(monkeypatc
 
     monkeypatch.setattr(derivations, "derivation_matrix", zeroed)
     assert verification.check_derivation_ranks() == (False, "rule 5, triplet [1, 2, 3]: rank 2 != 3")
+
+
+UNIT_TRIPLES = list(product(range(1, 8), repeat=3))
+ANTIASSOCIATIVE = [t for t in UNIT_TRIPLES if len(set(t)) == 3 and frozenset(t) not in verification._LINES]
+ASSOCIATIVE = [t for t in UNIT_TRIPLES if frozenset(t) in verification._LINES]
+
+
+def residual(triple):
+    """D + 2(uv)a under rules 0..15 on the basis triple, from one all-rules pass."""
+    return _per_rule(_all_rules(derivations._ANTIASSOC_RESIDUAL, verification._units(triple)))
+
+
+def test_the_per_rule_closed_form_holds_in_all_2688_cases():
+    # the route the closed-form check replaced: 16 rules x 7 kernel calls per triple
+    assert len(ANTIASSOCIATIVE) == 168
+    assert all(derivations.antiassoc_closed_form(*t, n).equal for n in range(16) for t in ANTIASSOCIATIVE)
+
+
+def test_per_rule_equal_sets_are_the_all_rules_ones_on_the_343_unit_triples():
+    # the route the equality criterion replaced: 16 per-rule derivations per
+    # triple, against the all-rules equal set and the check's one-tuple test
+    for triple in UNIT_TRIPLES:
+        u, v, a = (Octonion.unit(k) for k in triple)
+        per_rule = frozenset(n for n in range(16) if derivations.derive(u, v, a, n) == derivations.derive(u, v, a, 0))
+        assert per_rule == derivations.cross_algebra_equal(u, v, a)
+        one_tuple = type(_all_rules(derivations._DERIVE, verification._units(triple))) is tuple
+        assert one_tuple == (per_rule == frozenset(range(16)))
+
+
+def test_the_residual_is_nonzero_under_every_rule_on_the_42_associative_triples():
+    # there D = 0 and 2(uv)a = -+2, so the closed form names only antiassociative triples
+    assert len(ASSOCIATIVE) == 42
+    for triple in ASSOCIATIVE:
+        assert all(any(r) for r in residual(triple))
+
+
+def _reoriented(t):
+    m, i, j, k = algebra._PARTS[t]
+    return (m, i, k, j)
+
+
+PARTS_MUTATIONS = {
+    **{f"reorient-{t}": {t: _reoriented(t)} for t in range(7)},
+    **{f"zero-mask-{t}": {t: (0, *algebra._PARTS[t][1:])} for t in range(7)},
+    **{f"swap-masks-{s}-{t}": {s: (algebra._PARTS[t][0], *algebra._PARTS[s][1:]),
+                               t: (algebra._PARTS[s][0], *algebra._PARTS[t][1:])}
+       for s, t in combinations(range(7), 2)},
+}
+
+
+@pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
+def test_a_mutated_triplet_part_fails_the_closed_form_at_a_nonzero_case(monkeypatch, mutation):
+    parts = list(algebra._PARTS)
+    for t, part in PARTS_MUTATIONS[mutation].items():
+        parts[t] = part
+    monkeypatch.setattr(algebra, "_PARTS", tuple(parts))
+    passed, detail = verification.check_antiassoc_closed_form()
+    match = re.fullmatch(r"rule (\d+), triple \((\d), (\d), (\d)\)", detail)
+    assert not passed and match
+    n, triple = int(match[1]), tuple(map(int, match.groups()[1:]))
+    assert triple in ANTIASSOCIATIVE
+    values = residual(triple)
+    assert any(values[n]) and not any(map(any, values[:n]))  # the first rule nonzero there
+
+
+def test_a_derivation_program_that_is_not_d_fails_the_equality_criterion(monkeypatch):
+    monkeypatch.setattr(derivations, "_DERIVE", _program(parse("(u*v)*x"))[0])
+    passed, detail = verification.check_equality_criterion()
+    # (i1 i2) i3 = -chi(4, n): the first quaternionic triple whose rules disagree
+    assert (passed, detail) == (False, "triple (1, 2, 3): equal set [0, 1, 2, 3, 8, 9, 10, 11]")
 
 
 def test_the_16_rules_are_exactly_the_orientations_whose_inner_maps_are_derivations():
