@@ -25,18 +25,23 @@ each reading every coefficient as the rational it is, and each kept
 because it measured faster where it is used.  The per-rule tuple kernel
 ``_regrouped`` (two kernel calls for p and c, then four per argument)
 serves ``derive``, ``derivation_matrix``, ``antiassoc_closed_form`` and
-``leibniz_check``, which computes only its own rule's residual with it.  The all-rules expression
-``_DERIVE`` runs on the sieve's exact pass, which computes uv and vu once
-for all 16 rules, for ``cross_algebra_equal``, ``expr_cross_algebra_equal``
-and CLI ``derive``.  ``_ANTIASSOC_RESIDUAL`` is the same text plus
-2 (uv) x, so D is written once.  The ``verify`` command proves the Leibniz
-rule with ``_regrouped`` under rule 0 on the 4096 basis quadruples, where
-the residual, linear in each argument, is fixed, and carries it to all 16
-rules by the basis change of :mod:`octsieve.algebra`.  Its two cross-rule
-checks run one all-rules pass per basis triple instead of 16 per-rule
-derivations: the residual's value is the zero tuple exactly when the
-collapse holds under every rule, and D's value is one tuple exactly when
-all 16 rules agree.
+``leibniz_check``, which computes only its own rule's residual with it.
+The all-rules expression ``_DERIVE`` runs on the sieve's exact pass, which
+computes uv and vu once for all 16 rules, for ``cross_algebra_equal``,
+``expr_cross_algebra_equal`` and CLI ``derive``.  ``_ANTIASSOC_RESIDUAL``
+is the same text plus 2 (uv) x, so D is written once.
+
+The ``verify`` command proves the Leibniz rule under rule 0 on the 4096
+basis quadruples, where the residual, linear in each argument, is fixed:
+the eight D(e_c) come from ``_regrouped``, and every product is read off
+the 64 basis products by bilinearity.  It carries the rule to all 16
+rules by the basis change of :mod:`octsieve.algebra`.  Its three
+derivation checks run all-rules passes instead of 16 per-rule
+derivations: ``derivation-ranks`` reads every rule's matrix column
+D(e_u, e_v; e_a) off one ``_DERIVE`` pass per pair and unit;
+``equality-criterion`` reads all 16 rules agreeing off D's value being one
+tuple; and ``antiassociative-closed-form`` reads the collapse under every
+rule off the residual's value being the zero tuple.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's

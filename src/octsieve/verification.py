@@ -10,33 +10,39 @@ Two identities are proved, not sampled, so ``quick`` runs the same
 proofs.  The kernel ``_mul`` is bilinear code, each output a sum of
 +-s_t a_i b_j.  So the Leibniz residual D(ab) - D(a)b - aD(b) is linear
 in each of u, v, a and b, and vanishes under rule 0 iff it vanishes on
-the 8^4 basis quadruples, where D(e_a e_b) is read off the eight D(e_c)
-by the linearity of D; |ab|^2 - |a|^2 |b|^2 is a quadratic form in a
+the 8^4 basis quadruples; |ab|^2 - |a|^2 |b|^2 is a quadratic form in a
 and in b, fixed by its values at e_i and e_i + e_j, so 36 x 36 pairs
-decide it under rule 0.  Rule n is rule 0 in the basis phi_n: e_i ->
-chi(kappa_i, n) e_i, which :func:`_phi_failure` checks on the kernel
-itself (64 basis pairs per rule, both sides bilinear); phi_n is a sign
-flip per unit, so it carries each identity to all 16 rules.
+decide it under rule 0.  Both proofs read their products off the kernel's
+64 basis products e_i e_j: a product with a basis factor, or of sums of
+basis units, is a sum over nonzero coefficients of those products, the
+same exact numbers as the kernel on those factors.  The eight D(e_c) come
+from the package's own D code (``derivations._regrouped``), and D(e_a e_b)
+is read off them by the linearity of D.  Rule n is rule 0 in the basis
+phi_n: e_i -> chi(kappa_i, n) e_i, which :func:`_phi_failure` checks on
+the kernel itself (64 basis pairs per rule, both sides bilinear); phi_n
+is a sign flip per unit, so it carries each identity to all 16 rules.
 
 Each check's route.  ``table-fidelity``, ``row-generators`` and
 ``flip-signatures`` compare the rule tables, sign matrix and generator
 flips with frozen reference data, and ``identify-roundtrip`` reads each
 rule's table back to its id.  ``norm-multiplicativity`` and ``leibniz``
-are the proofs above, on the per-rule kernel under rule 0.
+are the proofs above, on the basis products under rule 0.
 ``hadamard-involution`` and ``xor-equivariance`` run the public
-:func:`sieve` and :func:`unsieve` on sampled families,
-``sieve-invariance`` the refuter :func:`is_invariant`, and
-``derivation-ranks`` the per-rule ``derivation_matrix`` with
-``integer_rank``.  The two cross-rule derivation checks each run one
-all-rules pass (``sieve._all_rules``) per basis triple, where the per-rule
-route would run 16 rules of several kernel calls each:
+:func:`sieve` and :func:`unsieve` on sampled families, and
+``sieve-invariance`` the refuter :func:`is_invariant`.  The three
+derivation checks run all-rules passes (``sieve._all_rules``) on basis
+triples, where the per-rule route would run 16 rules of several kernel
+calls each.  ``derivation-ranks`` runs one pass of D per pair u < v and
+unit a (147 in all), which gives column a of every rule's matrix of
+D(e_u, e_v; .), and ranks each rule's matrices with ``integer_rank``.
 ``antiassociative-closed-form`` evaluates the residual D + 2(uv)a on the
 168 antiassociative triples, the zero tuple exactly when D == -2(uv)a under
-all 16 rules (a failure names the first rule where it is not), and
+all 16 rules (a failure names the first rule where it is not).
 ``equality-criterion`` evaluates D on the 343 unit triples, one tuple
 exactly when all 16 rules agree (a failure prints the equal set of
-``cross_algebra_equal``).  The test suite keeps the per-rule routes as
-independent cross-checks.
+``cross_algebra_equal``); where they disagree, the spectrum must have one
+key k > 0, the XOR of two triplet masks.  The test suite keeps the
+per-rule routes as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from itertools import combinations, product
-from operator import add, mul
+from operator import mul
 from time import perf_counter
 
 from . import algebra, derivations
@@ -84,12 +90,10 @@ _LEFT_PARITY_WORDS = (
     "-++---+",
 )
 _T0_FLIPS = (0, 0, 0, 0, 1, 1, 1)
-_ROW_GENERATORS = {
-    8: (1, 1, 1, 1, 1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1),
-    4: (1, 1, 1, 1, -1, -1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1),
-    2: (1, 1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1),
-    1: (1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1, 1, -1),
-}
+_ROW_GENERATORS = {8: "++++++++--------", 4: "++++----++++----", 2: "++--++--++--++--", 1: "+-+-+-+-+-+-+-+-"}
+# The XORs of two distinct triplet masks: the one key k > 0 of D's spectrum
+# on each unit triple that is not quaternionic.
+_DISAGREEMENT_KEYS = frozenset({1, 2, 3, 12, 13, 14, 15})
 _SIGNATURES = (
     (0, 1, 0, 0),
     (0, 1, 1, 0),
@@ -107,6 +111,17 @@ def _rand_octonion(rng: random.Random, bound: int = 9) -> Octonion:
 
 _BASIS = tuple(Octonion.unit(k).coeffs for k in range(8))
 _PHI_DETAIL = "checked on 64 basis pairs x 16 rules"
+
+
+def _support(x: tuple) -> list:
+    """The nonzero coefficients of ``x`` as ``(c, x_c)`` pairs."""
+    return [(c, y) for c, y in enumerate(x) if y]
+
+
+def _basis_terms(s: tuple) -> list:
+    """The 64 products e_i e_j under the kernel with characters ``s``, entry
+    [i][j], each as its nonzero coefficients."""
+    return [[_support(_mul(x, y, s)) for y in _BASIS] for x in _BASIS]
 
 
 def _phi_failure() -> str | None:
@@ -143,16 +158,23 @@ def check_table_fidelity(quick: bool = False) -> Outcome:
 
 def check_norm_multiplicativity(quick: bool = False) -> Outcome:
     # Q(a, b) = |ab|^2 - |a|^2 |b|^2 is a quadratic form in a and in b, and a
-    # quadratic form is fixed by its values at e_i and e_i + e_j (i < j)
+    # quadratic form is fixed by its values at e_i and e_i + e_j (i < j).
+    # Each such vector is given by its support, so ab is a sum of at most 4
+    # basis products and |a|^2 is the size of a's support
     if (failure := _phi_failure()) is not None:
         return False, failure
-    vectors = [Octonion.unit(k) for k in range(8)]
-    vectors += [x + y for i, x in enumerate(vectors) for y in vectors[i + 1:]]
-    for a, b in product(vectors, repeat=2):
-        if algebra.norm_sq(algebra.multiply(a, b, 0)) != algebra.norm_sq(a) * algebra.norm_sq(b):
-            return False, f"rule 0, pair {list(a.coeffs)}, {list(b.coeffs)}: |ab|^2 != |a|^2 |b|^2"
+    products = _basis_terms(_SIGNS[0])
+    supports = [(i,) for i in range(8)] + list(combinations(range(8), 2))
+    for a, b in product(supports, repeat=2):
+        ab = [0] * 8
+        for i, j in product(a, b):
+            for k, x in products[i][j]:
+                ab[k] += x
+        if sum(map(mul, ab, ab)) != len(a) * len(b):
+            a, b = ([int(k in x) for k in range(8)] for x in (a, b))
+            return False, f"rule 0, pair {a}, {b}: |ab|^2 != |a|^2 |b|^2"
     return True, (
-        f"|ab|^2 == |a|^2 |b|^2 proved: exact on all {len(vectors) ** 2} pairs of e_i, e_i + e_j "
+        f"|ab|^2 == |a|^2 |b|^2 proved: exact on all {len(supports) ** 2} pairs of e_i, e_i + e_j "
         f"under rule 0, carried to all 16 rules by phi_n ({_PHI_DETAIL})"
     )
 
@@ -170,9 +192,9 @@ def check_hadamard_involution(quick: bool = False) -> Outcome:
 def check_row_generators(quick: bool = False) -> Outcome:
     for k in range(16):
         expected = [1] * 16
-        for bit, vec in _ROW_GENERATORS.items():
+        for bit, word in _ROW_GENERATORS.items():
             if k & bit:
-                expected = [a * b for a, b in zip(expected, vec)]
+                expected = [a if c == "+" else -a for a, c in zip(expected, word)]
         for j in range(16):
             if sign_entry(j, k) != expected[j]:
                 return False, f"row {k} entry {j} mismatch"
@@ -206,12 +228,13 @@ def check_xor_equivariance(quick: bool = False) -> Outcome:
     matrix = sign_matrix()
     for t in range(trials):
         fam = tuple(_rand_octonion(rng) for _ in range(16))
-        base = sieve(fam)
+        base = [g.coeffs for g in sieve(fam)]
+        signed = {1: base, -1: [tuple([-c for c in g]) for g in base]}
         for m, signs in enumerate(matrix):
             permuted = tuple(fam[j ^ m] for j in range(16))
             shifted = sieve(permuted)
             for k, sign in enumerate(signs):
-                if shifted[k].coeffs != tuple([sign * c for c in base[k].coeffs]):
+                if shifted[k].coeffs != signed[sign][k]:
                     return False, f"family {t}, mask {m}, distance {k} mismatch"
     return True, f"all 16 masks on {trials} families: g'[k] == b[m][k] g[k]"
 
@@ -222,16 +245,26 @@ def _leibniz_counterexample(s: tuple[int, ...]) -> tuple[int, int, int, int] | N
     None if there is none.  The residual is linear in each of u, v, a and b,
     so None proves it is 0 everywhere under those characters.  D is linear
     too, so D(e_a e_b) is read off the eight D(e_c) as sum_c p_c D(e_c), p
-    the product e_a e_b: the same exact numbers as D applied to p."""
-    terms = [[[(c, pc) for c, pc in enumerate(_mul(x, y, s)) if pc] for y in _BASIS] for x in _BASIS]
+    the product e_a e_b; the kernel is bilinear, so D(e_a) e_b is
+    sum_c D(e_a)_c e_c e_b and e_a D(e_b) is sum_c D(e_b)_c e_a e_c.  All
+    three are read off the 64 basis products as sums over their nonzero
+    coefficients: the same exact numbers as the kernel on those factors."""
+    products = _basis_terms(s)
     for u, v in product(range(8), repeat=2):
         d = derivations._regrouped(_BASIS[u], _BASIS[v], s)
-        ds = [d(x) for x in _BASIS]
+        ds = [_support(d(x)) for x in _BASIS]
         for a, b in product(range(8), repeat=2):
-            d_ab = _ZERO
-            for c, pc in terms[a][b]:
-                d_ab = tuple([y + pc * z for y, z in zip(d_ab, ds[c])])
-            if d_ab != tuple(map(add, _mul(ds[a], _BASIS[b], s), _mul(_BASIS[a], ds[b], s))):
+            residual = [0] * 8
+            for c, p in products[a][b]:  # + D(e_a e_b)
+                for k, x in ds[c]:
+                    residual[k] += p * x
+            for c, x in ds[a]:  # - D(e_a) e_b
+                for k, y in products[c][b]:
+                    residual[k] -= x * y
+            for c, y in ds[b]:  # - e_a D(e_b)
+                for k, x in products[a][c]:
+                    residual[k] -= x * y
+            if any(residual):
                 return u, v, a, b
     return None
 
@@ -274,12 +307,23 @@ def check_flip_signatures(quick: bool = False) -> Outcome:
     return True, "7 per-triplet signatures pairwise distinct"
 
 
+def _all_rule_matrices(u: int, v: int) -> list:
+    """``derivation_matrix(u, v, n)`` for n = 0..15, from one all-rules pass
+    of D per unit a: column a-1 of matrix n is the imaginary part of
+    D(e_u, e_v; e_a) under rule n."""
+    columns = [_per_rule(_all_rules(derivations._DERIVE, _units((u, v, a)))) for a in range(1, 8)]
+    return [tuple(zip(*(col[1:] for col in rule))) for rule in zip(*columns)]
+
+
 def check_derivation_ranks(quick: bool = False) -> Outcome:
-    # each of the 21 pairs lies on one triplet: build its matrix once, and
-    # rank the flattened matrices and their restrictions to each triplet
+    # each of the 21 pairs lies on one triplet: build its 16 matrices once,
+    # and rank each rule's flattened matrices and their restrictions to each
+    # triplet
     rules = range(4) if quick else range(16)
+    pairs = list(combinations(range(1, 8), 2))
+    by_pair = {pair: _all_rule_matrices(*pair) for pair in pairs}
     for n in rules:
-        matrices = {pair: derivations.derivation_matrix(*pair, n) for pair in combinations(range(1, 8), 2)}
+        matrices = {pair: by_pair[pair][n] for pair in pairs}
         rank = derivations.integer_rank([sum(m, ()) for m in matrices.values()])
         if rank != 14:
             return False, f"rule {n}: full span rank {rank} != 14"
@@ -294,13 +338,21 @@ def check_derivation_ranks(quick: bool = False) -> Outcome:
 
 def check_equality_criterion(quick: bool = False) -> Outcome:
     # all 16 rules agree exactly when D's all-rules value is one tuple, no
-    # key k > 0: the sieve's invariance test; the equal set only on failure
+    # key k > 0: the sieve's invariance test; the equal set only on failure.
+    # Where they disagree, the spectrum has one key k > 0, the XOR of two
+    # triplet masks, so the rules that agree with rule 0 are ker chi_k
     for triple in product(range(1, 8), repeat=3):
-        agree = type(_all_rules(derivations._DERIVE, _units(triple))) is tuple
+        value = _all_rules(derivations._DERIVE, _units(triple))
+        agree = type(value) is tuple
         quaternionic = len(set(triple)) <= 2 or frozenset(triple) in _LINES
         if agree != quaternionic:
             got = derivations.cross_algebra_equal(*(Octonion.unit(k) for k in triple))
             return False, f"triple {triple}: equal set {sorted(got)}"
+        if not agree:
+            keys = value.keys() - {0}
+            if len(keys) != 1 or not keys <= _DISAGREEMENT_KEYS:
+                allowed = sorted(_DISAGREEMENT_KEYS)
+                return False, f"triple {triple}: spectrum keys {sorted(value)}, not one k > 0 in {allowed}"
     return True, "all 343 ordered imaginary triples match the iff condition"
 
 

@@ -1,11 +1,13 @@
 """verify's proofs of the Leibniz and norm identities and its all-rules
 derivation checks: the per-rule routes they replaced, kept as independent
-cross-checks, mutations of the kernels that they must catch, and the
-identities that single out the 16 rules among the 128 orientations."""
+cross-checks, mutations of the kernels that they must catch, the
+identities that single out the 16 rules among the 128 orientations, and
+the detail each check prints."""
 
 import inspect
 import random
 import re
+from collections import Counter
 from itertools import combinations, product
 from operator import add
 
@@ -98,16 +100,41 @@ def test_a_dropped_character_fails_both_proofs_at_the_isomorphism(monkeypatch):
         assert not passed and re.fullmatch(r"rule (\d+) is not rule 0 in the basis phi_\1: e\d e\d differs", detail)
 
 
+def public_norm_failure():
+    """The norm proof's rule-0 loop through the public ``multiply`` and
+    ``norm_sq``: the detail of its first failing pair, or None."""
+    vectors = [Octonion.unit(k) for k in range(8)]
+    vectors += [x + y for i, x in enumerate(vectors) for y in vectors[i + 1:]]
+    for a, b in product(vectors, repeat=2):
+        if norm_sq(multiply(a, b, 0)) != norm_sq(a) * norm_sq(b):
+            return f"rule 0, pair {list(a.coeffs)}, {list(b.coeffs)}: |ab|^2 != |a|^2 |b|^2"
+    return None
+
+
+@pytest.mark.parametrize("mutation", [None, ("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1"),
+                                      ("- a1*b1", "+ a1*b1"), ("+ s4*a5*b1", "- s4*a5*b1")])
+def test_the_basis_product_route_to_the_norm_is_the_public_multiply_route(monkeypatch, mutation):
+    # the route the norm proof replaced, on the kernel as it is and with one
+    # rule-0 sign flipped: the same first failing pair, or none
+    if mutation:
+        mutate_kernel(monkeypatch, *mutation)
+    passed, detail = verification.check_norm_multiplicativity()
+    assert (None if passed else detail) == public_norm_failure()
+    assert passed == (mutation is None)
+
+
 def kernel_route_counterexample(s):
     """``_leibniz_counterexample`` with D(e_a e_b) computed as D applied to
-    the product, through D's four kernels, on the kernel the proof reads."""
+    the product, through D's four kernels (once per distinct product), and
+    D(e_a) e_b and e_a D(e_b) as kernel calls, on the kernel the proof reads."""
     basis, mul = verification._BASIS, verification._mul
     products = [[mul(x, y, s) for y in basis] for x in basis]
     for u, v in product(range(8), repeat=2):
         d = derivations._regrouped(basis[u], basis[v], s)
         ds = [d(x) for x in basis]
+        d_products = {p: d(p) for p in set(sum(products, []))}
         for a, b in product(range(8), repeat=2):
-            if d(products[a][b]) != tuple(map(add, mul(ds[a], basis[b], s), mul(basis[a], ds[b], s))):
+            if d_products[products[a][b]] != tuple(map(add, mul(ds[a], basis[b], s), mul(basis[a], ds[b], s))):
                 return u, v, a, b
     return None
 
@@ -127,13 +154,22 @@ def test_the_linear_route_is_the_kernel_route_under_a_mutated_kernel(monkeypatch
 
 
 def test_a_zero_derivation_matrix_fails_the_rank_check_at_its_triplet(monkeypatch):
-    matrix = derivations.derivation_matrix
+    matrices = verification._all_rule_matrices
 
-    def zeroed(u_idx, v_idx, n):
-        return ((0,) * 7,) * 7 if (u_idx, v_idx, n) == (1, 2, 5) else matrix(u_idx, v_idx, n)
+    def zeroed(u_idx, v_idx):
+        found = matrices(u_idx, v_idx)
+        if (u_idx, v_idx) == (1, 2):
+            found[5] = ((0,) * 7,) * 7
+        return found
 
-    monkeypatch.setattr(derivations, "derivation_matrix", zeroed)
+    monkeypatch.setattr(verification, "_all_rule_matrices", zeroed)
     assert verification.check_derivation_ranks() == (False, "rule 5, triplet [1, 2, 3]: rank 2 != 3")
+
+
+def test_the_all_rules_matrices_are_the_per_rule_derivation_matrices():
+    # the route the rank check replaced: derivation_matrix, one rule at a time
+    for pair in combinations(range(1, 8), 2):
+        assert verification._all_rule_matrices(*pair) == [derivations.derivation_matrix(*pair, n) for n in range(16)]
 
 
 UNIT_TRIPLES = list(product(range(1, 8), repeat=3))
@@ -184,12 +220,16 @@ PARTS_MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
-def test_a_mutated_triplet_part_fails_the_closed_form_at_a_nonzero_case(monkeypatch, mutation):
+def mutate_parts(monkeypatch, mutation):
     parts = list(algebra._PARTS)
     for t, part in PARTS_MUTATIONS[mutation].items():
         parts[t] = part
     monkeypatch.setattr(algebra, "_PARTS", tuple(parts))
+
+
+@pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
+def test_a_mutated_triplet_part_fails_the_closed_form_at_a_nonzero_case(monkeypatch, mutation):
+    mutate_parts(monkeypatch, mutation)
     passed, detail = verification.check_antiassoc_closed_form()
     match = re.fullmatch(r"rule (\d+), triple \((\d), (\d), (\d)\)", detail)
     assert not passed and match
@@ -197,6 +237,36 @@ def test_a_mutated_triplet_part_fails_the_closed_form_at_a_nonzero_case(monkeypa
     assert triple in ANTIASSOCIATIVE
     values = residual(triple)
     assert any(values[n]) and not any(map(any, values[:n]))  # the first rule nonzero there
+
+
+def spectrum_keys(triple):
+    value = _all_rules(derivations._DERIVE, verification._units(triple))
+    return None if type(value) is tuple else sorted(value)
+
+
+def test_d_has_one_key_past_0_on_each_unit_triple_off_the_lines():
+    # the 175 quaternionic triples give one tuple; each other triple a
+    # spectrum of one key alone, k > 0 the XOR of two triplet masks, 24
+    # triples per key
+    keys = Counter(None if k is None else tuple(k) for k in map(spectrum_keys, UNIT_TRIPLES))
+    assert keys == {None: 175, **{(k,): 24 for k in (1, 2, 3, 12, 13, 14, 15)}}
+
+
+@pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
+def test_a_mutated_triplet_mask_fails_the_equality_criterion_at_its_spectrum(monkeypatch, mutation):
+    mutate_parts(monkeypatch, mutation)
+    passed, detail = verification.check_equality_criterion()
+    if mutation.startswith("reorient"):
+        # a reoriented triplet flips signs but keeps every spectrum's keys:
+        # antiassociative-closed-form catches it, this check cannot
+        assert (passed, detail) == (True, "all 343 ordered imaginary triples match the iff condition")
+        return
+    # a zeroed or swapped mask moves a key out of place
+    match = re.fullmatch(r"triple \((\d), (\d), (\d)\): spectrum keys (\[[\d, ]*\]), "
+                         r"not one k > 0 in \[1, 2, 3, 12, 13, 14, 15\]", detail)
+    assert not passed and match
+    triple = tuple(map(int, match.groups()[:3]))
+    assert triple in ANTIASSOCIATIVE and str(spectrum_keys(triple)) == match[4]
 
 
 def test_a_derivation_program_that_is_not_d_fails_the_equality_criterion(monkeypatch):
@@ -232,3 +302,38 @@ def test_the_16_rules_are_exactly_the_left_alternative_orientations():
     # over all 128 orientations of the seven reference triplets, the algebra
     # is left-alternative for exactly the 16 rules' characters
     assert {s for s in product((1, -1), repeat=7) if left_alternative(s)} == set(_SIGNS)
+
+
+FULL_DETAILS = {
+    "table-fidelity": "rule 0 triplets, words 0..7, T0 pairing all exact",
+    "norm-multiplicativity": "|ab|^2 == |a|^2 |b|^2 proved: exact on all 1296 pairs of e_i, e_i + e_j under rule 0, "
+                             "carried to all 16 rules by phi_n (checked on 64 basis pairs x 16 rules)",
+    "hadamard-involution": "unsieve(sieve(x)) == x exactly on 100 integer families",
+    "row-generators": "all 16 rows rebuilt from generators; 256 entries symmetric",
+    "sieve-invariance": "a+b, a*a, a*b+b*a invariant over 64 trials; a*b witness: g[4] = [0, 124, -12, 28, 0, 0, 0, 0] "
+                        "at a=[-5, -2, -9, 5, -4, -6, 2, -7], b=[-2, -1, -8, 1, -4, 8, 4, -8]",
+    "xor-equivariance": "all 16 masks on 20 families: g'[k] == b[m][k] g[k]",
+    "leibniz": "D(ab) == D(a)b + aD(b) proved: residual exactly 0 on all 4096 basis quadruples under rule 0, "
+               "carried to all 16 rules by phi_n (checked on 64 basis pairs x 16 rules)",
+    "antiassociative-closed-form": "D == -2(uv)a in all 2688 ordered cases",
+    "flip-signatures": "7 per-triplet signatures pairwise distinct",
+    "derivation-ranks": "full span rank 14 and triplet-restricted rank 3 for 16 rules",
+    "equality-criterion": "all 343 ordered imaginary triples match the iff condition",
+    "identify-roundtrip": "16 round-trips; mutated table rejected",
+}
+QUICK_DETAILS = {
+    **FULL_DETAILS,
+    "hadamard-involution": "unsieve(sieve(x)) == x exactly on 20 integer families",
+    "sieve-invariance": "a+b, a*a, a*b+b*a invariant over 8 trials; a*b witness: g[4] = [0, 124, -12, 28, 0, 0, 0, 0] "
+                        "at a=[-5, -2, -9, 5, -4, -6, 2, -7], b=[-2, -1, -8, 1, -4, 8, 4, -8]",
+    "xor-equivariance": "all 16 masks on 4 families: g'[k] == b[m][k] g[k]",
+    "derivation-ranks": "full span rank 14 and triplet-restricted rank 3 for 4 rules",
+}
+
+
+@pytest.mark.parametrize("quick, details", [(False, FULL_DETAILS), (True, QUICK_DETAILS)], ids=["full", "quick"])
+def test_every_check_passes_with_its_pinned_detail(quick, details):
+    # a faster route decides the same cases: each detail, counts and the
+    # sieve witness included, stays as it was, in order
+    assert [(r.name, r.passed, r.detail) for r in verification.run_checks(quick)] == [
+        (name, True, detail) for name, detail in details.items()]
