@@ -35,13 +35,14 @@ The ``verify`` command proves the Leibniz rule under rule 0 on the 4096
 basis quadruples, where the residual, linear in each argument, is fixed:
 the eight D(e_c) come from ``_regrouped``, and every product is read off
 the 64 basis products by bilinearity.  It carries the rule to all 16
-rules by the basis change of :mod:`octsieve.algebra`.  Its three
+rules by the basis change of :mod:`octsieve.algebra`, which also
+carries rule 0's ``derivation_span_rank`` figures, 14 and 3, to every
+rule: ``derivation-ranks`` ranks rule 0 alone.  Its two cross-rule
 derivation checks run all-rules passes instead of 16 per-rule
-derivations: ``derivation-ranks`` reads every rule's matrix column
-D(e_u, e_v; e_a) off one ``_DERIVE`` pass per pair and unit;
-``equality-criterion`` reads all 16 rules agreeing off D's value being one
-tuple; and ``antiassociative-closed-form`` reads the collapse under every
-rule off the residual's value being the zero tuple.
+derivations: ``equality-criterion`` reads all 16 rules agreeing off D's
+value being one tuple, and ``antiassociative-closed-form`` reads the
+collapse under every rule off the residual's value being the zero
+tuple.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's
@@ -85,12 +86,11 @@ def associator(a: Octonion, b: Octonion, c: Octonion, n: int) -> Octonion:
     return multiply(multiply(a, b, n), c, n) - multiply(a, multiply(b, c, n), n)
 
 
-def _regrouped(u: tuple, v: tuple, s: tuple, uv: tuple | None = None) -> Callable[[tuple], tuple]:
+def _regrouped(u: tuple, v: tuple, s: tuple) -> Callable[[tuple], tuple]:
     """D(u, v; .) = p x - x c + 3 u (v x) under the rule with characters
     ``s``, on coefficient tuples: two kernel calls for p = -2 uv - vu and
-    c = uv - vu, uv first and skipped when the caller passes it, then four
-    per argument."""
-    uv = _mul(u, v, s) if uv is None else uv
+    c = uv - vu, then four per argument."""
+    uv = _mul(u, v, s)
     vu = _mul(v, u, s)
     p = tuple([-2 * x - y for x, y in zip(uv, vu)])
     c = tuple(map(sub, uv, vu))
@@ -160,9 +160,8 @@ def antiassoc_closed_form(u_idx: int, v_idx: int, a_idx: int, n: int) -> Antiass
         )
     s = _signs(n)
     u, v, a = (Octonion.unit(k).coeffs for k in (u_idx, v_idx, a_idx))
-    uv = _mul(u, v, s)
-    lhs = _regrouped(u, v, s, uv)(a)
-    rhs = tuple([-2 * c for c in _mul(uv, a, s)])
+    lhs = _regrouped(u, v, s)(a)
+    rhs = tuple([-2 * c for c in _mul(_mul(u, v, s), a, s)])
     return AntiassocReport(Octonion(lhs), Octonion(rhs), lhs == rhs)
 
 

@@ -6,43 +6,46 @@ criterion asserts equality, never closeness.  A check returns
 ``ALL_CHECKS`` entry.  ``quick`` trims trial counts for a fast smoke run;
 the full counts are the contract.
 
-Two identities are proved, not sampled, so ``quick`` runs the same
-proofs.  The kernel ``_mul`` is bilinear code, each output a sum of
-+-s_t a_i b_j.  So the Leibniz residual D(ab) - D(a)b - aD(b) is linear
-in each of u, v, a and b, and vanishes under rule 0 iff it vanishes on
-the 8^4 basis quadruples; |ab|^2 - |a|^2 |b|^2 is a quadratic form in a
-and in b, fixed by its values at e_i and e_i + e_j, so 36 x 36 pairs
-decide it under rule 0.  Both proofs read their products off the kernel's
-64 basis products e_i e_j: a product with a basis factor, or of sums of
-basis units, is a sum over nonzero coefficients of those products, the
-same exact numbers as the kernel on those factors.  The eight D(e_c) come
-from the package's own D code (``derivations._regrouped``), and D(e_a e_b)
-is read off them by the linearity of D.  Rule n is rule 0 in the basis
+Two identities are proved, not sampled, and the derivation ranks are
+exact, so ``quick`` runs the same proofs and ranks.  The kernel ``_mul``
+is bilinear code, each output a sum of +-s_t a_i b_j.  So the Leibniz
+residual D(ab) - D(a)b - aD(b) is linear in each of u, v, a and b, and
+vanishes under rule 0 iff it vanishes on the 8^4 basis quadruples;
+|ab|^2 - |a|^2 |b|^2 is a quadratic form in a and in b, fixed by its
+values at e_i and e_i + e_j, so 36 x 36 pairs decide it under rule 0.
+Both proofs read their products off the kernel's 64 basis products
+e_i e_j: a product with a basis factor, or of sums of basis units, is a
+sum over nonzero coefficients of those products, the same exact numbers
+as the kernel on those factors.  The eight D(e_c) come from the
+package's own D code (``derivations._regrouped``), and D(e_a e_b) is
+read off them by the linearity of D.  Rule n is rule 0 in the basis
 phi_n: e_i -> chi(kappa_i, n) e_i, which :func:`_phi_failure` checks on
 the kernel itself (64 basis pairs per rule, both sides bilinear); phi_n
-is a sign flip per unit, so it carries each identity to all 16 rules.
+is a sign flip per unit, so it carries each identity to all 16 rules,
+and it turns rule 0's matrix of D(e_u, e_v; .) into rule n's by a sign
+per row, column and generator, which keeps every rank.
 
 Each check's route.  ``table-fidelity``, ``row-generators`` and
 ``flip-signatures`` compare the rule tables, sign matrix and generator
 flips with frozen reference data, and ``identify-roundtrip`` reads each
 rule's table back to its id.  ``norm-multiplicativity`` and ``leibniz``
-are the proofs above, on the basis products under rule 0.
+are the proofs above, on the basis products under rule 0, and
+``derivation-ranks`` ranks rule 0's matrices with
+``derivations.derivation_span_rank``: the 21 pairs u < v, then each
+triplet's three pairs restricted to its indices.
 ``hadamard-involution`` and ``xor-equivariance`` run the public
 :func:`sieve` and :func:`unsieve` on sampled families, and
-``sieve-invariance`` the refuter :func:`is_invariant`.  The three
-derivation checks run all-rules passes (``sieve._all_rules``) on basis
-triples, where the per-rule route would run 16 rules of several kernel
-calls each.  ``derivation-ranks`` runs one pass of D per pair u < v and
-unit a (147 in all), which gives column a of every rule's matrix of
-D(e_u, e_v; .), and ranks each rule's matrices with ``integer_rank``.
-``antiassociative-closed-form`` evaluates the residual D + 2(uv)a on the
-168 antiassociative triples, the zero tuple exactly when D == -2(uv)a under
-all 16 rules (a failure names the first rule where it is not).
-``equality-criterion`` evaluates D on the 343 unit triples, one tuple
-exactly when all 16 rules agree (a failure prints the equal set of
-``cross_algebra_equal``); where they disagree, the spectrum must have one
-key k > 0, the XOR of two triplet masks.  The test suite keeps the
-per-rule routes as independent cross-checks.
+``sieve-invariance`` the refuter :func:`is_invariant`.  The two
+cross-rule derivation checks run all-rules passes (``sieve._all_rules``)
+on basis triples, where the per-rule route would run 16 rules of several
+kernel calls each.  ``antiassociative-closed-form`` evaluates the
+residual D + 2(uv)a on the 168 antiassociative triples, the zero tuple
+exactly when D == -2(uv)a under all 16 rules (a failure names the first
+rule where it is not).  ``equality-criterion`` evaluates D on the 343
+unit triples, one tuple exactly when all 16 rules agree (a failure
+prints the equal set of ``cross_algebra_equal``); where they disagree,
+the spectrum must have one key k > 0, the XOR of two triplet masks.  The
+test suite keeps the per-rule routes as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -307,33 +310,20 @@ def check_flip_signatures(quick: bool = False) -> Outcome:
     return True, "7 per-triplet signatures pairwise distinct"
 
 
-def _all_rule_matrices(u: int, v: int) -> list:
-    """``derivation_matrix(u, v, n)`` for n = 0..15, from one all-rules pass
-    of D per unit a: column a-1 of matrix n is the imaginary part of
-    D(e_u, e_v; e_a) under rule n."""
-    columns = [_per_rule(_all_rules(derivations._DERIVE, _units((u, v, a)))) for a in range(1, 8)]
-    return [tuple(zip(*(col[1:] for col in rule))) for rule in zip(*columns)]
-
-
 def check_derivation_ranks(quick: bool = False) -> Outcome:
-    # each of the 21 pairs lies on one triplet: build its 16 matrices once,
-    # and rank each rule's flattened matrices and their restrictions to each
-    # triplet
-    rules = range(4) if quick else range(16)
-    pairs = list(combinations(range(1, 8), 2))
-    by_pair = {pair: _all_rule_matrices(*pair) for pair in pairs}
-    for n in rules:
-        matrices = {pair: by_pair[pair][n] for pair in pairs}
-        rank = derivations.integer_rank([sum(m, ()) for m in matrices.values()])
-        if rank != 14:
-            return False, f"rule {n}: full span rank {rank} != 14"
-        for triplet in _REFERENCE_TRIPLETS:
-            idxs = sorted(triplet)
-            rows = [[matrices[pair][i - 1][j - 1] for i in idxs for j in idxs] for pair in combinations(idxs, 2)]
-            rank = derivations.integer_rank(rows)
-            if rank != 3:
-                return False, f"rule {n}, triplet {idxs}: rank {rank} != 3"
-    return True, f"full span rank 14 and triplet-restricted rank 3 for {len(list(rules))} rules"
+    # phi_n turns rule 0's matrices into rule n's by a sign per row, column
+    # and generator, which keeps every rank: rule 0's ranks are every rule's
+    if (failure := _phi_failure()) is not None:
+        return False, failure
+    rank = derivations.derivation_span_rank(list(combinations(range(1, 8), 2)), 0)
+    if rank != 14:
+        return False, f"rule 0: full span rank {rank} != 14"
+    for triplet in _REFERENCE_TRIPLETS:
+        idxs = sorted(triplet)
+        rank = derivations.derivation_span_rank(list(combinations(idxs, 2)), 0, restrict_to=idxs)
+        if rank != 3:
+            return False, f"rule 0, triplet {idxs}: rank {rank} != 3"
+    return True, "full span rank 14 and triplet-restricted rank 3 for 16 rules"
 
 
 def check_equality_criterion(quick: bool = False) -> Outcome:

@@ -180,8 +180,8 @@ def test_an_unpickled_automorphism_is_checked():
 
 
 # Every CLI call pays for `import octsieve, octsieve.cli`; none of these
-# modules may be loaded by it, for the reason given.  The CI step "importing
-# octsieve loads only what sieve runs" checks the same list.
+# modules may be loaded by it, for the reason given.  CI's tier-1 job runs
+# the test below on every supported Python.
 NOT_AT_START_UP = {
     "dataclasses": "the records are __slots__ classes on algebra._Record",
     "inspect": "dataclasses pulls it in, with ast, dis and tokenize",

@@ -1,8 +1,9 @@
-"""verify's proofs of the Leibniz and norm identities and its all-rules
-derivation checks: the per-rule routes they replaced, kept as independent
-cross-checks, mutations of the kernels that they must catch, the
-identities that single out the 16 rules among the 128 orientations, and
-the detail each check prints."""
+"""verify's proofs of the Leibniz and norm identities, its rule-0 rank
+check and its all-rules derivation checks: the per-rule routes they
+replaced, kept as independent cross-checks, the basis change that
+carries rule 0's ranks to every rule, mutations of the kernels that they
+must catch, the identities that single out the 16 rules among the 128
+orientations, and the detail each check prints."""
 
 import inspect
 import random
@@ -95,7 +96,8 @@ def test_a_dropped_character_fails_both_proofs_at_the_isomorphism(monkeypatch):
     mutate_kernel(monkeypatch, "+ s6*a7*b3", "+ a7*b3")
     # under rule 0 every character is +1, so the rule-0 parts still hold
     assert verification._leibniz_counterexample(_SIGNS[0]) is None
-    for check in (verification.check_leibniz, verification.check_norm_multiplicativity):
+    for check in (verification.check_leibniz, verification.check_norm_multiplicativity,
+                  verification.check_derivation_ranks):
         passed, detail = check()
         assert not passed and re.fullmatch(r"rule (\d+) is not rule 0 in the basis phi_\1: e\d e\d differs", detail)
 
@@ -154,22 +156,39 @@ def test_the_linear_route_is_the_kernel_route_under_a_mutated_kernel(monkeypatch
 
 
 def test_a_zero_derivation_matrix_fails_the_rank_check_at_its_triplet(monkeypatch):
-    matrices = verification._all_rule_matrices
+    matrix = derivations.derivation_matrix
 
-    def zeroed(u_idx, v_idx):
-        found = matrices(u_idx, v_idx)
-        if (u_idx, v_idx) == (1, 2):
-            found[5] = ((0,) * 7,) * 7
-        return found
+    def zeroed(u_idx, v_idx, n):
+        return ((0,) * 7,) * 7 if (u_idx, v_idx, n) == (1, 2, 0) else matrix(u_idx, v_idx, n)
 
-    monkeypatch.setattr(verification, "_all_rule_matrices", zeroed)
-    assert verification.check_derivation_ranks() == (False, "rule 5, triplet [1, 2, 3]: rank 2 != 3")
+    monkeypatch.setattr(derivations, "derivation_matrix", zeroed)
+    assert verification.check_derivation_ranks() == (False, "rule 0, triplet [1, 2, 3]: rank 2 != 3")
+
+
+def test_rule_n_derivation_matrices_are_rule_0_ones_conjugated_by_phi_n():
+    # the carry the rank check relies on: M_n = chi_u chi_v S_n M_0 S_n with
+    # S_n = diag(chi(kappa_i, n)), a sign per row, column and generator
+    for n in range(16):
+        chi = [algebra._character(key, n) for key in algebra._KEYS]
+        for u, v in combinations(range(1, 8), 2):
+            m0 = derivations.derivation_matrix(u, v, 0)
+            carried = tuple(tuple(chi[u] * chi[v] * chi[i] * chi[j] * m0[i - 1][j - 1] for j in range(1, 8))
+                            for i in range(1, 8))
+            assert derivations.derivation_matrix(u, v, n) == carried
+
+
+def all_rule_matrices(u, v):
+    """``derivation_matrix(u, v, n)`` for n = 0..15, from one all-rules pass
+    of D per unit a: column a-1 of matrix n is the imaginary part of
+    D(e_u, e_v; e_a) under rule n."""
+    columns = [_per_rule(_all_rules(derivations._DERIVE, verification._units((u, v, a)))) for a in range(1, 8)]
+    return [tuple(zip(*(col[1:] for col in rule))) for rule in zip(*columns)]
 
 
 def test_the_all_rules_matrices_are_the_per_rule_derivation_matrices():
-    # the route the rank check replaced: derivation_matrix, one rule at a time
+    # the all-rules engine against derivation_matrix, one rule at a time
     for pair in combinations(range(1, 8), 2):
-        assert verification._all_rule_matrices(*pair) == [derivations.derivation_matrix(*pair, n) for n in range(16)]
+        assert all_rule_matrices(*pair) == [derivations.derivation_matrix(*pair, n) for n in range(16)]
 
 
 UNIT_TRIPLES = list(product(range(1, 8), repeat=3))
@@ -183,7 +202,7 @@ def residual(triple):
 
 
 def test_the_per_rule_closed_form_holds_in_all_2688_cases():
-    # the route the closed-form check replaced: 16 rules x 7 kernel calls per triple
+    # the route the closed-form check replaced: 16 rules x 8 kernel calls per triple
     assert len(ANTIASSOCIATIVE) == 168
     assert all(derivations.antiassoc_closed_form(*t, n).equal for n in range(16) for t in ANTIASSOCIATIVE)
 
@@ -327,7 +346,6 @@ QUICK_DETAILS = {
     "sieve-invariance": "a+b, a*a, a*b+b*a invariant over 8 trials; a*b witness: g[4] = [0, 124, -12, 28, 0, 0, 0, 0] "
                         "at a=[-5, -2, -9, 5, -4, -6, 2, -7], b=[-2, -1, -8, 1, -4, 8, 4, -8]",
     "xor-equivariance": "all 16 masks on 4 families: g'[k] == b[m][k] g[k]",
-    "derivation-ranks": "full span rank 14 and triplet-restricted rank 3 for 4 rules",
 }
 
 
