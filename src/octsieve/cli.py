@@ -49,8 +49,8 @@ class CliError(Exception):
 def _parse_octonion(text: str) -> Octonion:
     """Either a basis shorthand like 'i3' (or '1') or 8 comma-separated reals.
 
-    Each real is read as the expression parser reads a literal
-    (``dsl._number``), and an integral float becomes an int.
+    Each real is an ``--expr`` number literal with an optional sign, read
+    by ``dsl._number`` (``.5``, ``inf`` are bad); an integral float is an int.
     """
     t = text.strip()
     if t == "1":

@@ -1,24 +1,27 @@
 """A small polynomial expression language over octonion variables.
 
-Grammar::
+Grammar; ``_BINARY`` states each binary operator's symbol and level once::
 
-    expr   := term (('+'|'-') term)*
-    term   := factor ('*' factor)*
+    expr   := term (('+'|'-') term)*        level 0
+    term   := factor ('*' factor)*          level 1
     factor := IDENT | NUMBER | '(' expr ')' | '-' factor | 'conj' '(' expr ')'
+    NUMBER := digits ('.' digits)? ([eE] [+-]? digits)?
 
-'*' associates to the left in the grammar and the parsed tree keeps that
-grouping verbatim; since octonion multiplication is nonassociative,
+Every binary operator associates to the left and the parsed tree keeps
+that grouping verbatim; since octonion multiplication is nonassociative,
 "a*b*c" and "a*(b*c)" are different expressions.  Parenthesize whenever
 the grouping matters.
 
-Literals are real scalars only, read by :func:`_number` (as are the CLI's
-coefficients): digits alone make an exact int of any size, up to Python's
-int/str digit limit, and a fraction or an exponent makes a float, which
-must not read as inf, nor as 0 unless it is zero.  :func:`_program` reads
-every constant once, exactly, when it compiles: as the rational it is, so
-1, 1.0 and Fraction(1) are one step.  Basis elements enter through
-variable assignments, so the same expression can be evaluated under any of
-the 16 multiplication rules.  'conj' is a reserved word.
+Literals are real scalars only, spelled as NUMBER (``_NUMBER``), the one
+pattern the tokenizer, :func:`_number` (the CLI's coefficients too, with a
+sign) and :func:`to_text` read: digits alone make an exact int of any size,
+up to Python's int/str digit limit, and a fraction or an exponent makes a
+float, which must not read as inf, nor as 0 unless it is zero.
+:func:`_program` reads every constant once, exactly, when it compiles: as
+the rational it is, so 1, 1.0 and Fraction(1) are one step.  Basis
+elements enter through variable assignments, so the same expression can
+be evaluated under any of the 16 multiplication rules.  'conj' is a
+reserved word.
 
 Tree nodes are immutable ``__slots__`` classes (``algebra._Record``),
 compared and hashed by value: two nodes are equal when they are of one
@@ -130,6 +133,13 @@ class Conj(_Unary):
 
 Expr = Var | Const | Add | Sub | Neg | Mul | Conj
 
+# Each binary operator once: its symbol as to_text prints it and its
+# level, a higher level binding tighter; all group to the left.
+_BINARY = {Add: (" + ", 0), Sub: (" - ", 0), Mul: ("*", 1)}
+_FACTOR = 1 + max(level for _, level in _BINARY.values())  # a factor binds tighter than all
+# The parser's view of it: per level, each symbol's node class.
+_LEVELS = [{s.strip(): kind for kind, (s, at) in _BINARY.items() if at == level} for level in range(_FACTOR)]
+
 
 class ExprSyntaxError(ValueError):
     """Malformed expression text; ``offset`` is the byte position."""
@@ -147,11 +157,13 @@ class UnboundVariableError(ValueError):
         self.name = name
 
 
+# The number literal, stated once: the tokenizer's "num", what _number
+# reads (with a sign and surrounding whitespace) and what to_text prints.
+_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_NUMBER_RE, _SIGNED_NUMBER_RE = re.compile(_NUMBER), re.compile(rf"\s*[+-]?{_NUMBER}\s*")
 # Every character that is not whitespace starts a token; one that starts
 # no other token is "bad".
-_TOKEN_RE = re.compile(
-    r"(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*()])|(?P<bad>\S)"
-)
+_TOKEN_RE = re.compile(rf"(?P<num>{_NUMBER})|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*()])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -176,22 +188,14 @@ class _Parser:
     """Recursive descent; each parse method returns a node and its height."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.nesting = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
     def expect_op(self, op: str):
-        kind, text, offset = self.next()
-        if kind != "op" or text != op:
+        _, text, offset = self.tokens[self.index]  # only an op token's text is an operator
+        self.index += 1
+        if text != op:
             raise ExprSyntaxError(f"expected {op!r}", offset)
 
     @staticmethod
@@ -200,30 +204,24 @@ class _Parser:
             raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
         return depth
 
-    def parse_expr(self) -> tuple[Expr, int]:
-        node, height = self.parse_term()
+    def parse_binary(self, level: int = 0) -> tuple[Expr, int]:
+        """Operands joined by the operators of ``level``, grouped to the
+        left; an operand is the next level's, a factor past the last."""
+        kinds, tighter = _LEVELS[level], level + 1
+        node, height = self.parse_binary(tighter) if tighter < _FACTOR else self.parse_factor()
         while True:
-            kind, text, offset = self.peek()
-            if kind != "op" or text not in "+-":
+            _, text, offset = self.tokens[self.index]
+            kind = kinds.get(text)
+            if kind is None:
                 return node, height
-            self.next()
-            right, right_height = self.parse_term()
-            node = Add(node, right) if text == "+" else Sub(node, right)
-            height = self.within(max(height, right_height) + 1, offset)
-
-    def parse_term(self) -> tuple[Expr, int]:
-        node, height = self.parse_factor()
-        while True:
-            kind, text, offset = self.peek()
-            if kind != "op" or text != "*":
-                return node, height
-            self.next()
-            right, right_height = self.parse_factor()
-            node = Mul(node, right)
+            self.index += 1
+            right, right_height = self.parse_binary(tighter) if tighter < _FACTOR else self.parse_factor()
+            node = kind(node, right)
             height = self.within(max(height, right_height) + 1, offset)
 
     def parse_factor(self) -> tuple[Expr, int]:
-        kind, text, offset = self.next()
+        kind, text, offset = self.tokens[self.index]
+        self.index += 1
         if kind == "num":
             try:
                 return Const(_number(text)), 1
@@ -239,36 +237,36 @@ class _Parser:
             node, height = Neg(node), self.within(height + 1, offset)
         elif text == "conj":
             self.expect_op("(")
-            node, height = self.parse_expr()
+            node, height = self.parse_binary()
             node, height = Conj(node), self.within(height + 1, offset)
             self.expect_op(")")
         else:
-            node, height = self.parse_expr()
+            node, height = self.parse_binary()
             self.expect_op(")")
         self.nesting -= 1
         return node, height
 
 
 def _number(text: str) -> int | float:
-    """An exact int when ``int()`` reads ``text``, else ``float()``'s finite
-    reading; text that neither reads, NaN and infinity spelled out (``inf``,
-    ``-Infinity``) raise ``ValueError``.  An ``OverflowError`` rejects an int
-    past Python's int/str digit limit and a float literal read as inf, or as
-    0 though a digit before its exponent is nonzero: either would stand for
-    another number, and change a verdict."""
-    try:
-        return int(text)
-    except ValueError:
-        digits, limit = text.strip().lstrip("+-"), sys.get_int_max_str_digits()
-        if digits.isdecimal() and 0 < limit < len(digits):
-            raise OverflowError(f"integer literal of {len(digits)} digits exceeds Python's limit of "
-                                f"{limit} digits for int/str conversion") from None
-    value = float(text)
-    if math.isnan(value) or text.strip().lstrip("+-").lower() in ("inf", "infinity"):
+    """``text``, a NUMBER with one optional sign and surrounding whitespace,
+    read as an exact int when it is digits alone, else as a finite float;
+    other text (``inf``, ``.5``, ``1_0``) raises ``ValueError``.  An
+    ``OverflowError`` rejects an int past Python's int/str digit limit and a
+    float read as inf, or as 0 though a digit before its exponent is
+    nonzero: either would stand for another number, and change a verdict."""
+    if not (text.isdecimal() or _SIGNED_NUMBER_RE.fullmatch(text)):  # digits alone are a NUMBER
         raise ValueError(f"not a number: {text!r}")
+    literal = text.strip().lstrip("+-")  # the pattern allows one sign
+    if literal.isdecimal():
+        try:
+            return int(text)
+        except ValueError:
+            raise OverflowError(f"integer literal of {len(literal)} digits exceeds Python's limit of "
+                                f"{sys.get_int_max_str_digits()} digits for int/str conversion") from None
+    value = float(text)
     if math.isinf(value):
         raise OverflowError(f"float literal exceeds the largest float, {sys.float_info.max:.4g}")
-    if value == 0 and any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0]):
+    if value == 0 and any(c.isdecimal() and int(c) for c in literal.lower().partition("e")[0]):
         raise OverflowError(f"nonzero float literal is below the smallest float, {math.ulp(0.0):.4g}")
     return value
 
@@ -278,8 +276,8 @@ def parse(text: str) -> Expr:
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text)
-    node, _ = parser.parse_expr()
-    kind, trailing, offset = parser.peek()
+    node, _ = parser.parse_binary()
+    kind, trailing, offset = parser.tokens[parser.index]
     if kind != "end":
         raise ExprSyntaxError(f"unexpected {trailing!r}", offset)
     return node
@@ -324,7 +322,7 @@ def _program(expr: Expr) -> tuple[list[tuple], list[str]]:
     while stack:  # a node stays on the stack until its operands are done
         node = stack[-1]
         kind = type(node)
-        if kind is Add or kind is Sub or kind is Mul:
+        if kind in _BINARY:
             x, y = done.get(id(node.left)), done.get(id(node.right))
             if x is None or y is None:
                 if y is None:
@@ -356,30 +354,29 @@ def free_vars(expr: Expr) -> list[str]:
     return _program(expr)[1]
 
 
-# Print precedence: sums bind loosest, factors tightest.
-_SUM, _TERM, _FACTOR = 0, 1, 2
-
-
 def to_text(expr: Expr) -> str:
-    """Canonical text form; reparsing it yields an identical tree."""
+    """Canonical text form; reparsing it yields an identical tree.  A Const
+    whose repr is no NUMBER (-1, Fraction(1, 2), nan, True) raises
+    ValueError, and what is not a node TypeError."""
 
     def render(node: Expr, min_level: int) -> str:
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is Var:
             return node.name
-        if isinstance(node, Const):
-            return repr(node.value)
-        if isinstance(node, Conj):
-            return f"conj({render(node.operand, _SUM)})"
-        if isinstance(node, Neg):
+        if kind in _BINARY:
+            symbol, level = _BINARY[kind]
+            # grouped to the left: the right operand must bind tighter
+            text = f"{render(node.left, level)}{symbol}{render(node.right, level + 1)}"
+            return f"({text})" if level < min_level else text
+        if kind is Const:
+            text = repr(node.value)
+            if _NUMBER_RE.fullmatch(text) is None:
+                raise ValueError(f"constant {text} has no literal form")
+            return text
+        if kind is Neg:
             return f"-{render(node.operand, _FACTOR)}"
-        if isinstance(node, (Add, Sub)):
-            op = "+" if isinstance(node, Add) else "-"
-            # left-associative: the right operand must bind tighter
-            text = f"{render(node.left, _SUM)} {op} {render(node.right, _TERM)}"
-            level = _SUM
-        else:  # Mul
-            text = f"{render(node.left, _TERM)}*{render(node.right, _FACTOR)}"
-            level = _TERM
-        return f"({text})" if level < min_level else text
+        if kind is Conj:
+            return f"conj({render(node.operand, 0)})"
+        raise TypeError(f"not an expression node: {node!r}")
 
-    return render(expr, _SUM)
+    return render(expr, 0)

@@ -88,12 +88,19 @@ def test_a_float_literal_past_the_float_range_is_a_syntax_error(literal):
         is_invariant("1e-400*(a*b)")  # was invariant: 0*(a*b) is the same under every rule
 
 
-@pytest.mark.parametrize("text", ["nan", "-NaN", "inf", "-inf", "+inf", "Infinity", " -infinity ", "INF"])
+@pytest.mark.parametrize("text", ["nan", "-NaN", "inf", "-inf", "+inf", "Infinity", " -infinity ", "INF",
+                                  ".5", "5.", "1_0", "5.e3"])
 def test_nan_or_infinity_spelled_out_is_not_a_number(text):
+    # nor is other text that int() or float() reads but NUMBER does not
     with pytest.raises(ValueError, match="^not a number: ") as err:
         _number(text)
     assert not isinstance(err.value, OverflowError)
-    assert parse(f"{text.strip().lstrip('+-')}*a") == Mul(Var(text.strip().lstrip("+-")), Var("a"))  # a name
+    word = text.strip().lstrip("+-")
+    if word.isalpha():
+        assert parse(f"{word}*a") == Mul(Var(word), Var("a"))  # a name
+    else:
+        with pytest.raises(ExprSyntaxError):
+            parse(f"{word}*a")
 
 
 @pytest.mark.parametrize("literal", ["0e-400", "0.0", "00.000e-999", "1e-320", "5e-324"])
@@ -219,6 +226,42 @@ def test_to_text_round_trips_fixed_forms():
     for text in ("a*b + b*a", "a*b*c", "a*(b*c)", "conj(a)*a", "-(a + b)*c", "a - (b - c)", "2*a - 3"):
         tree = parse(text)
         assert parse(to_text(tree)) == tree
+
+
+A, B, C = Var("a"), Var("b"), Var("c")
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("a + b + c", Add(Add(A, B), C)),
+    ("a + (b + c)", Add(A, Add(B, C))),
+    ("a - b - c", Sub(Sub(A, B), C)),
+    ("a - (b - c)", Sub(A, Sub(B, C))),
+    ("a - b + c", Add(Sub(A, B), C)),
+    ("a - (b + c)", Sub(A, Add(B, C))),
+    ("a*b*c", Mul(Mul(A, B), C)),
+    ("a*(b*c)", Mul(A, Mul(B, C))),
+    ("a + b*c", Add(A, Mul(B, C))),
+    ("(a + b)*c", Mul(Add(A, B), C)),
+    ("a*b - c", Sub(Mul(A, B), C)),
+    ("a*(b - c)", Mul(A, Sub(B, C))),
+])
+def test_each_operator_parses_and_prints_as_its_class_grouped_to_the_left(text, tree):
+    assert parse(text) == tree and to_text(tree) == text
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), float("nan"), float("inf"), True, -1, -0.0])
+def test_to_text_refuses_a_constant_that_no_literal_reads_as(value):
+    # 'a*Fraction(1, 2)' does not parse; 'nan', 'inf' and 'True' reparse as
+    # names, '-1' as Neg(Const(1))
+    with pytest.raises(ValueError, match="has no literal form"):
+        to_text(Mul(Var("a"), Const(value)))
+
+
+def test_to_text_on_a_non_node_is_a_type_error_as_in_program():
+    with pytest.raises(TypeError, match="^not an expression node: 5$"):
+        to_text(Mul(Var("a"), 5))
+    with pytest.raises(TypeError, match="^not an expression node: 5$"):
+        free_vars(Mul(Var("a"), 5))
 
 
 def _random_tree(rng, depth):
