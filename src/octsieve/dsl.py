@@ -284,25 +284,29 @@ def parse(text: str) -> Expr:
 
 
 def evaluate(expr: Expr, env: Mapping[str, Octonion], n: int) -> Octonion:
-    """Evaluate under rule n; every Mul node multiplies with that rule."""
-    if isinstance(expr, Var):  # n is checked at the leaves: every walk reaches one
+    """Evaluate under rule n; every Mul node multiplies with that rule.
+    Nodes are dispatched on their exact class, as in :func:`_program`, so
+    what is not one of the node classes, a subclass included, is a
+    TypeError."""
+    kind = type(expr)
+    if kind is Mul:  # most nodes of a product tree
+        return multiply(evaluate(expr.left, env, n), evaluate(expr.right, env, n), n)
+    if kind is Var:  # n is checked at the leaves: every walk reaches one
         _check_algebra_id(n)
         try:
             return env[expr.name]
         except KeyError:
             raise UnboundVariableError(expr.name) from None
-    if isinstance(expr, Const):
+    if kind is Const:
         _check_algebra_id(n)
         return Octonion.real(expr.value)
-    if isinstance(expr, Add):
+    if kind is Add:
         return evaluate(expr.left, env, n) + evaluate(expr.right, env, n)
-    if isinstance(expr, Sub):
+    if kind is Sub:
         return evaluate(expr.left, env, n) - evaluate(expr.right, env, n)
-    if isinstance(expr, Neg):
+    if kind is Neg:
         return -evaluate(expr.operand, env, n)
-    if isinstance(expr, Mul):
-        return multiply(evaluate(expr.left, env, n), evaluate(expr.right, env, n), n)
-    if isinstance(expr, Conj):
+    if kind is Conj:
         return conjugate(evaluate(expr.operand, env, n))
     raise TypeError(f"not an expression node: {expr!r}")
 

@@ -47,14 +47,17 @@ transforms a spectrum into :func:`function_family`'s values on the same
 exact inputs.  ``_trials`` reaches a verdict, trial 1 on a given
 assignment and later ones drawn from one rng, by a key test with no
 transform: a tuple holds, and a spectrum refutes with its least key k > 0
-as the witness.  :func:`is_invariant` and the CLI's ``sieve`` both call it.
+as the witness.  A later trial binds each name to the exact int 8-tuple
+that ``_random_ints`` draws, the draw :func:`random_assignment` makes, and
+an ``Octonion`` is built only for a refuting trial's witness.
+:func:`is_invariant` and the CLI's ``sieve`` both call it.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Mapping, Sequence
-from operator import add, index, neg, sub
+from operator import add, index, sub
 
 from .algebra import Octonion, _add_product, _character, _check_int, _exact, _mul_all, _Record
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
@@ -187,7 +190,8 @@ def _pruned(spectrum: dict) -> AllRules:
 
 
 def _conj(c: tuple) -> tuple:
-    return (c[0],) + tuple(map(neg, c[1:]))
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    return (c0, -c1, -c2, -c3, -c4, -c5, -c6, -c7)
 
 
 def _scale(r: int, value: AllRules) -> AllRules:
@@ -203,16 +207,19 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
     for op, x, y in steps:
         if op is Mul:
             left, right = values[x], values[y]
-            if type(left) is tuple and left[1:] == _NO_IMAG:
-                value = _scale(left[0], right)
-            elif type(right) is tuple and right[1:] == _NO_IMAG:
-                value = _scale(right[0], left)
-            elif type(left) is tuple and type(right) is tuple:
+            one_left, one_right = type(left) is tuple, type(right) is tuple
+            if one_left and left[1:] == _NO_IMAG:
+                r = left[0]
+                value = tuple([r * c for c in right]) if one_right else _scale(r, right)
+            elif one_right and right[1:] == _NO_IMAG:
+                r = right[0]
+                value = tuple([r * c for c in left]) if one_left else _scale(r, left)
+            elif one_left and one_right:
                 value = _mul_all(left, right)
             else:  # component F_a times G_b adds its parts at a ^ b and a ^ b ^ m_t
                 rows = {}
-                for a, f in _spectrum(left).items():
-                    for b, g in _spectrum(right).items():
+                for a, f in ((0, left),) if one_left else left.items():
+                    for b, g in ((0, right),) if one_right else right.items():
                         _add_product(rows, a ^ b, f, g)
                 value = _pruned(rows)
         elif op is Add or op is Sub:
@@ -240,14 +247,15 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
 
 def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
     """Compile ``tree`` once: its variable names, and a function from an
-    assignment (each name bound to one octonion, or to a spectrum
-    {k: octonion}, the value under rule n being sum_k chi(k, n) x_k) to its
-    exact values under all 16 rules, coefficients read as the rationals
-    they are (the program's literals already are)."""
+    assignment (each name bound to one octonion, to an exact 8-tuple of ints
+    or rationals, taken as it is, or to a spectrum {k: octonion}, the value
+    under rule n being sum_k chi(k, n) x_k) to its exact values under all 16
+    rules, coefficients read as the rationals they are (the program's
+    literals already are)."""
     steps, names = _program(tree)
 
-    def values(env: Mapping[str, Octonion | Mapping[int, Octonion]]) -> AllRules:
-        return _all_rules(steps, {name: _exact(x.coeffs) if isinstance(x, Octonion)
+    def values(env: Mapping[str, tuple | Octonion | Mapping[int, Octonion]]) -> AllRules:
+        return _all_rules(steps, {name: x if type(x) is tuple else _exact(x.coeffs) if isinstance(x, Octonion)
                                   else _pruned({k: _exact(y.coeffs) for k, y in x.items()})
                                   for name, x in env.items()})
 
@@ -283,19 +291,24 @@ class SieveVerdict(_Record):
 
 def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng: random.Random | None,
             trials: int) -> tuple[AllRules, SieveVerdict]:
-    """Trial 1 is ``env``; while every trial holds, trials 2..``trials`` are
-    assignments of the same names drawn from ``rng``.  A trial whose value
-    is one tuple holds; a spectrum refutes, its least key k > 0 the witness
-    with distance g[k] = 4 F_k.  Returns trial 1's value and the verdict."""
+    """Trial 1 is ``env``; while every trial holds, trials 2..``trials`` bind
+    the same names, in order, to int 8-tuples drawn from ``rng`` by
+    ``_random_ints``: the values, and the rng state, of
+    :func:`random_assignment`, with no ``Octonion`` built.  A trial whose
+    value is one tuple holds; a spectrum refutes, its least key k > 0 the
+    witness with distance g[k] = 4 F_k, and its assignment as octonions.
+    Returns trial 1's value and the verdict."""
     names = list(env)
     for trial in range(1, trials + 1):
         if trial > 1:
-            env = random_assignment(names, rng)
+            env = {name: _random_ints(rng, 9) for name in names}
         value = values(env)
         if trial == 1:
             first = value
         if type(value) is dict:
             k = min(k for k in value if k)
+            if trial > 1:
+                env = {name: Octonion(x) for name, x in env.items()}
             witness = InvarianceWitness(env, k, Octonion([4 * c for c in value[k]]))
             return first, SieveVerdict(False, trials, witness, trials_run=trial)
     return first, SieveVerdict(True, trials, trials_run=trials)

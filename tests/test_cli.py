@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from test_algebra import typed
 from test_dsl import _random_tree
-from test_sieve import FIXED_EXPRS, exact_env, exact_tree, read_exactly
+from test_sieve import FIXED_EXPRS, counted_octonions, exact_env, exact_tree, read_exactly
 
 from octsieve import cli
 from octsieve.algebra import Octonion
@@ -652,18 +652,30 @@ def spies(monkeypatch):
 @pytest.mark.parametrize("expr, trials, invariant", [("a*b + b*a", 1, True), ("a*b + b*a", 2, True),
                                                      ("a*b + b*a", 64, True), ("a*b", 64, False)])
 def test_sieve_compiles_once_and_evaluates_each_trial_once(capsys, monkeypatch, expr, trials, invariant):
-    # trial 1 is the printed assignment; trials 2.. draw on from the same rng.
-    # a*b + b*a is the same under every rule, so no trial is transformed; a*b
-    # is refuted by trial 1, whose spectrum is transformed once, for the
-    # printed functions
-    compiles, passes, draws, evaluations, transforms = spies(monkeypatch)
+    # trial 1 is the printed assignment, drawn as octonions; trials 2.. draw
+    # on from the same rng as int tuples, one draw of 8 coefficients per
+    # name per trial.  a*b + b*a is the same under every rule, so no trial
+    # is transformed; a*b is refuted by trial 1, whose spectrum is
+    # transformed once, for the printed functions
+    compiles, passes, assignments, evaluations, transforms = spies(monkeypatch)
+    draws = spy(monkeypatch, SIEVE, "_random_ints")
     code, out, _ = run(capsys, "sieve", "--expr", expr, "--random-assign", "--seed", "3",
                        "--trials", str(trials), "--format", "json")
     payload = json.loads(out)
     ran = trials if invariant else 1
     assert (code, payload["invariant"], payload["trials_run"]) == (0, invariant, ran)
-    counts = (len(compiles), len(passes), len(draws), len(evaluations), len(transforms))
-    assert counts == (1, ran, ran, 0, 0 if invariant else 1)
+    counts = (len(compiles), len(passes), len(assignments), len(draws), len(evaluations), len(transforms))
+    assert counts == (1, ran, 1, 2 * ran, 0, 0 if invariant else 1)
+    assert all(args[1:] == (9,) for args in draws)
+
+
+def test_sieve_builds_octonions_for_trial_one_only(capsys, monkeypatch):
+    built = counted_octonions(monkeypatch)
+    code, out, _ = run(capsys, "sieve", "--expr", "a*b + b*a", "--random-assign", "--seed", "3",
+                       "--trials", "64", "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["invariant"], payload["trials_run"]) == (0, True, 64)
+    assert [list(c) for c in built] == list(payload["assignment"].values())
 
 
 @pytest.mark.parametrize("algebra", [(), ("--algebra", "5")], ids=["all", "one"])

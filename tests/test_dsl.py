@@ -24,7 +24,7 @@ from octsieve.dsl import (
     parse,
     to_text,
 )
-from octsieve.sieve import _evaluator, is_invariant
+from octsieve.sieve import _evaluator, function_family, is_invariant
 
 
 def unit(k):
@@ -262,6 +262,22 @@ def test_to_text_on_a_non_node_is_a_type_error_as_in_program():
         to_text(Mul(Var("a"), 5))
     with pytest.raises(TypeError, match="^not an expression node: 5$"):
         free_vars(Mul(Var("a"), 5))
+
+
+class V(Var):
+    """A subclass of a node class, which is no node class."""
+
+
+def test_a_node_subclass_is_a_type_error_on_every_route():
+    # every walk dispatches on the exact node class: a subclass of Var is
+    # not read as a variable by one route and refused by another
+    tree = Mul(V("a"), Var("b"))
+    env = {"a": unit(1), "b": unit(2)}
+    routes = [lambda: evaluate(tree, env, 0), lambda: function_family(tree, env), lambda: free_vars(tree),
+              lambda: is_invariant(tree), lambda: to_text(tree)]
+    for route in routes:
+        with pytest.raises(TypeError, match=r"^not an expression node: V\(name='a'\)$"):
+            route()
 
 
 def _random_tree(rng, depth):

@@ -528,6 +528,39 @@ def test_trials_run_counts_the_trials_that_ran():
     assert (held.trials, held.trials_run) == (20, 20)
 
 
+def counted_octonions(monkeypatch):
+    """The argument of every ``Octonion`` built from here on."""
+    built, init = [], Octonion.__init__
+
+    def counted(self, coeffs):
+        built.append(coeffs)
+        init(self, coeffs)
+
+    monkeypatch.setattr(Octonion, "__init__", counted)
+    return built
+
+
+def test_later_trials_build_no_octonion(monkeypatch):
+    # trials 2..64 bind exact int tuples: only trial 1's two octonions are built
+    built = counted_octonions(monkeypatch)
+    verdict = is_invariant("a*b + b*a", trials=64)
+    assert (verdict.invariant, verdict.trials_run, len(built)) == (True, 64, 2)
+
+
+def test_a_later_witness_is_the_octonions_random_assignment_draws(monkeypatch):
+    # 2*a0 is 0 at seed 23's first trial, so trial 2 refutes; its tuples
+    # become octonions, the ones random_assignment draws for trial 2
+    rng = random.Random(23)
+    random_assignment("abc", rng)
+    drawn = random_assignment("abc", rng)
+    built = counted_octonions(monkeypatch)
+    verdict = is_invariant("(a + conj(a))*(b*c)", trials=64, seed=23)
+    assert (verdict.invariant, verdict.trials_run, verdict.witness.index) == (False, 2, 4)
+    assignment = verdict.witness.assignment
+    assert assignment == drawn and all(type(x) is Octonion for x in assignment.values())
+    assert len(built) == 3 + 3 + 1  # trial 1's, the witness assignment and its distance
+
+
 @pytest.mark.parametrize("text", ["1e308*a*a", "1e308*1e308*a"])
 def test_float_overflow_raises_in_both_paths(text):
     # the public one-rule evaluator overflows in float arithmetic; the
