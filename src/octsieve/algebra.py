@@ -218,14 +218,6 @@ class Octonion(_Record):
     def real(cls, value: float) -> "Octonion":
         return cls((value, 0, 0, 0, 0, 0, 0, 0))
 
-    @property
-    def real_part(self) -> float:
-        return self.coeffs[0]
-
-    @property
-    def imag_parts(self) -> tuple[float, ...]:
-        return self.coeffs[1:]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -39,7 +39,7 @@ from .algebra import Octonion, _check_algebra_id, _check_int, mul_table, triplet
 from .dsl import ExprSyntaxError, UnboundVariableError, _number, parse, to_text
 from .sieve import _ZERO, _evaluator, _per_rule, _spectrum, _trials, random_assignment
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class CliError(Exception):
@@ -262,9 +262,8 @@ def text_derive(payload: dict, args):
 def cmd_verify(args) -> dict:
     from .verification import run_checks
 
-    results = run_checks(quick=args.quick)
+    results = run_checks()
     return {
-        "quick": args.quick,
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed_s": r.elapsed_s}
                    for r in results],
         "passed": sum(r.passed for r in results),
@@ -276,8 +275,7 @@ def text_verify(payload: dict, args):
     width = max(len(c["name"]) for c in payload["checks"])
     for c in payload["checks"]:
         yield f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']:<{width}}  {c['detail']}"
-    quick = " (quick mode)" if payload["quick"] else ""
-    yield f"{payload['passed']}/{payload['total']} checks passed{quick}"
+    yield f"{payload['passed']}/{payload['total']} checks passed"
 
 
 def _algebra_arg(value: str) -> int:
@@ -323,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     derive_opts = _options(uv, expr)
     derive_opts.add_argument("--algebra", type=_algebra_arg, default=None, metavar="N",
                              help="one algebra (default: all 16)")
-    quick = _options()
-    quick.add_argument("--quick", action="store_true", help="reduced trial counts")
 
     for name, cmd, render, parents, help in (
         ("tables", cmd_tables, text_tables, [algebra],
@@ -336,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
          "evaluate an expression under all 16 rules and sieve it"),
         ("derive", cmd_derive, text_derive, [derive_opts],
          "apply the inner derivation D(u, v; expr) per algebra"),
-        ("verify", cmd_verify, text_verify, [quick], "run the full verification suite"),
+        ("verify", cmd_verify, text_verify, [], "run the full verification suite"),
     ):
         p = sub.add_parser(name, help=help, parents=[*parents, fmt])
         p.set_defaults(func=cmd, render=render)

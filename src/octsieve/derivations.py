@@ -180,6 +180,8 @@ def derivation_matrix(u_idx: int, v_idx: int, n: int) -> tuple[tuple[int, ...], 
     Derivations kill the real unit and output no real component, so the
     restriction is lossless; the matrices come out antisymmetric.
     """
+    _check_int(u_idx, "generator pair index", 1, 7)
+    _check_int(v_idx, "generator pair index", 1, 7)
     d = _regrouped(Octonion.unit(u_idx).coeffs, Octonion.unit(v_idx).coeffs, _signs(n))
     cols = [d(Octonion.unit(a_idx).coeffs)[1:] for a_idx in range(1, 8)]
     return tuple(tuple(cols[a][i] for a in range(7)) for i in range(7))
@@ -232,8 +234,6 @@ def derivation_span_rank(
         _check_int(idx, "restriction index", 1, 7)
     rows = []
     for u_idx, v_idx in pairs:
-        _check_int(u_idx, "generator pair index", 1, 7)
-        _check_int(v_idx, "generator pair index", 1, 7)
         matrix = derivation_matrix(u_idx, v_idx, n)
         rows.append([matrix[i - 1][j - 1] for i in keep for j in keep])
     return integer_rank(rows)

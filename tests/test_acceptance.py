@@ -11,6 +11,6 @@ from octsieve.verification import ALL_CHECKS
 
 @pytest.mark.parametrize("name, check", ALL_CHECKS, ids=[name for name, _ in ALL_CHECKS])
 def test_criterion(name, check):
-    passed, detail = check(quick=False)
+    passed, detail = check()
     print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     assert passed, f"{name}: {detail}"

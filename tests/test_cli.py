@@ -43,7 +43,7 @@ def test_triplets_json(capsys):
     code, out, _ = run(capsys, "triplets", "--algebra", "0", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["parity_word"] == "+++++++"
     assert payload["triplets"][0] == [1, 2, 3]
 
@@ -79,7 +79,7 @@ def test_sieve_with_explicit_assignment(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["invariant"] is True
     assert payload["witness"] is None
     assert payload["functions"][0] == [1, 3, 1, 0, 0, 0, 0, 0]
@@ -270,12 +270,21 @@ def test_main_builds_the_parser_once_and_a_usage_error_leaves_it_as_it_was(capsy
     assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()
 
 
-def test_verify_quick(capsys):
-    code, out, _ = run(capsys, "verify", "--quick")
+def test_verify(capsys):
+    code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = out.splitlines()
     assert sum(1 for line in lines if line.startswith("PASS")) == 12
-    assert "12/12 checks passed" in lines[-1]
+    assert lines[-1] == "12/12 checks passed"
+
+
+def test_verify_quick_is_a_usage_error(capsys):
+    # verify has one mode: the full trial counts
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--quick"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --quick" in captured.err
 
 
 def test_integer_literal_past_2_53_is_exact(capsys):
@@ -328,11 +337,11 @@ def test_integer_literal_past_float_range_gives_exact_distances(capsys):
     assert payload["distances"] == [[0, 4 * big] + [0] * 6] + [[0] * 8] * 15
 
 
-def test_verify_quick_json(capsys):
-    code, out, _ = run(capsys, "verify", "--quick", "--format", "json")
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 2 and payload["quick"] is True
+    assert payload["schema"] == 3
     assert payload["passed"] == payload["total"] == len(payload["checks"]) == 12
     for check in payload["checks"]:
         assert list(check) == ["name", "passed", "detail", "elapsed_s"]  # CheckResult's field order
@@ -346,7 +355,7 @@ def test_check_names_are_the_benchmark_metrics_and_the_verify_json_names(capsys)
     spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
     timed = [m["name"][len("verification."):-len(".s")] for m in spec["per_layer"]
              if m["name"].startswith("verification.") and m["name"].endswith(".s")]
-    code, out, _ = run(capsys, "verify", "--quick", "--format", "json")
+    code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 0
     assert timed == [c["name"] for c in json.loads(out)["checks"]] == [name for name, _ in ALL_CHECKS]
 
@@ -358,7 +367,7 @@ def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch, fmt):
 
     results = [CheckResult("ok", True, "fine"), CheckResult("bad", False, "broken", 0.5)]
     # cli imports run_checks when verify runs, so it reads the patched binding
-    monkeypatch.setattr(verification, "run_checks", lambda quick: results)
+    monkeypatch.setattr(verification, "run_checks", lambda: results)
     code, out, _ = run(capsys, "verify", "--format", fmt)
     assert code == 1
     if fmt == "json":
@@ -430,7 +439,7 @@ def test_the_json_writer_is_json_dumps_with_indent_2():
     ("sieve", "--expr", "0.5*a*b", "--assign", "a=1.5,-0.0,2,0,0,0,1e300,0", "--assign", "b=i3"),
     ("derive", "--u", "i1", "--v", "i2", "--expr", "a", "--assign", "a=i4"),
     ("derive", "--u", "i1", "--v", "i2", "--expr", "0.5*a", "--assign", "a=0.25,1,0,0,0,0,0,0", "--algebra", "5"),
-    ("verify", "--quick"),
+    ("verify",),
 ])
 def test_json_output_is_json_dumps_byte_for_byte(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
@@ -525,7 +534,7 @@ ASSIGN_AB = ("--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2")
      ["schema", "u", "v", "expr", "assignment", "algebras", "outputs", "all_equal", "equal_set"]),
     (("derive", "--u", "i1", "--v", "i2", "--algebra", "4") + ASSIGN_AB,
      ["schema", "u", "v", "expr", "assignment", "algebras", "outputs"]),
-    (("verify", "--quick"), ["schema", "quick", "checks", "passed", "total"]),
+    (("verify",), ["schema", "checks", "passed", "total"]),
 ])
 def test_json_key_order(capsys, argv, keys):
     code, out, _ = run(capsys, *argv, "--format", "json")
@@ -643,6 +652,10 @@ def spy(monkeypatch, module, name):
 
 
 def spies(monkeypatch):
+    # the modules cli imports inside a command are imported first: one
+    # imported while a spy is active would bind the spy and keep it
+    for name in ("automorphisms", "derivations", "verification"):
+        importlib.import_module(f"octsieve.{name}")
     dsl = importlib.import_module("octsieve.dsl")
     return [spy(monkeypatch, dsl, "_program"), spy(monkeypatch, SIEVE, "_all_rules"),
             spy(monkeypatch, SIEVE, "random_assignment"), spy(monkeypatch, dsl, "evaluate"),

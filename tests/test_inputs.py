@@ -7,7 +7,8 @@ import pytest
 
 from octsieve.algebra import Octonion, mul_table
 from octsieve.automorphisms import Automorphism
-from octsieve.derivations import antiassoc_closed_form, derivation_span_rank, expr_cross_algebra_equal
+from octsieve.derivations import (antiassoc_closed_form, derivation_matrix, derivation_span_rank,
+                                  expr_cross_algebra_equal)
 from octsieve.dsl import Const, Mul, Var, evaluate, free_vars, parse
 from octsieve.sieve import is_invariant, sign_entry
 
@@ -23,6 +24,8 @@ SITES = {
     "antiassoc-u": (lambda x: antiassoc_closed_form(x, 2, 4, 0), "basis index", 1, 7),
     "antiassoc-v": (lambda x: antiassoc_closed_form(1, x, 4, 0), "basis index", 1, 7),
     "antiassoc-a": (lambda x: antiassoc_closed_form(1, 2, x, 0), "basis index", 1, 7),
+    "matrix-u": (lambda x: derivation_matrix(x, 2, 0), "generator pair index", 1, 7),
+    "matrix-v": (lambda x: derivation_matrix(1, x, 0), "generator pair index", 1, 7),
     "span-pair-u": (lambda x: derivation_span_rank([(x, 2)], 0), "generator pair index", 1, 7),
     "span-pair-v": (lambda x: derivation_span_rank([(1, x)], 0), "generator pair index", 1, 7),
     "span-restrict": (lambda x: derivation_span_rank([(1, 2)], 0, restrict_to=[x]), "restriction index", 1, 7),

@@ -3,13 +3,14 @@ check and its all-rules derivation checks: the per-rule routes they
 replaced, kept as independent cross-checks, the basis change that
 carries rule 0's ranks to every rule, mutations of the kernels that they
 must catch, the identities that single out the 16 rules among the 128
-orientations, and the detail each check prints."""
+orientations, the detail each check prints, and a broken input that
+fails each check."""
 
 import inspect
 import random
 import re
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, count, product
 from operator import add
 
 import pytest
@@ -64,9 +65,6 @@ def test_proofs_pass_and_say_what_they_were_proved_on():
     assert passed and detail.startswith("D(ab) == D(a)b + aD(b) proved") and "4096 basis quadruples" in detail
     passed, detail = verification.check_norm_multiplicativity()
     assert passed and detail.startswith("|ab|^2 == |a|^2 |b|^2 proved") and "1296 pairs" in detail
-    # no trials: quick runs the same proofs
-    assert verification.check_leibniz(quick=True) == verification.check_leibniz()
-    assert verification.check_norm_multiplicativity(quick=True) == verification.check_norm_multiplicativity()
 
 
 def mutate_kernel(monkeypatch, old, new):
@@ -153,16 +151,6 @@ def test_the_linear_route_is_the_kernel_route_under_a_mutated_kernel(monkeypatch
     found = [verification._leibniz_counterexample(s) for s in _SIGNS]
     assert found == [kernel_route_counterexample(s) for s in _SIGNS]
     assert any(found)  # each mutation breaks the identity under some rule
-
-
-def test_a_zero_derivation_matrix_fails_the_rank_check_at_its_triplet(monkeypatch):
-    matrix = derivations.derivation_matrix
-
-    def zeroed(u_idx, v_idx, n):
-        return ((0,) * 7,) * 7 if (u_idx, v_idx, n) == (1, 2, 0) else matrix(u_idx, v_idx, n)
-
-    monkeypatch.setattr(derivations, "derivation_matrix", zeroed)
-    assert verification.check_derivation_ranks() == (False, "rule 0, triplet [1, 2, 3]: rank 2 != 3")
 
 
 def test_rule_n_derivation_matrices_are_rule_0_ones_conjugated_by_phi_n():
@@ -288,13 +276,6 @@ def test_a_mutated_triplet_mask_fails_the_equality_criterion_at_its_spectrum(mon
     assert triple in ANTIASSOCIATIVE and str(spectrum_keys(triple)) == match[4]
 
 
-def test_a_derivation_program_that_is_not_d_fails_the_equality_criterion(monkeypatch):
-    monkeypatch.setattr(derivations, "_DERIVE", _program(parse("(u*v)*x"))[0])
-    passed, detail = verification.check_equality_criterion()
-    # (i1 i2) i3 = -chi(4, n): the first quaternionic triple whose rules disagree
-    assert (passed, detail) == (False, "triple (1, 2, 3): equal set [0, 1, 2, 3, 8, 9, 10, 11]")
-
-
 def test_the_16_rules_are_exactly_the_orientations_whose_inner_maps_are_derivations():
     # the paper's derivation-algebra description as a fact: over all 128
     # orientations of the seven reference triplets, D(u, v; .) is a
@@ -340,18 +321,78 @@ FULL_DETAILS = {
     "equality-criterion": "all 343 ordered imaginary triples match the iff condition",
     "identify-roundtrip": "16 round-trips; mutated table rejected",
 }
-QUICK_DETAILS = {
-    **FULL_DETAILS,
-    "hadamard-involution": "unsieve(sieve(x)) == x exactly on 20 integer families",
-    "sieve-invariance": "a+b, a*a, a*b+b*a invariant over 8 trials; a*b witness: g[4] = [0, 124, -12, 28, 0, 0, 0, 0] "
-                        "at a=[-5, -2, -9, 5, -4, -6, 2, -7], b=[-2, -1, -8, 1, -4, 8, 4, -8]",
-    "xor-equivariance": "all 16 masks on 4 families: g'[k] == b[m][k] g[k]",
+
+
+def test_every_check_passes_with_its_pinned_detail():
+    # a faster route decides the same cases: each detail, counts and the
+    # sieve witness included, stays as it was, in order
+    results = [(r.name, r.passed, r.detail) for r in verification.run_checks()]
+    assert results == [(name, True, detail) for name, detail in FULL_DETAILS.items()]
+    # the benchmark harness's call: quick is accepted and ignored
+    assert [(r.name, r.passed, r.detail) for r in verification.run_checks(quick=False)] == results
+
+
+def asymmetric_after_the_row_reads(sign_entry):
+    """``sign_entry``, right on row-generators' 256 row reads and then with
+    (2, 7) negated.  The generators' rows form a symmetric matrix, so only
+    a sign_entry whose answers change between calls reaches the symmetry test."""
+    calls = count()
+    return lambda j, k: -sign_entry(j, k) if next(calls) >= 256 and (j, k) == (2, 7) else sign_entry(j, k)
+
+
+def sign_read_identify(_):
+    """An ``identify_algebra`` that reads the rule off the seven reference
+    signs and never compares the whole table."""
+    return lambda table: algebra._SIGNS.index(tuple(table[a][b][0] for a, b, _ in algebra.REFERENCE_TRIPLETS))
+
+
+V = verification
+# check name[/case] -> (module, attribute, the patch made from its original,
+# the check's failure detail): code the check reads is broken, never its
+# frozen reference data.  With the kernel mutations above, each of the 12
+# checks has a test that fails it
+BREAKS = {
+    "table-fidelity": (algebra, "triplet_set", lambda f: lambda n: (f(n)[0], algebra.parity_word(1)),
+                       "rule 0 mismatch: ((1, 2, 3), (7, 6, 1), (5, 7, 2), (6, 5, 3), (1, 4, 5), (2, 4, 6), "
+                       "(3, 4, 7)) ++--+--"),
+    "table-fidelity/words": (algebra, "parity_word", lambda f: lambda n: f(n & 6), "rule 1: +++++++ != ++--+--"),
+    "table-fidelity/T0": (algebra, "flip_vector", lambda f: lambda n: f(n & 7), "rules 0/8 do not differ by T0"),
+    "hadamard-involution": (V, "unsieve", lambda f: lambda g: f(g[:15] + (Octonion.zero(),)),
+                            "family 0 did not round-trip"),
+    "row-generators": (V, "sign_entry", lambda f: lambda j, k: -f(j, k) if (j, k) == (3, 5) else f(j, k),
+                       "row 5 entry 3 mismatch"),
+    "row-generators/symmetry": (V, "sign_entry", asymmetric_after_the_row_reads, "asymmetric at (2, 7)"),
+    "sieve-invariance": (V, "is_invariant", lambda f: lambda text, trials, seed: f("a*b", trials, seed),
+                         "'a+b' refuted at k=4"),
+    "sieve-invariance/a*b": (V, "is_invariant", lambda f: lambda text, trials, seed: f("a+b", trials, seed),
+                             "'a*b' should have a nonzero distance"),
+    "xor-equivariance": (V, "sieve", lambda f: lambda fam: f(fam[:15] + (Octonion.zero(),)),
+                         "family 0, mask 1, distance 0 mismatch"),
+    "flip-signatures": (algebra, "GENERATOR_FLIPS", lambda flips: {**flips, 8: flips[4]},
+                        "signatures ((1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 0), "
+                        "(0, 0, 0, 1), (0, 0, 1, 1))"),
+    "derivation-ranks": (derivations, "derivation_span_rank", lambda f: lambda pairs, n, **kw: f(pairs[:7], n, **kw),
+                         "rule 0: full span rank 7 != 14"),
+    "derivation-ranks/triplet": (derivations, "derivation_matrix",
+                                 lambda f: lambda u, v, n: ((0,) * 7,) * 7 if (u, v, n) == (1, 2, 0) else f(u, v, n),
+                                 "rule 0, triplet [1, 2, 3]: rank 2 != 3"),
+    # (i1 i2) i3 = -chi(4, n): the first quaternionic triple whose rules disagree
+    "equality-criterion": (derivations, "_DERIVE", lambda f: _program(parse("(u*v)*x"))[0],
+                           "triple (1, 2, 3): equal set [0, 1, 2, 3, 8, 9, 10, 11]"),
+    "identify-roundtrip": (algebra, "identify_algebra", lambda f: lambda table: f(table) & 7,
+                           "rule 8 did not round-trip"),
+    "identify-roundtrip/rejection": (algebra, "identify_algebra", sign_read_identify, "mutated table was not rejected"),
 }
 
 
-@pytest.mark.parametrize("quick, details", [(False, FULL_DETAILS), (True, QUICK_DETAILS)], ids=["full", "quick"])
-def test_every_check_passes_with_its_pinned_detail(quick, details):
-    # a faster route decides the same cases: each detail, counts and the
-    # sieve witness included, stays as it was, in order
-    assert [(r.name, r.passed, r.detail) for r in verification.run_checks(quick)] == [
-        (name, True, detail) for name, detail in details.items()]
+@pytest.mark.parametrize("case", BREAKS)
+def test_each_check_fails_when_code_it_reads_is_broken(monkeypatch, case):
+    module, name, patch, detail = BREAKS[case]
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    check = dict(verification.ALL_CHECKS)[case.partition("/")[0]]
+    assert check() == (False, detail)
+
+
+def test_the_reference_signatures_are_pairwise_distinct():
+    # flip-signatures compares the signatures with _SIGNATURES, so they are distinct too
+    assert len(set(verification._SIGNATURES)) == len(verification._SIGNATURES) == 7
