@@ -34,6 +34,10 @@ from octsieve.algebra import (
 )
 from octsieve.sieve import _per_rule
 
+# The eight left-handed parity words, in algebra-id order.
+LEFT_WORDS = ["+++++++", "++--+--", "+-+--+-", "+--+--+", "----+++", "--+++--", "-+-+-+-", "-++---+"]
+
+
 def unit(k):
     return Octonion.unit(k)
 
@@ -82,6 +86,17 @@ def rand_oct(rng, bound=9):
     return Octonion(rng.randint(-bound, bound) for _ in range(8))
 
 
+def test_reference_triplet_set():
+    triplets, word = triplet_set(0)
+    assert triplets == ((1, 2, 3), (7, 6, 1), (5, 7, 2), (6, 5, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7))
+    assert word == "+++++++"
+
+
+def test_left_handed_parity_words():
+    for n, expected in enumerate(LEFT_WORDS):
+        assert parity_word(n) == expected
+
+
 def test_triplet_set_1_oriented_display():
     # odd triplets are written with the last two indices transposed
     triplets, word = triplet_set(1)
@@ -92,6 +107,13 @@ def test_triplet_set_1_oriented_display():
 def test_parity_word_12_flips_everything():
     # mask 12 composes the 3-flip and 4-flip generators: all seven swap
     assert parity_word(12) == "-------"
+
+
+def test_right_handed_words_differ_by_t0():
+    t0 = (0, 0, 0, 0, 1, 1, 1)
+    for n in range(8):
+        xor = tuple(a ^ b for a, b in zip(flip_vector(n), flip_vector(n + 8)))
+        assert xor == t0
 
 
 def test_flips_and_characters_are_views_of_the_triplet_masks():
@@ -220,6 +242,14 @@ def test_multiply_basics():
         assert multiply(x, Octonion.one(), n) == x
 
 
+def test_norm_multiplicativity_random():
+    rng = random.Random(1)
+    for _ in range(200):
+        a, b = rand_oct(rng), rand_oct(rng)
+        for n in range(16):
+            assert norm_sq(multiply(a, b, n)) == norm_sq(a) * norm_sq(b)
+
+
 def test_alternativity():
     rng = random.Random(2)
     for _ in range(100):
@@ -307,6 +337,11 @@ def test_rational_coefficients_are_exact():
     assert third * Fraction(3, 2) == Octonion((Fraction(1, 2),) * 8)
     with pytest.raises(TypeError):
         Octonion((True,) + (0,) * 7)
+
+
+def test_identify_algebra_roundtrip():
+    for n in range(16):
+        assert identify_algebra(mul_table(n)) == n
 
 
 def test_identify_algebra_rejects_non_fano_table():

@@ -135,6 +135,21 @@ def test_chirality():
         assert chirality(n) != chirality(n ^ 8)
 
 
+def test_flip_signatures_pairwise_distinct():
+    patterns = [GENERATOR_FLIPS[bit] for bit in (8, 4, 2, 1)]
+    signatures = [tuple(p[t] for p in patterns) for t in range(7)]
+    assert signatures == [
+        (0, 1, 0, 0),
+        (0, 1, 1, 0),
+        (0, 1, 0, 1),
+        (0, 1, 1, 1),
+        (1, 0, 1, 0),
+        (1, 0, 0, 1),
+        (1, 0, 1, 1),
+    ]
+    assert len(set(signatures)) == 7
+
+
 def test_invalid_masks():
     with pytest.raises(ValueError):
         Automorphism(16)

@@ -136,6 +136,18 @@ def test_random_assignment_rejects_a_negative_or_non_integer_bound():
         random_assignment(["a"], random.Random(0), 9.0)
 
 
+def test_xor_equivariance():
+    rng = random.Random(11)
+    for _ in range(5):
+        fam = rand_family(rng)
+        base = sieve(fam)
+        for m in range(16):
+            permuted = tuple(fam[j ^ m] for j in range(16))
+            shifted = sieve(permuted)
+            for k in range(16):
+                assert shifted[k] == sign_entry(m, k) * base[k]
+
+
 def test_family_shape_is_checked():
     with pytest.raises(ValueError):
         sieve((Octonion.zero(),) * 15)
