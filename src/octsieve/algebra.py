@@ -39,13 +39,14 @@ shifted by a key, into mutable rows; it builds :func:`_mul_all`'s spectrum
 and accumulates the sieve's products of spectra.
 
 All values here are immutable and all functions but :func:`_add_product`,
-which adds into the rows it is given, are pure.  Ints of any
-size and rationals (``numbers.Rational``, such as ``Fraction``) propagate
-exactly through every operation, :func:`inverse` included, so the tests
-assert equality, never tolerance.  Floats must be finite.
-:func:`_rational` reads a checked coefficient as the rational it is, and
-:func:`_exact` a tuple of them, for every exact route in the package: the
-sieve's all-rules pass, compiled constants and the derivations.  With
+which adds into the rows it is given, are pure.  Ints of any size and
+rationals (``numbers.Rational``, such as ``Fraction``) propagate exactly
+through every operation, so the tests assert equality, never tolerance.
+Floats must be finite.  :func:`_rational` reads a checked coefficient as
+the rational it is, and :func:`_exact` a tuple of them, for every exact
+route in the package: the sieve's all-rules pass, compiled constants, the
+derivations, and :func:`norm` and :func:`inverse` wherever |a|^2 is not a
+normal float, where the float formulas would lose precision.  With
 float inputs every term of a product is added, zero or not, so a
 coefficient whose terms all vanish can come out as 0.0 where a loop that
 skips zero terms would leave the integer 0; the two are equal.
@@ -57,7 +58,7 @@ import math
 import numbers
 import sys
 from collections.abc import Iterable, Sequence
-from operator import add, mul, neg, sub, truediv
+from operator import add, mul, neg, sub
 
 __all__ = [
     "REFERENCE_TRIPLETS",
@@ -417,42 +418,40 @@ def norm_sq(a: Octonion) -> float:
     return sum(c * c for c in a.coeffs)
 
 
-def _out_of_range(ns, a: Octonion) -> bool:
-    """Whether ``a``'s float ``norm_sq`` ``ns`` overflowed, or underflowed
-    below the least normal float though ``a`` is not zero."""
-    return type(ns) is float and not sys.float_info.min <= ns <= sys.float_info.max and not a.is_zero()
+def _in_range(ns) -> bool:
+    """Whether ``ns``, a ``norm_sq``, is a normal float, which keeps its precision."""
+    return type(ns) is float and sys.float_info.min <= ns <= sys.float_info.max
 
 
 def norm(a: Octonion) -> float:
-    """Euclidean length of the coefficient 8-tuple (the multiplicative norm).
-    An int or rational square past the float range has its integer root
-    taken first, and a float one out of range is scaled (``math.hypot``), so
-    a root that fits a float is returned, within one ulp."""
+    """Euclidean length of the coefficient 8-tuple (the multiplicative norm):
+    the float root of a normal float |a|^2, else the exact root of |a|^2 on
+    the rational coefficients, rounded once to the nearest float (within one
+    ulp below the least normal float), or an ``OverflowError`` past the largest."""
     ns = norm_sq(a)
-    if _out_of_range(ns, a):
-        return math.hypot(*a.coeffs)
-    try:
+    if _in_range(ns):
         return math.sqrt(ns)
-    except OverflowError:
-        return float(math.isqrt(int(ns)))
+    q = sum(c * c for c in _exact(a.coeffs))
+    # a root of 55 bits or more; its last bit, below the rounding bit, is set when it is inexact
+    e = max(0, (110 - q.numerator.bit_length() + q.denominator.bit_length()) // 2)
+    x, rest = divmod(q.numerator << 2 * e, q.denominator)
+    root = math.isqrt(x)
+    return math.ldexp(root | (rest > 0 or root * root < x), -e)
 
 
 def inverse(a: Octonion, n: int) -> Octonion:
-    """Multiplicative inverse conj(a)/|a|^2, the same for every rule n;
-    exact (``Fraction`` coefficients) unless ``a`` has a float one.  A float
-    |a|^2 out of range is computed on a scaled by its largest |coefficient|."""
+    """Multiplicative inverse conj(a)/|a|^2, the same for every rule n: float
+    quotients on a normal float |a|^2, else exact ones (``Fraction``)."""
     _check_algebra_id(n)
     if a.is_zero():
         raise ZeroDivisionError("the zero octonion has no inverse")
     ns = norm_sq(a)
-    if _out_of_range(ns, a):
-        scale = max(map(abs, a.coeffs))
-        cs = [c / scale for c in conjugate(a).coeffs]
-        ns = sum(c * c for c in cs)
-        return Octonion(c / ns / scale for c in cs)
+    if _in_range(ns):
+        return Octonion(c / ns for c in conjugate(a).coeffs)
     from fractions import Fraction  # not at package import: it pulls in decimal
-    divide = truediv if isinstance(ns, float) else Fraction
-    return Octonion(divide(c, ns) for c in conjugate(a).coeffs)
+    cs = _exact(conjugate(a).coeffs)
+    q = sum(c * c for c in cs)
+    return Octonion(Fraction(c, q) for c in cs)
 
 
 def _check_table_shape(table) -> MulTable:

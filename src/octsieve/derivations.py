@@ -109,7 +109,8 @@ def derive(u: Octonion, v: Octonion, a: Octonion, n: int) -> Octonion:
 
 def leibniz_check(u: Octonion, v: Octonion, a: Octonion, b: Octonion, n: int) -> float:
     """Norm of D(ab) - D(a)b - a D(b) under rule n, every coefficient read
-    as the rational it is; zero iff the Leibniz rule holds here."""
+    as the rational it is: zero iff the Leibniz rule holds here, unless the
+    exact norm is below 2^-1074, the least subnormal float."""
     s = _signs(n)
     d = _regrouped(_exact(u.coeffs), _exact(v.coeffs), s)
     a, b = _exact(a.coeffs), _exact(b.coeffs)

@@ -5,7 +5,7 @@ Grammar; ``_BINARY`` states each binary operator's symbol and level once::
     expr   := term (('+'|'-') term)*        level 0
     term   := factor ('*' factor)*          level 1
     factor := IDENT | NUMBER | '(' expr ')' | '-' factor | 'conj' '(' expr ')'
-    NUMBER := digits ('.' digits)? ([eE] [+-]? digits)?
+    NUMBER := digits ('.' digits)? ([eE] [+-]? digits)?    digits := [0-9]+
 
 Every binary operator associates to the left and the parsed tree keeps
 that grouping verbatim; since octonion multiplication is nonassociative,
@@ -159,7 +159,7 @@ class UnboundVariableError(ValueError):
 
 # The number literal, stated once: the tokenizer's "num", what _number
 # reads (with a sign and surrounding whitespace) and what to_text prints.
-_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 _NUMBER_RE, _SIGNED_NUMBER_RE = re.compile(_NUMBER), re.compile(rf"\s*[+-]?{_NUMBER}\s*")
 # Every character that is not whitespace starts a token; one that starts
 # no other token is "bad".
@@ -254,7 +254,7 @@ def _number(text: str) -> int | float:
     ``OverflowError`` rejects an int past Python's int/str digit limit and a
     float read as inf, or as 0 though a digit before its exponent is
     nonzero: either would stand for another number, and change a verdict."""
-    if not (text.isdecimal() or _SIGNED_NUMBER_RE.fullmatch(text)):  # digits alone are a NUMBER
+    if not (text.isascii() and text.isdecimal() or _SIGNED_NUMBER_RE.fullmatch(text)):  # digits alone: a NUMBER
         raise ValueError(f"not a number: {text!r}")
     literal = text.strip().lstrip("+-")  # the pattern allows one sign
     if literal.isdecimal():

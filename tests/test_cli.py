@@ -172,11 +172,11 @@ COMMANDS = pytest.mark.parametrize("command", [("sieve",), ("derive", "--u", "i1
      "bad coefficient '-inf' in '1,-inf,0,0,0,0,0,0'"),
     (("--expr", "a*b", "--assign", "a=0,0,0,0,0,0,0, +Infinity", "--assign", "b=i1"),
      "bad coefficient ' +Infinity' in '0,0,0,0,0,0,0, +Infinity'"),
-    # int() or float() reads these, but they are no literal of --expr
+    # int() or float() reads these, but they are no literal of --expr; the last is ARABIC-INDIC DIGIT ONE
     *[(("--expr", "a*b", "--assign", f"a={x},0,0,0,0,0,0,0", "--assign", "b=i1"),
-       f"bad coefficient '{x}' in '{x},0,0,0,0,0,0,0'") for x in (".5", "5.", "1_0", "5.e3")],
+       f"bad coefficient '{x}' in '{x},0,0,0,0,0,0,0'") for x in (".5", "5.", "1_0", "5.e3", "\u0661")],
 ], ids=["no-equals", "unbound", "bad-coefficient", "repeated", "underflow", "overflow", "nan", "inf", "minus-inf",
-        "infinity", "no-integer-part", "no-fraction-digits", "underscore", "exponent-after-point"])
+        "infinity", "no-integer-part", "no-fraction-digits", "underscore", "exponent-after-point", "non-ascii-digit"])
 def test_a_bad_assignment_is_a_domain_error_with_empty_stdout(capsys, command, args, message):
     assert run(capsys, *command, *args) == (1, "", f"octsieve: error: {message}\n")
 

@@ -165,6 +165,7 @@ def test_syntax_errors_carry_offsets():
     ("a $ b", "unexpected character '$'", 2),
     ("1.2.3*a", "unexpected character '.'", 3),
     ("  \u00e9", "unexpected character '\u00e9'", 2),
+    ("\u0663*a", "unexpected character '\u0663'", 0),  # ARABIC-INDIC DIGIT THREE: NUMBER's digits are ASCII
     ("a\t#", "unexpected character '#'", 2),
     ("a +  \n", "unexpected end of input", 6),  # trailing whitespace: the end is the text's length
 ])

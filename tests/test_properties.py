@@ -6,6 +6,8 @@ against the kernel; both encodings of the derivation D against its literal
 formula; and the parser's one error type on arbitrary text and its round
 trip through to_text."""
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from test_derivations import literal_derive  # noqa: E402
 from test_dsl import _random_tree  # noqa: E402
 from test_sieve import exact_env, exact_tree, walsh_sums  # noqa: E402
 
-from octsieve.algebra import _SIGNS, Octonion, _mul, _mul_all  # noqa: E402
+from octsieve.algebra import _SIGNS, Octonion, _mul, _mul_all, norm  # noqa: E402
 from octsieve.derivations import _derive_all, derive  # noqa: E402
 from octsieve.dsl import Add, Conj, Const, ExprSyntaxError, Mul, Neg, Sub, Var, _program, parse, to_text  # noqa: E402
 from octsieve.sieve import (  # noqa: E402
@@ -206,3 +208,48 @@ def test_to_text_round_trips_parser_shaped_trees(tree):
     text = to_text(tree)
     # equal trees may still differ in a literal's type (1 == 1.0); the text does not
     assert parse(text) == tree and to_text(parse(text)) == text
+
+
+def scaled(low, high):
+    """Ints in low..high shifted right by up to their width: every magnitude."""
+    return st.builds(lambda m, k: m >> k, st.integers(low, high), st.integers(0, high.bit_length()))
+
+
+def octonions(coeffs):
+    return st.lists(coeffs, min_size=8, max_size=8).map(Octonion)
+
+
+# Squares far past the float range either way: ints to 2^1100 and rationals
+# with numerators and denominators to 10^400, and rationals below 10^-299,
+# whose roots are subnormal or round to 0.
+WIDE_OCTONIONS = st.one_of(
+    octonions(st.one_of(scaled(-2**1100, 2**1100),
+                        st.builds(Fraction, scaled(-10**400, 10**400), scaled(1, 10**400).map(lambda d: d or 1)))),
+    octonions(st.builds(Fraction, scaled(-10**100, 10**100), st.integers(10**399, 10**400))),
+)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(WIDE_OCTONIONS)
+@hypothesis.example(Octonion((10**400,) + (0,) * 7))  # a root past the largest float
+@hypothesis.example(Octonion((Fraction(1, 10**160), Fraction(1, 10**161)) + (0,) * 6))  # below the least normal one
+@hypothesis.example(Octonion((Fraction(2, 3),) + (0,) * 7))  # an inexact quotient
+def test_norm_of_an_exact_octonion_is_its_root_rounded_once(a):
+    q = sum(c * c for c in map(Fraction, a.coeffs))
+    # the midpoint from the largest float to the next power of two, 2**1024
+    overflow = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
+    if q >= overflow**2:  # the root rounds past the largest float
+        with pytest.raises(OverflowError):
+            norm(a)
+        return
+    r = norm(a)
+    if q >= Fraction(sys.float_info.min) ** 2:
+        # the nearest float: sqrt(q) lies between the midpoints to r's
+        # neighbours, the upper one past the largest float too
+        low = Fraction(r) - Fraction(math.ulp(math.nextafter(r, 0))) / 2
+        high = Fraction(r) + Fraction(math.ulp(r)) / 2
+        assert low**2 <= q <= high**2
+    else:
+        # a subnormal root may be rounded twice, to within one ulp
+        ulp = Fraction(math.ulp(0.0))
+        assert max(Fraction(r) - ulp, 0) ** 2 <= q <= (Fraction(r) + ulp) ** 2
