@@ -202,6 +202,31 @@ class Octonion(_Record):
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
+    def _from_columns(cls, cs: tuple) -> tuple["Octonion", ...]:
+        """The n = len(cs) / 8 octonions whose coefficients ``cs`` holds
+        column by column: octonion k is cs[k::n].  ``__init__``'s check runs
+        once over all of them: every one a finite float, or every one an int
+        or a ``Fraction``.  Anything else builds each octonion by
+        ``cls(cs[k::n])``, so its errors, and their order, are the
+        constructor's."""
+        n = len(cs) // 8
+        types = set(map(type, cs))
+        if types == {float}:
+            checked = math.isfinite(sum(cs))  # a float sum is finite only when every term is
+        else:
+            from fractions import Fraction  # not at package import: it pulls in decimal
+            checked = types <= {int, Fraction}
+        if not checked:
+            return tuple(cls(cs[k::n]) for k in range(n))
+        new, set_coeffs = object.__new__, cls.coeffs.__set__
+        out = []
+        for k in range(n):
+            o = new(cls)
+            set_coeffs(o, cs[k::n])
+            out.append(o)
+        return tuple(out)
+
+    @classmethod
     def zero(cls) -> "Octonion":
         return cls((0,) * 8)
 
@@ -426,8 +451,8 @@ def _in_range(ns) -> bool:
 def norm(a: Octonion) -> float:
     """Euclidean length of the coefficient 8-tuple (the multiplicative norm):
     the float root of a normal float |a|^2, else the exact root of |a|^2 on
-    the rational coefficients, rounded once to the nearest float (within one
-    ulp below the least normal float), or an ``OverflowError`` past the largest."""
+    the rational coefficients, rounded once to the nearest float, ties to
+    even, or an ``OverflowError`` past the largest."""
     ns = norm_sq(a)
     if _in_range(ns):
         return math.sqrt(ns)
@@ -436,7 +461,11 @@ def norm(a: Octonion) -> float:
     e = max(0, (110 - q.numerator.bit_length() + q.denominator.bit_length()) // 2)
     x, rest = divmod(q.numerator << 2 * e, q.denominator)
     root = math.isqrt(x)
-    return math.ldexp(root | (rest > 0 or root * root < x), -e)
+    root |= rest > 0 or root * root < x
+    # round off, once and to even, the s bits past the float's 53 or below its 2^-1074 (s >= 1 for a zero root)
+    s = max(root.bit_length() - 53, e - 1074, 1)
+    top, low, half = root >> s, root & ((1 << s) - 1), 1 << s - 1
+    return math.ldexp(top + (low > half or low == half and top & 1), s - e)
 
 
 def inverse(a: Octonion, n: int) -> Octonion:

@@ -6,6 +6,7 @@ Grammar; ``_BINARY`` states each binary operator's symbol and level once::
     term   := factor ('*' factor)*          level 1
     factor := IDENT | NUMBER | '(' expr ')' | '-' factor | 'conj' '(' expr ')'
     NUMBER := digits ('.' digits)? ([eE] [+-]? digits)?    digits := [0-9]+
+    IDENT  := [A-Za-z_] [A-Za-z0-9_]*
 
 Every binary operator associates to the left and the parsed tree keeps
 that grouping verbatim; since octonion multiplication is nonassociative,
@@ -163,7 +164,7 @@ _NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 _NUMBER_RE, _SIGNED_NUMBER_RE = re.compile(_NUMBER), re.compile(rf"\s*[+-]?{_NUMBER}\s*")
 # Every character that is not whitespace starts a token; one that starts
 # no other token is "bad".
-_TOKEN_RE = re.compile(rf"(?P<num>{_NUMBER})|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*()])|(?P<bad>\S)")
+_TOKEN_RE = re.compile(rf"(?P<num>{_NUMBER})|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*()])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

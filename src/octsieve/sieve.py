@@ -11,17 +11,20 @@ same transform to the distances restores the functions exactly (the
 scaled matrix is its own inverse).
 
 The transform is the Walsh transform over Z2^4, computed as a radix-2
-butterfly (``_butterfly``): four stages, one per bit of the index, each
-replacing the entries x, y whose indices differ only in that bit by x + y
-and x - y.  It runs per coefficient: each of the 8 coefficients goes
-through the four stages, in that order, on its column of 16 scalars.  Its
-sums are exact on ints and rationals.  A constant family
-therefore has distances g[k], k > 0, that are exactly zero, for float
-coefficients too: x - x is exactly 0 and every later stage adds zeros.
-The public :func:`sieve` and :func:`unsieve` then divide every sum by 4
-in floating point, so an int distance past 2^53 rounds there and one past
-the float range raises ``OverflowError``.  The verdict and the CLI never
-divide: they read the distances off the all-rules pass, below.
+butterfly.  ``_walsh`` is its kernel on one column of 16 scalars: four
+tuple assignments, one per stage h = 1, 2, 4, 8, each replacing the
+entries x, y whose indices differ only in bit h by x + y and x - y.
+``_butterfly`` runs it on each of the 8 coefficient columns.  The stage
+order fixes every float sum.  The sums are exact on ints and rationals.
+A constant family therefore has distances g[k], k > 0, that are exactly
+zero, for float coefficients too: x - x is exactly 0 and every later
+stage adds zeros.  The public :func:`sieve` and :func:`unsieve` then
+divide all 128 sums by 4 in floating point, in one pass, so an int
+distance past 2^53 rounds there and one past the float range raises
+``OverflowError``.  They build the 16 octonions with one check per
+family, ``Octonion._from_columns``: the constructor's check, run once
+over all 128 coefficients.  The verdict and the CLI never divide: they
+read the distances off the all-rules pass, below.
 
 An expression is algebraically invariant when g[k] = 0 for every k > 0,
 i.e. its value does not depend on which of the 16 rules multiplies.  The
@@ -93,30 +96,42 @@ def function_family(expr: Expr, env: Mapping[str, Octonion]) -> FunctionFamily:
     return tuple(evaluate(expr, env, n) for n in range(16))
 
 
-# The butterfly's index pairs, stage by stage: j and j | h for each bit h.
-_BUTTERFLY = tuple((j, j | h) for h in (1, 2, 4, 8) for j in range(16) if not j & h)
+def _walsh(x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15):
+    """The Walsh transform of one column of 16 scalars: stage h = 1, 2, 4, 8
+    replaces x_j, x_(j|h), for each j without bit h, by x_j + x_(j|h) and
+    x_j - x_(j|h).  The stage order fixes every output's float additions."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = (
+        x0 + x1, x0 - x1, x2 + x3, x2 - x3, x4 + x5, x4 - x5, x6 + x7, x6 - x7,
+        x8 + x9, x8 - x9, x10 + x11, x10 - x11, x12 + x13, x12 - x13, x14 + x15, x14 - x15)
+    x0, x2, x1, x3, x4, x6, x5, x7, x8, x10, x9, x11, x12, x14, x13, x15 = (
+        x0 + x2, x0 - x2, x1 + x3, x1 - x3, x4 + x6, x4 - x6, x5 + x7, x5 - x7,
+        x8 + x10, x8 - x10, x9 + x11, x9 - x11, x12 + x14, x12 - x14, x13 + x15, x13 - x15)
+    x0, x4, x1, x5, x2, x6, x3, x7, x8, x12, x9, x13, x10, x14, x11, x15 = (
+        x0 + x4, x0 - x4, x1 + x5, x1 - x5, x2 + x6, x2 - x6, x3 + x7, x3 - x7,
+        x8 + x12, x8 - x12, x9 + x13, x9 - x13, x10 + x14, x10 - x14, x11 + x15, x11 - x15)
+    x0, x8, x1, x9, x2, x10, x3, x11, x4, x12, x5, x13, x6, x14, x7, x15 = (
+        x0 + x8, x0 - x8, x1 + x9, x1 - x9, x2 + x10, x2 - x10, x3 + x11, x3 - x11,
+        x4 + x12, x4 - x12, x5 + x13, x5 - x13, x6 + x14, x6 - x14, x7 + x15, x7 - x15)
+    return x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15
 
 
 def _butterfly(rows: Sequence[tuple]) -> list[tuple]:
     """The Walsh transform of 16 coefficient tuples, exact: entry k becomes
     sum_j b[j][k] rows[j], four times distance g[k].  Each coefficient's
-    column of 16 scalars runs through the stages of ``_BUTTERFLY`` in order,
-    which fixes the order of every output's float additions."""
-    cols = []
-    for col in zip(*rows):
-        col = list(col)
-        for j, k in _BUTTERFLY:
-            x, y = col[j], col[k]
-            col[j], col[k] = x + y, x - y
-        cols.append(col)
-    return list(zip(*cols))
+    column of 16 scalars runs through ``_walsh``."""
+    return list(zip(*map(_walsh, *rows)))
 
 
 def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
     fam = tuple(values)
     if len(fam) != 16 or not all(isinstance(v, Octonion) for v in fam):
         raise ValueError("a family is a 16-tuple of octonions")
-    return tuple(Octonion([c / 4 for c in row]) for row in _butterfly([f.coeffs for f in fam]))
+    cols = list(map(_walsh, *[f.coeffs for f in fam]))
+    try:
+        quarters = tuple([c / 4 for col in cols for c in col])
+    except OverflowError:  # an int past the float range: row by row, an earlier row's error first
+        return tuple(Octonion([c / 4 for c in row]) for row in zip(*cols))
+    return Octonion._from_columns(quarters)
 
 
 def sieve(fam: Sequence[Octonion]) -> DistanceFamily:

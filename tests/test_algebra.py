@@ -269,6 +269,7 @@ def test_conjugate():
 
 def test_norm_values():
     assert norm(Octonion.one()) == 1
+    assert norm(Octonion.zero()) == norm(Octonion((0.0,) * 8)) == 0
     assert norm(Octonion((0, 3, 4, 0, 0, 0, 0, 0))) == 5
     a = Octonion((1, 1, 0, 0, 0, 0, 0, 0))
     b = Octonion((0, 1, 1, 0, 0, 0, 0, 0))
@@ -313,7 +314,14 @@ def test_a_float_inverse_whose_norm_square_leaves_the_float_range(c):
     # floats, and the integer part of the scaled square is the midpoint's
     # square: the remainder of that division decides it
     ((2**54 + 2, Fraction(1, 3)), 2.0**54 + 4),
-], ids=["1e-200", "3e-160", "3e-162", "midpoint"])
+    # just past half the least subnormal: rounded to 53 bits first, the root
+    # was the midpoint 2**-1075 and then rounded to the even 0.0
+    ((Fraction(1, 2**1075) * (1 + Fraction(1, 2**60)),), 5e-324),
+    # midpoints of two subnormals round to the even one
+    ((Fraction(1, 2**1075),), 0.0),
+    ((Fraction(3, 2**1075),), 1e-323),
+    ((Fraction(5, 2**1075),), 1e-323),
+], ids=["1e-200", "3e-160", "3e-162", "midpoint", "past-half-the-least-subnormal", "tie-0", "tie-2", "tie-2-again"])
 def test_a_rational_norm_is_rounded_once(coeffs, expected):
     assert norm(Octonion(coeffs + (0,) * (8 - len(coeffs)))) == expected
 

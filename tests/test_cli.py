@@ -597,6 +597,12 @@ def test_deep_expressions_are_a_domain_error(capsys, text, command):
     assert "Traceback" not in err
 
 
+def test_a_name_past_ascii_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "sieve", "--expr", "a\u00e9\u0663", "--assign", "a\u00e9\u0663=i1")
+    assert (code, out) == (1, "")
+    assert err == "octsieve: error: expression syntax error: unexpected character '\u00e9' (at offset 1)\n"
+
+
 @pytest.mark.parametrize("expr, seed, trials_run", [("a*b", 3, 1), ("(a + conj(a))*(b*c)", 23, 2)])
 def test_json_witness_replays_through_assign(capsys, expr, seed, trials_run):
     code, out, _ = run(capsys, "sieve", "--expr", expr, "--random-assign", "--seed", str(seed), "--format", "json")

@@ -166,6 +166,9 @@ def test_syntax_errors_carry_offsets():
     ("1.2.3*a", "unexpected character '.'", 3),
     ("  \u00e9", "unexpected character '\u00e9'", 2),
     ("\u0663*a", "unexpected character '\u0663'", 0),  # ARABIC-INDIC DIGIT THREE: NUMBER's digits are ASCII
+    # IDENT is ASCII too, after its first character as well
+    ("a\u00e9", "unexpected character '\u00e9'", 1),
+    ("a\u0663", "unexpected character '\u0663'", 1),
     ("a\t#", "unexpected character '#'", 2),
     ("a +  \n", "unexpected end of input", 6),  # trailing whitespace: the end is the text's length
 ])

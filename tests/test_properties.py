@@ -7,7 +7,7 @@ formula; and the parser's one error type on arbitrary text and its round
 trip through to_text."""
 
 import math
-import sys
+import struct
 from fractions import Fraction
 
 import pytest
@@ -228,28 +228,49 @@ WIDE_OCTONIONS = st.one_of(
     octonions(st.builds(Fraction, scaled(-10**100, 10**100), st.integers(10**399, 10**400))),
 )
 
+# Roots near and below the least normal float, 2^-1022: coefficients of
+# about 2^-940 to 2^-1160, dyadic or not, many of them zero; and one
+# coefficient just off a midpoint of two floats below 2^-1022, (m + 1/2)
+# 2^-1074, which a root first rounded to 53 bits puts on the midpoint.
+TINY_OCTONIONS = st.one_of(
+    octonions(st.one_of(
+        st.just(0),
+        st.builds(lambda m, d, k: Fraction(m, d << k), scaled(-2**60, 2**60), st.sampled_from([1, 3, 10**5]),
+                  st.integers(1000, 1100)),
+    )),
+    st.builds(lambda m, k, sign: Octonion((Fraction(2 * m + 1, 2**1075) * (1 + sign * Fraction(1, 2**k)),) + (0,) * 7),
+              scaled(0, 2**52), st.integers(50, 80), st.sampled_from([-1, 1])),
+)
 
-@hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(WIDE_OCTONIONS)
+INF_BITS = 0x7FF0000000000000  # the bit pattern of inf, one past the largest float's
+
+
+def nearest_root(q):
+    """The float nearest sqrt(q), a rational q >= 0, ties to the one whose
+    last bit is even, and inf past the largest float, rounded as IEEE does:
+    bisection on the bit patterns of the nonnegative floats, which they
+    order as their values, with 2^1024 standing for inf."""
+    def value(bits):
+        return Fraction(2**1024) if bits == INF_BITS else Fraction(struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+    lo, hi = 0, INF_BITS  # value(lo)^2 <= q < value(hi)^2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if value(mid) ** 2 <= q else (lo, mid)
+    midpoint = (value(lo) + value(hi)) ** 2 / 4
+    bits = lo if q < midpoint or q == midpoint and lo % 2 == 0 else hi
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(st.one_of(WIDE_OCTONIONS, TINY_OCTONIONS))
 @hypothesis.example(Octonion((10**400,) + (0,) * 7))  # a root past the largest float
 @hypothesis.example(Octonion((Fraction(1, 10**160), Fraction(1, 10**161)) + (0,) * 6))  # below the least normal one
 @hypothesis.example(Octonion((Fraction(2, 3),) + (0,) * 7))  # an inexact quotient
 def test_norm_of_an_exact_octonion_is_its_root_rounded_once(a):
-    q = sum(c * c for c in map(Fraction, a.coeffs))
-    # the midpoint from the largest float to the next power of two, 2**1024
-    overflow = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
-    if q >= overflow**2:  # the root rounds past the largest float
+    root = nearest_root(sum(c * c for c in map(Fraction, a.coeffs)))
+    if root == math.inf:
         with pytest.raises(OverflowError):
             norm(a)
-        return
-    r = norm(a)
-    if q >= Fraction(sys.float_info.min) ** 2:
-        # the nearest float: sqrt(q) lies between the midpoints to r's
-        # neighbours, the upper one past the largest float too
-        low = Fraction(r) - Fraction(math.ulp(math.nextafter(r, 0))) / 2
-        high = Fraction(r) + Fraction(math.ulp(r)) / 2
-        assert low**2 <= q <= high**2
     else:
-        # a subnormal root may be rounded twice, to within one ulp
-        ulp = Fraction(math.ulp(0.0))
-        assert max(Fraction(r) - ulp, 0) ** 2 <= q <= (Fraction(r) + ulp) ** 2
+        assert norm(a) == root

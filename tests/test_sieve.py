@@ -1,5 +1,7 @@
 """Sign matrix, sieve/unsieve duality, and the invariance refuter."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from operator import add, sub
@@ -235,11 +237,21 @@ def float_row(rng):
                  for _ in range(8))
 
 
+def mixed_row(rng):
+    # int, float and Fraction in one row: coefficients 0-3 are ints or
+    # Fractions, whose quarters are Fractions, and 4-7 may be floats too,
+    # whose quarters are floats; sieve builds such a family by the constructor
+    return tuple(rng.choice([rng.randint(-(2**70), 2**70), Fraction(rng.randint(-99, 99), rng.randint(1, 50))]
+                            + [rng.uniform(-1, 1)] * (i >= 4)) for i in range(8))
+
+
 ROWS = {
     "float": float_row,
     "int-past-2^62": lambda rng: tuple(rng.randint(-(2**70), 2**70) for _ in range(8)),
     "fraction": lambda rng: tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 50)) for _ in range(8)),
+    "mixed": mixed_row,
 }
+QUARTER_TYPES = {"float": {float}, "int-past-2^62": {float}, "fraction": {Fraction}, "mixed": {float, Fraction}}
 
 
 @pytest.mark.parametrize("kind", ROWS)
@@ -256,6 +268,51 @@ def test_the_butterfly_is_the_stage_by_stage_loop_bit_for_bit(kind):
         assert exact_bits(f.coeffs for f in sieve(fam)) == exact_bits(quarters)
         assert exact_bits(f.coeffs for f in unsieve(fam)) == exact_bits(quarters)
         assert exact_bits(_per_rule(dict(enumerate(rows)))) == exact_bits(expected)
+
+
+def alternating(x):
+    return tuple(Octonion((x if j % 2 else -x,) * 8) for j in range(16))
+
+
+@pytest.mark.parametrize("fam, message", [
+    ((Octonion((1e308,) * 8),) * 16, "got inf"),
+    (alternating(1e308), "got -inf"),
+    # row 0's float sum overflows and row 5's int quarter is past the float
+    # range: the row that comes first raises
+    (tuple(Octonion((1e308, sign_entry(j, 5) * 2**1030, 0, 0, 0, 0, 0, 0)) for j in range(16)), "got inf"),
+])
+def test_a_float_sum_past_the_float_range_is_a_nonfinite_coefficient(fam, message):
+    for transform in (sieve, unsieve):
+        with pytest.raises(ValueError, match=f"^coefficients must be finite, {message}$"):
+            transform(fam)
+
+
+@pytest.mark.parametrize("kind", ROWS)
+def test_sieved_octonions_are_the_constructors(kind):
+    rng = random.Random(22)
+    g = sieve(tuple(Octonion(ROWS[kind](rng)) for _ in range(16)))
+    assert {type(c) for o in g for c in o.coeffs} == QUARTER_TYPES[kind]
+    for o in g:
+        built = Octonion(list(o.coeffs))
+        assert type(o) is Octonion and type(o.coeffs) is tuple
+        assert o == built and hash(o) == hash(built) and repr(o) == repr(built)
+        for copied in (copy.copy(o), copy.deepcopy(o), pickle.loads(pickle.dumps(o))):
+            assert type(copied) is Octonion and exact_bits([copied.coeffs]) == exact_bits([o.coeffs])
+
+
+@pytest.mark.parametrize("bad, error", [
+    (True, "TypeError: coefficients must be real numbers, got True"),
+    (float("nan"), "ValueError: coefficients must be finite, got nan"),
+    ("1", "TypeError: coefficients must be real numbers, got '1'"),
+])
+def test_columns_that_fail_the_check_raise_the_constructors_error(bad, error):
+    for fill in (0.5, 1, Fraction(1, 3)):
+        cs = [fill] * 128
+        cs[16 * 3 + 7] = bad  # octonion 7, coefficient 3
+        with pytest.raises((TypeError, ValueError)) as caught:
+            Octonion._from_columns(tuple(cs))
+        assert f"{caught.type.__name__}: {caught.value}" == error
+        assert Octonion._from_columns(tuple([fill] * 128)) == (Octonion((fill,) * 8),) * 16
 
 
 def test_constant_float_family_sieves_to_exact_zeros():
