@@ -34,14 +34,19 @@ exactly when all seven parts are zero.  Each pair of imaginary indices
 lies on exactly one triplet, so that holds exactly when every minor
 a_i b_j - a_j b_i vanishes, i.e. when the imaginary parts a' and b' are
 parallel: the Cauchy-Schwarz equality (a'.b')^2 == |a'|^2 |b'|^2, which is
-exact on ints and is tested first.  :func:`_add_product` writes the parts,
-shifted by a key, into mutable rows; it builds :func:`_mul_all`'s spectrum
-and accumulates the sieve's products of spectra.
+exact on ints and is tested first.  Each part is written once:
+:func:`_real_part` gives a'.b' and P0, unrolled over the coefficients,
+and :func:`_add_parts` adds the seven triplet parts, shifted by a key,
+into mutable rows.  :func:`_mul_all` tests for collapse with that a'.b',
+returns that P0 when the test holds, and otherwise starts its spectrum
+from it; :func:`_add_product` adds both into rows, which accumulates the
+sieve's products of spectra.
 
-All values here are immutable and all functions but :func:`_add_product`,
-which adds into the rows it is given, are pure.  Ints of any size and
-rationals (``numbers.Rational``, such as ``Fraction``) propagate exactly
-through every operation, so the tests assert equality, never tolerance.
+All values here are immutable and all functions but :func:`_add_parts`
+and :func:`_add_product`, which add into the rows they are given, are
+pure.  Ints of any size and rationals (``numbers.Rational``, such as
+``Fraction``) propagate exactly through every operation, so the tests
+assert equality, never tolerance.
 Floats must be finite.  :func:`_rational` reads a checked coefficient as
 the rational it is, and :func:`_exact` a tuple of them, for every exact
 route in the package: the sieve's all-rules pass, compiled constants, the
@@ -377,26 +382,24 @@ def _mul(a: tuple, b: tuple, s: tuple[int, ...]) -> tuple:
     )
 
 
-# Each triplet's mask and indices, flat for the loop in _add_product.
+def _real_part(a: tuple, b: tuple) -> tuple:
+    """a'.b' and P0 of the product of two 8-tuples of ints or rationals
+    (see :func:`_add_product`), each term as the generic sums had it: the
+    dot product left to right, P0 a0 b0 - a'.b' and a0 b_i + a_i b0."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    dot = a1*b1 + a2*b2 + a3*b3 + a4*b4 + a5*b5 + a6*b6 + a7*b7
+    return dot, (a0*b0 - dot, a0*b1 + a1*b0, a0*b2 + a2*b0, a0*b3 + a3*b0,
+                 a0*b4 + a4*b0, a0*b5 + a5*b0, a0*b6 + a6*b0, a0*b7 + a7*b0)
+
+
+# Each triplet's mask and indices, flat for the loop in _add_parts.
 _PARTS = tuple((m, i, j, k) for m, (i, j, k) in zip(_TRIPLET_MASKS, REFERENCE_TRIPLETS))
 
 
-def _add_product(rows: dict[int, list], key: int, a: tuple, b: tuple) -> None:
-    """Add the product of two 8-tuples of ints or rationals under all 16
-    rules, shifted by ``key``, into ``rows``, a spectrum of mutable 8-lists:
-    P0 at ``key`` unless it is zero, and each triplet part P_t at
-    ``key ^ m_t`` unless its three minors are zero, a row created where
-    there is none.  P0 holds the real output and the terms with a real
-    factor; P_t is triplet t = (i, j, k) under rule 0: a_j b_k - a_k b_j at
-    i, a_k b_i - a_i b_k at j and a_i b_j - a_j b_i at k.  Under rule n the
-    product is P0 + sum_t chi(m_t, n) P_t, and exact sums do not depend on
-    their order, so under each rule this is :func:`_mul`'s.  Rows that
-    cancel to zero are left for the caller to drop."""
-    a0, b0, ai, bi = a[0], b[0], a[1:], b[1:]
-    p0 = [a0 * b0 - sum(map(mul, ai, bi)), *[a0 * y + x * b0 for x, y in zip(ai, bi)]]
-    if any(p0):
-        row = rows.get(key)
-        rows[key] = p0 if row is None else list(map(add, row, p0))
+def _add_parts(rows: dict[int, list], key: int, a: tuple, b: tuple) -> None:
+    """Add each nonzero triplet part P_t of the product of a and b into
+    ``rows`` at key ^ m_t (see :func:`_add_product`)."""
     for m, i, j, k in _PARTS:
         x, y, z = a[j] * b[k] - a[k] * b[j], a[k] * b[i] - a[i] * b[k], a[i] * b[j] - a[j] * b[i]
         if x or y or z:
@@ -410,6 +413,24 @@ def _add_product(rows: dict[int, list], key: int, a: tuple, b: tuple) -> None:
                 row[k] += z
 
 
+def _add_product(rows: dict[int, list], key: int, a: tuple, b: tuple) -> None:
+    """Add the product of two 8-tuples of ints or rationals under all 16
+    rules, shifted by ``key``, into ``rows``, a spectrum of mutable 8-lists:
+    P0 at ``key`` unless it is zero, and each triplet part P_t at
+    ``key ^ m_t`` unless its three minors are zero, a row created where
+    there is none.  P0 holds the real output and the terms with a real
+    factor; P_t is triplet t = (i, j, k) under rule 0: a_j b_k - a_k b_j at
+    i, a_k b_i - a_i b_k at j and a_i b_j - a_j b_i at k.  Under rule n the
+    product is P0 + sum_t chi(m_t, n) P_t, and exact sums do not depend on
+    their order, so under each rule this is :func:`_mul`'s.  Rows that
+    cancel to zero are left for the caller to drop."""
+    p0 = _real_part(a, b)[1]
+    if any(p0):
+        row = rows.get(key)
+        rows[key] = list(p0) if row is None else list(map(add, row, p0))
+    _add_parts(rows, key, a, b)
+
+
 def _mul_all(a: tuple, b: tuple) -> tuple | dict[int, tuple]:
     """The product of two 8-tuples of ints or rationals under all 16 rules
     (see :func:`_add_product`), as the tuple P0 when the imaginary parts are
@@ -417,14 +438,16 @@ def _mul_all(a: tuple, b: tuple) -> tuple | dict[int, tuple]:
     parts.  By Lagrange's identity the squares of the 21 minors sum to
     |a'|^2 |b'|^2 - (a'.b')^2, so they all vanish exactly at Cauchy-Schwarz
     equality, which is tested first: it costs less than the minors, and
-    most products in an invariant expression collapse."""
-    ai, bi = a[1:], b[1:]
-    dot = sum(map(mul, ai, bi))
-    if dot * dot == sum(map(mul, ai, ai)) * sum(map(mul, bi, bi)):
-        a0, b0 = a[0], b[0]
-        return (a0 * b0 - dot, *[a0 * y + x * b0 for x, y in zip(ai, bi)])
-    rows: dict[int, list] = {}
-    _add_product(rows, 0, a, b)
+    most products in an invariant expression collapse.  The test's a'.b'
+    and P0 are the spectrum's, computed once."""
+    dot, p0 = _real_part(a, b)
+    _, a1, a2, a3, a4, a5, a6, a7 = a
+    _, b1, b2, b3, b4, b5, b6, b7 = b
+    if dot * dot == (a1*a1 + a2*a2 + a3*a3 + a4*a4 + a5*a5 + a6*a6 + a7*a7) * (
+            b1*b1 + b2*b2 + b3*b3 + b4*b4 + b5*b5 + b6*b6 + b7*b7):
+        return p0
+    rows = {0: p0} if any(p0) else {}
+    _add_parts(rows, 0, a, b)
     return {k: tuple(row) for k, row in rows.items()}  # each key written once: none is zero
 
 

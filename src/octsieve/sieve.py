@@ -45,7 +45,17 @@ one of two tuples is ``algebra._mul_all``'s spectrum, and any other
 multiplies component by component: ``algebra._add_product`` adds the
 product of F_a and G_b in place into one set of mutable rows, its
 rule-independent part at key a ^ b and each triplet part at a ^ b ^ m_t,
-and the rows left nonzero are the spectrum.  ``_per_rule``
+and the rows left nonzero are the spectrum.
+Each step on 8-tuples is written out over the eight coefficients, with
+no slice, map or comprehension: the real-operand test
+``not (x[1] or ... or x[7])``, the scaling ``(r*c0, ..., r*c7)``
+(``_scale``, which also negates), the sum and difference (``_add``,
+``_sub``) and the conjugate.  They do the arithmetic of the generic loops
+they replaced, term for term and in the same order, so they give the
+same values of the same types: an exact zero, ``Fraction(0)`` too, is
+falsy, and a scaling by an exact r != 0 zeroes no coefficient, so a
+scaled spectrum keeps all its keys, and one scaled by r == 0 is zero.
+``algebra._mul_all`` unpacks its operands the same way.  ``_per_rule``
 transforms a spectrum into :func:`function_family`'s values on the same
 exact inputs.  ``_trials`` reaches a verdict, trial 1 on a given
 assignment and later ones drawn from one rng, by a key test with no
@@ -60,7 +70,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Mapping, Sequence
-from operator import add, index, sub
+from operator import index
 
 from .algebra import Octonion, _add_product, _character, _check_int, _exact, _mul_all, _Record
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
@@ -183,7 +193,6 @@ def random_assignment(
 AllRules = tuple | dict
 
 _ZERO = (0,) * 8
-_NO_IMAG = _ZERO[1:]
 
 
 def _spectrum(value: AllRules) -> dict:
@@ -209,10 +218,25 @@ def _conj(c: tuple) -> tuple:
     return (c0, -c1, -c2, -c3, -c4, -c5, -c6, -c7)
 
 
-def _scale(r: int, value: AllRules) -> AllRules:
+def _scale(r, value: AllRules) -> AllRules:
+    """r times a value.  An exact r != 0 zeroes no coefficient, so a
+    spectrum keeps every key; r == 0 gives zero."""
     if type(value) is tuple:
-        return tuple([r * c for c in value])
-    return _pruned({k: tuple([r * c for c in v]) for k, v in value.items()})
+        c0, c1, c2, c3, c4, c5, c6, c7 = value
+        return (r * c0, r * c1, r * c2, r * c3, r * c4, r * c5, r * c6, r * c7)
+    return {k: _scale(r, v) for k, v in value.items()} if r else _ZERO
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
+    y0, y1, y2, y3, y4, y5, y6, y7 = y
+    return (x0 + y0, x1 + y1, x2 + y2, x3 + y3, x4 + y4, x5 + y5, x6 + y6, x7 + y7)
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    x0, x1, x2, x3, x4, x5, x6, x7 = x
+    y0, y1, y2, y3, y4, y5, y6, y7 = y
+    return (x0 - y0, x1 - y1, x2 - y2, x3 - y3, x4 - y4, x5 - y5, x6 - y6, x7 - y7)
 
 
 def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
@@ -223,12 +247,10 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
         if op is Mul:
             left, right = values[x], values[y]
             one_left, one_right = type(left) is tuple, type(right) is tuple
-            if one_left and left[1:] == _NO_IMAG:
-                r = left[0]
-                value = tuple([r * c for c in right]) if one_right else _scale(r, right)
-            elif one_right and right[1:] == _NO_IMAG:
-                r = right[0]
-                value = tuple([r * c for c in left]) if one_left else _scale(r, left)
+            if one_left and not (left[1] or left[2] or left[3] or left[4] or left[5] or left[6] or left[7]):
+                value = _scale(left[0], right)
+            elif one_right and not (right[1] or right[2] or right[3] or right[4] or right[5] or right[6] or right[7]):
+                value = _scale(right[0], left)
             elif one_left and one_right:
                 value = _mul_all(left, right)
             else:  # component F_a times G_b adds its parts at a ^ b and a ^ b ^ m_t
@@ -238,14 +260,14 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
                         _add_product(rows, a ^ b, f, g)
                 value = _pruned(rows)
         elif op is Add or op is Sub:
-            f = add if op is Add else sub
+            f = _add if op is Add else _sub
             left, right = values[x], values[y]
             if type(left) is tuple and type(right) is tuple:
-                value = tuple(map(f, left, right))
+                value = f(left, right)
             else:
                 value = dict(_spectrum(left))
                 for k, v in _spectrum(right).items():
-                    value[k] = tuple(map(f, value.get(k, _ZERO), v))
+                    value[k] = f(value.get(k, _ZERO), v)
                 value = _pruned(value)
         elif op is Var:
             value = env[x]

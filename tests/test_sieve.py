@@ -1,8 +1,10 @@
 """Sign matrix, sieve/unsieve duality, and the invariance refuter."""
 
 import copy
+import inspect
 import pickle
 import random
+import sys
 from fractions import Fraction
 from operator import add, sub
 
@@ -10,6 +12,7 @@ import pytest
 from test_algebra import rational, typed
 from test_dsl import _random_tree
 
+from octsieve import algebra
 from octsieve.algebra import _SIGNS, Octonion, _character, _mul
 from octsieve.dsl import MAX_DEPTH, Add, Conj, Const, Mul, Neg, Var, _program, free_vars, parse, to_text
 from octsieve.sieve import (
@@ -25,6 +28,9 @@ from octsieve.sieve import (
     sign_matrix,
     unsieve,
 )
+
+
+SIEVE = sys.modules["octsieve.sieve"]  # the package's ``sieve`` is the function
 
 
 def rand_family(rng, bound=9):
@@ -421,6 +427,103 @@ def test_all_rules_pass_keeps_a_family_with_one_odd_rule():
         value = _all_rules(_program(parse("a + b"))[0], {**env, "b": spectrum})
         assert type(value) is dict
         assert list(_per_rule(value)) == [tuple(map(sum, zip(env["a"], v))) for v in odd]
+
+
+P70 = 2**70
+STEP_INPUTS = {  # a, b and a real coefficient r
+    "small": ((3, -1, 4, 1, -5, 9, -2, 6), (2, 7, -1, 8, 2, -8, 1, 8), 3),
+    "2^70": (tuple(P70 * c + 1 for c in (3, -1, 4, 1, -5, 9, -2, 6)),
+             tuple(P70 - c for c in (2, 7, -1, 8, 2, -8, 1, 8)), -P70),
+    "fraction": (tuple(Fraction(c, 3) for c in (3, -1, 4, 1, -5, 9, -2, 6)),
+                 tuple(Fraction(c, 7) for c in (2, 7, -1, 8, 2, -8, 1, 8)), Fraction(5, 2)),
+    "mixed": ((3, Fraction(-1, 2), 4, P70, Fraction(-5, 3), 9, -2, 6),
+              (Fraction(2, 5), 7, -1, 8, P70, -8, Fraction(1, 9), 8), Fraction(-7, 4)),
+}
+# One program per step kind, on tuple operands and on a spectrum (a*b).  r
+# is real, z is r with imaginary parts Fraction(0), e is real plus one
+# imaginary unit, and p and q have imaginary parts parallel and
+# antiparallel to a's.
+STEP_PROGRAMS = (
+    "r*a", "a*r", "z*a", "a*z", "a + b", "a - b", "-a", "conj(a)", "a*p", "q*a",
+    "r*(a*b)", "(a*b)*r", "z*(a*b)", "(a*b)*z", "(a*b) + b", "b - (a*b)", "(a*b) + (a*b)", "(a*b) - 2*(b*a)",
+    "-(a*b)", "conj(a*b)",
+)
+
+
+def check_step_kinds(kind):
+    """Each step kind through the all-rules pass on ``STEP_INPUTS[kind]``:
+    the oracle's values and types, one tuple exactly when the oracle's 16
+    values are equal.  The pass scales by a real operand, so it reads z as
+    r, and skips z's Fraction(0) terms as it skips int zeros."""
+    a, b, r = STEP_INPUTS[kind]
+    real = (r,) + (0,) * 7
+    env = {"a": a, "b": b, "r": real, "z": (r,) + (Fraction(0),) * 7,
+           "p": (b[0], *[2 * c for c in a[1:]]), "q": (r, *[-r * c for c in a[1:]])}
+    cases = [(text, env) for text in STEP_PROGRAMS]
+    for k in range(1, 8):  # each imaginary unit, so each index of the real-operand test
+        e = list(real)
+        e[k] = 1
+        cases += [(text, {**env, "e": tuple(e)}) for text in ("e*a", "a*e", "e*(a*b)", "(a*b)*e")]
+    for text, env in cases:
+        tree = parse(text)
+        value = SIEVE._all_rules(_program(tree)[0], env)
+        fam = function_family(tree, {name: Octonion(x) for name, x in {**env, "z": real}.items()})
+        assert [typed(v) for v in _per_rule(value)] == [typed(f.coeffs) for f in fam], (text, env)
+        assert (type(value) is tuple) is all(f == fam[0] for f in fam), (text, env)
+
+
+@pytest.mark.parametrize("kind", STEP_INPUTS)
+def test_each_step_kind_of_the_all_rules_pass_is_the_per_rule_oracle(kind):
+    check_step_kinds(kind)
+
+
+def mutate(monkeypatch, module, name, old, new):
+    """Patch ``module``'s function ``name`` with the term ``old`` rewritten
+    as ``new`` in its source, into ``module`` and into the sieve module if
+    it reads the function too."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    for m in {module, SIEVE}:
+        if hasattr(m, name):
+            monkeypatch.setattr(m, name, namespace[name])
+
+
+# One index rewritten in each unrolled term: the scaling, the tuple sum and
+# difference, the conjugate, the real-operand test, and the product's dot,
+# P0 and collapse test.
+UNROLLED_MUTANTS = (
+    [(SIEVE, "_scale", f"r * c{i}", f"r * c{(i + 1) % 8}") for i in range(8)]
+    + [(SIEVE, f, f"x{i} {op} y{i}", f"x{i} {op} y{(i + 1) % 8}") for f, op in (("_add", "+"), ("_sub", "-"))
+       for i in range(8)]
+    + [(SIEVE, "_conj", f"-c{i}", f"-c{i % 7 + 1}") for i in range(1, 8)]
+    + [(SIEVE, "_all_rules", f"{x}[{i}]", f"{x}[{i % 7 + 1}]") for x in ("left", "right") for i in range(1, 8)]
+    + [(algebra, "_real_part", f"a{i}*b{i}", f"a{i}*b{i % 7 + 1}") for i in range(1, 8)]
+    + [(algebra, "_real_part", f"a{i}*b0", f"a{i % 7 + 1}*b0") for i in range(1, 8)]
+    + [(algebra, "_real_part", f"a0*b{i}", f"a0*b{i % 7 + 1}") for i in range(8)]
+    + [(algebra, "_mul_all", f"{x}{i}*{x}{i}", f"{x}{i}*{x}{i % 7 + 1}") for x in "ab" for i in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize("module, name, old, new", UNROLLED_MUTANTS,
+                         ids=[f"{name}:{old}->{new}" for _, name, old, new in UNROLLED_MUTANTS])
+def test_every_unrolled_term_of_the_pass_is_tested(monkeypatch, module, name, old, new):
+    mutate(monkeypatch, module, name, old, new)
+    with pytest.raises(AssertionError):
+        for kind in STEP_INPUTS:
+            check_step_kinds(kind)
+
+
+@pytest.mark.parametrize("module, name, old, new", [
+    (SIEVE, "_scale", "r * c4", "r * c5"), (SIEVE, "_add", "x4 + y4", "x4 + y5"),
+    (algebra, "_mul_all", "a4*a4", "a4*a5"),
+])
+def test_an_index_rewritten_in_the_unrolled_pass_fails_the_oracle(monkeypatch, module, name, old, new):
+    # the random-tree oracle, on its own, catches a wrong index in each
+    mutate(monkeypatch, module, name, old, new)
+    with pytest.raises(AssertionError):
+        test_all_rules_pass_matches_function_family("small")
 
 
 def per_rule_oracle(node, env, s):
