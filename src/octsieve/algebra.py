@@ -210,18 +210,12 @@ class Octonion(_Record):
     def _from_columns(cls, cs: tuple) -> tuple["Octonion", ...]:
         """The n = len(cs) / 8 octonions whose coefficients ``cs`` holds
         column by column: octonion k is cs[k::n].  ``__init__``'s check runs
-        once over all of them: every one a finite float, or every one an int
-        or a ``Fraction``.  Anything else builds each octonion by
-        ``cls(cs[k::n])``, so its errors, and their order, are the
-        constructor's."""
+        once over all of them when every one is a finite float.  Anything
+        else builds each octonion by ``cls(cs[k::n])``, so its errors, and
+        their order, are the constructor's."""
         n = len(cs) // 8
-        types = set(map(type, cs))
-        if types == {float}:
-            checked = math.isfinite(sum(cs))  # a float sum is finite only when every term is
-        else:
-            from fractions import Fraction  # not at package import: it pulls in decimal
-            checked = types <= {int, Fraction}
-        if not checked:
+        # a float sum is finite only when every term is
+        if set(map(type, cs)) != {float} or not math.isfinite(sum(cs)):
             return tuple(cls(cs[k::n]) for k in range(n))
         new, set_coeffs = object.__new__, cls.coeffs.__set__
         out = []

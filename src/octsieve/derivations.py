@@ -59,7 +59,7 @@ from operator import sub
 
 from .algebra import Octonion, _check_algebra_id, _check_int, _exact, _mul, _mul_all, _Record, _signs, multiply, norm
 from .dsl import Expr, _program, parse
-from .sieve import AllRules, _all_rules, _evaluator, _per_rule, _random_ints
+from .sieve import AllRules, _all_rules, _evaluator, _per_rule, _pruned, _random_ints
 
 __all__ = [
     "commutator",
@@ -312,7 +312,6 @@ def expr_cross_algebra_equal(
     # imaginary indices of the quaternion span: u, v, and uv = +-i_(u XOR v),
     # which is chi(m, n) uv0 under rule n: one spectrum component at key m
     ((m, uv0),) = _mul_all(u.coeffs, v.coeffs).items()
-    uv0 = Octonion(uv0)
     span_idx = {0, u_idx, v_idx, u_idx ^ v_idx}
     outside = [k for k in range(8) if k not in span_idx]
     in_span = RegimeReport(True)
@@ -320,8 +319,11 @@ def expr_cross_algebra_equal(
 
     for _ in range(trials):
         coords = {name: _random_ints(rng, 9, 4) for name in names}
-        env = {name: {0: Octonion.real(c0) + c1 * u + c2 * v, m: c3 * uv0}
-               for name, (c0, c1, c2, c3) in coords.items()}
+        env = {}  # c0 + c1 u + c2 v + c3 uv, exact, as its spectrum
+        for name, (c0, c1, c2, c3) in coords.items():
+            x = [c0, 0, 0, 0, 0, 0, 0, 0]
+            x[u_idx], x[v_idx] = c1, c2
+            env[name] = _pruned({0: x, m: [c3 * c for c in uv0]})
         in_span = _refuted(in_span, _derive_all(u, v, values(env)), {"coords": coords})
 
         env = {}

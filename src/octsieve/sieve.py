@@ -22,9 +22,9 @@ stage adds zeros.  The public :func:`sieve` and :func:`unsieve` then
 divide all 128 sums by 4 in floating point, in one pass, so an int
 distance past 2^53 rounds there and one past the float range raises
 ``OverflowError``.  They build the 16 octonions with one check per
-family, ``Octonion._from_columns``: the constructor's check, run once
-over all 128 coefficients.  The verdict and the CLI never divide: they
-read the distances off the all-rules pass, below.
+family of floats, ``Octonion._from_columns``: the constructor's check,
+run once over all 128 coefficients.  The verdict and the CLI never
+divide: they read the distances off the all-rules pass, below.
 
 An expression is algebraically invariant when g[k] = 0 for every k > 0,
 i.e. its value does not depend on which of the 16 rules multiplies.  The
@@ -284,16 +284,15 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
 
 def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
     """Compile ``tree`` once: its variable names, and a function from an
-    assignment (each name bound to one octonion, to an exact 8-tuple of ints
-    or rationals, taken as it is, or to a spectrum {k: octonion}, the value
-    under rule n being sum_k chi(k, n) x_k) to its exact values under all 16
-    rules, coefficients read as the rationals they are (the program's
-    literals already are)."""
+    assignment to its exact values under all 16 rules.  Each name is bound
+    to one octonion, its coefficients read as the rationals they are, or
+    to an exact all-rules value (an 8-tuple, or a spectrum {k: 8-tuple}
+    with no zero component), taken as it is; the program's literals are
+    rationals already."""
     steps, names = _program(tree)
 
-    def values(env: Mapping[str, tuple | Octonion | Mapping[int, Octonion]]) -> AllRules:
-        return _all_rules(steps, {name: x if type(x) is tuple else _exact(x.coeffs) if isinstance(x, Octonion)
-                                  else _pruned({k: _exact(y.coeffs) for k, y in x.items()})
+    def values(env: Mapping[str, Octonion | AllRules]) -> AllRules:
+        return _all_rules(steps, {name: _exact(x.coeffs) if isinstance(x, Octonion) else x
                                   for name, x in env.items()})
 
     return names, values

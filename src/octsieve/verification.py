@@ -19,20 +19,21 @@ sum over nonzero coefficients of those products, the same exact numbers
 as the kernel on those factors.  The eight D(e_c) come from the
 package's own D code (``derivations._regrouped``), and D(e_a e_b) is
 read off them by the linearity of D.  Rule n is rule 0 in the basis
-phi_n: e_i -> chi(kappa_i, n) e_i, which :func:`_phi_failure` checks on
-the kernel itself (64 basis pairs per rule, both sides bilinear); phi_n
+phi_n: e_i -> chi(kappa_i, n) e_i.  ``table-fidelity`` proves that once
+per run, on the kernel itself (:func:`_phi_failure`: 64 basis pairs per
+rule, both sides bilinear), and the three rule-0 proofs cite it: phi_n
 is a sign flip per unit, so it carries each identity to all 16 rules,
 and it turns rule 0's matrix of D(e_u, e_v; .) into rule n's by a sign
 per row, column and generator, which keeps every rank.
 
 Each check's route.  ``table-fidelity``, ``row-generators`` and
 ``flip-signatures`` compare the rule tables, sign matrix and generator
-flips with frozen reference data, and ``identify-roundtrip`` reads each
-rule's table back to its id.  ``norm-multiplicativity`` and ``leibniz``
-are the proofs above, on the basis products under rule 0, and
-``derivation-ranks`` ranks rule 0's matrices with
-``derivations.derivation_span_rank``: the 21 pairs u < v, then each
-triplet's three pairs restricted to its indices.
+flips with frozen reference data, and ``table-fidelity`` then proves
+phi_n; ``identify-roundtrip`` reads each rule's table back to its id.
+``norm-multiplicativity`` and ``leibniz`` are the proofs above, on the
+basis products under rule 0, and ``derivation-ranks`` ranks rule 0's
+matrices with ``derivations.derivation_span_rank``: the 21 pairs u < v,
+then each triplet's three pairs restricted to its indices.
 ``hadamard-involution`` and ``xor-equivariance`` run the public
 :func:`sieve` and :func:`unsieve` on sampled families, and
 ``sieve-invariance`` the refuter :func:`is_invariant`.  The two
@@ -113,7 +114,6 @@ def _rand_octonion(rng: random.Random, bound: int = 9) -> Octonion:
 
 
 _BASIS = tuple(Octonion.unit(k).coeffs for k in range(8))
-_PHI_DETAIL = "checked on 64 basis pairs x 16 rules"
 
 
 def _support(x: tuple) -> list:
@@ -156,7 +156,10 @@ def check_table_fidelity() -> Outcome:
         high = algebra.flip_vector(n + 8)
         if tuple(a ^ b for a, b in zip(low, high)) != _T0_FLIPS:
             return False, f"rules {n}/{n + 8} do not differ by T0"
-    return True, "rule 0 triplets, words 0..7, T0 pairing all exact"
+    if (failure := _phi_failure()) is not None:
+        return False, failure
+    return True, ("rule 0 triplets, words 0..7, T0 pairing all exact; "
+                  "rule n is rule 0 in the basis phi_n, checked on 64 basis pairs x 16 rules")
 
 
 def check_norm_multiplicativity() -> Outcome:
@@ -164,8 +167,6 @@ def check_norm_multiplicativity() -> Outcome:
     # quadratic form is fixed by its values at e_i and e_i + e_j (i < j).
     # Each such vector is given by its support, so ab is a sum of at most 4
     # basis products and |a|^2 is the size of a's support
-    if (failure := _phi_failure()) is not None:
-        return False, failure
     products = _basis_terms(_SIGNS[0])
     supports = [(i,) for i in range(8)] + list(combinations(range(8), 2))
     for a, b in product(supports, repeat=2):
@@ -178,7 +179,7 @@ def check_norm_multiplicativity() -> Outcome:
             return False, f"rule 0, pair {a}, {b}: |ab|^2 != |a|^2 |b|^2"
     return True, (
         f"|ab|^2 == |a|^2 |b|^2 proved: exact on all {len(supports) ** 2} pairs of e_i, e_i + e_j "
-        f"under rule 0, carried to all 16 rules by phi_n ({_PHI_DETAIL})"
+        "under rule 0, carried to all 16 rules by phi_n (proved by table-fidelity)"
     )
 
 
@@ -269,13 +270,11 @@ def _leibniz_counterexample(s: tuple[int, ...]) -> tuple[int, int, int, int] | N
 
 
 def check_leibniz() -> Outcome:
-    if (failure := _phi_failure()) is not None:
-        return False, failure
     if (quadruple := _leibniz_counterexample(_SIGNS[0])) is not None:
         return False, "rule 0, basis quadruple (e%d, e%d, e%d, e%d): nonzero residual" % quadruple
     return True, (
         "D(ab) == D(a)b + aD(b) proved: residual exactly 0 on all 4096 basis quadruples "
-        f"under rule 0, carried to all 16 rules by phi_n ({_PHI_DETAIL})"
+        "under rule 0, carried to all 16 rules by phi_n (proved by table-fidelity)"
     )
 
 
@@ -305,10 +304,9 @@ def check_flip_signatures() -> Outcome:
 
 
 def check_derivation_ranks() -> Outcome:
-    # phi_n turns rule 0's matrices into rule n's by a sign per row, column
-    # and generator, which keeps every rank: rule 0's ranks are every rule's
-    if (failure := _phi_failure()) is not None:
-        return False, failure
+    # phi_n, proved by table-fidelity, turns rule 0's matrices into rule n's
+    # by a sign per row, column and generator, which keeps every rank: rule
+    # 0's ranks are every rule's
     rank = derivations.derivation_span_rank(list(combinations(range(1, 8), 2)), 0)
     if rank != 14:
         return False, f"rule 0: full span rank {rank} != 14"

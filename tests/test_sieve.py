@@ -20,6 +20,7 @@ from octsieve.sieve import (
     _butterfly,
     _evaluator,
     _per_rule,
+    _pruned,
     function_family,
     is_invariant,
     random_assignment,
@@ -581,7 +582,9 @@ def test_the_in_place_spectrum_product_is_the_kernel_under_every_rule(text, coll
         tuples = names if trial % 3 == 2 else names[-1:] if trial % 3 == 1 else []
         for name in tuples:
             env[name] = env[name].popitem()[1]
-        value = values(env)
+        # the evaluator takes a spectrum as it is: exact tuples, no zero component
+        value = values({name: x if isinstance(x, Octonion) else _pruned({k: v.coeffs for k, v in x.items()})
+                        for name, x in env.items()})
         expected = [per_rule_oracle(tree, {name: under_rule(x, n) for name, x in env.items()}, _SIGNS[n])
                     for n in range(16)]
         assert list(_per_rule(value)) == expected

@@ -90,14 +90,22 @@ def test_a_sign_flipped_in_one_rule_0_term_fails_both_proofs(monkeypatch, old, n
     assert not passed and re.fullmatch(r"rule 0, pair \[.*\], \[.*\]: \|ab\|\^2 != \|a\|\^2 \|b\|\^2", detail)
 
 
-def test_a_dropped_character_fails_both_proofs_at_the_isomorphism(monkeypatch):
+def test_a_dropped_character_fails_table_fidelity_at_the_isomorphism(monkeypatch):
     mutate_kernel(monkeypatch, "+ s6*a7*b3", "+ a7*b3")
-    # under rule 0 every character is +1, so the rule-0 parts still hold
-    assert verification._leibniz_counterexample(_SIGNS[0]) is None
+    # under rule 0 every character is +1, so the three rule-0 proofs pass;
+    # table-fidelity's proof of phi_n, which they cite, fails
     for check in (verification.check_leibniz, verification.check_norm_multiplicativity,
                   verification.check_derivation_ranks):
-        passed, detail = check()
-        assert not passed and re.fullmatch(r"rule (\d+) is not rule 0 in the basis phi_\1: e\d e\d differs", detail)
+        assert check()[0]
+    passed, detail = verification.check_table_fidelity()
+    assert not passed and re.fullmatch(r"rule (\d+) is not rule 0 in the basis phi_\1: e\d e\d differs", detail)
+
+
+def test_one_run_proves_phi_n_once(monkeypatch):
+    phi_failure, calls = verification._phi_failure, []
+    monkeypatch.setattr(verification, "_phi_failure", lambda: calls.append(None) or phi_failure())
+    assert all(r.passed for r in verification.run_checks())
+    assert len(calls) == 1
 
 
 def public_norm_failure():
@@ -234,6 +242,28 @@ def mutate_parts(monkeypatch, mutation):
     monkeypatch.setattr(algebra, "_PARTS", tuple(parts))
 
 
+MUL_MUTATIONS = [("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1"), ("- a1*b1", "+ a1*b1"),
+                 ("+ s4*a5*b1", "- s4*a5*b1"), ("+ s6*a7*b3", "+ a7*b3")]
+
+
+@pytest.mark.parametrize("mutation", [*MUL_MUTATIONS, *PARTS_MUTATIONS])
+def test_every_kernel_mutation_fails_a_check(monkeypatch, mutation):
+    # the kernel mutations of this file, the dropped character among them:
+    # whichever check catches each, one verify run reports a failure
+    if isinstance(mutation, str):
+        mutate_parts(monkeypatch, mutation)
+    else:
+        mutate_kernel(monkeypatch, *mutation)
+    try:
+        results = verification.run_checks()
+    except TypeError:
+        # a zeroed mask adds a triplet part into the product's real-part
+        # row, a tuple: sieve-invariance's all-rules pass raises there
+        assert isinstance(mutation, str) and mutation.startswith("zero-mask")
+        return
+    assert not all(r.passed for r in results)
+
+
 @pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
 def test_a_mutated_triplet_part_fails_the_closed_form_at_a_nonzero_case(monkeypatch, mutation):
     mutate_parts(monkeypatch, mutation)
@@ -305,16 +335,17 @@ def test_the_16_rules_are_exactly_the_left_alternative_orientations():
 
 
 FULL_DETAILS = {
-    "table-fidelity": "rule 0 triplets, words 0..7, T0 pairing all exact",
+    "table-fidelity": "rule 0 triplets, words 0..7, T0 pairing all exact; "
+                      "rule n is rule 0 in the basis phi_n, checked on 64 basis pairs x 16 rules",
     "norm-multiplicativity": "|ab|^2 == |a|^2 |b|^2 proved: exact on all 1296 pairs of e_i, e_i + e_j under rule 0, "
-                             "carried to all 16 rules by phi_n (checked on 64 basis pairs x 16 rules)",
+                             "carried to all 16 rules by phi_n (proved by table-fidelity)",
     "hadamard-involution": "unsieve(sieve(x)) == x exactly on 100 integer families",
     "row-generators": "all 16 rows rebuilt from generators; 256 entries symmetric",
     "sieve-invariance": "a+b, a*a, a*b+b*a invariant over 64 trials; a*b witness: g[4] = [0, 124, -12, 28, 0, 0, 0, 0] "
                         "at a=[-5, -2, -9, 5, -4, -6, 2, -7], b=[-2, -1, -8, 1, -4, 8, 4, -8]",
     "xor-equivariance": "all 16 masks on 20 families: g'[k] == b[m][k] g[k]",
     "leibniz": "D(ab) == D(a)b + aD(b) proved: residual exactly 0 on all 4096 basis quadruples under rule 0, "
-               "carried to all 16 rules by phi_n (checked on 64 basis pairs x 16 rules)",
+               "carried to all 16 rules by phi_n (proved by table-fidelity)",
     "antiassociative-closed-form": "D == -2(uv)a in all 2688 ordered cases",
     "flip-signatures": "7 per-triplet signatures pairwise distinct",
     "derivation-ranks": "full span rank 14 and triplet-restricted rank 3 for 16 rules",
