@@ -36,8 +36,9 @@ basis quadruples, where the residual, linear in each argument, is fixed:
 the eight D(e_c) come from ``_regrouped``, and every product is read off
 the 64 basis products by bilinearity.  It carries the rule to all 16
 rules by the basis change of :mod:`octsieve.algebra`, which also
-carries rule 0's ``derivation_span_rank`` figures, 14 and 3, to every
-rule: ``derivation-ranks`` ranks rule 0 alone.  Its two cross-rule
+carries rule 0's span ranks, 14 and 3, to every rule:
+``derivation-ranks`` ranks rule 0's 21 ``derivation_matrix`` results
+alone, with ``integer_rank``.  Its two cross-rule
 derivation checks run all-rules passes instead of 16 per-rule
 derivations: ``equality-criterion`` reads all 16 rules agreeing off D's
 value being one tuple, and ``antiassociative-closed-form`` reads the

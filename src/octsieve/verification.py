@@ -3,14 +3,14 @@
 Every check is exact: integer inputs keep all arithmetic exact, so each
 criterion asserts equality, never closeness.  A check returns
 ``(passed, detail)``; :func:`run_checks` names and times it from its
-``ALL_CHECKS`` entry.  The sampled checks run at fixed trial counts and
-seeds.
+``ALL_CHECKS`` entry; a check that raises fails, with the exception as
+its detail.  The sampled checks run at fixed trial counts and seeds.
 
-Two identities are proved, not sampled, and the derivation ranks are
-exact.  The kernel ``_mul`` is bilinear code, each output a sum of
-+-s_t a_i b_j.  So the Leibniz residual D(ab) - D(a)b - aD(b) is linear
-in each of u, v, a and b, and vanishes under rule 0 iff it vanishes on
-the 8^4 basis quadruples;
+Two octonion identities and two facts of the Walsh kernel are proved,
+not sampled, and the derivation ranks are exact.  The kernel ``_mul`` is
+bilinear code, each output a sum of +-s_t a_i b_j.  So the Leibniz
+residual D(ab) - D(a)b - aD(b) is linear in each of u, v, a and b, and
+vanishes under rule 0 iff it vanishes on the 8^4 basis quadruples;
 |ab|^2 - |a|^2 |b|^2 is a quadratic form in a and in b, fixed by its
 values at e_i and e_i + e_j, so 36 x 36 pairs decide it under rule 0.
 Both proofs read their products off the kernel's 64 basis products
@@ -26,27 +26,39 @@ is a sign flip per unit, so it carries each identity to all 16 rules,
 and it turns rule 0's matrix of D(e_u, e_v; .) into rule n's by a sign
 per row, column and generator, which keeps every rank.
 
+The Walsh kernel ``sieve._walsh`` only adds and subtracts, so run once
+on 16 formal symbols x_j (``_Form``, linear forms with no product) it
+gives the transform's exact matrix over any commutative ring.
+``xor-equivariance`` proves that the matrix is b[j][k] and that
+permuting the input by j -> j ^ m multiplies output k by b[m][k];
+``hadamard-involution`` proves that the kernel on its own outputs gives
+16 x_k.  The public :func:`sieve` and :func:`unsieve` divide the sums by
+4 in floats, exact only below 2^53, so that route is sampled.
+
 Each check's route.  ``table-fidelity``, ``row-generators`` and
 ``flip-signatures`` compare the rule tables, sign matrix and generator
 flips with frozen reference data, and ``table-fidelity`` then proves
 phi_n; ``identify-roundtrip`` reads each rule's table back to its id.
 ``norm-multiplicativity`` and ``leibniz`` are the proofs above, on the
 basis products under rule 0, and ``derivation-ranks`` ranks rule 0's
-matrices with ``derivations.derivation_span_rank``: the 21 pairs u < v,
-then each triplet's three pairs restricted to its indices.
-``hadamard-involution`` and ``xor-equivariance`` run the public
-:func:`sieve` and :func:`unsieve` on sampled families, and
-``sieve-invariance`` the refuter :func:`is_invariant`.  The two
-cross-rule derivation checks run all-rules passes (``sieve._all_rules``)
-on basis triples, where the per-rule route would run 16 rules of several
-kernel calls each.  ``antiassociative-closed-form`` evaluates the
-residual D + 2(uv)a on the 168 antiassociative triples, the zero tuple
-exactly when D == -2(uv)a under all 16 rules (a failure names the first
-rule where it is not).  ``equality-criterion`` evaluates D on the 343
-unit triples, one tuple exactly when all 16 rules agree (a failure
-prints the equal set of ``cross_algebra_equal``); where they disagree,
-the spectrum must have one key k > 0, the XOR of two triplet masks.  The
-test suite keeps the per-rule routes as independent cross-checks.
+matrices with ``derivations.integer_rank``: the 21 pairs u < v, built
+once, then each triplet's three pairs restricted to its indices.
+``hadamard-involution`` and ``xor-equivariance`` are the kernel proofs
+above; the first then round-trips sampled families through the public
+:func:`sieve` and :func:`unsieve`, and the second checks that
+:func:`sieve` on sampled families is ``_walsh``'s sums on their columns
+divided by 4.  ``sieve-invariance`` runs the refuter
+:func:`is_invariant`.  The two cross-rule derivation checks run
+all-rules passes (``sieve._all_rules``) on basis triples, where the
+per-rule route would run 16 rules of several kernel calls each.
+``antiassociative-closed-form`` evaluates the residual D + 2(uv)a on
+the 168 antiassociative triples, the zero tuple exactly when
+D == -2(uv)a under all 16 rules (a failure names the first rule where it
+is not).  ``equality-criterion`` evaluates D on the 343 unit triples,
+one tuple exactly when all 16 rules agree (a failure prints the equal
+set of ``cross_algebra_equal``); where they disagree, the spectrum must
+have one key k > 0, the XOR of two triplet masks.  The test suite keeps
+the per-rule routes as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from time import perf_counter
 
 from . import algebra, derivations
 from .algebra import _KEYS, _SIGNS, Octonion, _character, _mul, _Record
-from .sieve import _ZERO, _all_rules, _per_rule, _random_ints, is_invariant, sieve, sign_entry, sign_matrix, unsieve
+from .sieve import _ZERO, _all_rules, _per_rule, _random_ints, _walsh, is_invariant, sieve, sign_entry, unsieve
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks"]
 
@@ -183,14 +195,50 @@ def check_norm_multiplicativity() -> Outcome:
     )
 
 
+class _Form(dict):
+    """A formal linear form sum_j c_j x_j as {j: c_j}, zero terms dropped,
+    with a sum and a difference and no product.  Code that only adds and
+    subtracts, run on the symbols {j: 1}, gives its exact matrix over any
+    commutative ring; code that multiplies raises ``TypeError``."""
+
+    __slots__ = ()
+
+    def _plus(self, other: dict, sign: int) -> _Form:
+        out = _Form(self)
+        for j, c in other.items():
+            if total := out.get(j, 0) + sign * c:
+                out[j] = total
+            else:
+                del out[j]
+        return out
+
+    def __add__(self, other: dict) -> _Form:
+        return self._plus(other, 1)
+
+    def __sub__(self, other: dict) -> _Form:
+        return self._plus(other, -1)
+
+
+def _kernel_matrix() -> tuple:
+    """The Walsh kernel's matrix: ``_walsh`` run once on the 16 symbols, its
+    output k the form sum_j M[k][j] x_j."""
+    return _walsh(*(_Form({j: 1}) for j in range(16)))
+
+
 def check_hadamard_involution() -> Outcome:
+    # proved: the kernel on its own 16 output forms gives 16 x_k.  Sampled:
+    # the public float route, exact only while its sums stay below 2^53
+    for k, form in enumerate(_walsh(*_kernel_matrix())):
+        if form != {k: 16}:
+            return False, f"kernel: _walsh(_walsh(x))[{k}] != 16 x_{k}"
     trials = 100
     rng = random.Random(21)
     for t in range(trials):
         fam = tuple(_rand_octonion(rng, 99) for _ in range(16))
         if unsieve(sieve(fam)) != fam:
             return False, f"family {t} did not round-trip"
-    return True, f"unsieve(sieve(x)) == x exactly on {trials} integer families"
+    return True, ("_walsh(_walsh(x)) == 16x proved on 16 formal symbols; "
+                  f"unsieve(sieve(x)) == x exactly on {trials} sampled integer families")
 
 
 def check_row_generators() -> Outcome:
@@ -223,20 +271,26 @@ def check_sieve_invariance() -> Outcome:
 
 
 def check_xor_equivariance() -> Outcome:
+    # proved: output k of the kernel is sum_j b[j][k] x_j, and the input
+    # permuted by j -> j ^ m turns it into sum_j b[j][k] x_(j^m), which must
+    # be chi(m, k) times it for all 16 masks (chi = +-1 scales the permuted
+    # form here).  Sampled: the public sieve is the kernel's sums divided by 4
+    for k, row in enumerate(_kernel_matrix()):
+        if row != {j: sign_entry(j, k) for j in range(16)}:
+            return False, f"kernel: _walsh output {k} is not sum_j b[j][{k}] x_j"
+        for m in range(16):
+            chi = _character(m, k)
+            if {j ^ m: chi * c for j, c in row.items()} != row:
+                return False, f"kernel: mask {m} does not scale output {k} by b[{m}][{k}]"
     trials = 20
     rng = random.Random(23)
-    matrix = sign_matrix()
     for t in range(trials):
         fam = tuple(_rand_octonion(rng) for _ in range(16))
-        base = [g.coeffs for g in sieve(fam)]
-        signed = {1: base, -1: [tuple([-c for c in g]) for g in base]}
-        for m, signs in enumerate(matrix):
-            permuted = tuple(fam[j ^ m] for j in range(16))
-            shifted = sieve(permuted)
-            for k, sign in enumerate(signs):
-                if shifted[k].coeffs != signed[sign][k]:
-                    return False, f"family {t}, mask {m}, distance {k} mismatch"
-    return True, f"all 16 masks on {trials} families: g'[k] == b[m][k] g[k]"
+        sums = zip(*map(_walsh, *(f.coeffs for f in fam)))
+        if [g.coeffs for g in sieve(fam)] != [tuple(c / 4 for c in row) for row in sums]:
+            return False, f"family {t}: sieve(x) != the kernel's sums / 4"
+    return True, ("kernel proved on 16 formal symbols: matrix b, and g'[k] == b[m][k] g[k] for all 16 masks; "
+                  f"sieve(x) == the kernel's sums / 4 exactly on {trials} sampled integer families")
 
 
 def _leibniz_counterexample(s: tuple[int, ...]) -> tuple[int, int, int, int] | None:
@@ -306,13 +360,16 @@ def check_flip_signatures() -> Outcome:
 def check_derivation_ranks() -> Outcome:
     # phi_n, proved by table-fidelity, turns rule 0's matrices into rule n's
     # by a sign per row, column and generator, which keeps every rank: rule
-    # 0's ranks are every rule's
-    rank = derivations.derivation_span_rank(list(combinations(range(1, 8), 2)), 0)
+    # 0's ranks are every rule's.  Its 21 matrices are built once, and each
+    # triplet's three are restricted to its indices
+    matrices = {pair: derivations.derivation_matrix(*pair, 0) for pair in combinations(range(1, 8), 2)}
+    rank = derivations.integer_rank([sum(m, ()) for m in matrices.values()])
     if rank != 14:
         return False, f"rule 0: full span rank {rank} != 14"
     for triplet in _REFERENCE_TRIPLETS:
         idxs = sorted(triplet)
-        rank = derivations.derivation_span_rank(list(combinations(idxs, 2)), 0, restrict_to=idxs)
+        rank = derivations.integer_rank([[matrices[pair][i - 1][j - 1] for i in idxs for j in idxs]
+                                         for pair in combinations(idxs, 2)])
         if rank != 3:
             return False, f"rule 0, triplet {idxs}: rank {rank} != 3"
     return True, "full span rank 14 and triplet-restricted rank 3 for 16 rules"
@@ -370,11 +427,15 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], Outcome]], ...] = (
 
 def run_checks(quick: bool = False) -> list[CheckResult]:
     """Run every check, always all of them, in declaration order; each
-    result carries the check's name and its wall time.
+    result carries the check's name and its wall time.  A check that raises
+    an ``Exception`` fails, its detail the exception's type and message.
     ``quick`` is ignored: the benchmark harness still passes ``quick=False``."""
     results = []
     for name, fn in ALL_CHECKS:
         start = perf_counter()
-        passed, detail = fn()
+        try:
+            passed, detail = fn()
+        except Exception as exc:  # a check that raises fails, and the others still run
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail, perf_counter() - start))
     return results

@@ -378,6 +378,32 @@ def test_verify_exits_1_on_a_failed_check(capsys, monkeypatch, fmt):
         assert "FAIL  bad" in out and "1/2 checks passed" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_reports_a_raising_check_as_failed_and_runs_the_rest(capsys, monkeypatch, fmt):
+    from octsieve import verification
+
+    def raising():
+        raise RuntimeError("boom")
+
+    checks = dict(verification.ALL_CHECKS)
+    monkeypatch.setattr(verification, "ALL_CHECKS", tuple({**checks, "flip-signatures": raising}.items()))
+    code, out, err = run(capsys, "verify", "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["passed"], payload["total"]) == (11, 12)
+        assert [c["name"] for c in payload["checks"]] == list(checks)
+        failed = [c for c in payload["checks"] if not c["passed"]]
+        assert [(c["name"], c["detail"]) for c in failed] == [("flip-signatures", "RuntimeError: boom")]
+        assert failed[0]["elapsed_s"] >= 0
+    else:
+        lines = out.splitlines()
+        assert len(lines) == 13 and lines[-1] == "11/12 checks passed"
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].split()[1] == "flip-signatures"
+        assert failed[0].endswith("  RuntimeError: boom")
+
+
 def test_text_output_prints_integers_exactly(capsys):
     code, out, _ = run(capsys, "sieve", "--expr", "a", "--assign", "a=9007199254740993,0,0,0,0,0,0,0")
     assert code == 0

@@ -6,6 +6,7 @@ must catch, the identities that single out the 16 rules among the 128
 orientations, the detail each check prints, and a broken input that
 fails each check."""
 
+import importlib
 import inspect
 import random
 import re
@@ -19,6 +20,9 @@ from octsieve import algebra, derivations, verification
 from octsieve.algebra import _SIGNS, Octonion, _mul, multiply, norm_sq
 from octsieve.dsl import _program, parse
 from octsieve.sieve import _all_rules, _per_rule, _random_ints
+
+# the module: the package attribute octsieve.sieve is the function sieve
+SIEVE = importlib.import_module("octsieve.sieve")
 
 
 def sampled_leibniz(trials=1000):
@@ -254,14 +258,74 @@ def test_every_kernel_mutation_fails_a_check(monkeypatch, mutation):
         mutate_parts(monkeypatch, mutation)
     else:
         mutate_kernel(monkeypatch, *mutation)
-    try:
-        results = verification.run_checks()
-    except TypeError:
+    results = verification.run_checks()
+    assert len(results) == 12 and not all(r.passed for r in results)
+    if isinstance(mutation, str) and mutation.startswith("zero-mask"):
         # a zeroed mask adds a triplet part into the product's real-part
-        # row, a tuple: sieve-invariance's all-rules pass raises there
-        assert isinstance(mutation, str) and mutation.startswith("zero-mask")
-        return
-    assert not all(r.passed for r in results)
+        # row, a tuple: sieve-invariance's all-rules pass raises there, and
+        # the run reports that as its failure and goes on
+        sieve_invariance = dict((r.name, r) for r in results)["sieve-invariance"]
+        assert not sieve_invariance.passed
+        assert sieve_invariance.detail == "TypeError: 'tuple' object does not support item assignment"
+
+
+def test_a_keyboard_interrupt_is_not_a_failed_check(monkeypatch):
+    # run_checks reports an Exception as a failed check (tests/test_cli.py);
+    # an interrupt still stops the run
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verification, "ALL_CHECKS", (("interrupted", interrupted),))
+    with pytest.raises(KeyboardInterrupt):
+        verification.run_checks()
+
+
+def mutate_walsh(monkeypatch, old, new):
+    """Patch ``_walsh`` with ``old`` rewritten as ``new`` into ``sieve`` and
+    ``verification``, the modules that call it."""
+    source = inspect.getsource(SIEVE._walsh)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), namespace)
+    for module in (SIEVE, verification):
+        monkeypatch.setattr(module, "_walsh", namespace["_walsh"])
+
+
+PRODUCT_OF_FORMS = "TypeError: unsupported operand type(s) for *: '_Form' and '_Form'"
+# mutation -> (old, new), and the detail of each check it fails
+WALSH_MUTATIONS = {
+    "flipped-sign": (("x0 - x1,", "x1 - x0,"), {
+        "hadamard-involution": "kernel: _walsh(_walsh(x))[0] != 16 x_0",
+        "xor-equivariance": "kernel: _walsh output 1 is not sum_j b[j][1] x_j"}),
+    "wrong-pair": (("x8 + x10", "x8 + x11"), {
+        "hadamard-involution": "kernel: _walsh(_walsh(x))[0] != 16 x_0",
+        "xor-equivariance": "kernel: _walsh output 0 is not sum_j b[j][0] x_j"}),
+    # a product is no linear map: the formal evaluation raises, and the run
+    # reports it as each check's failure
+    "product": (("x0 + x1,", "x0 * x1,"), {"hadamard-involution": PRODUCT_OF_FORMS,
+                                          "xor-equivariance": PRODUCT_OF_FORMS}),
+}
+
+
+@pytest.mark.parametrize("mutation", WALSH_MUTATIONS)
+def test_a_mutated_walsh_kernel_fails_both_kernel_proofs(monkeypatch, mutation):
+    (old, new), failures = WALSH_MUTATIONS[mutation]
+    mutate_walsh(monkeypatch, old, new)
+    results = verification.run_checks()
+    assert len(results) == 12
+    assert {r.name: r.detail for r in results if not r.passed} == failures
+
+
+def test_swapped_walsh_stages_pass_every_check(monkeypatch):
+    # the stages commute over any commutative ring, so the kernel's matrix
+    # and every exact sum stay the same, and no check can see the swap.
+    # Only the order of the float additions changes: test_sieve.py's
+    # test_the_butterfly_is_the_stage_by_stage_loop_bit_for_bit and CI's
+    # "sieve and unsieve keep their bits" step catch it
+    source = inspect.getsource(SIEVE._walsh)
+    one, two, three = (source.index(f"    x0, x{h}, ") for h in (1, 2, 4))
+    mutate_walsh(monkeypatch, source[one:three], source[two:three] + source[one:two])
+    assert all(r.passed for r in verification.run_checks())
 
 
 @pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
@@ -339,11 +403,13 @@ FULL_DETAILS = {
                       "rule n is rule 0 in the basis phi_n, checked on 64 basis pairs x 16 rules",
     "norm-multiplicativity": "|ab|^2 == |a|^2 |b|^2 proved: exact on all 1296 pairs of e_i, e_i + e_j under rule 0, "
                              "carried to all 16 rules by phi_n (proved by table-fidelity)",
-    "hadamard-involution": "unsieve(sieve(x)) == x exactly on 100 integer families",
+    "hadamard-involution": "_walsh(_walsh(x)) == 16x proved on 16 formal symbols; "
+                           "unsieve(sieve(x)) == x exactly on 100 sampled integer families",
     "row-generators": "all 16 rows rebuilt from generators; 256 entries symmetric",
     "sieve-invariance": "a+b, a*a, a*b+b*a invariant over 64 trials; a*b witness: g[4] = [0, 124, -12, 28, 0, 0, 0, 0] "
                         "at a=[-5, -2, -9, 5, -4, -6, 2, -7], b=[-2, -1, -8, 1, -4, 8, 4, -8]",
-    "xor-equivariance": "all 16 masks on 20 families: g'[k] == b[m][k] g[k]",
+    "xor-equivariance": "kernel proved on 16 formal symbols: matrix b, and g'[k] == b[m][k] g[k] for all 16 masks; "
+                        "sieve(x) == the kernel's sums / 4 exactly on 20 sampled integer families",
     "leibniz": "D(ab) == D(a)b + aD(b) proved: residual exactly 0 on all 4096 basis quadruples under rule 0, "
                "carried to all 16 rules by phi_n (proved by table-fidelity)",
     "antiassociative-closed-form": "D == -2(uv)a in all 2688 ordered cases",
@@ -389,12 +455,17 @@ BREAKS = {
     "sieve-invariance/a*b": (V, "is_invariant", lambda f: lambda text, trials, seed: f("a+b", trials, seed),
                              "'a*b' should have a nonzero distance"),
     "xor-equivariance": (V, "sieve", lambda f: lambda fam: f(fam[:15] + (Octonion.zero(),)),
-                         "family 0, mask 1, distance 0 mismatch"),
+                         "family 0: sieve(x) != the kernel's sums / 4"),
+    "xor-equivariance/kernel": (V, "sign_entry", lambda f: lambda j, k: -f(j, k) if (j, k) == (3, 5) else f(j, k),
+                                "kernel: _walsh output 5 is not sum_j b[j][5] x_j"),
+    "xor-equivariance/mask": (V, "_character", lambda f: lambda m, k: -f(m, k) if (m, k) == (3, 5) else f(m, k),
+                              "kernel: mask 3 does not scale output 5 by b[3][5]"),
     "flip-signatures": (algebra, "GENERATOR_FLIPS", lambda flips: {**flips, 8: flips[4]},
                         "signatures ((1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 0), "
                         "(0, 0, 0, 1), (0, 0, 1, 1))"),
-    "derivation-ranks": (derivations, "derivation_span_rank", lambda f: lambda pairs, n, **kw: f(pairs[:7], n, **kw),
+    "derivation-ranks": (derivations, "integer_rank", lambda f: lambda rows: f(rows[:7]),
                          "rule 0: full span rank 7 != 14"),
+    # the other 20 matrices still span all 14 dimensions; [1, 2, 3]'s three do not
     "derivation-ranks/triplet": (derivations, "derivation_matrix",
                                  lambda f: lambda u, v, n: ((0,) * 7,) * 7 if (u, v, n) == (1, 2, 0) else f(u, v, n),
                                  "rule 0, triplet [1, 2, 3]: rank 2 != 3"),
