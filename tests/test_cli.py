@@ -68,6 +68,43 @@ def test_orbit_output(capsys):
     assert payload["orbit"][5] == {"algebra": 5, "generator": "T1*T3", "parity_word": "--+++--"}
 
 
+ORBIT_TEXT = """\
+ N  generator   parity
+ 0  id          +++++++
+ 1  T3          ++--+--
+ 2  T2          +-+--+-
+ 3  T2*T3       +--+--+
+ 4  T1          ----+++
+ 5  T1*T3       --+++--
+ 6  T1*T2       -+-+-+-
+ 7  T1*T2*T3    -++---+
+ 8  T0          ++++---
+ 9  T0*T3       ++---++
+10  T0*T2       +-+-+-+
+11  T0*T2*T3    +--+++-
+12  T0*T1       -------
+13  T0*T1*T3    --++-++
+14  T0*T1*T2    -+-++-+
+15  T0*T1*T2*T3  -++-++-
+"""
+
+
+def test_orbit_output_is_pinned_in_both_formats(capsys):
+    code, out, _ = run(capsys, "orbit")
+    assert (code, out) == (0, ORBIT_TEXT)
+    rows = [{"algebra": int(n), "generator": word, "parity_word": parity}
+            for n, word, parity in map(str.split, ORBIT_TEXT.splitlines()[1:])]
+    code, out, _ = run(capsys, "orbit", "--format", "json")
+    assert (code, out) == (0, json.dumps({"schema": 3, "orbit": rows}, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("n", range(16))
+def test_tables_header_names_the_handedness(capsys, n):
+    code, out, _ = run(capsys, "tables", "--algebra", str(n))
+    hand = "left" if n < 8 else "right"
+    assert (code, out.splitlines()[0]) == (0, f"multiplication table, algebra {n} ({hand}-handed)")
+
+
 def test_sieve_with_explicit_assignment(capsys):
     code, out, _ = run(
         capsys,
