@@ -2,10 +2,10 @@
 variance sieve over them, and their derivation algebras.
 
 Importing the package compiles what a sieve runs: ``algebra``, ``dsl`` and
-``sieve``.  The names of ``automorphisms``, ``derivations`` and
-``verification`` are re-exported too, but each of those modules is
-imported when one of its names (or the module itself) is first read from
-the package, through the module ``__getattr__`` below (PEP 562).
+``sieve``.  The names of ``derivations`` and ``verification`` are
+re-exported too, but each of those modules is imported when one of its
+names (or the module itself) is first read from the package, through the
+module ``__getattr__`` below (PEP 562).
 """
 
 from .algebra import (
@@ -14,6 +14,7 @@ from .algebra import (
     NotEquivalentAlgebraError,
     Octonion,
     conjugate,
+    generator_word,
     identify_algebra,
     inverse,
     mul_table,
@@ -31,8 +32,6 @@ __version__ = "0.1.0"
 
 # Module -> the names the package re-exports from it on first use.
 _LAZY = {
-    "automorphisms": ("IDENTITY", "T0", "T1", "T2", "T3", "Automorphism", "chirality", "compose",
-                      "fano_lines", "orbit"),
     "derivations": ("antiassoc_closed_form", "cross_algebra_equal", "derivation_span_rank", "derive",
                     "expr_cross_algebra_equal", "leibniz_check"),
     "verification": ("run_checks",),
@@ -45,6 +44,7 @@ __all__ = [
     "NotEquivalentAlgebraError",
     "Octonion",
     "conjugate",
+    "generator_word",
     "identify_algebra",
     "inverse",
     "mul_table",

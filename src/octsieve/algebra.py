@@ -14,6 +14,8 @@ triplet t = {a, b, c} has the 4-bit mask m_t = kappa_a ^ kappa_b ^ kappa_c,
 and rule n flips its orientation exactly when chi(m_t, n) = -1.  The bits
 of n are four generators T0=8, T1=4, T2=2, T3=1 acting on the triplet
 parities; ids 0..7 are the left-handed rules, 8..15 the right-handed ones.
+The parity group acts on rule ids as n -> n ^ m, and its Fano lines
+{a, b, a ^ b} over 1..7 are the seven ``REFERENCE_TRIPLETS``.
 
 The seven characters chi(m_t, n) of rule n, ``_SIGNS[n]``, are its
 orientation, stated once: :func:`flip_vector`, :func:`parity_word` and
@@ -72,6 +74,7 @@ __all__ = [
     "Octonion",
     "flip_vector",
     "parity_word",
+    "generator_word",
     "triplet_set",
     "mul_table",
     "multiply",
@@ -330,6 +333,13 @@ GENERATOR_FLIPS: dict[int, tuple[int, ...]] = {bit: flip_vector(bit) for bit in 
 def parity_word(n: int) -> str:
     """Orientation of each reference triplet in rule n, as '+'/'-' chars."""
     return "".join("-" if s < 0 else "+" for s in _signs(n))
+
+
+def generator_word(n: int) -> str:
+    """Rule n as a product of the generators whose bits it sets, such as
+    'T1*T3' for 5; 'id' for 0."""
+    n = _check_algebra_id(n)
+    return "*".join(f"T{t}" for t in range(4) if n & (8 >> t)) or "id"
 
 
 def triplet_set(n: int) -> tuple[TripletSet, str]:

@@ -17,11 +17,11 @@ for a fixed argv (randomness only enters through --seed).  Exit codes: 0
 success, 1 domain error or failed verification, 2 usage error.
 
 Every call pays this module's import first, so it imports at the top only
-what `sieve`, `triplets`, JSON output and :func:`main` run: ``algebra``,
-``dsl`` and ``sieve``.  ``automorphisms`` (text `tables`, `orbit`),
-``derivations`` (`derive`) and ``verification`` (`verify`) are imported
-inside the functions that use them, and compiled, when no ``.pyc`` file
-exists, in the call that first needs them.
+what `tables`, `triplets`, `orbit`, `sieve`, JSON output and :func:`main`
+run: ``algebra``, ``dsl`` and ``sieve``.  ``derivations`` (`derive`) and
+``verification`` (`verify`) are imported inside the functions that use
+them, and compiled, when no ``.pyc`` file exists, in the call that first
+needs them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .algebra import Octonion, _check_algebra_id, _check_int, mul_table, triplet_set
+from .algebra import Octonion, _check_algebra_id, _check_int, generator_word, mul_table, parity_word, triplet_set
 from .dsl import ExprSyntaxError, UnboundVariableError, _number, parse, to_text
 from .sieve import _ZERO, _evaluator, _per_rule, _spectrum, _trials, random_assignment
 
@@ -113,11 +113,9 @@ def cmd_tables(args) -> dict:
 
 
 def text_tables(payload: dict, args):
-    from .automorphisms import chirality
-
     n = payload["algebra"]
     labels = ["1"] + [f"i{k}" for k in range(1, 8)]
-    yield f"multiplication table, algebra {n} ({chirality(n)}-handed)"
+    yield f"multiplication table, algebra {n} ({'right' if n & 8 else 'left'}-handed)"
     yield "     " + " ".join(f"{l:>3}" for l in labels)
     for label, row in zip(labels, payload["entries"]):
         entries = (("+" if sign > 0 else "-") + labels[k] for sign, k in row)
@@ -137,11 +135,8 @@ def text_triplets(payload: dict, args):
 
 
 def cmd_orbit(args) -> dict:
-    from .automorphisms import orbit
-
-    rows = [{"algebra": e.algebra, "generator": e.automorphism.word, "parity_word": e.parity_word}
-            for e in orbit()]
-    return {"orbit": rows}
+    return {"orbit": [{"algebra": n, "generator": generator_word(n), "parity_word": parity_word(n)}
+                      for n in range(16)]}
 
 
 def text_orbit(payload: dict, args):

@@ -13,6 +13,7 @@ from octsieve import algebra
 from octsieve.algebra import (
     _KEYS,
     _SIGNS,
+    _TRIPLET_MASKS,
     _character,
     _mul,
     _mul_all,
@@ -22,6 +23,7 @@ from octsieve.algebra import (
     Octonion,
     conjugate,
     flip_vector,
+    generator_word,
     identify_algebra,
     inverse,
     mul_table,
@@ -110,9 +112,10 @@ def test_parity_word_12_flips_everything():
 
 
 def test_right_handed_words_differ_by_t0():
+    # rules n and n ^ 8, of opposite handedness, differ on the same 3 triplets
     t0 = (0, 0, 0, 0, 1, 1, 1)
-    for n in range(8):
-        xor = tuple(a ^ b for a, b in zip(flip_vector(n), flip_vector(n + 8)))
+    for n in range(16):
+        xor = tuple(a ^ b for a, b in zip(flip_vector(n), flip_vector(n ^ 8)))
         assert xor == t0
 
 
@@ -126,6 +129,7 @@ def test_flips_and_characters_are_views_of_the_triplet_masks():
         1: (0, 0, 1, 1, 0, 1, 1),
     }
     assert GENERATOR_FLIPS == generators and list(GENERATOR_FLIPS) == [8, 4, 2, 1]
+    assert [sum(pattern) for pattern in generators.values()] == [3, 4, 4, 4]
     for n in range(16):
         composed = (0,) * 7
         for bit, pattern in generators.items():
@@ -171,10 +175,111 @@ def test_sixteen_parity_words_distinct_and_xor_closed():
 
 def test_invalid_algebra_id():
     for bad in (-1, 16, 3.0, "3"):
-        with pytest.raises(ValueError):
-            triplet_set(bad)
-        with pytest.raises(ValueError):
-            mul_table(bad)
+        for f in (triplet_set, mul_table, flip_vector, parity_word, generator_word):
+            with pytest.raises(ValueError):
+                f(bad)
+
+
+# The parity group Z2^4 is the algebra id under XOR: element m acts on rule
+# n as n -> n ^ m, and its generators T0..T3 are the bits 8, 4, 2, 1.
+def test_xor_is_the_group_law_on_flip_vectors():
+    assert flip_vector(0) == (0,) * 7
+    assert flip_vector(2 ^ 1) == (0, 1, 1, 0, 1, 1, 0)
+    for m in range(16):
+        for k in range(16):
+            assert flip_vector(m ^ k) == tuple(a ^ b for a, b in zip(flip_vector(m), flip_vector(k)))
+
+
+def reversed_where(t, flags):
+    """An orbit element (oriented triplets, parity word) with each flagged
+    triplet reversed: its last two indices transposed, its sign swapped."""
+    triplets, word = t
+    return (tuple((a, c, b) if f else (a, b, c) for f, (a, b, c) in zip(flags, triplets)),
+            "".join({"+": "-", "-": "+"}[w] if f else w for f, w in zip(flags, word)))
+
+
+def test_mask_m_takes_rule_n_to_rule_n_xor_m():
+    assert triplet_set(0 ^ 1) == reversed_where(triplet_set(0), flip_vector(1))
+    for m in range(16):
+        for n in range(16):
+            assert triplet_set(n ^ m) == reversed_where(triplet_set(n), flip_vector(m))
+        # free and transitive: the orbit of every rule is all 16 words
+        assert len({parity_word(n ^ m) for n in range(16)}) == 16
+
+
+def test_each_mask_is_an_involution_on_the_rules():
+    for m in range(16):
+        assert flip_vector(m ^ m) == (0,) * 7
+        for n in range(16):
+            t = triplet_set(n)
+            assert reversed_where(reversed_where(t, flip_vector(m)), flip_vector(m)) == t
+            assert triplet_set(n ^ m ^ m) == t
+
+
+def test_generator_words_compose_by_xor():
+    def generators(n):
+        return set(generator_word(n).split("*")) - {"id"}
+    assert generator_word((4 ^ 2) ^ (4 ^ 1)) == "T2*T3"
+    for m in range(16):
+        assert generator_word(m ^ m) == generator_word(0) == "id"
+        for k in range(16):
+            assert generators(m ^ k) == generators(m) ^ generators(k)
+
+
+def test_handedness_is_bit_8_and_the_parity_of_the_reversed_triplets():
+    # T0 reverses 3 triplets and T1..T3 reverse 4 each, so the count of
+    # reversed triplets is odd exactly on the right-handed rules n & 8
+    for n in range(16):
+        assert parity_word(n).count("-") % 2 == (1 if n & 8 else 0)
+        assert ("T0" in generator_word(n)) == bool(n & 8) != ("T0" in generator_word(n ^ 8))
+
+
+def test_the_fano_lines_of_the_group_are_the_reference_triplets():
+    lines = {frozenset((a, b, a ^ b)) for a in range(1, 8) for b in range(1, 8) if a != b}
+    assert lines == {frozenset(t) for t in REFERENCE_TRIPLETS} and len(lines) == 7
+    assert frozenset((4, 2, 4 ^ 2)) in lines  # T1, T2 and T1*T2
+    for unit_index in range(1, 8):
+        assert sum(unit_index in line for line in lines) == 3
+
+
+def test_the_reference_triplets_are_closed_under_xor():
+    # the product of two elements on a line is the third
+    for a, b, c in REFERENCE_TRIPLETS:
+        assert (a ^ b, b ^ c, a ^ c) == (c, a, b)
+
+
+def test_generator_words():
+    words = [generator_word(n) for n in range(16)]
+    assert words[:3] == ["id", "T3", "T2"] and words[5] == "T1*T3" and parity_word(5) == "--+++--"
+    assert (words[8], words[12], words[15]) == ("T0", "T0*T1", "T0*T1*T2*T3")
+    assert len(set(words)) == 16
+    for n, word in enumerate(words):  # the product of its generators' bits is the rule
+        bits = [8 >> int(g[1]) for g in word.split("*")] if n else []
+        assert sum(bits) == n and bits == sorted(bits, reverse=True)
+
+
+def test_flip_signatures_pairwise_distinct():
+    # triplet t's signature under (T0, T1, T2, T3) is its mask m_t, in bits
+    patterns = [GENERATOR_FLIPS[bit] for bit in (8, 4, 2, 1)]
+    signatures = [tuple(p[t] for p in patterns) for t in range(7)]
+    assert signatures == [
+        (0, 1, 0, 0),
+        (0, 1, 1, 0),
+        (0, 1, 0, 1),
+        (0, 1, 1, 1),
+        (1, 0, 1, 0),
+        (1, 0, 0, 1),
+        (1, 0, 1, 1),
+    ]
+    assert len(set(signatures)) == 7
+    assert [int("".join(map(str, sig)), 2) for sig in signatures] == list(_TRIPLET_MASKS)
+
+
+def test_rule_n_xor_12_is_the_opposite_algebra_of_rule_n():
+    # T0*T1 flips all seven triplets: e_i e_j under rule n ^ 12 is e_j e_i under rule n
+    for n in range(16):
+        table, opposite = mul_table(n), mul_table(n ^ 12)
+        assert all(opposite[i][j] == table[j][i] for i in range(8) for j in range(8))
 
 
 def test_mul_table_reference_entries():

@@ -723,7 +723,7 @@ def spy(monkeypatch, module, name):
 def spies(monkeypatch):
     # the modules cli imports inside a command are imported first: one
     # imported while a spy is active would bind the spy and keep it
-    for name in ("automorphisms", "derivations", "verification"):
+    for name in ("derivations", "verification"):
         importlib.import_module(f"octsieve.{name}")
     dsl = importlib.import_module("octsieve.dsl")
     return [spy(monkeypatch, dsl, "_program"), spy(monkeypatch, SIEVE, "_all_rules"),

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from octsieve.algebra import Octonion, mul_table
-from octsieve.automorphisms import Automorphism
+from octsieve.algebra import Octonion, generator_word, mul_table
 from octsieve.derivations import (antiassoc_closed_form, derivation_matrix, derivation_span_rank,
                                   expr_cross_algebra_equal)
 from octsieve.dsl import Const, Mul, Var, evaluate, free_vars, parse
@@ -20,7 +19,6 @@ SITES = {
     "is_invariant-trials": (lambda x: is_invariant("a*b", trials=x), "trials", 1, None),
     "cross_algebra-trials": (lambda x: expr_cross_algebra_equal(Octonion.unit(1), Octonion.unit(2), "a", trials=x),
                              "trials", 1, None),
-    "automorphism": (Automorphism, "mask", 0, 15),
     "antiassoc-u": (lambda x: antiassoc_closed_form(x, 2, 4, 0), "basis index", 1, 7),
     "antiassoc-v": (lambda x: antiassoc_closed_form(1, x, 4, 0), "basis index", 1, 7),
     "antiassoc-a": (lambda x: antiassoc_closed_form(1, 2, x, 0), "basis index", 1, 7),
@@ -31,6 +29,7 @@ SITES = {
     "span-restrict": (lambda x: derivation_span_rank([(1, 2)], 0, restrict_to=[x]), "restriction index", 1, 7),
     "span-algebra-id": (lambda x: derivation_span_rank([], x), "algebra id", 0, 15),
     "algebra-id": (mul_table, "algebra id", 0, 15),
+    "generator-word": (generator_word, "algebra id", 0, 15),
     # no Mul node: the id is checked at the leaves
     "evaluate-var": (lambda x: evaluate(parse("a+b"), {"a": Octonion.unit(1), "b": Octonion.unit(2)}, x),
                      "algebra id", 0, 15),

@@ -1,5 +1,5 @@
 """The package namespace: names imported with the package and names
-re-exported from automorphisms, derivations and verification on first use."""
+re-exported from derivations and verification on first use."""
 
 import importlib
 import subprocess
@@ -10,8 +10,8 @@ import pytest
 
 import octsieve
 
-SUBMODULES = ("algebra", "automorphisms", "derivations", "dsl", "sieve", "verification")
-DEFERRED = ("automorphisms", "derivations", "verification")
+SUBMODULES = ("algebra", "derivations", "dsl", "sieve", "verification")
+DEFERRED = ("derivations", "verification")
 PUBLIC = [name for name in octsieve.__all__ if name != "__version__"]
 
 

@@ -1,8 +1,10 @@
-"""The immutable value records: expression nodes, verdicts, reports, check
-results and automorphisms, and what importing the package loads."""
+"""The immutable value records: expression nodes, verdicts, reports and
+check results, and what importing the package loads."""
 
 import copy
+import math
 import pickle
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from octsieve.algebra import Octonion
-from octsieve.automorphisms import T0, T1, T3, Automorphism, orbit
 from octsieve.derivations import AntiassocReport, CrossAlgebraVerdict, RegimeReport
 from octsieve.dsl import Add, Conj, Const, Expr, Mul, Neg, Sub, Var, parse
 from octsieve.sieve import InvarianceWitness, SieveVerdict, is_invariant
@@ -22,7 +23,7 @@ WITNESS = InvarianceWitness({"a": Octonion.unit(1)}, 4, X)
 REGIME = RegimeReport(False, {"algebra": 3})
 
 # Each record, built twice by its factory, with its repr as a dataclass
-# writes it (Automorphism keeps its own) and its fields in constructor order.
+# writes it and its fields in constructor order.
 RECORDS = [
     pytest.param(lambda: Var("a"), "Var(name='a')", ("name",), id="Var"),
     pytest.param(lambda: Const(2.5), "Const(value=2.5)", ("value",), id="Const"),
@@ -53,7 +54,6 @@ RECORDS = [
     pytest.param(lambda: CheckResult("leibniz", True, "proved", 0.25),
                  "CheckResult(name='leibniz', passed=True, detail='proved', elapsed_s=0.25)",
                  ("name", "passed", "detail", "elapsed_s"), id="CheckResult"),
-    pytest.param(lambda: Automorphism(5), "Automorphism(5)  # T1*T3", ("mask",), id="Automorphism"),
 ]
 
 
@@ -114,17 +114,6 @@ def test_defaults_and_the_keyword_only_trials_run():
         Mul(A)
 
 
-def test_automorphisms_are_ordered_by_mask_and_checked():
-    assert sorted([T0, T3, Automorphism(0), T1]) == [Automorphism(m) for m in (0, 1, 4, 8)]
-    assert T3 < T1 <= T1 < T0 and T0 > T1 >= T1 > T3
-    assert sorted(entry.automorphism for entry in reversed(orbit())) == [Automorphism(m) for m in range(16)]
-    with pytest.raises(TypeError):
-        T1 < 4
-    for bad in (16, -1, True, 1.0):
-        with pytest.raises(ValueError, match="mask must be an integer in 0..15"):
-            Automorphism(bad)
-
-
 def test_records_match_positionally():
     match parse("a*b - conj(c)"):
         case Sub(Mul(Var(x), Var(y)), Conj(Var(z))):
@@ -145,7 +134,6 @@ COPIED = [
     pytest.param(lambda: parse("(a*b)*c - 2*conj(a) + -b"), "right", id="parsed-tree"),
     pytest.param(lambda: is_invariant("a*b", 8, 3), "witness", id="refuted-verdict"),
     pytest.param(lambda: CheckResult("leibniz", True, "proved", 0.25), "passed", id="check-result"),
-    pytest.param(lambda: Automorphism(9), "mask", id="automorphism"),
 ]
 
 
@@ -171,11 +159,12 @@ def test_the_shared_unit_survives_del():
     assert Octonion.unit(1).coeffs == (0, 1, 0, 0, 0, 0, 0, 0)
 
 
-def test_an_unpickled_automorphism_is_checked():
-    data = pickle.dumps(Automorphism(9), protocol=2)
-    assert data.count(b"K\t") == 1  # BININT1 9, the mask
-    forged = data.replace(b"K\t", b"K\x10")
-    with pytest.raises(ValueError, match="mask must be an integer in 0..15"):
+def test_an_unpickled_record_is_checked():
+    data = pickle.dumps(Octonion((1.5, 0, 0, 0, 0, 0, 0, 0)), protocol=2)
+    one_and_a_half = b"G" + struct.pack(">d", 1.5)  # BINFLOAT 1.5, the real part
+    assert data.count(one_and_a_half) == 1
+    forged = data.replace(one_and_a_half, b"G" + struct.pack(">d", math.inf))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
         pickle.loads(forged)
 
 
@@ -185,11 +174,10 @@ def test_an_unpickled_automorphism_is_checked():
 NOT_AT_START_UP = {
     "dataclasses": "the records are __slots__ classes on algebra._Record",
     "inspect": "dataclasses pulls it in, with ast, dis and tokenize",
-    "typing": "annotations are strings, Expr and AllRules are X | Y unions, OrbitEntry a collections.namedtuple",
+    "typing": "annotations are strings, Expr and AllRules are X | Y unions",
     "contextlib": "typing pulls it in",
     "fractions": "imported where a rational is first needed",
     "decimal": "fractions pulls it in",
-    "octsieve.automorphisms": "re-exported on first use; the CLI imports it in text tables and orbit",
     "octsieve.derivations": "re-exported on first use; the CLI imports it in derive",
     "octsieve.verification": "re-exported on first use; the CLI imports it in verify",
 }

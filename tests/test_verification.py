@@ -392,10 +392,25 @@ def left_alternative(s):
     return True
 
 
-def test_the_16_rules_are_exactly_the_left_alternative_orientations():
+def right_alternative(s):
+    """Whether (ba)a == b(aa) holds under the kernel with characters ``s``:
+    its polarization (ba)c + (bc)a == b(ac + ca) is trilinear, so the 512
+    basis triples decide it."""
+    basis = [tuple(int(i == k) for i in range(8)) for k in range(8)]
+    products = [[_mul(x, y, s) for y in basis] for x in basis]
+    for b, a, c in product(range(8), repeat=3):
+        left = tuple(map(add, _mul(products[b][a], basis[c], s), _mul(products[b][c], basis[a], s)))
+        if left != _mul(basis[b], tuple(map(add, products[a][c], products[c][a])), s):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("alternative", [left_alternative, right_alternative], ids=["left", "right"])
+def test_the_16_rules_are_exactly_the_alternative_orientations(alternative):
     # over all 128 orientations of the seven reference triplets, the algebra
-    # is left-alternative for exactly the 16 rules' characters
-    assert {s for s in product((1, -1), repeat=7) if left_alternative(s)} == set(_SIGNS)
+    # is left-alternative, and right-alternative, for exactly the 16 rules'
+    # characters
+    assert {s for s in product((1, -1), repeat=7) if alternative(s)} == set(_SIGNS)
 
 
 FULL_DETAILS = {
