@@ -14,7 +14,8 @@ leaves stdout empty.  Python's int/str digit limit (4300 digits by
 default) stays in force, since it guards against quadratic-time
 conversion: a longer literal or result exits 1.  Output is deterministic
 for a fixed argv (randomness only enters through --seed).  Exit codes: 0
-success, 1 domain error or failed verification, 2 usage error.
+success, 1 domain error, failed verification or a closed output pipe, 2
+usage error.
 
 Every call pays this module's import first, so it imports at the top only
 what `tables`, `triplets`, `orbit`, `sieve`, JSON output and :func:`main`
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -345,7 +347,15 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ExprSyntaxError, UnboundVariableError, ValueError, ArithmeticError) as exc:
         print(f"octsieve: error: {exc}", file=sys.stderr)
         return 1
-    print(out)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`octsieve tables | head -1`): point
+        # stdout at devnull, as the Python docs advise, so the flush at exit
+        # cannot raise again, and exit 1 with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # verify is the one command whose result can fail: a failed check exits 1
     return 1 if payload.get("passed", 0) < payload.get("total", 0) else 0
 

@@ -28,8 +28,7 @@ serves ``derive``, ``derivation_matrix``, ``antiassoc_closed_form`` and
 ``leibniz_check``, which computes only its own rule's residual with it.
 The all-rules expression ``_DERIVE`` runs on the sieve's exact pass, which
 computes uv and vu once for all 16 rules, for ``cross_algebra_equal``,
-``expr_cross_algebra_equal`` and CLI ``derive``.  ``_ANTIASSOC_RESIDUAL``
-is the same text plus 2 (uv) x, so D is written once.
+``expr_cross_algebra_equal`` and CLI ``derive``.
 
 The ``verify`` command proves the Leibniz rule under rule 0 on the 4096
 basis quadruples, where the residual, linear in each argument, is fixed:
@@ -38,12 +37,11 @@ the 64 basis products by bilinearity.  It carries the rule to all 16
 rules by the basis change of :mod:`octsieve.algebra`, which also
 carries rule 0's span ranks, 14 and 3, to every rule:
 ``derivation-ranks`` ranks rule 0's 21 ``derivation_matrix`` results
-alone, with ``integer_rank``.  Its two cross-rule
-derivation checks run all-rules passes instead of 16 per-rule
-derivations: ``equality-criterion`` reads all 16 rules agreeing off D's
-value being one tuple, and ``antiassociative-closed-form`` reads the
-collapse under every rule off the residual's value being the zero
-tuple.
+alone, with ``integer_rank``.  It decides its two cross-rule
+derivation checks on rule 0's ``_regrouped`` too: under rule n,
+D on basis units is rule 0's D with a sign per component, so
+``antiassociative-closed-form`` checks the collapse under rule 0 and
+``equality-criterion`` reads which rules agree off those signs.
 
 Integer inputs stay integer throughout, so span dimensions are computed
 by fraction-free elimination with no rank threshold.  An expression's
@@ -119,12 +117,9 @@ def leibniz_check(u: Octonion, v: Octonion, a: Octonion, b: Octonion, n: int) ->
     return norm(Octonion([x - y - z for x, y, z in zip(d_ab, d_a_b, a_d_b)]))
 
 
-# The same D as an expression in u, v and x, for the all-rules pass, and
-# the antiassociative residual D + 2 (uv) x from the same text: zero under
-# every rule exactly where D collapses to -2 (uv) x under every rule.
+# The same D as an expression in u, v and x, for the all-rules pass.
 _D = "(-2*(u*v) - v*u)*x - x*(u*v - v*u) + (3*u)*(v*x)"
 _DERIVE = _program(parse(_D))[0]
-_ANTIASSOC_RESIDUAL = _program(parse(f"({_D}) + 2*((u*v)*x)"))[0]
 
 
 def _derive_all(u: Octonion, v: Octonion, x: AllRules) -> Sequence[tuple]:

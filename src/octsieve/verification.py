@@ -14,17 +14,22 @@ vanishes under rule 0 iff it vanishes on the 8^4 basis quadruples;
 |ab|^2 - |a|^2 |b|^2 is a quadratic form in a and in b, fixed by its
 values at e_i and e_i + e_j, so 36 x 36 pairs decide it under rule 0.
 Both proofs read their products off the kernel's 64 basis products
-e_i e_j: a product with a basis factor, or of sums of basis units, is a
-sum over nonzero coefficients of those products, the same exact numbers
-as the kernel on those factors.  The eight D(e_c) come from the
-package's own D code (``derivations._regrouped``), and D(e_a e_b) is
-read off them by the linearity of D.  Rule n is rule 0 in the basis
-phi_n: e_i -> chi(kappa_i, n) e_i.  ``table-fidelity`` proves that once
-per run, on the kernel itself (:func:`_phi_failure`: 64 basis pairs per
-rule, both sides bilinear), and the three rule-0 proofs cite it: phi_n
-is a sign flip per unit, so it carries each identity to all 16 rules,
-and it turns rule 0's matrix of D(e_u, e_v; .) into rule n's by a sign
-per row, column and generator, which keeps every rank.
+e_i e_j, the same exact numbers as the kernel on sums of basis units.
+The eight D(e_c) come from the package's own D code
+(``derivations._regrouped``), and D(e_a e_b) is read off them by the
+linearity of D.  Rule n is rule 0 in the basis phi_n:
+e_i -> chi(kappa_i, n) e_i.  ``table-fidelity`` proves that once per
+run, on the kernel (:func:`_phi_failure`: 64 basis pairs per rule, both
+sides bilinear), and the five rule-0 checks cite it: phi_n, a sign flip
+per unit, carries each identity to all 16 rules and turns rule 0's
+matrix of D(e_u, e_v; .) into rule n's by a sign per row, column and
+generator, which keeps every rank.  Under rule n a value of basis units
+whose keys XOR to K is rule 0's with component c at spectrum key
+K ^ kappa_c (:func:`_phi_spectrum`), so the two cross-rule derivation
+checks read all 16 rules off rule 0, and ``table-fidelity`` proves the
+all-rules product (``_mul_all``, ``_add_product``; bilinear, the
+Cauchy-Schwarz shortcut being exact) is that spectrum on the 64 basis
+pairs.
 
 The Walsh kernel ``sieve._walsh`` only adds and subtracts, so run once
 on 16 formal symbols x_j (``_Form``, linear forms with no product) it
@@ -38,40 +43,33 @@ permuting the input by j -> j ^ m multiplies output k by b[m][k];
 Each check's route.  ``table-fidelity``, ``row-generators`` and
 ``flip-signatures`` compare the rule tables, sign matrix and generator
 flips with frozen reference data, and ``table-fidelity`` then proves
-phi_n; ``identify-roundtrip`` reads each rule's table back to its id.
-``norm-multiplicativity`` and ``leibniz`` are the proofs above, on the
-basis products under rule 0, and ``derivation-ranks`` ranks rule 0's
-matrices with ``derivations.integer_rank``: the 21 pairs u < v, built
-once, then each triplet's three pairs restricted to its indices.
-``hadamard-involution`` and ``xor-equivariance`` are the kernel proofs
-above; the first then round-trips sampled families through the public
-:func:`sieve` and :func:`unsieve`, and the second checks that
-:func:`sieve` on sampled families is ``_walsh``'s sums on their columns
-divided by 4.  ``sieve-invariance`` runs the refuter
-:func:`is_invariant`.  The two cross-rule derivation checks run
-all-rules passes (``sieve._all_rules``) on basis triples, where the
-per-rule route would run 16 rules of several kernel calls each.
-``antiassociative-closed-form`` evaluates the residual D + 2(uv)a on
-the 168 antiassociative triples, the zero tuple exactly when
-D == -2(uv)a under all 16 rules (a failure names the first rule where it
-is not).  ``equality-criterion`` evaluates D on the 343 unit triples,
-one tuple exactly when all 16 rules agree (a failure prints the equal
-set of ``cross_algebra_equal``); where they disagree, the spectrum must
-have one key k > 0, the XOR of two triplet masks.  The test suite keeps
-the per-rule routes as independent cross-checks.
+phi_n on both products; ``identify-roundtrip`` reads each rule's table
+back to its id.  ``norm-multiplicativity``, ``leibniz`` and the two
+kernel proofs are above; ``hadamard-involution`` and
+``xor-equivariance`` then sample the public :func:`sieve`.
+``derivation-ranks`` ranks rule 0's 21 matrices, u < v, with
+``derivations.integer_rank``, then each triplet's three restricted to
+its indices.  ``sieve-invariance`` runs :func:`is_invariant`.
+``antiassociative-closed-form`` checks D == -2(uv)a under rule 0 on the
+168 antiassociative triples, one D per (u, v); a failure names rule 0.
+``equality-criterion`` reads D's spectrum on the 343 unit triples off
+rule 0: no key k > 0 exactly when all 16 rules agree (a failure prints
+the rules in ker chi_k for each key), else one key, the XOR of two
+triplet masks.  The test suite keeps the per-rule and all-rules routes
+as cross-checks.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from itertools import combinations, product
-from operator import mul
+from itertools import combinations, permutations, product
+from operator import mul, xor
 from time import perf_counter
 
 from . import algebra, derivations
-from .algebra import _KEYS, _SIGNS, Octonion, _character, _mul, _Record
-from .sieve import _ZERO, _all_rules, _per_rule, _random_ints, _walsh, is_invariant, sieve, sign_entry, unsieve
+from .algebra import _KEYS, _SIGNS, Octonion, _add_product, _character, _mul, _mul_all, _Record
+from .sieve import _pruned, _random_ints, _walsh, is_invariant, sieve, sign_entry, unsieve
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks"]
 
@@ -93,36 +91,15 @@ Outcome = tuple[bool, str]
 # Frozen reference data: the triplets of rule 0 (and the quaternionic lines
 # they span), the parity words of the eight left-handed rules, and the
 # sign-matrix row generators.
-_REFERENCE_TRIPLETS = ((1, 2, 3), (7, 6, 1), (5, 7, 2), (6, 5, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7))
+_REFERENCE_TRIPLETS = tuple(tuple(map(int, word)) for word in "123 761 572 653 145 246 347".split())
 _LINES = frozenset(frozenset(t) for t in _REFERENCE_TRIPLETS)
-_LEFT_PARITY_WORDS = (
-    "+++++++",
-    "++--+--",
-    "+-+--+-",
-    "+--+--+",
-    "----+++",
-    "--+++--",
-    "-+-+-+-",
-    "-++---+",
-)
-_T0_FLIPS = (0, 0, 0, 0, 1, 1, 1)
+_LEFT_PARITY_WORDS = tuple("+++++++ ++--+-- +-+--+- +--+--+ ----+++ --+++-- -+-+-+- -++---+".split())
+_T0_FLIPS = tuple(map(int, "0000111"))
 _ROW_GENERATORS = {8: "++++++++--------", 4: "++++----++++----", 2: "++--++--++--++--", 1: "+-+-+-+-+-+-+-+-"}
 # The XORs of two distinct triplet masks: the one key k > 0 of D's spectrum
 # on each unit triple that is not quaternionic.
 _DISAGREEMENT_KEYS = frozenset({1, 2, 3, 12, 13, 14, 15})
-_SIGNATURES = (
-    (0, 1, 0, 0),
-    (0, 1, 1, 0),
-    (0, 1, 0, 1),
-    (0, 1, 1, 1),
-    (1, 0, 1, 0),
-    (1, 0, 0, 1),
-    (1, 0, 1, 1),
-)
-
-
-def _rand_octonion(rng: random.Random, bound: int = 9) -> Octonion:
-    return Octonion(_random_ints(rng, bound))
+_SIGNATURES = tuple(tuple(map(int, word)) for word in "0100 0110 0101 0111 1010 1001 1011".split())
 
 
 _BASIS = tuple(Octonion.unit(k).coeffs for k in range(8))
@@ -156,6 +133,15 @@ def _phi_failure() -> str | None:
     return None
 
 
+def _phi_spectrum(x: tuple, key: int) -> tuple | dict:
+    """The all-rules value of ``x``, rule 0's value of basis units whose keys
+    XOR to ``key``: by phi_n, x_c is chi(key ^ kappa_c, n) x_c under rule n."""
+    rows = {}
+    for c, y in _support(x):
+        rows.setdefault(key ^ _KEYS[c], [0] * 8)[c] = y
+    return _pruned(rows)
+
+
 def check_table_fidelity() -> Outcome:
     triplets, word = algebra.triplet_set(0)
     if triplets != _REFERENCE_TRIPLETS or word != "+++++++":
@@ -163,15 +149,19 @@ def check_table_fidelity() -> Outcome:
     for n in range(8):
         if algebra.parity_word(n) != _LEFT_PARITY_WORDS[n]:
             return False, f"rule {n}: {algebra.parity_word(n)} != {_LEFT_PARITY_WORDS[n]}"
-    for n in range(8):
-        low = algebra.flip_vector(n)
-        high = algebra.flip_vector(n + 8)
-        if tuple(a ^ b for a, b in zip(low, high)) != _T0_FLIPS:
+        if tuple(map(xor, algebra.flip_vector(n), algebra.flip_vector(n + 8))) != _T0_FLIPS:
             return False, f"rules {n}/{n + 8} do not differ by T0"
     if (failure := _phi_failure()) is not None:
         return False, failure
+    # the all-rules product, bilinear like _mul, is phi_n of rule 0's on
+    # the basis pairs, so everywhere
+    for (i, x), (j, y) in product(enumerate(_BASIS), repeat=2):
+        _add_product(rows := {}, 0, x, y)
+        if not _mul_all(x, y) == _pruned(rows) == _phi_spectrum(_mul(x, y, _SIGNS[0]), _KEYS[i] ^ _KEYS[j]):
+            return False, f"the all-rules product is not rule 0's in the basis phi_n: e{i} e{j} differs"
     return True, ("rule 0 triplets, words 0..7, T0 pairing all exact; "
-                  "rule n is rule 0 in the basis phi_n, checked on 64 basis pairs x 16 rules")
+                  "rule n is rule 0 in the basis phi_n, checked on 64 basis pairs x 16 rules, "
+                  "and so is the all-rules product, on 64 basis pairs")
 
 
 def check_norm_multiplicativity() -> Outcome:
@@ -234,7 +224,7 @@ def check_hadamard_involution() -> Outcome:
     trials = 100
     rng = random.Random(21)
     for t in range(trials):
-        fam = tuple(_rand_octonion(rng, 99) for _ in range(16))
+        fam = tuple(Octonion(_random_ints(rng, 99)) for _ in range(16))
         if unsieve(sieve(fam)) != fam:
             return False, f"family {t} did not round-trip"
     return True, ("_walsh(_walsh(x)) == 16x proved on 16 formal symbols; "
@@ -285,7 +275,7 @@ def check_xor_equivariance() -> Outcome:
     trials = 20
     rng = random.Random(23)
     for t in range(trials):
-        fam = tuple(_rand_octonion(rng) for _ in range(16))
+        fam = tuple(Octonion(_random_ints(rng, 9)) for _ in range(16))
         sums = zip(*map(_walsh, *(f.coeffs for f in fam)))
         if [g.coeffs for g in sieve(fam)] != [tuple(c / 4 for c in row) for row in sums]:
             return False, f"family {t}: sieve(x) != the kernel's sums / 4"
@@ -332,26 +322,25 @@ def check_leibniz() -> Outcome:
     )
 
 
-def _units(triple: tuple[int, int, int]) -> dict[str, tuple]:
-    """The all-rules environment u, v, x = e_u, e_v, e_a of a basis triple."""
-    return dict(zip("uvx", (_BASIS[k] for k in triple)))
-
-
 def check_antiassoc_closed_form() -> Outcome:
-    # one all-rules pass per triple decides its 16 cases: the residual
-    # D + 2(uv)a is the zero tuple exactly when it is 0 under every rule
-    triples = [t for t in product(range(1, 8), repeat=3) if len(set(t)) == 3 and frozenset(t) not in _LINES]
-    for triple in triples:
-        residual = _all_rules(derivations._ANTIASSOC_RESIDUAL, _units(triple))
-        if residual != _ZERO:
-            n = next(n for n, r in enumerate(_per_rule(residual)) if any(r))
-            return False, f"rule {n}, triple {triple}"
-    return True, f"D == -2(uv)a in all {16 * len(triples)} ordered cases"
+    # under rule n the residual D + 2(uv)a is phi_n of rule 0's up to sign.
+    # Distinct units u, v, a are on a line exactly when a == u ^ v
+    s = _SIGNS[0]
+    triples = 0
+    for u, v in permutations(range(1, 8), 2):
+        d = derivations._regrouped(_BASIS[u], _BASIS[v], s)
+        uv = _mul(_BASIS[u], _BASIS[v], s)
+        for a in range(1, 8):
+            if a not in (u, v, u ^ v):
+                triples += 1
+                if d(_BASIS[a]) != tuple([-2 * c for c in _mul(uv, _BASIS[a], s)]):
+                    return False, f"rule 0, triple {(u, v, a)}"
+    return True, (f"D == -2(uv)a proved: exact on all {triples} antiassociative triples under rule 0, "
+                  f"carried to all {16 * triples} ordered cases by phi_n (proved by table-fidelity)")
 
 
 def check_flip_signatures() -> Outcome:
-    patterns = [algebra.GENERATOR_FLIPS[bit] for bit in (8, 4, 2, 1)]
-    signatures = tuple(tuple(p[t] for p in patterns) for t in range(7))
+    signatures = tuple(zip(*(algebra.GENERATOR_FLIPS[bit] for bit in (8, 4, 2, 1))))
     if signatures != _SIGNATURES:
         return False, f"signatures {signatures}"
     return True, "7 per-triplet signatures pairwise distinct"
@@ -376,23 +365,22 @@ def check_derivation_ranks() -> Outcome:
 
 
 def check_equality_criterion() -> Outcome:
-    # all 16 rules agree exactly when D's all-rules value is one tuple, no
-    # key k > 0: the sieve's invariance test; the equal set only on failure.
-    # Where they disagree, the spectrum has one key k > 0, the XOR of two
-    # triplet masks, so the rules that agree with rule 0 are ker chi_k
-    for triple in product(range(1, 8), repeat=3):
-        value = _all_rules(derivations._DERIVE, _units(triple))
-        agree = type(value) is tuple
-        quaternionic = len(set(triple)) <= 2 or frozenset(triple) in _LINES
-        if agree != quaternionic:
-            got = derivations.cross_algebra_equal(*(Octonion.unit(k) for k in triple))
-            return False, f"triple {triple}: equal set {sorted(got)}"
-        if not agree:
-            keys = value.keys() - {0}
-            if len(keys) != 1 or not keys <= _DISAGREEMENT_KEYS:
-                allowed = sorted(_DISAGREEMENT_KEYS)
-                return False, f"triple {triple}: spectrum keys {sorted(value)}, not one k > 0 in {allowed}"
-    return True, "all 343 ordered imaginary triples match the iff condition"
+    # rule n agrees with rule 0 iff it is in ker chi_k for each key k of
+    # D's spectrum; where not all do, it has one key k > 0, the XOR of two
+    # triplet masks
+    for u, v in product(range(1, 8), repeat=2):
+        d = derivations._regrouped(_BASIS[u], _BASIS[v], _SIGNS[0])
+        for a in range(1, 8):
+            triple = (u, v, a)
+            value = _phi_spectrum(d(_BASIS[a]), _KEYS[u] ^ _KEYS[v] ^ _KEYS[a])
+            keys = set() if type(value) is tuple else value.keys() - {0}
+            if bool(keys) == (len(set(triple)) <= 2 or frozenset(triple) in _LINES):
+                got = [n for n in range(16) if all(_character(k, n) == 1 for k in keys)]
+                return False, f"triple {triple}: equal set {got}"
+            if len(keys) > 1 or not keys <= _DISAGREEMENT_KEYS:
+                return False, (f"triple {triple}: spectrum keys {sorted(value)}, "
+                               f"not one k > 0 in {sorted(_DISAGREEMENT_KEYS)}")
+    return True, "all 343 ordered imaginary triples match the iff condition, their spectra read off rule 0 by phi_n"
 
 
 def check_identify_roundtrip() -> Outcome:

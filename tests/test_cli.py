@@ -2,7 +2,9 @@
 
 import importlib
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -802,3 +804,20 @@ def test_derive_evaluates_then_derives_rule_by_rule(capsys, u, algebra, outcome)
     code, out, err = run(capsys, *argv, *([] if algebra is None else ["--algebra", str(algebra)]), "--format", "json")
     assert (code, err) == (0, "")
     assert [typed(o) for o in json.loads(out)["outputs"]] == [typed(o) for o in expected]
+
+
+def test_a_closed_output_pipe_exits_1_with_nothing_on_stderr():
+    # `octsieve tables | head -1`: the reader is gone before the child
+    # writes, so its print raises BrokenPipeError; the CLI exits 1 with no
+    # traceback, and no second error at the flush on exit
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                              "from octsieve.cli import main; sys.exit(main(sys.argv[2:]))",
+                              str(src), "tables", "--algebra", "1"],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")

@@ -1,7 +1,8 @@
 """verify's proofs of the Leibniz and norm identities, its rule-0 rank
-check and its all-rules derivation checks: the per-rule routes they
-replaced, kept as independent cross-checks, the basis change that
-carries rule 0's ranks to every rule, mutations of the kernels that they
+check and its two cross-rule derivation checks, read off rule 0 by the
+basis change phi_n: the per-rule and all-rules routes they replaced,
+kept as independent cross-checks, the basis change that carries rule
+0's ranks and spectra to every rule, mutations of the kernels that they
 must catch, the identities that single out the 16 rules among the 128
 orientations, the detail each check prints, and a broken input that
 fails each check."""
@@ -96,10 +97,11 @@ def test_a_sign_flipped_in_one_rule_0_term_fails_both_proofs(monkeypatch, old, n
 
 def test_a_dropped_character_fails_table_fidelity_at_the_isomorphism(monkeypatch):
     mutate_kernel(monkeypatch, "+ s6*a7*b3", "+ a7*b3")
-    # under rule 0 every character is +1, so the three rule-0 proofs pass;
+    # under rule 0 every character is +1, so the five rule-0 checks pass;
     # table-fidelity's proof of phi_n, which they cite, fails
     for check in (verification.check_leibniz, verification.check_norm_multiplicativity,
-                  verification.check_derivation_ranks):
+                  verification.check_derivation_ranks, verification.check_antiassoc_closed_form,
+                  verification.check_equality_criterion):
         assert check()[0]
     passed, detail = verification.check_table_fidelity()
     assert not passed and re.fullmatch(r"rule (\d+) is not rule 0 in the basis phi_\1: e\d e\d differs", detail)
@@ -177,11 +179,16 @@ def test_rule_n_derivation_matrices_are_rule_0_ones_conjugated_by_phi_n():
             assert derivations.derivation_matrix(u, v, n) == carried
 
 
+def units(triple):
+    """The all-rules environment u, v, x = e_u, e_v, e_a of a basis triple."""
+    return dict(zip("uvx", (Octonion.unit(k).coeffs for k in triple)))
+
+
 def all_rule_matrices(u, v):
     """``derivation_matrix(u, v, n)`` for n = 0..15, from one all-rules pass
     of D per unit a: column a-1 of matrix n is the imaginary part of
     D(e_u, e_v; e_a) under rule n."""
-    columns = [_per_rule(_all_rules(derivations._DERIVE, verification._units((u, v, a)))) for a in range(1, 8)]
+    columns = [_per_rule(_all_rules(derivations._DERIVE, units((u, v, a)))) for a in range(1, 8)]
     return [tuple(zip(*(col[1:] for col in rule))) for rule in zip(*columns)]
 
 
@@ -196,9 +203,42 @@ ANTIASSOCIATIVE = [t for t in UNIT_TRIPLES if len(set(t)) == 3 and frozenset(t) 
 ASSOCIATIVE = [t for t in UNIT_TRIPLES if frozenset(t) in verification._LINES]
 
 
+# the antiassociative residual D + 2(uv)x from D's own text: under every
+# rule zero exactly where D collapses to -2(uv)x
+RESIDUAL = _program(parse(f"({derivations._D}) + 2*((u*v)*x)"))[0]
+
+
 def residual(triple):
     """D + 2(uv)a under rules 0..15 on the basis triple, from one all-rules pass."""
-    return _per_rule(_all_rules(derivations._ANTIASSOC_RESIDUAL, verification._units(triple)))
+    return _per_rule(_all_rules(RESIDUAL, units(triple)))
+
+
+def rule_0_derive(triple):
+    """D(e_u, e_v; e_a) under rule 0 through the package's ``_regrouped``."""
+    u, v, a = (Octonion.unit(k).coeffs for k in triple)
+    return derivations._regrouped(u, v, _SIGNS[0])(a)
+
+
+def test_d_read_off_rule_0_by_phi_n_is_the_all_rules_value_on_the_343_unit_triples():
+    # the route the equality criterion replaced: one all-rules pass of D per
+    # triple gives the same value, tuple or spectrum, as rule 0's D with
+    # component c at key kappa_u ^ kappa_v ^ kappa_a ^ kappa_c
+    keys = algebra._KEYS
+    for triple in UNIT_TRIPLES:
+        u, v, a = triple
+        spectrum = verification._phi_spectrum(rule_0_derive(triple), keys[u] ^ keys[v] ^ keys[a])
+        assert spectrum == _all_rules(derivations._DERIVE, units(triple))
+
+
+def test_the_rule_0_residual_is_zero_where_the_all_rules_residual_is_the_zero_tuple():
+    # the route the closed-form check replaced, on all 343 unit triples: the
+    # residual is 0 under every rule exactly where it is 0 under rule 0
+    for triple in UNIT_TRIPLES:
+        u, v, a = (Octonion.unit(k).coeffs for k in triple)
+        uva = _mul(_mul(u, v, _SIGNS[0]), a, _SIGNS[0])
+        rule_0_zero = not any(map(add, rule_0_derive(triple), (2 * c for c in uva)))
+        assert rule_0_zero == (_all_rules(RESIDUAL, units(triple)) == (0,) * 8)
+        assert rule_0_zero == (triple in ANTIASSOCIATIVE)
 
 
 def test_the_per_rule_closed_form_holds_in_all_2688_cases():
@@ -214,7 +254,7 @@ def test_per_rule_equal_sets_are_the_all_rules_ones_on_the_343_unit_triples():
         u, v, a = (Octonion.unit(k) for k in triple)
         per_rule = frozenset(n for n in range(16) if derivations.derive(u, v, a, n) == derivations.derive(u, v, a, 0))
         assert per_rule == derivations.cross_algebra_equal(u, v, a)
-        one_tuple = type(_all_rules(derivations._DERIVE, verification._units(triple))) is tuple
+        one_tuple = type(_all_rules(derivations._DERIVE, units(triple))) is tuple
         assert one_tuple == (per_rule == frozenset(range(16)))
 
 
@@ -329,19 +369,29 @@ def test_swapped_walsh_stages_pass_every_check(monkeypatch):
 
 
 @pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
-def test_a_mutated_triplet_part_fails_the_closed_form_at_a_nonzero_case(monkeypatch, mutation):
+def test_a_mutated_triplet_part_fails_table_fidelity_at_a_basis_pair_on_its_triplet(monkeypatch, mutation):
+    # the all-rules product reads _PARTS, and table-fidelity proves it
     mutate_parts(monkeypatch, mutation)
-    passed, detail = verification.check_antiassoc_closed_form()
-    match = re.fullmatch(r"rule (\d+), triple \((\d), (\d), (\d)\)", detail)
+    passed, detail = verification.check_table_fidelity()
+    match = re.fullmatch(r"the all-rules product is not rule 0's in the basis phi_n: e(\d) e(\d) differs", detail)
     assert not passed and match
-    n, triple = int(match[1]), tuple(map(int, match.groups()[1:]))
-    assert triple in ANTIASSOCIATIVE
-    values = residual(triple)
-    assert any(values[n]) and not any(map(any, values[:n]))  # the first rule nonzero there
+    i, j = int(match[1]), int(match[2])
+    mutated = {frozenset(algebra.REFERENCE_TRIPLETS[t]) for t in PARTS_MUTATIONS[mutation]}
+    assert frozenset((i, j, i ^ j)) in mutated
+
+
+@pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
+def test_a_mutated_triplet_part_leaves_both_derivation_checks_passing(monkeypatch, mutation):
+    # the two cross-rule derivation checks read D off rule 0's kernel, not
+    # the all-rules pass, so they never read _PARTS: table-fidelity, above,
+    # is the check that catches these mutations
+    mutate_parts(monkeypatch, mutation)
+    for name in ("antiassociative-closed-form", "equality-criterion"):
+        assert dict(verification.ALL_CHECKS)[name]() == (True, FULL_DETAILS[name])
 
 
 def spectrum_keys(triple):
-    value = _all_rules(derivations._DERIVE, verification._units(triple))
+    value = _all_rules(derivations._DERIVE, units(triple))
     return None if type(value) is tuple else sorted(value)
 
 
@@ -351,23 +401,6 @@ def test_d_has_one_key_past_0_on_each_unit_triple_off_the_lines():
     # triples per key
     keys = Counter(None if k is None else tuple(k) for k in map(spectrum_keys, UNIT_TRIPLES))
     assert keys == {None: 175, **{(k,): 24 for k in (1, 2, 3, 12, 13, 14, 15)}}
-
-
-@pytest.mark.parametrize("mutation", PARTS_MUTATIONS)
-def test_a_mutated_triplet_mask_fails_the_equality_criterion_at_its_spectrum(monkeypatch, mutation):
-    mutate_parts(monkeypatch, mutation)
-    passed, detail = verification.check_equality_criterion()
-    if mutation.startswith("reorient"):
-        # a reoriented triplet flips signs but keeps every spectrum's keys:
-        # antiassociative-closed-form catches it, this check cannot
-        assert (passed, detail) == (True, "all 343 ordered imaginary triples match the iff condition")
-        return
-    # a zeroed or swapped mask moves a key out of place
-    match = re.fullmatch(r"triple \((\d), (\d), (\d)\): spectrum keys (\[[\d, ]*\]), "
-                         r"not one k > 0 in \[1, 2, 3, 12, 13, 14, 15\]", detail)
-    assert not passed and match
-    triple = tuple(map(int, match.groups()[:3]))
-    assert triple in ANTIASSOCIATIVE and str(spectrum_keys(triple)) == match[4]
 
 
 def test_the_16_rules_are_exactly_the_orientations_whose_inner_maps_are_derivations():
@@ -415,7 +448,8 @@ def test_the_16_rules_are_exactly_the_alternative_orientations(alternative):
 
 FULL_DETAILS = {
     "table-fidelity": "rule 0 triplets, words 0..7, T0 pairing all exact; "
-                      "rule n is rule 0 in the basis phi_n, checked on 64 basis pairs x 16 rules",
+                      "rule n is rule 0 in the basis phi_n, checked on 64 basis pairs x 16 rules, "
+                      "and so is the all-rules product, on 64 basis pairs",
     "norm-multiplicativity": "|ab|^2 == |a|^2 |b|^2 proved: exact on all 1296 pairs of e_i, e_i + e_j under rule 0, "
                              "carried to all 16 rules by phi_n (proved by table-fidelity)",
     "hadamard-involution": "_walsh(_walsh(x)) == 16x proved on 16 formal symbols; "
@@ -427,10 +461,12 @@ FULL_DETAILS = {
                         "sieve(x) == the kernel's sums / 4 exactly on 20 sampled integer families",
     "leibniz": "D(ab) == D(a)b + aD(b) proved: residual exactly 0 on all 4096 basis quadruples under rule 0, "
                "carried to all 16 rules by phi_n (proved by table-fidelity)",
-    "antiassociative-closed-form": "D == -2(uv)a in all 2688 ordered cases",
+    "antiassociative-closed-form": "D == -2(uv)a proved: exact on all 168 antiassociative triples under rule 0, "
+                                   "carried to all 2688 ordered cases by phi_n (proved by table-fidelity)",
     "flip-signatures": "7 per-triplet signatures pairwise distinct",
     "derivation-ranks": "full span rank 14 and triplet-restricted rank 3 for 16 rules",
-    "equality-criterion": "all 343 ordered imaginary triples match the iff condition",
+    "equality-criterion": "all 343 ordered imaginary triples match the iff condition, "
+                          "their spectra read off rule 0 by phi_n",
     "identify-roundtrip": "16 round-trips; mutated table rejected",
 }
 
@@ -450,6 +486,23 @@ def sign_read_identify(_):
     return lambda table: algebra._SIGNS.index(tuple(table[a][b][0] for a, b, _ in algebra.REFERENCE_TRIPLETS))
 
 
+def uv_times(_):
+    """A ``_regrouped`` that gives (uv)x in place of D(u, v; x)."""
+    return lambda u, v, s: lambda x: _mul(_mul(u, v, s), x, s)
+
+
+def disagreeing_keys(keys):
+    """A ``_phi_spectrum`` patch that, where the rules disagree, puts x at
+    the keys ``keys(spectrum)`` in place of the spectrum.  (1, 2, 4), the
+    first triple off the lines, has the one key 15."""
+    def patch(f):
+        def spectrum(x, key):
+            value = f(x, key)
+            return value if type(value) is tuple else dict.fromkeys(keys(value), x)
+        return spectrum
+    return patch
+
+
 V = verification
 # check name[/case] -> (module, attribute, the patch made from its original,
 # the check's failure detail): code the check reads is broken, never its
@@ -461,6 +514,11 @@ BREAKS = {
                        "(3, 4, 7)) ++--+--"),
     "table-fidelity/words": (algebra, "parity_word", lambda f: lambda n: f(n & 6), "rule 1: +++++++ != ++--+--"),
     "table-fidelity/T0": (algebra, "flip_vector", lambda f: lambda n: f(n & 7), "rules 0/8 do not differ by T0"),
+    # e1 e2 = e3 and e2 e1 = -e3: the first pair whose operands do not commute
+    "table-fidelity/all-rules": (V, "_mul_all", lambda f: lambda a, b: f(b, a),
+                                 "the all-rules product is not rule 0's in the basis phi_n: e1 e2 differs"),
+    "table-fidelity/all-rules-rows": (V, "_add_product", lambda f: lambda rows, key, a, b: f(rows, key ^ 1, a, b),
+                                      "the all-rules product is not rule 0's in the basis phi_n: e0 e0 differs"),
     "hadamard-involution": (V, "unsieve", lambda f: lambda g: f(g[:15] + (Octonion.zero(),)),
                             "family 0 did not round-trip"),
     "row-generators": (V, "sign_entry", lambda f: lambda j, k: -f(j, k) if (j, k) == (3, 5) else f(j, k),
@@ -484,9 +542,22 @@ BREAKS = {
     "derivation-ranks/triplet": (derivations, "derivation_matrix",
                                  lambda f: lambda u, v, n: ((0,) * 7,) * 7 if (u, v, n) == (1, 2, 0) else f(u, v, n),
                                  "rule 0, triplet [1, 2, 3]: rank 2 != 3"),
-    # (i1 i2) i3 = -chi(4, n): the first quaternionic triple whose rules disagree
-    "equality-criterion": (derivations, "_DERIVE", lambda f: _program(parse("(u*v)*x"))[0],
+    # D swapped for (uv)x: (i1 i2) i3 = -1 under rule 0, at key 4 = kappa_3, so
+    # -chi(4, n) under rule n: the first quaternionic triple whose rules disagree
+    "equality-criterion": (derivations, "_regrouped", uv_times,
                            "triple (1, 2, 3): equal set [0, 1, 2, 3, 8, 9, 10, 11]"),
+    # D == e3 + e5 on every triple: at (1, 1, 1), K = 0, its keys are 4 and 10,
+    # and the rules that agree with rule 0 are in both ker chi_4 and ker chi_10
+    "equality-criterion/equal-set": (derivations, "_regrouped",
+                                     lambda f: lambda u, v, s: lambda x: (0, 0, 0, 1, 0, 1, 0, 0),
+                                     "triple (1, 1, 1): equal set [0, 1, 10, 11]"),
+    # two disagreement keys, then one key that is no XOR of two triplet masks
+    "equality-criterion/keys": (V, "_phi_spectrum", disagreeing_keys(lambda keys: [1, *keys]),
+                                "triple (1, 2, 4): spectrum keys [1, 15], not one k > 0 in [1, 2, 3, 12, 13, 14, 15]"),
+    "equality-criterion/mask": (V, "_phi_spectrum", disagreeing_keys(lambda keys: [5]),
+                                "triple (1, 2, 4): spectrum keys [5], not one k > 0 in [1, 2, 3, 12, 13, 14, 15]"),
+    # (uv)a == -2(uv)a fails at once: (1, 2, 4) is the first antiassociative triple
+    "antiassociative-closed-form": (derivations, "_regrouped", uv_times, "rule 0, triple (1, 2, 4)"),
     "identify-roundtrip": (algebra, "identify_algebra", lambda f: lambda table: f(table) & 7,
                            "rule 8 did not round-trip"),
     "identify-roundtrip/rejection": (algebra, "identify_algebra", sign_read_identify, "mutated table was not rejected"),
