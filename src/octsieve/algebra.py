@@ -52,18 +52,17 @@ assert equality, never tolerance.
 Floats must be finite.  :func:`_rational` reads a checked coefficient as
 the rational it is, and :func:`_exact` a tuple of them, for every exact
 route in the package: the sieve's all-rules pass, compiled constants, the
-derivations, and :func:`norm` and :func:`inverse` wherever |a|^2 is not a
-normal float, where the float formulas would lose precision.  With
-float inputs every term of a product is added, zero or not, so a
-coefficient whose terms all vanish can come out as 0.0 where a loop that
-skips zero terms would leave the integer 0; the two are equal.
+derivations, and :func:`norm` and :func:`inverse`, which sum |a|^2 exactly
+whatever the coefficients are.  With float inputs every term of a product
+is added, zero or not, so a coefficient whose terms all vanish can come
+out as 0.0 where a loop that skips zero terms would leave the integer 0;
+the two are equal.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import sys
 from collections.abc import Iterable, Sequence
 from operator import add, mul, neg, sub
 
@@ -470,19 +469,10 @@ def norm_sq(a: Octonion) -> float:
     return sum(c * c for c in a.coeffs)
 
 
-def _in_range(ns) -> bool:
-    """Whether ``ns``, a ``norm_sq``, is a normal float, which keeps its precision."""
-    return type(ns) is float and sys.float_info.min <= ns <= sys.float_info.max
-
-
 def norm(a: Octonion) -> float:
     """Euclidean length of the coefficient 8-tuple (the multiplicative norm):
-    the float root of a normal float |a|^2, else the exact root of |a|^2 on
-    the rational coefficients, rounded once to the nearest float, ties to
-    even, or an ``OverflowError`` past the largest."""
-    ns = norm_sq(a)
-    if _in_range(ns):
-        return math.sqrt(ns)
+    the exact root of |a|^2 on the rational coefficients, rounded once to
+    the nearest float, ties to even, or an ``OverflowError`` past the largest."""
     q = sum(c * c for c in _exact(a.coeffs))
     # a root of 55 bits or more; its last bit, below the rounding bit, is set when it is inexact
     e = max(0, (110 - q.numerator.bit_length() + q.denominator.bit_length()) // 2)
@@ -496,14 +486,11 @@ def norm(a: Octonion) -> float:
 
 
 def inverse(a: Octonion, n: int) -> Octonion:
-    """Multiplicative inverse conj(a)/|a|^2, the same for every rule n: float
-    quotients on a normal float |a|^2, else exact ones (``Fraction``)."""
+    """Multiplicative inverse conj(a)/|a|^2, the same for every rule n, as
+    exact quotients (``Fraction``) of the rational coefficients."""
     _check_algebra_id(n)
     if a.is_zero():
         raise ZeroDivisionError("the zero octonion has no inverse")
-    ns = norm_sq(a)
-    if _in_range(ns):
-        return Octonion(c / ns for c in conjugate(a).coeffs)
     from fractions import Fraction  # not at package import: it pulls in decimal
     cs = _exact(conjugate(a).coeffs)
     q = sum(c * c for c in cs)

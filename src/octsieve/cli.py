@@ -309,9 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bind a variable to 8 comma-separated reals (repeatable)")
     expr.add_argument("--random-assign", action="store_true",
                       help="draw integer coefficients in -9..9 from --seed")
-    expr.add_argument("--seed", type=int, default=0)
+    expr.add_argument("--seed", type=int, default=0,
+                      help="seed of the --random-assign draws; ignored with --assign (default: 0)")
     sieve_opts = _options(expr)
-    sieve_opts.add_argument("--trials", type=int, default=64)
+    sieve_opts.add_argument("--trials", type=int, default=64,
+                            help="number of --random-assign trials, at least 1; ignored with --assign (default: 64)")
     uv = _options()
     uv.add_argument("--u", required=True, metavar="OCT", help="iK shorthand or 8 reals")
     uv.add_argument("--v", required=True, metavar="OCT")

@@ -386,19 +386,21 @@ def test_norm_of_an_exact_square_past_the_float_range():
     # |a|^2 overflows a float, |a| does not
     assert norm(Octonion((10**200,) + (0,) * 7)) == 1e200
     assert norm(Octonion((3 * 10**200, 4 * 10**200) + (0,) * 6)) == 5e200
-    root = Fraction(10**200, 3)
-    got = norm(Octonion((root,) + (0,) * 7))
-    assert type(got) is float and abs(Fraction(got) - root) <= Fraction(math.ulp(got))
+    # 10**200 / 3 has no float; its nearest one is the root, rounded once
+    got = norm(Octonion((Fraction(10**200, 3),) + (0,) * 7))
+    assert type(got) is float and got == 3.3333333333333334e199
     with pytest.raises(OverflowError):
         norm(Octonion((10**400,) + (0,) * 7))
 
 
-@pytest.mark.parametrize("coeffs, expected", [((1e200,), 1e200), ((3e200, 4e200), 5e200), ((1e-200,), 1e-200)],
+# the floats 3e200 and 4e200 are not 3 and 4 times 10^200, and the root of
+# their squares' exact sum rounds to the float below 5e200
+@pytest.mark.parametrize("coeffs, expected",
+                         [((1e200,), 1e200), ((3e200, 4e200), 4.9999999999999995e200), ((1e-200,), 1e-200)],
                          ids=["1e200", "3e200-4e200", "1e-200"])
 def test_a_float_norm_whose_square_leaves_the_float_range(coeffs, expected):
     # the squares overflow to inf or underflow to 0.0; the norm does neither
-    got = norm(Octonion(coeffs + (0,) * (8 - len(coeffs))))
-    assert abs(got - expected) <= math.ulp(expected)
+    assert norm(Octonion(coeffs + (0,) * (8 - len(coeffs)))) == expected
 
 
 @pytest.mark.parametrize("c", [1e200, 1e-200], ids=["1e200", "1e-200"])
@@ -440,13 +442,15 @@ def test_an_int_norm_square_that_fits_a_float_has_its_float_root():
         assert norm(a) == math.sqrt(norm_sq(a))
 
 
-def test_a_float_norm_and_inverse_in_range_are_the_plain_formulas():
+def test_a_float_norm_and_inverse_are_exact():
+    # |a|^2 is summed on the rationals the floats are: math.sqrt of the float
+    # sum of squares gives 0.37416573867739417, one ulp off
+    assert norm(Octonion([0.1, 0.2, 0.3, 0, 0, 0, 0, 0])) == 0.3741657386773941
     rng = random.Random(5)
     for _ in range(200):
         a = Octonion(rng.uniform(-1e3, 1e3) for _ in range(8))
-        ns = norm_sq(a)
-        assert norm(a) == math.sqrt(ns)
-        assert inverse(a, 0) == Octonion(c / ns for c in conjugate(a))
+        q = sum(Fraction(c) ** 2 for c in a)
+        assert typed(inverse(a, 0)) == typed(Fraction(c) / q for c in conjugate(a))
 
 
 def test_inverse():
@@ -461,9 +465,9 @@ def test_inverse():
             exact = Octonion(Fraction(c, rng.randint(1, 9)) for c in a)
             for x in (a, exact):
                 assert multiply(inverse(x, n), x, n) == multiply(x, inverse(x, n), n) == Octonion.one()
-    # a float stays float: |a|^2 = 1 here, so the round trip is exact too
+    # a float octonion's inverse holds the exact quotients
     half = Octonion((0.5, -0.5, 0.5, 0, 0, 0, 0.5, 0))
-    assert typed(inverse(half, 3)) == typed((0.5, 0.5, -0.5, 0.0, 0.0, 0.0, -0.5, 0.0))
+    assert typed(inverse(half, 3)) == typed(map(Fraction, (0.5, 0.5, -0.5, 0, 0, 0, -0.5, 0)))
     assert multiply(inverse(half, 3), half, 3) == Octonion.one()
     with pytest.raises(ZeroDivisionError):
         inverse(Octonion.zero(), 0)

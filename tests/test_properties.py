@@ -263,11 +263,12 @@ def nearest_root(q):
 
 
 @hypothesis.settings(max_examples=400, deadline=None)
-@hypothesis.given(st.one_of(WIDE_OCTONIONS, TINY_OCTONIONS))
+@hypothesis.given(st.one_of(WIDE_OCTONIONS, TINY_OCTONIONS, octonions(FLOATS)))
 @hypothesis.example(Octonion((10**400,) + (0,) * 7))  # a root past the largest float
 @hypothesis.example(Octonion((Fraction(1, 10**160), Fraction(1, 10**161)) + (0,) * 6))  # below the least normal one
 @hypothesis.example(Octonion((Fraction(2, 3),) + (0,) * 7))  # an inexact quotient
 def test_norm_of_an_exact_octonion_is_its_root_rounded_once(a):
+    # finite floats are exact too: each is read as the rational it is
     root = nearest_root(sum(c * c for c in map(Fraction, a.coeffs)))
     if root == math.inf:
         with pytest.raises(OverflowError):
