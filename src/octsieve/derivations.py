@@ -30,16 +30,16 @@ The all-rules expression ``_DERIVE`` runs on the sieve's exact pass, which
 computes uv and vu once for all 16 rules, for ``cross_algebra_equal``,
 ``expr_cross_algebra_equal`` and CLI ``derive``.
 
-The ``verify`` command proves the Leibniz rule under rule 0 on the 4096
+The ``verify`` command builds rule 0's D(e_u, e_v; e_a) for all basis
+units once per run, 64 ``_regrouped`` maps and 512 values, and four
+checks read them.  It proves the Leibniz rule under rule 0 on the 4096
 basis quadruples, where the residual, linear in each argument, is fixed:
-the eight D(e_c) come from ``_regrouped``, and every product is read off
-the 64 basis products by bilinearity.  It carries the rule to all 16
-rules by the basis change of :mod:`octsieve.algebra`, which also
-carries rule 0's span ranks, 14 and 3, to every rule:
-``derivation-ranks`` ranks rule 0's 21 ``derivation_matrix`` results
-alone, with ``integer_rank``.  It decides its two cross-rule
-derivation checks on rule 0's ``_regrouped`` too: under rule n,
-D on basis units is rule 0's D with a sign per component, so
+every product is read off the 64 basis products by bilinearity.  It
+carries the rule to all 16 rules by the basis change of
+:mod:`octsieve.algebra`, which also carries rule 0's span ranks, 14 and
+3, to every rule: ``derivation-ranks`` ranks rule 0's 21 matrices, the
+values ``derivation_matrix`` gives, alone, with ``integer_rank``.  Under
+rule n, D on basis units is rule 0's D with a sign per component, so
 ``antiassociative-closed-form`` checks the collapse under rule 0 and
 ``equality-criterion`` reads which rules agree off those signs.
 

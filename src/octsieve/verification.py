@@ -44,19 +44,20 @@ Each check's route.  ``table-fidelity``, ``row-generators`` and
 ``flip-signatures`` compare the rule tables, sign matrix and generator
 flips with frozen reference data, and ``table-fidelity`` then proves
 phi_n on both products; ``identify-roundtrip`` reads each rule's table
-back to its id.  ``norm-multiplicativity``, ``leibniz`` and the two
-kernel proofs are above; ``hadamard-involution`` and
-``xor-equivariance`` then sample the public :func:`sieve`.
-``derivation-ranks`` ranks rule 0's 21 matrices, u < v, with
-``derivations.integer_rank``, then each triplet's three restricted to
-its indices.  ``sieve-invariance`` runs :func:`is_invariant`.
-``antiassociative-closed-form`` checks D == -2(uv)a under rule 0 on the
-168 antiassociative triples, one D per (u, v); a failure names rule 0.
-``equality-criterion`` reads D's spectrum on the 343 unit triples off
-rule 0: no key k > 0 exactly when all 16 rules agree (a failure prints
-the rules in ker chi_k for each key), else one key, the XOR of two
-triplet masks.  The test suite keeps the per-rule and all-rules routes
-as cross-checks.
+back to its id.  ``norm-multiplicativity`` and the two kernel proofs
+are above; ``hadamard-involution`` and ``xor-equivariance`` then sample
+the public :func:`sieve`, and ``sieve-invariance`` runs
+:func:`is_invariant`.  Four checks read one table of rule 0's
+D(e_u, e_v; e_a), 512 values of 64 ``derivations._regrouped`` maps
+(:func:`_derivations`), built once per :func:`run_checks` call:
+``leibniz``, above; ``derivation-ranks`` ranks the 21 matrices, u < v,
+with ``derivations.integer_rank``, then each triplet's three restricted
+to its indices; ``antiassociative-closed-form`` checks D == -2(uv)a on
+the 168 antiassociative triples (a failure names rule 0);
+``equality-criterion`` reads D's spectrum on the 343 unit triples: no
+key k > 0 exactly when all 16 rules agree (a failure prints the rules
+in ker chi_k for each key), else one key, the XOR of two triplet masks.
+The test suite keeps the per-rule and all-rules routes as cross-checks.
 """
 
 from __future__ import annotations
@@ -224,7 +225,8 @@ def check_hadamard_involution() -> Outcome:
     trials = 100
     rng = random.Random(21)
     for t in range(trials):
-        fam = tuple(Octonion(_random_ints(rng, 99)) for _ in range(16))
+        ints = _random_ints(rng, 99, 128)
+        fam = tuple(Octonion(ints[i:i + 8]) for i in range(0, 128, 8))
         if unsieve(sieve(fam)) != fam:
             return False, f"family {t} did not round-trip"
     return True, ("_walsh(_walsh(x)) == 16x proved on 16 formal symbols; "
@@ -283,20 +285,26 @@ def check_xor_equivariance() -> Outcome:
                   f"sieve(x) == the kernel's sums / 4 exactly on {trials} sampled integer families")
 
 
-def _leibniz_counterexample(s: tuple[int, ...]) -> tuple[int, int, int, int] | None:
+def _derivations(s: tuple = _SIGNS[0]) -> list:
+    """D(e_u, e_v; e_a) under the kernel with characters ``s`` at [u][v][a],
+    from the package's own D code: 64 ``derivations._regrouped`` calls."""
+    return [[list(map(derivations._regrouped(x, y, s), _BASIS)) for y in _BASIS] for x in _BASIS]
+
+
+def _leibniz_counterexample(s: tuple[int, ...], table: list) -> tuple[int, int, int, int] | None:
     """The first basis quadruple (u, v, a, b) on which D(ab) - D(a)b - aD(b)
-    is nonzero under the kernel with characters ``s``, D = D(e_u, e_v; .);
-    None if there is none.  The residual is linear in each of u, v, a and b,
-    so None proves it is 0 everywhere under those characters.  D is linear
-    too, so D(e_a e_b) is read off the eight D(e_c) as sum_c p_c D(e_c), p
-    the product e_a e_b; the kernel is bilinear, so D(e_a) e_b is
-    sum_c D(e_a)_c e_c e_b and e_a D(e_b) is sum_c D(e_b)_c e_a e_c.  All
-    three are read off the 64 basis products as sums over their nonzero
-    coefficients: the same exact numbers as the kernel on those factors."""
+    is nonzero under the kernel with characters ``s``, D = D(e_u, e_v; .)
+    and D(e_c) = ``table[u][v][c]``; None if there is none.  The residual
+    is linear in each of u, v, a and b, so None proves it is 0 everywhere
+    under those characters.  D is linear too, so D(e_a e_b) is read off the
+    eight D(e_c) as sum_c p_c D(e_c), p the product e_a e_b; the kernel is
+    bilinear, so D(e_a) e_b is sum_c D(e_a)_c e_c e_b and e_a D(e_b) is
+    sum_c D(e_b)_c e_a e_c.  All three are read off the 64 basis products
+    as sums over their nonzero coefficients: the same exact numbers as the
+    kernel on those factors."""
     products = _basis_terms(s)
     for u, v in product(range(8), repeat=2):
-        d = derivations._regrouped(_BASIS[u], _BASIS[v], s)
-        ds = [_support(d(x)) for x in _BASIS]
+        ds = list(map(_support, table[u][v]))
         for a, b in product(range(8), repeat=2):
             residual = [0] * 8
             for c, p in products[a][b]:  # + D(e_a e_b)
@@ -313,8 +321,8 @@ def _leibniz_counterexample(s: tuple[int, ...]) -> tuple[int, int, int, int] | N
     return None
 
 
-def check_leibniz() -> Outcome:
-    if (quadruple := _leibniz_counterexample(_SIGNS[0])) is not None:
+def check_leibniz(derived: Callable[[], list] = _derivations) -> Outcome:
+    if (quadruple := _leibniz_counterexample(_SIGNS[0], derived())) is not None:
         return False, "rule 0, basis quadruple (e%d, e%d, e%d, e%d): nonzero residual" % quadruple
     return True, (
         "D(ab) == D(a)b + aD(b) proved: residual exactly 0 on all 4096 basis quadruples "
@@ -322,18 +330,17 @@ def check_leibniz() -> Outcome:
     )
 
 
-def check_antiassoc_closed_form() -> Outcome:
+def check_antiassoc_closed_form(derived: Callable[[], list] = _derivations) -> Outcome:
     # under rule n the residual D + 2(uv)a is phi_n of rule 0's up to sign.
     # Distinct units u, v, a are on a line exactly when a == u ^ v
-    s = _SIGNS[0]
+    s, table = _SIGNS[0], derived()
     triples = 0
     for u, v in permutations(range(1, 8), 2):
-        d = derivations._regrouped(_BASIS[u], _BASIS[v], s)
         uv = _mul(_BASIS[u], _BASIS[v], s)
         for a in range(1, 8):
             if a not in (u, v, u ^ v):
                 triples += 1
-                if d(_BASIS[a]) != tuple([-2 * c for c in _mul(uv, _BASIS[a], s)]):
+                if table[u][v][a] != tuple([-2 * c for c in _mul(uv, _BASIS[a], s)]):
                     return False, f"rule 0, triple {(u, v, a)}"
     return True, (f"D == -2(uv)a proved: exact on all {triples} antiassociative triples under rule 0, "
                   f"carried to all {16 * triples} ordered cases by phi_n (proved by table-fidelity)")
@@ -346,40 +353,40 @@ def check_flip_signatures() -> Outcome:
     return True, "7 per-triplet signatures pairwise distinct"
 
 
-def check_derivation_ranks() -> Outcome:
+def check_derivation_ranks(derived: Callable[[], list] = _derivations) -> Outcome:
     # phi_n, proved by table-fidelity, turns rule 0's matrices into rule n's
     # by a sign per row, column and generator, which keeps every rank: rule
-    # 0's ranks are every rule's.  Its 21 matrices are built once, and each
-    # triplet's three are restricted to its indices
-    matrices = {pair: derivations.derivation_matrix(*pair, 0) for pair in combinations(range(1, 8), 2)}
-    rank = derivations.integer_rank([sum(m, ()) for m in matrices.values()])
-    if rank != 14:
-        return False, f"rule 0: full span rank {rank} != 14"
-    for triplet in _REFERENCE_TRIPLETS:
-        idxs = sorted(triplet)
-        rank = derivations.integer_rank([[matrices[pair][i - 1][j - 1] for i in idxs for j in idxs]
-                                         for pair in combinations(idxs, 2)])
-        if rank != 3:
-            return False, f"rule 0, triplet {idxs}: rank {rank} != 3"
+    # 0's ranks are every rule's.  Entry [i][a] of matrix (u, v) is
+    # D(e_u, e_v; e_a)_i, and a triplet's three keep its indices alone
+    table = derived()
+
+    def rank(idxs):
+        return derivations.integer_rank([[table[u][v][a][i] for i in idxs for a in idxs]
+                                         for u, v in combinations(idxs, 2)])
+
+    if (full := rank(range(1, 8))) != 14:
+        return False, f"rule 0: full span rank {full} != 14"
+    for idxs in map(sorted, _REFERENCE_TRIPLETS):
+        if (r := rank(idxs)) != 3:
+            return False, f"rule 0, triplet {idxs}: rank {r} != 3"
     return True, "full span rank 14 and triplet-restricted rank 3 for 16 rules"
 
 
-def check_equality_criterion() -> Outcome:
+def check_equality_criterion(derived: Callable[[], list] = _derivations) -> Outcome:
     # rule n agrees with rule 0 iff it is in ker chi_k for each key k of
     # D's spectrum; where not all do, it has one key k > 0, the XOR of two
     # triplet masks
-    for u, v in product(range(1, 8), repeat=2):
-        d = derivations._regrouped(_BASIS[u], _BASIS[v], _SIGNS[0])
-        for a in range(1, 8):
-            triple = (u, v, a)
-            value = _phi_spectrum(d(_BASIS[a]), _KEYS[u] ^ _KEYS[v] ^ _KEYS[a])
-            keys = set() if type(value) is tuple else value.keys() - {0}
-            if bool(keys) == (len(set(triple)) <= 2 or frozenset(triple) in _LINES):
-                got = [n for n in range(16) if all(_character(k, n) == 1 for k in keys)]
-                return False, f"triple {triple}: equal set {got}"
-            if len(keys) > 1 or not keys <= _DISAGREEMENT_KEYS:
-                return False, (f"triple {triple}: spectrum keys {sorted(value)}, "
-                               f"not one k > 0 in {sorted(_DISAGREEMENT_KEYS)}")
+    table = derived()
+    for triple in product(range(1, 8), repeat=3):
+        u, v, a = triple
+        value = _phi_spectrum(table[u][v][a], _KEYS[u] ^ _KEYS[v] ^ _KEYS[a])
+        keys = set() if type(value) is tuple else value.keys() - {0}
+        if bool(keys) == (len(set(triple)) <= 2 or frozenset(triple) in _LINES):
+            got = [n for n in range(16) if all(_character(k, n) == 1 for k in keys)]
+            return False, f"triple {triple}: equal set {got}"
+        if len(keys) > 1 or not keys <= _DISAGREEMENT_KEYS:
+            return False, (f"triple {triple}: spectrum keys {sorted(value)}, "
+                           f"not one k > 0 in {sorted(_DISAGREEMENT_KEYS)}")
     return True, "all 343 ordered imaginary triples match the iff condition, their spectra read off rule 0 by phi_n"
 
 
@@ -413,16 +420,29 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], Outcome]], ...] = (
 )
 
 
+# The checks that read rule 0's _derivations, built once per run_checks call; one
+# called alone builds its own
+_READ_DERIVATIONS = ("leibniz", "antiassociative-closed-form", "derivation-ranks", "equality-criterion")
+
+
 def run_checks(quick: bool = False) -> list[CheckResult]:
     """Run every check, always all of them, in declaration order; each
     result carries the check's name and its wall time.  A check that raises
     an ``Exception`` fails, its detail the exception's type and message.
+    The first check that reads rule 0's :func:`_derivations` builds them
+    for this call alone; a build that raises fails each such check.
     ``quick`` is ignored: the benchmark harness still passes ``quick=False``."""
-    results = []
+    table, results = [], []
+
+    def derived() -> list:
+        if not table:
+            table.append(_derivations())
+        return table[0]
+
     for name, fn in ALL_CHECKS:
         start = perf_counter()
         try:
-            passed, detail = fn()
+            passed, detail = fn(derived) if name in _READ_DERIVATIONS else fn()
         except Exception as exc:  # a check that raises fails, and the others still run
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name, passed, detail, perf_counter() - start))

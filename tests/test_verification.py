@@ -7,6 +7,7 @@ must catch, the identities that single out the 16 rules among the 128
 orientations, the detail each check prints, and a broken input that
 fails each check."""
 
+import functools
 import importlib
 import inspect
 import random
@@ -114,6 +115,68 @@ def test_one_run_proves_phi_n_once(monkeypatch):
     assert len(calls) == 1
 
 
+def count_derivations(monkeypatch):
+    """Spy on ``_regrouped``: its calls, and the D values the maps it returns give."""
+    regrouped, counts = derivations._regrouped, Counter()
+
+    def spy(u, v, s):
+        counts["calls"] += 1
+        d = regrouped(u, v, s)
+        return lambda x: counts.update(["values"]) or d(x)
+
+    monkeypatch.setattr(derivations, "_regrouped", spy)
+    return counts
+
+
+def test_one_run_builds_rule_0_derivations_once(monkeypatch):
+    # leibniz, antiassociative-closed-form, derivation-ranks and
+    # equality-criterion read one table of D(e_u, e_v; e_a), 64 maps and
+    # 512 values: each built its own, 176 maps and 1170 values in all
+    counts = count_derivations(monkeypatch)
+    assert all(r.passed for r in verification.run_checks())
+    assert counts == {"calls": 64, "values": 512}
+
+
+def test_each_run_builds_its_own_derivations(monkeypatch):
+    # a run after a clean one sees D swapped for (uv)x: no table outlives its run
+    assert all(r.passed for r in verification.run_checks())
+    monkeypatch.setattr(derivations, "_regrouped", uv_times(derivations._regrouped))
+    failed = {r.name: r.detail for r in verification.run_checks() if not r.passed}
+    assert failed == {"leibniz": "rule 0, basis quadruple (e0, e0, e0, e0): nonzero residual",
+                      **{name: BREAKS[name][3] for name in ("antiassociative-closed-form", "derivation-ranks",
+                                                            "equality-criterion")}}
+
+
+def test_a_failed_table_build_fails_each_check_that_reads_it(monkeypatch):
+    # each of the four fails with the exception, and the other eight pass
+    def raising(u, v, s):
+        raise RuntimeError("no D")
+
+    monkeypatch.setattr(derivations, "_regrouped", raising)
+    failed = {r.name: r.detail for r in verification.run_checks() if not r.passed}
+    readers = ("leibniz", "antiassociative-closed-form", "derivation-ranks", "equality-criterion")
+    assert failed == dict.fromkeys(readers, "RuntimeError: no D")
+
+
+def test_rule_0_derivation_matrices_are_the_imaginary_blocks_of_the_table(monkeypatch):
+    # derivation-ranks reads its 21 matrices off the table: entry [i][a] of
+    # (u, v)'s is D(e_u, e_v; e_a)_i.  It ranks the rows that
+    # derivation_matrix gives, in full and restricted to each triplet
+    table = verification._derivations(_SIGNS[0])
+    for u, v in combinations(range(1, 8), 2):
+        block = tuple(tuple(table[u][v][a][i] for a in range(1, 8)) for i in range(1, 8))
+        assert derivations.derivation_matrix(u, v, 0) == block
+    rank, ranked = derivations.integer_rank, []
+    monkeypatch.setattr(derivations, "integer_rank", lambda rows: ranked.append(rows) or rank(rows))
+    assert verification.check_derivation_ranks(lambda: table) == (True, FULL_DETAILS["derivation-ranks"])
+
+    def restricted(idxs):
+        return [[derivations.derivation_matrix(u, v, 0)[i - 1][j - 1] for i in idxs for j in idxs]
+                for u, v in combinations(idxs, 2)]
+
+    assert ranked == [restricted(range(1, 8)), *(restricted(sorted(t)) for t in verification._REFERENCE_TRIPLETS)]
+
+
 def public_norm_failure():
     """The norm proof's rule-0 loop through the public ``multiply`` and
     ``norm_sq``: the detail of its first failing pair, or None."""
@@ -153,16 +216,29 @@ def kernel_route_counterexample(s):
     return None
 
 
+def leibniz_counterexample(s):
+    """The proof's route under the kernel with characters ``s``: D read off
+    ``_derivations``, as ``check_leibniz`` reads it under rule 0."""
+    return verification._leibniz_counterexample(s, verification._derivations(s))
+
+
+@functools.cache
+def orientation_counterexamples():
+    """``leibniz_counterexample`` under each of the 128 orientations of the
+    seven reference triplets, on the kernel as it is."""
+    return {s: leibniz_counterexample(s) for s in product((1, -1), repeat=7)}
+
+
 def test_the_linear_route_to_d_of_a_product_is_the_kernel_route_on_all_128_orientations():
-    for s in product((1, -1), repeat=7):
-        assert verification._leibniz_counterexample(s) == kernel_route_counterexample(s)
+    for s, found in orientation_counterexamples().items():
+        assert found == kernel_route_counterexample(s)
 
 
 @pytest.mark.parametrize("old, new", [("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1"),
                                       ("+ s6*a7*b3", "+ a7*b3")])
 def test_the_linear_route_is_the_kernel_route_under_a_mutated_kernel(monkeypatch, old, new):
     mutate_kernel(monkeypatch, old, new)
-    found = [verification._leibniz_counterexample(s) for s in _SIGNS]
+    found = [leibniz_counterexample(s) for s in _SIGNS]
     assert found == [kernel_route_counterexample(s) for s in _SIGNS]
     assert any(found)  # each mutation breaks the identity under some rule
 
@@ -408,7 +484,7 @@ def test_the_16_rules_are_exactly_the_orientations_whose_inner_maps_are_derivati
     # orientations of the seven reference triplets, D(u, v; .) is a
     # derivation (the Leibniz residual vanishes on every basis quadruple,
     # hence everywhere) for exactly the 16 rules' characters
-    derivations_of = {s for s in product((1, -1), repeat=7) if verification._leibniz_counterexample(s) is None}
+    derivations_of = {s for s, found in orientation_counterexamples().items() if found is None}
     assert derivations_of == set(_SIGNS)
 
 
@@ -478,6 +554,9 @@ def test_every_check_passes_with_its_pinned_detail():
     assert results == [(name, True, detail) for name, detail in FULL_DETAILS.items()]
     # the benchmark harness's call: quick is accepted and ignored
     assert [(r.name, r.passed, r.detail) for r in verification.run_checks(quick=False)] == results
+    # each check alone, as tests/test_acceptance.py calls it: one that reads
+    # rule 0's derivations builds them itself
+    assert [(name, *check()) for name, check in verification.ALL_CHECKS] == results
 
 
 def sign_read_identify(_):
@@ -489,6 +568,12 @@ def sign_read_identify(_):
 def uv_times(_):
     """A ``_regrouped`` that gives (uv)x in place of D(u, v; x)."""
     return lambda u, v, s: lambda x: _mul(_mul(u, v, s), x, s)
+
+
+def zero_d_12(f):
+    """A ``_regrouped`` that gives D(e1, e2; .) == 0 under rule 0 and ``f``'s D elsewhere."""
+    e1, e2 = (Octonion.unit(k).coeffs for k in (1, 2))
+    return lambda u, v, s: (lambda x: (0,) * 8) if (u, v, s) == (e1, e2, _SIGNS[0]) else f(u, v, s)
 
 
 def disagreeing_keys(keys):
@@ -539,9 +624,7 @@ BREAKS = {
     "derivation-ranks": (derivations, "integer_rank", lambda f: lambda rows: f(rows[:7]),
                          "rule 0: full span rank 7 != 14"),
     # the other 20 matrices still span all 14 dimensions; [1, 2, 3]'s three do not
-    "derivation-ranks/triplet": (derivations, "derivation_matrix",
-                                 lambda f: lambda u, v, n: ((0,) * 7,) * 7 if (u, v, n) == (1, 2, 0) else f(u, v, n),
-                                 "rule 0, triplet [1, 2, 3]: rank 2 != 3"),
+    "derivation-ranks/triplet": (derivations, "_regrouped", zero_d_12, "rule 0, triplet [1, 2, 3]: rank 2 != 3"),
     # D swapped for (uv)x: (i1 i2) i3 = -1 under rule 0, at key 4 = kappa_3, so
     # -chi(4, n) under rule n: the first quaternionic triple whose rules disagree
     "equality-criterion": (derivations, "_regrouped", uv_times,
