@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from operator import add, mul, neg, sub
 
 __all__ = [
@@ -82,7 +82,6 @@ __all__ = [
     "norm_sq",
     "inverse",
     "identify_algebra",
-    "table_from_tensor",
 ]
 
 # The reference rule O[0]: seven oriented triplets covering each pair of
@@ -528,29 +527,3 @@ def identify_algebra(table) -> int:
         return n
     raise NotEquivalentAlgebraError("table does not match any of the 16 equivalent rules")
 
-
-def table_from_tensor(tensor: Sequence[Sequence[Sequence[float]]]) -> MulTable:
-    """Collapse an 8x8x8 structure-constant tensor to a signed basis table.
-
-    tensor[i][j][k] is the coefficient of e_k in e_i e_j.  Each product of
-    basis elements must land on exactly one basis element with coefficient
-    +1 or -1; anything else is rejected.
-    """
-    if len(tensor) != 8 or any(len(plane) != 8 for plane in tensor):
-        raise ValueError("tensor must be 8x8x8")
-    entries: list[list[TableEntry]] = []
-    for i in range(8):
-        row: list[TableEntry] = []
-        for j in range(8):
-            comps = tensor[i][j]
-            if len(comps) != 8:
-                raise ValueError("tensor must be 8x8x8")
-            support = [(k, c) for k, c in enumerate(comps) if c != 0]
-            if len(support) != 1 or support[0][1] not in (1, -1):
-                raise ValueError(
-                    f"entry ({i},{j}) is not a signed basis element: {list(comps)!r}"
-                )
-            k, c = support[0]
-            row.append((int(c), k))
-        entries.append(row)
-    return tuple(tuple(row) for row in entries)

@@ -38,7 +38,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import Octonion, _check_algebra_id, _check_int, generator_word, mul_table, parity_word, triplet_set
-from .dsl import ExprSyntaxError, UnboundVariableError, _number, parse, to_text
+from .dsl import ExprSyntaxError, _number, parse, to_text
 from .sieve import _ZERO, _evaluator, _per_rule, _spectrum, _trials, random_assignment
 
 SCHEMA_VERSION = 3
@@ -147,19 +147,19 @@ def text_orbit(payload: dict, args):
         yield f"{e['algebra']:>2}  {e['generator']:<10}  {e['parity_word']}"
 
 
-def _expr_and_env(args, trials: int = 1) -> tuple:
-    """The expression, its all-rules evaluator, the assignment and the rng that drew it (or None)."""
+def _expr_and_env(args) -> tuple:
+    """The expression, its all-rules evaluator, the assignment and the rng
+    that drew it (or None).  --seed and sieve's --trials belong to
+    --random-assign, which sets those left unset (None) to 0 and 64."""
     try:
         tree = parse(args.expr)
     except ExprSyntaxError as exc:
         raise CliError(f"expression syntax error: {exc}") from None
-    if args.assign and args.random_assign:
-        raise CliError("--assign and --random-assign are mutually exclusive")
-    if args.random_assign:  # before anything is compiled
-        _check_int(trials, "trials", 1)
-    names, values = _evaluator(tree)
-    rng = random.Random(args.seed) if args.random_assign else None
     if args.assign:
+        draws = {"--random-assign": args.random_assign or None, "--seed": args.seed,
+                 "--trials": getattr(args, "trials", None)}
+        if given := [flag for flag, value in draws.items() if value is not None]:
+            raise CliError(f"--assign and {given[0]} are mutually exclusive")
         env = {}
         for pair in args.assign:
             name, eq, value = pair.partition("=")
@@ -169,18 +169,23 @@ def _expr_and_env(args, trials: int = 1) -> tuple:
             if name in env:
                 raise CliError(f"--assign binds {name} more than once")
             env[name] = _parse_octonion(value)
+        names, values = _evaluator(tree)
         missing = [n for n in names if n not in env]
         if missing:
             raise CliError(f"unbound variables: {', '.join(missing)} (add --assign)")
-    elif args.random_assign:
-        env = random_assignment(names, rng)
-    else:
+        return tree, values, env, None
+    if not args.random_assign:
         raise CliError("provide --assign for every variable or --random-assign")
-    return tree, values, env, rng
+    args.seed = 0 if args.seed is None else args.seed
+    if "trials" in args:  # before anything is compiled
+        args.trials = _check_int(64 if args.trials is None else args.trials, "trials", 1)
+    names, values = _evaluator(tree)
+    rng = random.Random(args.seed)
+    return tree, values, random_assignment(names, rng), rng
 
 
 def cmd_sieve(args) -> dict:
-    tree, values, env, rng = _expr_and_env(args, args.trials)
+    tree, values, env, rng = _expr_and_env(args)
     value, verdict = _trials(values, env, rng, args.trials if args.random_assign else 1)
     spectrum = _spectrum(value)
     w = verdict.witness
@@ -226,21 +231,17 @@ def cmd_derive(args) -> dict:
     u = _parse_octonion(args.u)
     v = _parse_octonion(args.v)
     tree, values, env, _ = _expr_and_env(args)
-    ns = list(range(16)) if args.algebra is None else [args.algebra]
-    derived = _derive_all(u, v, values(env))
-    outputs = [derived[n] for n in ns]
-    payload = {
+    outputs = [list(o) for o in _derive_all(u, v, values(env))]
+    return {
         "u": list(u),
         "v": list(v),
         "expr": to_text(tree),
         "assignment": {name: list(x) for name, x in env.items()},
-        "algebras": ns,
-        "outputs": [list(o) for o in outputs],
+        "algebras": list(range(16)),
+        "outputs": outputs,
+        "all_equal": all(o == outputs[0] for o in outputs),
+        "equal_set": [n for n, o in enumerate(outputs) if o == outputs[0]],
     }
-    if args.algebra is None:
-        payload["all_equal"] = all(o == outputs[0] for o in outputs)
-        payload["equal_set"] = [n for n, o in zip(ns, outputs) if o == outputs[0]]
-    return payload
 
 
 def text_derive(payload: dict, args):
@@ -250,9 +251,9 @@ def text_derive(payload: dict, args):
     yield from _assignment_lines(payload["assignment"])
     for n, o in zip(payload["algebras"], payload["outputs"]):
         yield f"  D[{n:>2}] = {_fmt_coeffs(o)}"
-    if payload.get("all_equal"):
+    if payload["all_equal"]:
         yield "verdict: identical across all 16 algebras"
-    elif "all_equal" in payload:
+    else:
         yield f"verdict: varies across algebras; matches algebra 0 on {payload['equal_set']}"
 
 
@@ -309,17 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="bind a variable to 8 comma-separated reals (repeatable)")
     expr.add_argument("--random-assign", action="store_true",
                       help="draw integer coefficients in -9..9 from --seed")
-    expr.add_argument("--seed", type=int, default=0,
-                      help="seed of the --random-assign draws; ignored with --assign (default: 0)")
+    expr.add_argument("--seed", type=int,
+                      help="seed of the --random-assign draws; an error with --assign (default: 0)")
     sieve_opts = _options(expr)
-    sieve_opts.add_argument("--trials", type=int, default=64,
-                            help="number of --random-assign trials, at least 1; ignored with --assign (default: 64)")
+    sieve_opts.add_argument("--trials", type=int,
+                            help="number of --random-assign trials, at least 1; an error with --assign (default: 64)")
     uv = _options()
     uv.add_argument("--u", required=True, metavar="OCT", help="iK shorthand or 8 reals")
     uv.add_argument("--v", required=True, metavar="OCT")
-    derive_opts = _options(uv, expr)
-    derive_opts.add_argument("--algebra", type=_algebra_arg, default=None, metavar="N",
-                             help="one algebra (default: all 16)")
 
     for name, cmd, render, parents, help in (
         ("tables", cmd_tables, text_tables, [algebra],
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("orbit", cmd_orbit, text_orbit, [], "print all 16 (algebra, generator word, parity word) rows"),
         ("sieve", cmd_sieve, text_sieve, [sieve_opts],
          "evaluate an expression under all 16 rules and sieve it"),
-        ("derive", cmd_derive, text_derive, [derive_opts],
+        ("derive", cmd_derive, text_derive, [uv, expr],
          "apply the inner derivation D(u, v; expr) per algebra"),
         ("verify", cmd_verify, text_verify, [], "run the full verification suite"),
     ):
@@ -346,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
             out = _json({"schema": SCHEMA_VERSION, **payload})
         else:
             out = "\n".join(args.render(payload, args))
-    except (CliError, ExprSyntaxError, UnboundVariableError, ValueError, ArithmeticError) as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"octsieve: error: {exc}", file=sys.stderr)
         return 1
     try:

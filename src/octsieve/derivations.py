@@ -301,8 +301,7 @@ def expr_cross_algebra_equal(
     if u_idx == v_idx:
         raise ValueError("u and v must be distinct basis elements")
     u, v = Octonion.unit(u_idx), Octonion.unit(v_idx)  # exact: a float 1.0 is the int 1
-    tree = parse(expr) if isinstance(expr, str) else expr
-    names, values = _evaluator(tree)
+    names, values = _evaluator(expr)
     rng = random.Random(seed)
 
     # imaginary indices of the quaternion span: u, v, and uv = +-i_(u XOR v),

@@ -282,14 +282,14 @@ def _all_rules(steps: Sequence[tuple], env: Mapping[str, AllRules]) -> AllRules:
     return values[-1]
 
 
-def _evaluator(tree: Expr) -> tuple[list[str], Callable[[Mapping], AllRules]]:
-    """Compile ``tree`` once: its variable names, and a function from an
-    assignment to its exact values under all 16 rules.  Each name is bound
-    to one octonion, its coefficients read as the rationals they are, or
-    to an exact all-rules value (an 8-tuple, or a spectrum {k: 8-tuple}
-    with no zero component), taken as it is; the program's literals are
-    rationals already."""
-    steps, names = _program(tree)
+def _evaluator(expr: Expr | str) -> tuple[list[str], Callable[[Mapping], AllRules]]:
+    """Compile ``expr``, a tree or its text, once: its variable names, and
+    a function from an assignment to its exact values under all 16 rules.
+    Each name is bound to one octonion, its coefficients read as the
+    rationals they are, or to an exact all-rules value (an 8-tuple, or a
+    spectrum {k: 8-tuple} with no zero component), taken as it is; the
+    program's literals are rationals already."""
+    steps, names = _program(parse(expr) if isinstance(expr, str) else expr)
 
     def values(env: Mapping[str, Octonion | AllRules]) -> AllRules:
         return _all_rules(steps, {name: _exact(x.coeffs) if isinstance(x, Octonion) else x
@@ -360,7 +360,6 @@ def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerd
     in the given trials, not a proof over all assignments.
     """
     _check_int(trials, "trials", 1)
-    tree = parse(expr) if isinstance(expr, str) else expr
-    names, values = _evaluator(tree)
+    names, values = _evaluator(expr)
     rng = random.Random(seed)
     return _trials(values, random_assignment(names, rng), rng, trials)[1]

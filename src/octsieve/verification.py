@@ -70,7 +70,7 @@ from time import perf_counter
 
 from . import algebra, derivations
 from .algebra import _KEYS, _SIGNS, Octonion, _add_product, _character, _mul, _mul_all, _Record
-from .sieve import _pruned, _random_ints, _walsh, is_invariant, sieve, sign_entry, unsieve
+from .sieve import _butterfly, _pruned, _random_ints, _walsh, is_invariant, sieve, sign_entry, unsieve
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_checks"]
 
@@ -266,7 +266,7 @@ def check_xor_equivariance() -> Outcome:
     # proved: output k of the kernel is sum_j b[j][k] x_j, and the input
     # permuted by j -> j ^ m turns it into sum_j b[j][k] x_(j^m), which must
     # be chi(m, k) times it for all 16 masks (chi = +-1 scales the permuted
-    # form here).  Sampled: the public sieve is the kernel's sums divided by 4
+    # form here).  Sampled: the public sieve is _butterfly's sums / 4
     for k, row in enumerate(_kernel_matrix()):
         if row != {j: sign_entry(j, k) for j in range(16)}:
             return False, f"kernel: _walsh output {k} is not sum_j b[j][{k}] x_j"
@@ -278,7 +278,7 @@ def check_xor_equivariance() -> Outcome:
     rng = random.Random(23)
     for t in range(trials):
         fam = tuple(Octonion(_random_ints(rng, 9)) for _ in range(16))
-        sums = zip(*map(_walsh, *(f.coeffs for f in fam)))
+        sums = _butterfly([f.coeffs for f in fam])
         if [g.coeffs for g in sieve(fam)] != [tuple(c / 4 for c in row) for row in sums]:
             return False, f"family {t}: sieve(x) != the kernel's sums / 4"
     return True, ("kernel proved on 16 formal symbols: matrix b, and g'[k] == b[m][k] g[k] for all 16 masks; "

@@ -31,7 +31,6 @@ from octsieve.algebra import (
     norm,
     norm_sq,
     parity_word,
-    table_from_tensor,
     triplet_set,
 )
 from octsieve.sieve import _per_rule
@@ -523,27 +522,6 @@ def test_identify_algebra_rejects_malformed_shapes():
                 [[(s, True if k == 1 else k) for s, k in row] for row in rule5]):
         with pytest.raises(ValueError, match=re.escape("table entries must be (sign, index 0..7)")):
             identify_algebra(bad)
-
-
-def test_table_from_tensor():
-    tensor = [[[0.0] * 8 for _ in range(8)] for _ in range(8)]
-    for i in range(8):
-        for j in range(8):
-            s, k = mul_table(9)[i][j]
-            tensor[i][j][k] = float(s)
-    assert identify_algebra(table_from_tensor(tensor)) == 9
-
-    tensor[1][2] = [0, 0, 0, 0.5, 0, 0, 0, 0]
-    with pytest.raises(ValueError):
-        table_from_tensor(tensor)
-    tensor[1][2] = [0, 0, 0, 1, 1, 0, 0, 0]
-    with pytest.raises(ValueError):
-        table_from_tensor(tensor)
-    with pytest.raises(ValueError, match="8x8x8"):
-        table_from_tensor(tensor[:7])  # 7x8x8
-    tensor[1][2] = [0, 0, 0, 1, 0, 0, 0]
-    with pytest.raises(ValueError, match="8x8x8"):
-        table_from_tensor(tensor)  # one entry of 7 components
 
 
 def test_octonion_validation_and_immutability():

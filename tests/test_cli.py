@@ -244,21 +244,6 @@ def test_derive_all_algebras(capsys):
     assert payload["outputs"][0] == [0, 0, 0, 0, 0, 0, 0, -2]
 
 
-def test_derive_single_algebra(capsys):
-    code, out, _ = run(
-        capsys,
-        "derive",
-        "--u", "i1",
-        "--v", "i2",
-        "--expr", "a",
-        "--assign", "a=0,0,0,1,0,0,0,0",
-        "--algebra", "0",
-    )
-    assert code == 0
-    assert "D[ 0]" in out
-    assert "verdict" not in out
-
-
 def test_derive_quaternionic_verdict(capsys):
     code, out, _ = run(
         capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "a", "--assign", "a=i3"
@@ -267,9 +252,7 @@ def test_derive_quaternionic_verdict(capsys):
     assert "identical across all 16" in out
 
 
-@pytest.mark.parametrize("argv", [("tables",), ("triplets",),
-                                  ("derive", "--u", "i1", "--v", "i2", "--expr", "a", "--assign", "a=i4")],
-                         ids=["tables", "triplets", "derive"])
+@pytest.mark.parametrize("argv", [("tables",), ("triplets",)], ids=["tables", "triplets"])
 def test_a_non_integer_algebra_is_a_usage_error(capsys, argv):
     for value in ("x", "1.5", "True", "16", "-1"):
         with pytest.raises(SystemExit) as exc:
@@ -326,6 +309,15 @@ def test_verify_quick_is_a_usage_error(capsys):
     assert "unrecognized arguments: --quick" in captured.err
 
 
+def test_derive_algebra_is_a_usage_error(capsys):
+    # derive has one payload shape: all 16 rows, with all_equal and equal_set
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", "--u", "i1", "--v", "i2", "--expr", "a", "--assign", "a=i4", "--algebra", "5"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --algebra 5" in captured.err
+
+
 def test_integer_literal_past_2_53_is_exact(capsys):
     big = 2**53 + 1
     code, out, _ = run(
@@ -341,7 +333,7 @@ def test_400_digit_literal_is_exact(capsys):
     big = 10**399 + 7
     code, out, _ = run(
         capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "a",
-        "--assign", f"a=0,0,0,0,{big},0,0,0", "--algebra", "0", "--format", "json",
+        "--assign", f"a=0,0,0,0,{big},0,0,0", "--format", "json",
     )
     assert code == 0
     assert json.loads(out)["outputs"][0] == [0, 0, 0, 0, 0, 0, 0, -2 * big]
@@ -451,7 +443,7 @@ def test_text_output_prints_integers_exactly(capsys):
     big = 10**399 + 7
     code, out, _ = run(
         capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "a",
-        "--assign", f"a=0,0,0,0,{big},0,0,0", "--algebra", "0",
+        "--assign", f"a=0,0,0,0,{big},0,0,0",
     )
     assert code == 0
     assert f"  D[ 0] = (0, 0, 0, 0, 0, 0, 0, {-2 * big})" in out
@@ -466,7 +458,7 @@ def test_a_result_past_the_int_digit_limit_leaves_stdout_empty(capsys, fmt):
     code, out, err = run(
         capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "a*b",
         "--assign", f"a=0,0,0,{big},0,0,0,0", "--assign", f"b=0,0,0,0,{big},0,0,0",
-        "--algebra", "0", "--format", fmt,
+        "--format", fmt,
     )
     assert code == 1
     assert out == ""
@@ -503,7 +495,7 @@ def test_the_json_writer_is_json_dumps_with_indent_2():
     ("sieve", "--expr", "(a*b)*c", "--random-assign", "--seed", "1"),
     ("sieve", "--expr", "0.5*a*b", "--assign", "a=1.5,-0.0,2,0,0,0,1e300,0", "--assign", "b=i3"),
     ("derive", "--u", "i1", "--v", "i2", "--expr", "a", "--assign", "a=i4"),
-    ("derive", "--u", "i1", "--v", "i2", "--expr", "0.5*a", "--assign", "a=0.25,1,0,0,0,0,0,0", "--algebra", "5"),
+    ("derive", "--u", "i1", "--v", "i2", "--expr", "0.5*a", "--assign", "a=0.25,1,0,0,0,0,0,0"),
     ("verify",),
 ])
 def test_json_output_is_json_dumps_byte_for_byte(capsys, argv):
@@ -545,11 +537,16 @@ def test_a_non_integer_trial_count_is_a_usage_error(capsys, trials):
     assert (exc.value.code, capsys.readouterr().out) == (2, "")
 
 
-def test_assign_ignores_trials(capsys):
-    code, out, _ = run(capsys, "sieve", "--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2",
-                       "--trials", "0", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["trials_run"] == 1
+@pytest.mark.parametrize("argv, flag", [
+    (("sieve", "--trials", "0"), "--trials"), (("sieve", "--trials", "64"), "--trials"),
+    (("sieve", "--seed", "3"), "--seed"), (("sieve", "--seed", "0", "--trials", "64"), "--seed"),
+    (("derive", "--u", "i1", "--v", "i2", "--seed", "0"), "--seed"),
+])
+def test_assign_with_seed_or_trials_is_a_domain_error(capsys, argv, flag):
+    # --seed and --trials apply to --random-assign alone; their defaults too
+    code, out, err = run(capsys, *argv, "--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2")
+    assert (code, out) == (1, "")
+    assert err == f"octsieve: error: --assign and {flag} are mutually exclusive\n"
 
 
 def test_sieve_verdict_matches_is_invariant(capsys):
@@ -597,8 +594,6 @@ ASSIGN_AB = ("--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2")
                               "mean_function_value", "invariant", "trials_run", "witness"]),
     (("derive", "--u", "i1", "--v", "i2") + ASSIGN_AB,
      ["schema", "u", "v", "expr", "assignment", "algebras", "outputs", "all_equal", "equal_set"]),
-    (("derive", "--u", "i1", "--v", "i2", "--algebra", "4") + ASSIGN_AB,
-     ["schema", "u", "v", "expr", "assignment", "algebras", "outputs"]),
     (("verify",), ["schema", "checks", "passed", "total"]),
 ])
 def test_json_key_order(capsys, argv, keys):
@@ -638,7 +633,7 @@ def test_sieve_prints_one_all_rules_pass(capsys, monkeypatch):
 def test_integer_literals_in_expressions_are_exact(capsys):
     big = 10**400
     code, out, _ = run(capsys, "derive", "--u", "i1", "--v", "i2", "--expr", f"{big}*a", "--assign", "a=i4",
-                       "--algebra", "0", "--format", "json")
+                       "--format", "json")
     assert code == 0
     assert json.loads(out)["outputs"][0] == [0, 0, 0, 0, 0, 0, 0, -2 * big]
     # read as floats, both literals were inf and the difference nan
@@ -762,11 +757,10 @@ def test_sieve_builds_octonions_for_trial_one_only(capsys, monkeypatch):
     assert [list(c) for c in built] == list(payload["assignment"].values())
 
 
-@pytest.mark.parametrize("algebra", [(), ("--algebra", "5")], ids=["all", "one"])
-def test_derive_compiles_once_and_runs_one_pass(capsys, monkeypatch, algebra):
+def test_derive_compiles_once_and_runs_one_pass(capsys, monkeypatch):
     compiles, passes, draws, evaluations, _ = spies(monkeypatch)
     code, _, _ = run(capsys, "derive", "--u", "i1", "--v", "i2", "--expr", "(a*b)*c", "--random-assign",
-                     "--seed", "4", *algebra)
+                     "--seed", "4")
     assert code == 0
     # two all-rules passes: the expression's, then D's on its value
     assert (len(compiles), len(passes), len(draws), len(evaluations)) == (1, 2, 1, 0)
@@ -781,7 +775,8 @@ def test_derive_evaluates_then_derives_rule_by_rule(capsys, u, algebra, outcome)
     # loop meets evaluate's -inf under rule 4 (derive reads its inputs as
     # rationals, so the large u overflows nothing under rule 0).  The CLI
     # reads every float as the rational it is, u too (1e300 is parsed as
-    # an int, 0.1 is not), and prints that loop's exact outputs.
+    # an int, 0.1 is not), and prints that loop's exact outputs: row n of
+    # its 16 for rule n alone.
     from octsieve.cli import _parse_octonion
     from octsieve.derivations import derive
     from octsieve.dsl import evaluate
@@ -801,9 +796,10 @@ def test_derive_evaluates_then_derives_rule_by_rule(capsys, u, algebra, outcome)
     expected = [encoded(derive(exact_u, Octonion.unit(2), evaluate(exact_tree(parse(text)), exact_env(env), n), n))
                 for n in ns]
     argv = ["derive", "--u", u, "--v", "i2", "--expr", text, *(f"--assign={k}={x}" for k, x in assign.items())]
-    code, out, err = run(capsys, *argv, *([] if algebra is None else ["--algebra", str(algebra)]), "--format", "json")
+    code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
-    assert [typed(o) for o in json.loads(out)["outputs"]] == [typed(o) for o in expected]
+    outputs = json.loads(out)["outputs"]
+    assert [typed(outputs[n]) for n in ns] == [typed(o) for o in expected]
 
 
 def test_a_closed_output_pipe_exits_1_with_nothing_on_stderr():

@@ -1,5 +1,6 @@
-"""The package namespace: names imported with the package and names
-re-exported from derivations and verification on first use."""
+"""The package namespace: the names of algebra, dsl and sieve, bound when
+the package is imported; derivations and verification are imported by
+their callers."""
 
 import importlib
 import subprocess
@@ -15,13 +16,6 @@ DEFERRED = ("derivations", "verification")
 PUBLIC = [name for name in octsieve.__all__ if name != "__version__"]
 
 
-@pytest.fixture
-def uncached(monkeypatch):
-    """The package as a bare import leaves it: no deferred name or module bound yet."""
-    for name in (*octsieve._HOME, *DEFERRED):
-        monkeypatch.delitem(vars(octsieve), name, raising=False)
-
-
 def home(name):
     """The one submodule whose ``__all__`` lists ``name``."""
     (module,) = [m for m in map(importlib.import_module, (f"octsieve.{s}" for s in SUBMODULES))
@@ -30,16 +24,16 @@ def home(name):
 
 
 def test_all_lists_each_name_once():
-    assert len(octsieve.__all__) == len(set(octsieve.__all__))
+    assert len(octsieve.__all__) == len(set(octsieve.__all__)) == 27
 
 
 @pytest.mark.parametrize("name", PUBLIC)
-def test_every_public_name_is_the_object_in_its_module(uncached, name):
-    assert getattr(octsieve, name) is getattr(home(name), name)
-    assert name in vars(octsieve)  # kept: the next read is a plain lookup
+def test_every_public_name_is_the_object_in_its_module(name):
+    assert home(name).__name__ not in (f"octsieve.{m}" for m in DEFERRED)
+    assert vars(octsieve)[name] is getattr(home(name), name)
 
 
-def test_star_import_binds_all_of_all(uncached):
+def test_star_import_binds_all_of_all():
     namespace = {}
     exec("from octsieve import *", namespace)
     assert set(octsieve.__all__) <= namespace.keys()
@@ -47,32 +41,33 @@ def test_star_import_binds_all_of_all(uncached):
         assert namespace[name] is getattr(home(name), name)
 
 
-def test_dir_lists_all_and_the_deferred_modules(uncached):
-    listed = dir(octsieve)
-    assert listed == sorted(listed)
-    assert {*octsieve.__all__, *DEFERRED} <= set(listed)
+def test_dir_lists_all():
+    assert set(octsieve.__all__) <= set(dir(octsieve))
 
 
-def test_a_deferred_module_is_an_attribute_of_the_package(uncached):
-    for name in DEFERRED:
-        assert getattr(octsieve, name) is sys.modules[f"octsieve.{name}"]
-
-
-def test_an_unknown_name_is_the_standard_attribute_error():
+def test_the_package_defines_no_module_getattr_or_dir():
+    assert "__getattr__" not in vars(octsieve) and "__dir__" not in vars(octsieve)
     with pytest.raises(AttributeError, match=r"^module 'octsieve' has no attribute 'no_such_name'$"):
         octsieve.no_such_name
-    assert not hasattr(octsieve, "integer_rank")  # in derivations, but not re-exported
 
 
-def test_a_bare_import_reads_the_deferred_modules_and_keeps_sieve_the_function():
+def test_the_deferred_modules_import_from_the_package():
+    from octsieve import derivations, verification
+
+    assert (derivations, verification) == tuple(sys.modules[f"octsieve.{m}"] for m in DEFERRED)
+    assert (octsieve.derivations, octsieve.verification) == (derivations, verification)
+
+
+def test_a_bare_import_loads_neither_deferred_module_and_keeps_sieve_the_function():
     # a fresh interpreter: in this one the tests have imported every module
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import octsieve\n"
         "deferred = sys.argv[2:]\n"
         "assert not any(f'octsieve.{m}' in sys.modules for m in deferred)\n"
-        "for m in deferred:\n"
-        "    assert getattr(octsieve, m) is sys.modules[f'octsieve.{m}'], m\n"
+        "assert not any(hasattr(octsieve, m) for m in deferred)\n"
+        "from octsieve import derivations, verification\n"
+        "assert (derivations, verification) == tuple(sys.modules[f'octsieve.{m}'] for m in deferred)\n"
         "assert octsieve.sieve is sys.modules['octsieve.sieve'].sieve\n"
     )
     out = subprocess.run([sys.executable, "-S", "-c", probe, str(src), *DEFERRED],

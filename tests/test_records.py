@@ -178,8 +178,8 @@ NOT_AT_START_UP = {
     "contextlib": "typing pulls it in",
     "fractions": "imported where a rational is first needed",
     "decimal": "fractions pulls it in",
-    "octsieve.derivations": "re-exported on first use; the CLI imports it in derive",
-    "octsieve.verification": "re-exported on first use; the CLI imports it in verify",
+    "octsieve.derivations": "imported by its callers; the CLI imports it in derive",
+    "octsieve.verification": "imported by its callers; the CLI imports it in verify",
 }
 
 
