@@ -524,6 +524,27 @@ def test_identify_algebra_rejects_malformed_shapes():
             identify_algebra(bad)
 
 
+def test_a_structure_tensor_reads_as_the_signed_table():
+    # the README's recipe: identify_algebra reads the signed table alone
+    import octsieve.algebra
+
+    assert not hasattr(octsieve.algebra, "table_from_tensor")
+    tensor = [[[0.0] * 8 for _ in range(8)] for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            s, k = mul_table(9)[i][j]
+            tensor[i][j][k] = float(s)
+
+    def signed(t):
+        return [[next((int(c), k) for k, c in enumerate(t[i][j]) if c) for j in range(8)] for i in range(8)]
+
+    assert signed(tensor) == [list(row) for row in mul_table(9)]
+    assert identify_algebra(signed(tensor)) == 9
+    tensor[1][2] = [0, 0, 0, 0.5, 0, 0, 0, 0]
+    with pytest.raises(ValueError, match=r"got \(0, 3\)$"):
+        identify_algebra(signed(tensor))
+
+
 def test_octonion_validation_and_immutability():
     with pytest.raises(ValueError):
         Octonion((1, 2, 3))

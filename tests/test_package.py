@@ -14,6 +14,11 @@ import octsieve
 SUBMODULES = ("algebra", "derivations", "dsl", "sieve", "verification")
 DEFERRED = ("derivations", "verification")
 PUBLIC = [name for name in octsieve.__all__ if name != "__version__"]
+# The names a caller imports from derivations and verification, not the package.
+MOVED = {"antiassoc_closed_form": "derivations", "cross_algebra_equal": "derivations",
+         "derivation_span_rank": "derivations", "derive": "derivations",
+         "expr_cross_algebra_equal": "derivations", "leibniz_check": "derivations",
+         "run_checks": "verification"}
 
 
 def home(name):
@@ -47,8 +52,21 @@ def test_dir_lists_all():
 
 def test_the_package_defines_no_module_getattr_or_dir():
     assert "__getattr__" not in vars(octsieve) and "__dir__" not in vars(octsieve)
+
+
+def test_an_unknown_name_is_the_standard_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'octsieve' has no attribute 'no_such_name'$"):
         octsieve.no_such_name
+    assert not hasattr(octsieve, "integer_rank")  # in derivations, not the package
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_a_name_of_derivations_or_verification_is_imported_from_its_module(name):
+    module = importlib.import_module(f"octsieve.{MOVED[name]}")
+    assert home(name) is module and callable(getattr(module, name))
+    assert name not in octsieve.__all__ and not hasattr(octsieve, name)
+    with pytest.raises(ImportError, match=rf"^cannot import name '{name}' from 'octsieve'"):
+        exec(f"from octsieve import {name}", {})
 
 
 def test_the_deferred_modules_import_from_the_package():
