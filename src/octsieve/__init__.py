@@ -8,7 +8,6 @@ caller that imports them.
 """
 
 from .algebra import (
-    GENERATOR_FLIPS,
     REFERENCE_TRIPLETS,
     NotEquivalentAlgebraError,
     Octonion,
@@ -29,7 +28,6 @@ from .sieve import function_family, is_invariant, sieve, sign_entry, sign_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "GENERATOR_FLIPS",
     "REFERENCE_TRIPLETS",
     "NotEquivalentAlgebraError",
     "Octonion",

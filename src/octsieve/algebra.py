@@ -13,7 +13,9 @@ chi(k, n) = (-1) ** popcount(k & n) are the characters of Z2^4.  So a
 triplet t = {a, b, c} has the 4-bit mask m_t = kappa_a ^ kappa_b ^ kappa_c,
 and rule n flips its orientation exactly when chi(m_t, n) = -1.  The bits
 of n are four generators T0=8, T1=4, T2=2, T3=1 acting on the triplet
-parities; ids 0..7 are the left-handed rules, 8..15 the right-handed ones.
+parities: T0 flips three triplets and exchanges handedness, T1..T3 flip
+four each and keep it; ids 0..7 are the left-handed rules, 8..15 the
+right-handed ones.
 The parity group acts on rule ids as n -> n ^ m, and its Fano lines
 {a, b, a ^ b} over 1..7 are the seven ``REFERENCE_TRIPLETS``.
 
@@ -48,7 +50,8 @@ All values here are immutable and all functions but :func:`_add_parts`
 and :func:`_add_product`, which add into the rows they are given, are
 pure.  Ints of any size and rationals (``numbers.Rational``, such as
 ``Fraction``) propagate exactly through every operation, so the tests
-assert equality, never tolerance.
+assert equality, never tolerance; an :class:`Octonion` holds any other
+``numbers.Integral``, such as numpy's int64, as the int it is.
 Floats must be finite.  :func:`_rational` reads a checked coefficient as
 the rational it is, and :func:`_exact` a tuple of them, for every exact
 route in the package: the sieve's all-rules pass, compiled constants, the
@@ -68,7 +71,6 @@ from operator import add, mul, neg, sub
 
 __all__ = [
     "REFERENCE_TRIPLETS",
-    "GENERATOR_FLIPS",
     "NotEquivalentAlgebraError",
     "Octonion",
     "flip_vector",
@@ -197,6 +199,7 @@ class Octonion(_Record):
         cs = coeffs if type(coeffs) is tuple else tuple(coeffs)
         if len(cs) != 8:
             raise ValueError(f"an octonion needs 8 coefficients, got {len(cs)}")
+        wide = False
         for c in cs:
             if type(c) is int:
                 continue  # exact, and finite at any size
@@ -205,6 +208,10 @@ class Octonion(_Record):
                     raise ValueError(f"coefficients must be finite, got {c!r}")
             elif not isinstance(c, numbers.Rational) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be real numbers, got {c!r}")
+            elif getattr(c, "denominator", 1) == 1 and isinstance(c, numbers.Integral):
+                wide = True  # denominator first: a Fraction skips the slower ABC check
+        if wide:  # an integer type that wraps around, such as numpy's int64: hold the int it is
+            cs = tuple(int(c) if isinstance(c, numbers.Integral) else c for c in cs)
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
@@ -264,8 +271,12 @@ class Octonion(_Record):
         # Scalar scaling only; octonion products need an algebra id.
         if isinstance(scalar, Octonion):
             raise TypeError("octonion products need a rule: use multiply(a, b, n)")
+        if isinstance(scalar, bool):
+            raise TypeError(f"a scalar must be a real number, got {scalar!r}")
         if not isinstance(scalar, (numbers.Rational, float)):
             return NotImplemented
+        if isinstance(scalar, numbers.Integral):
+            scalar = int(scalar)  # an int64 would wrap the products before __init__ reads them
         return Octonion(tuple(map(mul, (scalar,) * 8, self.coeffs)))
 
     __rmul__ = __mul__
@@ -317,15 +328,10 @@ def _signs(n: int) -> tuple[int, ...]:
 def flip_vector(mask: int) -> tuple[int, ...]:
     """Seven parity-flip flags of the generators selected by ``mask`` (bit
     weights T0=8, T1=4, T2=2, T3=1): flag t is 1 where rule ``mask`` flips
-    triplet t, i.e. popcount(mask & m_t) is odd."""
+    triplet t, i.e. popcount(mask & m_t) is odd.  A single generator's
+    flags are ``flip_vector(bit)``: T0 flips three triplets and exchanges
+    handedness, T1..T3 flip four each and keep it."""
     return tuple(int(s < 0) for s in _signs(mask))
-
-
-# Parity-flip patterns of the four generators, one flag per reference
-# triplet (1 = swap orientation).  T0 flips three triplets and exchanges
-# chirality; T1..T3 flip four triplets each and preserve chirality.
-# Keyed by the generator's bit weight in an algebra id.
-GENERATOR_FLIPS: dict[int, tuple[int, ...]] = {bit: flip_vector(bit) for bit in (8, 4, 2, 1)}
 
 
 def parity_word(n: int) -> str:

@@ -347,7 +347,7 @@ def check_antiassoc_closed_form(derived: Callable[[], list] = _derivations) -> O
 
 
 def check_flip_signatures() -> Outcome:
-    signatures = tuple(zip(*(algebra.GENERATOR_FLIPS[bit] for bit in (8, 4, 2, 1))))
+    signatures = tuple(zip(*map(algebra.flip_vector, (8, 4, 2, 1))))
     if signatures != _SIGNATURES:
         return False, f"signatures {signatures}"
     return True, "7 per-triplet signatures pairwise distinct"

@@ -1,8 +1,10 @@
 """Octonion arithmetic and the 16 multiplication tables."""
 
 import math
+import numbers
 import random
 import re
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -17,7 +19,6 @@ from octsieve.algebra import (
     _character,
     _mul,
     _mul_all,
-    GENERATOR_FLIPS,
     NotEquivalentAlgebraError,
     REFERENCE_TRIPLETS,
     Octonion,
@@ -118,20 +119,23 @@ def test_right_handed_words_differ_by_t0():
         assert xor == t0
 
 
+# The flip flags of the generators T0..T3 as literals, keyed by bit weight.
+GENERATORS = {
+    8: (0, 0, 0, 0, 1, 1, 1),
+    4: (1, 1, 1, 1, 0, 0, 0),
+    2: (0, 1, 0, 1, 1, 0, 1),
+    1: (0, 0, 1, 1, 0, 1, 1),
+}
+
+
 def test_flips_and_characters_are_views_of_the_triplet_masks():
     # the generator patterns as literals, and the XOR composition that
     # flip_vector used to compute from them
-    generators = {
-        8: (0, 0, 0, 0, 1, 1, 1),
-        4: (1, 1, 1, 1, 0, 0, 0),
-        2: (0, 1, 0, 1, 1, 0, 1),
-        1: (0, 0, 1, 1, 0, 1, 1),
-    }
-    assert GENERATOR_FLIPS == generators and list(GENERATOR_FLIPS) == [8, 4, 2, 1]
-    assert [sum(pattern) for pattern in generators.values()] == [3, 4, 4, 4]
+    assert {bit: flip_vector(bit) for bit in GENERATORS} == GENERATORS
+    assert [sum(pattern) for pattern in GENERATORS.values()] == [3, 4, 4, 4]
     for n in range(16):
         composed = (0,) * 7
-        for bit, pattern in generators.items():
+        for bit, pattern in GENERATORS.items():
             if n & bit:
                 composed = tuple(a ^ b for a, b in zip(composed, pattern))
         assert flip_vector(n) == composed
@@ -247,6 +251,15 @@ def test_the_reference_triplets_are_closed_under_xor():
         assert (a ^ b, b ^ c, a ^ c) == (c, a, b)
 
 
+def test_the_generator_flips_are_read_through_flip_vector():
+    # the README's recipe for the removed GENERATOR_FLIPS
+    import octsieve
+
+    assert not hasattr(algebra, "GENERATOR_FLIPS") and not hasattr(octsieve, "GENERATOR_FLIPS")
+    flips = {bit: flip_vector(bit) for bit in (8, 4, 2, 1)}
+    assert flips == GENERATORS and list(flips) == [8, 4, 2, 1]
+
+
 def test_generator_words():
     words = [generator_word(n) for n in range(16)]
     assert words[:3] == ["id", "T3", "T2"] and words[5] == "T1*T3" and parity_word(5) == "--+++--"
@@ -259,7 +272,7 @@ def test_generator_words():
 
 def test_flip_signatures_pairwise_distinct():
     # triplet t's signature under (T0, T1, T2, T3) is its mask m_t, in bits
-    patterns = [GENERATOR_FLIPS[bit] for bit in (8, 4, 2, 1)]
+    patterns = [flip_vector(bit) for bit in (8, 4, 2, 1)]
     signatures = [tuple(p[t] for p in patterns) for t in range(7)]
     assert signatures == [
         (0, 1, 0, 0),
@@ -561,6 +574,72 @@ def test_octonion_validation_and_immutability():
         a * unit(2)  # octonion products need a rule
     with pytest.raises(ValueError, match="basis index"):
         unit(8)
+
+
+@numbers.Integral.register
+class Wrapping64:
+    """A fixed-width integer from outside the package, as numpy's int64 is:
+    a registered ``numbers.Integral`` whose sums and products wrap around
+    past 2^63."""
+
+    def __init__(self, value):
+        self.value = (int(value) + 2**63) % 2**64 - 2**63
+
+    def __int__(self):
+        return self.value
+
+    numerator = property(__int__)
+    denominator = 1
+
+    def _wrapped(op):
+        def method(self, other):
+            if not isinstance(other, (int, Wrapping64)):
+                return NotImplemented
+            return Wrapping64(op(self.value, int(other)))
+        return method
+
+    __add__ = __radd__ = _wrapped(lambda x, y: x + y)
+    __sub__ = _wrapped(lambda x, y: x - y)
+    __rsub__ = _wrapped(lambda x, y: y - x)
+    __mul__ = __rmul__ = _wrapped(lambda x, y: x * y)
+    del _wrapped
+
+    def __neg__(self):
+        return Wrapping64(-self.value)
+
+
+def fixed_width_integers():
+    """Wrapping64, and numpy's int64 where numpy is installed."""
+    try:
+        import numpy
+    except ImportError:
+        return [Wrapping64]
+    return [Wrapping64, numpy.int64]
+
+
+@pytest.mark.parametrize("wide", fixed_width_integers(), ids=lambda t: t.__name__)
+def test_a_fixed_width_integer_is_held_as_the_int_it_is(wide):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert int(wide(2**62) * wide(2**62)) == 0  # the type itself wraps around
+    x = Octonion([wide(2**62), 1, Fraction(1, 2), 0.5, wide(-3), 0, 0, 0])
+    assert x.coeffs == (2**62, 1, Fraction(1, 2), 0.5, -3, 0, 0, 0)
+    assert [type(c) for c in x.coeffs] == [int, int, Fraction, float, int, int, int, int]
+    y = Octonion([wide(2**62)] + [0] * 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns when int64 products wrap
+        assert multiply(y, y, 0) == Octonion([2**124] + [0] * 7) and norm_sq(y) == 2**124
+        scaled = Octonion(range(8)) * wide(2**62)
+        assert scaled == wide(2**62) * Octonion(range(8)) == Octonion([k * 2**62 for k in range(8)])
+    assert all(type(c) is int for c in scaled.coeffs)
+
+
+def test_a_bool_scalar_is_a_type_error_like_a_bool_coefficient():
+    with pytest.raises(TypeError, match="got True$"):
+        Octonion([True] + [0] * 7)
+    for scale in (lambda o: o * True, lambda o: False * o):
+        with pytest.raises(TypeError, match=r"^a scalar must be a real number, got (True|False)$"):
+            scale(Octonion(range(8)))
 
 
 def test_unit_is_one_shared_immutable_instance_per_index():

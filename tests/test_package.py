@@ -29,7 +29,7 @@ def home(name):
 
 
 def test_all_lists_each_name_once():
-    assert len(octsieve.__all__) == len(set(octsieve.__all__)) == 27
+    assert len(octsieve.__all__) == len(set(octsieve.__all__)) == 26
 
 
 @pytest.mark.parametrize("name", PUBLIC)

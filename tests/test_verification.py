@@ -618,7 +618,7 @@ BREAKS = {
                                 "kernel: _walsh output 5 is not sum_j b[j][5] x_j"),
     "xor-equivariance/mask": (V, "_character", lambda f: lambda m, k: -f(m, k) if (m, k) == (3, 5) else f(m, k),
                               "kernel: mask 3 does not scale output 5 by b[3][5]"),
-    "flip-signatures": (algebra, "GENERATOR_FLIPS", lambda flips: {**flips, 8: flips[4]},
+    "flip-signatures": (algebra, "flip_vector", lambda f: lambda n: f(4 if n == 8 else n),
                         "signatures ((1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 0), "
                         "(0, 0, 0, 1), (0, 0, 1, 1))"),
     "derivation-ranks": (derivations, "integer_rank", lambda f: lambda rows: f(rows[:7]),
