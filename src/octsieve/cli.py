@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .algebra import Octonion, _check_algebra_id, _check_int, generator_word, mul_table, parity_word, triplet_set
 from .dsl import ExprSyntaxError, _number, parse, to_text
-from .sieve import _ZERO, _evaluator, _per_rule, _spectrum, _trials, random_assignment
+from .sieve import _COEFF_BOUND, _SEED, _TRIALS, _ZERO, _evaluator, _per_rule, _spectrum, _trials, random_assignment
 
 SCHEMA_VERSION = 3
 
@@ -150,7 +150,7 @@ def text_orbit(payload: dict, args):
 def _expr_and_env(args) -> tuple:
     """The expression, its all-rules evaluator, the assignment and the rng
     that drew it (or None).  --seed and sieve's --trials belong to
-    --random-assign, which sets those left unset (None) to 0 and 64."""
+    --random-assign, which sets those left unset (None) to _SEED and _TRIALS."""
     try:
         tree = parse(args.expr)
     except ExprSyntaxError as exc:
@@ -176,9 +176,9 @@ def _expr_and_env(args) -> tuple:
         return tree, values, env, None
     if not args.random_assign:
         raise CliError("provide --assign for every variable or --random-assign")
-    args.seed = 0 if args.seed is None else args.seed
+    args.seed = _SEED if args.seed is None else args.seed
     if "trials" in args:  # before anything is compiled
-        args.trials = _check_int(64 if args.trials is None else args.trials, "trials", 1)
+        args.trials = _check_int(_TRIALS if args.trials is None else args.trials, "trials", 1)
     names, values = _evaluator(tree)
     rng = random.Random(args.seed)
     return tree, values, random_assignment(names, rng), rng
@@ -309,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     expr.add_argument("--assign", action="append", default=[], metavar="NAME=V0,...,V7",
                       help="bind a variable to 8 comma-separated reals (repeatable)")
     expr.add_argument("--random-assign", action="store_true",
-                      help="draw integer coefficients in -9..9 from --seed")
+                      help=f"draw integer coefficients in -{_COEFF_BOUND}..{_COEFF_BOUND} from --seed")
     expr.add_argument("--seed", type=int,
-                      help="seed of the --random-assign draws; an error with --assign (default: 0)")
+                      help=f"seed of the --random-assign draws; an error with --assign (default: {_SEED})")
     sieve_opts = _options(expr)
-    sieve_opts.add_argument("--trials", type=int,
-                            help="number of --random-assign trials, at least 1; an error with --assign (default: 64)")
+    sieve_opts.add_argument("--trials", type=int, help="number of --random-assign trials, at least 1; "
+                            f"an error with --assign (default: {_TRIALS})")
     uv = _options()
     uv.add_argument("--u", required=True, metavar="OCT", help="iK shorthand or 8 reals")
     uv.add_argument("--v", required=True, metavar="OCT")

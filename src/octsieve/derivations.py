@@ -58,7 +58,7 @@ from operator import sub
 
 from .algebra import Octonion, _check_algebra_id, _check_int, _exact, _mul, _mul_all, _Record, _signs, multiply, norm
 from .dsl import Expr, _program, parse
-from .sieve import AllRules, _all_rules, _evaluator, _per_rule, _pruned, _random_ints
+from .sieve import _COEFF_BOUND, AllRules, _all_rules, _evaluator, _per_rule, _pruned, _random_ints
 
 __all__ = [
     "commutator",
@@ -313,7 +313,7 @@ def expr_cross_algebra_equal(
     out_of_span = RegimeReport(True)
 
     for _ in range(trials):
-        coords = {name: _random_ints(rng, 9, 4) for name in names}
+        coords = {name: _random_ints(rng, _COEFF_BOUND, 4) for name in names}
         env = {}  # c0 + c1 u + c2 v + c3 uv, exact, as its spectrum
         for name, (c0, c1, c2, c3) in coords.items():
             x = [c0, 0, 0, 0, 0, 0, 0, 0]
@@ -323,10 +323,10 @@ def expr_cross_algebra_equal(
 
         env = {}
         for name in names:
-            coeffs = list(_random_ints(rng, 9))
+            coeffs = list(_random_ints(rng, _COEFF_BOUND))
             k = rng.choice(outside)
             while coeffs[k] == 0:
-                coeffs[k] = _random_ints(rng, 9, 1)[0]
+                coeffs[k] = _random_ints(rng, _COEFF_BOUND, 1)[0]
             env[name] = Octonion(coeffs)
         out_of_span = _refuted(out_of_span, _derive_all(u, v, values(env)), {"assignment": env})
 

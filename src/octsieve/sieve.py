@@ -20,11 +20,11 @@ A constant family therefore has distances g[k], k > 0, that are exactly
 zero, for float coefficients too: x - x is exactly 0 and every later
 stage adds zeros.  The public :func:`sieve` and :func:`unsieve` then
 divide all 128 sums by 4 in floating point, in one pass, so an int
-distance past 2^53 rounds there and one past the float range raises
-``OverflowError``.  They build the 16 octonions with one check per
-family of floats, ``Octonion._from_columns``: the constructor's check,
-run once over all 128 coefficients.  The verdict and the CLI never
-divide: they read the distances off the all-rules pass, below.
+distance past 2^53 rounds there, and one past the float range raises the
+division's own ``OverflowError`` before any coefficient is checked.
+``Octonion._from_columns`` builds the 16 octonions, with the
+constructor's check run once on a family of finite floats.  The verdict
+and the CLI never divide: they read the distances off the all-rules pass.
 
 An expression is algebraically invariant when g[k] = 0 for every k > 0,
 i.e. its value does not depend on which of the 16 rules multiplies.  The
@@ -136,11 +136,7 @@ def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
     fam = tuple(values)
     if len(fam) != 16 or not all(isinstance(v, Octonion) for v in fam):
         raise ValueError("a family is a 16-tuple of octonions")
-    cols = list(map(_walsh, *[f.coeffs for f in fam]))
-    try:
-        quarters = tuple([c / 4 for col in cols for c in col])
-    except OverflowError:  # an int past the float range: row by row, an earlier row's error first
-        return tuple(Octonion([c / 4 for c in row]) for row in zip(*cols))
+    quarters = tuple([c / 4 for col in map(_walsh, *[f.coeffs for f in fam]) for c in col])
     return Octonion._from_columns(quarters)
 
 
@@ -152,6 +148,10 @@ def sieve(fam: Sequence[Octonion]) -> DistanceFamily:
 def unsieve(dist: Sequence[Octonion]) -> FunctionFamily:
     """The identical transform; inverse of :func:`sieve`."""
     return _transform(dist)
+
+
+# The sampler's defaults: the coefficient bound, the trials and the seed
+_COEFF_BOUND, _TRIALS, _SEED = 9, 64, 0
 
 
 def _random_ints(rng: random.Random, bound: int, count: int = 8) -> tuple[int, ...]:
@@ -176,7 +176,7 @@ def _random_ints(rng: random.Random, bound: int, count: int = 8) -> tuple[int, .
 
 
 def random_assignment(
-    names: Sequence[str], rng: random.Random, coeff_bound: int = 9
+    names: Sequence[str], rng: random.Random, coeff_bound: int = _COEFF_BOUND
 ) -> dict[str, Octonion]:
     """Integer-coefficient octonions for each name, drawn from the rng: for
     each name in turn, 8 coefficients in -coeff_bound..coeff_bound, the
@@ -337,7 +337,7 @@ def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng
     names = list(env)
     for trial in range(1, trials + 1):
         if trial > 1:
-            env = {name: _random_ints(rng, 9) for name in names}
+            env = {name: _random_ints(rng, _COEFF_BOUND) for name in names}
         value = values(env)
         if trial == 1:
             first = value
@@ -350,7 +350,7 @@ def _trials(values: Callable[[Mapping], AllRules], env: dict[str, Octonion], rng
     return first, SieveVerdict(True, trials, trials_run=trials)
 
 
-def is_invariant(expr: Expr | str, trials: int = 64, seed: int = 0) -> SieveVerdict:
+def is_invariant(expr: Expr | str, trials: int = _TRIALS, seed: int = _SEED) -> SieveVerdict:
     """Randomized refuter for algebraic invariance.
 
     Runs ``trials`` (an int >= 1) integer-coefficient random assignments;

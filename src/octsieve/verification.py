@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from functools import cache
 from itertools import combinations, permutations, product
 from operator import mul, xor
 from time import perf_counter
@@ -429,16 +430,11 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
     """Run every check, always all of them, in declaration order; each
     result carries the check's name and its wall time.  A check that raises
     an ``Exception`` fails, its detail the exception's type and message.
-    The first check that reads rule 0's :func:`_derivations` builds them
-    for this call alone; a build that raises fails each such check.
+    The checks that read rule 0's :func:`_derivations` share one
+    ``functools.cache`` of it, made per call; a build that raises is not
+    cached, so each such check retries it and fails.
     ``quick`` is ignored: the benchmark harness still passes ``quick=False``."""
-    table, results = [], []
-
-    def derived() -> list:
-        if not table:
-            table.append(_derivations())
-        return table[0]
-
+    derived, results = cache(_derivations), []
     for name, fn in ALL_CHECKS:
         start = perf_counter()
         try:

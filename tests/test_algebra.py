@@ -642,6 +642,39 @@ def test_a_bool_scalar_is_a_type_error_like_a_bool_coefficient():
             scale(Octonion(range(8)))
 
 
+class Reflected:
+    """An operand that takes every operation an octonion declines, and
+    records it."""
+
+    __hash__ = None
+
+    def __init__(self):
+        self.calls = []
+
+    def _recorded(name):
+        def method(self, other):
+            self.calls.append((name, other))
+            return name
+        return method
+
+    __radd__ = _recorded("__radd__")
+    __rsub__ = _recorded("__rsub__")
+    __rmul__ = _recorded("__rmul__")
+    __eq__ = _recorded("__eq__")
+    del _recorded
+
+
+def test_an_operand_that_is_not_an_octonion_or_a_scalar_is_declined():
+    x = unit(1)
+    for op in (lambda: x + 1, lambda: x - 1.5, lambda: x * "ab"):
+        with pytest.raises(TypeError):
+            op()
+    assert (x == (0, 1, 0, 0, 0, 0, 0, 0)) is False and (x != (0, 1, 0, 0, 0, 0, 0, 0)) is True
+    other = Reflected()
+    assert (x + other, x - other, x * other, x == other) == ("__radd__", "__rsub__", "__rmul__", "__eq__")
+    assert other.calls == [(name, x) for name in ("__radd__", "__rsub__", "__rmul__", "__eq__")]
+
+
 def test_unit_is_one_shared_immutable_instance_per_index():
     for k in range(8):
         e = Octonion.unit(k)

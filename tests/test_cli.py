@@ -573,14 +573,27 @@ def test_sieve_verdict_matches_is_invariant(capsys):
         if verdict.invariant:
             assert payload["witness"] is None
             continue
-        w = verdict.witness
-        assert payload["witness"] == {
-            "assignment": {name: list(x.coeffs) for name, x in w.assignment.items()},
-            "index": w.index,
-            "distance": list(w.distance.coeffs),
-        }
+        assert payload["witness"] == witness_json(verdict.witness)
     # verdicts of every kind: held, refuted at trial 1, refuted later
     assert seen >= {(True, False), (True, True), (False, False), (False, True)}
+
+
+def witness_json(w):
+    return {
+        "assignment": {name: list(x.coeffs) for name, x in w.assignment.items()},
+        "index": w.index,
+        "distance": list(w.distance.coeffs),
+    }
+
+
+@pytest.mark.parametrize("text, invariant", [("a*b", False), ("a*b + b*a", True)])
+def test_sieve_without_seed_or_trials_is_is_invariants_default_verdict(capsys, text, invariant):
+    code, out, _ = run(capsys, "sieve", "--expr", text, "--random-assign", "--format", "json")
+    assert code == 0
+    payload, verdict = json.loads(out), is_invariant(text)
+    assert (payload["invariant"], payload["trials_run"]) == (verdict.invariant, verdict.trials_run)
+    assert verdict.invariant == invariant
+    assert payload["witness"] == (None if invariant else witness_json(verdict.witness))
 
 
 ASSIGN_AB = ("--expr", "a*b", "--assign", "a=i1", "--assign", "b=i2")

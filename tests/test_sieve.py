@@ -284,13 +284,21 @@ def alternating(x):
 @pytest.mark.parametrize("fam, message", [
     ((Octonion((1e308,) * 8),) * 16, "got inf"),
     (alternating(1e308), "got -inf"),
-    # row 0's float sum overflows and row 5's int quarter is past the float
-    # range: the row that comes first raises
-    (tuple(Octonion((1e308, sign_entry(j, 5) * 2**1030, 0, 0, 0, 0, 0, 0)) for j in range(16)), "got inf"),
 ])
 def test_a_float_sum_past_the_float_range_is_a_nonfinite_coefficient(fam, message):
     for transform in (sieve, unsieve):
         with pytest.raises(ValueError, match=f"^coefficients must be finite, {message}$"):
+            transform(fam)
+
+
+@pytest.mark.parametrize("first", [0, 1e308], ids=["int", "float-overflow"])
+def test_an_int_quarter_past_the_float_range_is_the_divisions_overflow(first):
+    # row 5's int quarter is past the float range: all 128 sums are divided
+    # before any coefficient is checked, so row 0's float sum of 16 * 1e308
+    # does not raise first
+    fam = tuple(Octonion((first, sign_entry(j, 5) * 2**1030, 0, 0, 0, 0, 0, 0)) for j in range(16))
+    for transform in (sieve, unsieve):
+        with pytest.raises(OverflowError, match="^integer division result too large for a float$"):
             transform(fam)
 
 
