@@ -56,10 +56,11 @@ Floats must be finite.  :func:`_rational` reads a checked coefficient as
 the rational it is, and :func:`_exact` a tuple of them, for every exact
 route in the package: the sieve's all-rules pass, compiled constants, the
 derivations, and :func:`norm` and :func:`inverse`, which sum |a|^2 exactly
-whatever the coefficients are.  With float inputs every term of a product
-is added, zero or not, so a coefficient whose terms all vanish can come
-out as 0.0 where a loop that skips zero terms would leave the integer 0;
-the two are equal.
+whatever the coefficients are.  :func:`inverse` takes no rule id:
+conj(a)/|a|^2 is a's inverse under all 16 rules.  With float inputs
+every term of a product is added, zero or not, so a coefficient whose
+terms all vanish can come out as 0.0 where a loop that skips zero terms
+would leave the integer 0; the two are equal.
 """
 
 from __future__ import annotations
@@ -490,10 +491,9 @@ def norm(a: Octonion) -> float:
     return math.ldexp(top + (low > half or low == half and top & 1), s - e)
 
 
-def inverse(a: Octonion, n: int) -> Octonion:
-    """Multiplicative inverse conj(a)/|a|^2, the same for every rule n, as
+def inverse(a: Octonion) -> Octonion:
+    """Multiplicative inverse conj(a)/|a|^2, the same under every rule, as
     exact quotients (``Fraction``) of the rational coefficients."""
-    _check_algebra_id(n)
     if a.is_zero():
         raise ZeroDivisionError("the zero octonion has no inverse")
     from fractions import Fraction  # not at package import: it pulls in decimal

@@ -58,7 +58,7 @@ from operator import sub
 
 from .algebra import Octonion, _check_algebra_id, _check_int, _exact, _mul, _mul_all, _Record, _signs, multiply, norm
 from .dsl import Expr, _program, parse
-from .sieve import _COEFF_BOUND, AllRules, _all_rules, _evaluator, _per_rule, _pruned, _random_ints
+from .sieve import _COEFF_BOUND, _SEED, AllRules, _all_rules, _evaluator, _per_rule, _pruned, _random_ints
 
 __all__ = [
     "commutator",
@@ -278,7 +278,7 @@ def expr_cross_algebra_equal(
     v: Octonion,
     expr: Expr | str,
     trials: int = 16,
-    seed: int = 0,
+    seed: int = _SEED,
 ) -> CrossAlgebraVerdict:
     """Probe whether D(u, v; expr value) agrees across all 16 rules.
 

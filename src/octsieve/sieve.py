@@ -8,7 +8,7 @@ through a 16x16 Hadamard sign matrix
 
 into a distance family g[k] = (1/4) * sum_j b[j][k] f[j].  Applying the
 same transform to the distances restores the functions exactly (the
-scaled matrix is its own inverse).
+scaled matrix is its own inverse), so :func:`unsieve` is :func:`sieve`.
 
 The transform is the Walsh transform over Z2^4, computed as a radix-2
 butterfly.  ``_walsh`` is its kernel on one column of 16 scalars: four
@@ -18,10 +18,10 @@ entries x, y whose indices differ only in bit h by x + y and x - y.
 order fixes every float sum.  The sums are exact on ints and rationals.
 A constant family therefore has distances g[k], k > 0, that are exactly
 zero, for float coefficients too: x - x is exactly 0 and every later
-stage adds zeros.  The public :func:`sieve` and :func:`unsieve` then
-divide all 128 sums by 4 in floating point, in one pass, so an int
-distance past 2^53 rounds there, and one past the float range raises the
-division's own ``OverflowError`` before any coefficient is checked.
+stage adds zeros.  The public :func:`sieve` then divides all 128 sums
+by 4 in floating point, in one pass, so an int distance past 2^53 rounds
+there, and one past the float range raises the division's own
+``OverflowError`` before any coefficient is checked.
 ``Octonion._from_columns`` builds the 16 octonions, with the
 constructor's check run once on a family of finite floats.  The verdict
 and the CLI never divide: they read the distances off the all-rules pass.
@@ -132,22 +132,18 @@ def _butterfly(rows: Sequence[tuple]) -> list[tuple]:
     return list(zip(*map(_walsh, *rows)))
 
 
-def _transform(values: Sequence[Octonion]) -> tuple[Octonion, ...]:
-    fam = tuple(values)
+def sieve(fam: Sequence[Octonion]) -> DistanceFamily:
+    """Distances of a function family: g[k] = (1/4) sum_j b[j][k] f[j].
+    The scaled matrix is its own inverse, so the same transform of the
+    distances gives the functions back: :func:`unsieve` is this function."""
+    fam = tuple(fam)
     if len(fam) != 16 or not all(isinstance(v, Octonion) for v in fam):
         raise ValueError("a family is a 16-tuple of octonions")
     quarters = tuple([c / 4 for col in map(_walsh, *[f.coeffs for f in fam]) for c in col])
     return Octonion._from_columns(quarters)
 
 
-def sieve(fam: Sequence[Octonion]) -> DistanceFamily:
-    """Distances of a function family: g[k] = (1/4) sum_j b[j][k] f[j]."""
-    return _transform(fam)
-
-
-def unsieve(dist: Sequence[Octonion]) -> FunctionFamily:
-    """The identical transform; inverse of :func:`sieve`."""
-    return _transform(dist)
+unsieve = sieve
 
 
 # The sampler's defaults: the coefficient bound, the trials and the seed

@@ -37,8 +37,8 @@ gives the transform's exact matrix over any commutative ring.
 ``xor-equivariance`` proves that the matrix is b[j][k] and that
 permuting the input by j -> j ^ m multiplies output k by b[m][k];
 ``hadamard-involution`` proves that the kernel on its own outputs gives
-16 x_k.  The public :func:`sieve` and :func:`unsieve` divide the sums by
-4 in floats, exact only below 2^53, so that route is sampled.
+16 x_k.  The public :func:`sieve`, which is :func:`unsieve`, divides the
+sums by 4 in floats, exact only below 2^53, so that route is sampled.
 
 Each check's route.  ``table-fidelity``, ``row-generators`` and
 ``flip-signatures`` compare the rule tables, sign matrix and generator

@@ -318,6 +318,15 @@ def test_derive_algebra_is_a_usage_error(capsys):
     assert "unrecognized arguments: --algebra 5" in captured.err
 
 
+def test_derive_trials_is_a_usage_error(capsys):
+    # --trials belongs to sieve's --random-assign; derive draws one assignment
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", "--u", "i1", "--v", "i2", "--expr", "a", "--random-assign", "--trials", "3"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --trials 3" in captured.err
+
+
 def test_integer_literal_past_2_53_is_exact(capsys):
     big = 2**53 + 1
     code, out, _ = run(

@@ -80,6 +80,8 @@ def test_unsieve_of_dc_only_gives_constant_family():
 
 
 def test_sieve_unsieve_round_trip():
+    # the scaled sign matrix is its own inverse: one transform, two names
+    assert unsieve is sieve
     rng = random.Random(8)
     for _ in range(50):
         fam = rand_family(rng, bound=50)
