@@ -4,7 +4,11 @@ variance sieve over them, and their derivation algebras.
 Importing the package compiles what a sieve runs, ``algebra``, ``dsl`` and
 ``sieve``, and binds their public names here.  ``octsieve.derivations``
 and ``octsieve.verification`` are imported, and compiled, only by a
-caller that imports them.
+caller that imports them.  The package imports no ``typing``:
+annotations are strings naming ``collections.abc`` types and unions are
+``X | Y`` values, as ``typing`` and the ``contextlib`` it pulls in made
+the import slower.  A test checks, under ``-S``, that ``import octsieve,
+octsieve.cli`` loads neither those two nor the deferred modules.
 """
 
 from .algebra import (

@@ -7,9 +7,10 @@ the units satisfy i_l i_m = i_n cyclically, together with i_k^2 = -1 and
 anticommutativity of distinct imaginary units.
 
 The sixteen rules O[0]..O[15] are one algebra written in sixteen bases.
-Each unit e_i has a key kappa_i in Z2^4 (``_KEYS``), and rule n is the
-reference rule O[0] in the basis phi_n: e_i -> chi(kappa_i, n) e_i, where
-chi(k, n) = (-1) ** popcount(k & n) are the characters of Z2^4.  So a
+Each unit e_i has a key kappa_i in Z2^4 (``_KEYS``, the only statement of
+Z2^4 in the package), and rule n is the reference rule O[0] in the basis
+phi_n: e_i -> chi(kappa_i, n) e_i, where the characters of Z2^4 are
+chi(k, n) = (-1) ** popcount(k & n).  So a
 triplet t = {a, b, c} has the 4-bit mask m_t = kappa_a ^ kappa_b ^ kappa_c,
 and rule n flips its orientation exactly when chi(m_t, n) = -1.  The bits
 of n are four generators T0=8, T1=4, T2=2, T3=1 acting on the triplet
@@ -151,7 +152,11 @@ class _Record:
     field values, records of two classes never compare equal, and the repr
     is ``Name(field=value, ...)``.  Assignment and deletion raise
     ``AttributeError``; copying and pickling rebuild through the
-    constructor, passing each field by keyword."""
+    constructor, passing each field by keyword.  Records are not
+    dataclasses: ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``, and ``@dataclass`` compiles each class's methods at
+    import, so with dataclasses every CLI call's import (``setup_s``) took
+    longer, with ``.pyc`` files and without them."""
 
     __slots__ = ()
 

@@ -12,10 +12,10 @@ read floats as exact rationals) as p/q, as JSON does unless it is an int.
 All output is rendered before any is printed, so a command that fails
 leaves stdout empty.  Python's int/str digit limit (4300 digits by
 default) stays in force, since it guards against quadratic-time
-conversion: a longer literal or result exits 1.  Output is deterministic
-for a fixed argv (randomness only enters through --seed).  Exit codes: 0
-success, 1 domain error, failed verification or a closed output pipe, 2
-usage error.
+conversion: a longer literal or result exits 1.  Output, but for
+`verify`'s times, is fixed by argv (randomness enters only through
+--seed).  Exit codes: 0 success, 1 domain error, failed verification or
+a closed output pipe, 2 usage error.
 
 Every call pays this module's import first, so it imports at the top only
 what `tables`, `triplets`, `orbit`, `sieve`, JSON output and :func:`main`
@@ -232,6 +232,7 @@ def cmd_derive(args) -> dict:
     v = _parse_octonion(args.v)
     tree, values, env, _ = _expr_and_env(args)
     outputs = [list(o) for o in _derive_all(u, v, values(env))]
+    equal_set = [n for n, o in enumerate(outputs) if o == outputs[0]]
     return {
         "u": list(u),
         "v": list(v),
@@ -239,8 +240,8 @@ def cmd_derive(args) -> dict:
         "assignment": {name: list(x) for name, x in env.items()},
         "algebras": list(range(16)),
         "outputs": outputs,
-        "all_equal": all(o == outputs[0] for o in outputs),
-        "equal_set": [n for n, o in enumerate(outputs) if o == outputs[0]],
+        "all_equal": len(equal_set) == 16,
+        "equal_set": equal_set,
     }
 
 

@@ -50,11 +50,12 @@ Each step on 8-tuples is written out over the eight coefficients, with
 no slice, map or comprehension: the real-operand test
 ``not (x[1] or ... or x[7])``, the scaling ``(r*c0, ..., r*c7)``
 (``_scale``, which also negates), the sum and difference (``_add``,
-``_sub``) and the conjugate.  They do the arithmetic of the generic loops
-they replaced, term for term and in the same order, so they give the
-same values of the same types: an exact zero, ``Fraction(0)`` too, is
-falsy, and a scaling by an exact r != 0 zeroes no coefficient, so a
-scaled spectrum keeps all its keys, and one scaled by r == 0 is zero.
+``_sub``) and the conjugate, as the pass ran faster with them than with
+the generic loops they replaced.  They do those loops' arithmetic, term
+for term and in the same order, so they give the same values of the same
+types on ints, big ints and ``Fraction``s: an exact zero, ``Fraction(0)``
+too, is falsy, and a scaling by an exact r != 0 zeroes no coefficient, so
+a scaled spectrum keeps all its keys, and one scaled by r == 0 is zero.
 ``algebra._mul_all`` unpacks its operands the same way.  ``_per_rule``
 transforms a spectrum into :func:`function_family`'s values on the same
 exact inputs.  ``_trials`` reaches a verdict, trial 1 on a given

@@ -57,7 +57,8 @@ the 168 antiassociative triples (a failure names rule 0);
 ``equality-criterion`` reads D's spectrum on the 343 unit triples: no
 key k > 0 exactly when all 16 rules agree (a failure prints the rules
 in ker chi_k for each key), else one key, the XOR of two triplet masks.
-The test suite keeps the per-rule and all-rules routes as cross-checks.
+The test suite keeps the per-rule and all-rules routes, and sampled
+checks of both identities (1000 inputs x 16 rules), as cross-checks.
 """
 
 from __future__ import annotations

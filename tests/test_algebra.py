@@ -252,7 +252,7 @@ def test_the_reference_triplets_are_closed_under_xor():
 
 
 def test_the_generator_flips_are_read_through_flip_vector():
-    # the README's recipe for the removed GENERATOR_FLIPS
+    # the four generators' flip flags are read through flip_vector: no module stores them
     import octsieve
 
     assert not hasattr(algebra, "GENERATOR_FLIPS") and not hasattr(octsieve, "GENERATOR_FLIPS")
@@ -541,7 +541,8 @@ def test_identify_algebra_rejects_malformed_shapes():
 
 
 def test_a_structure_tensor_reads_as_the_signed_table():
-    # the README's recipe: identify_algebra reads the signed table alone
+    # identify_algebra reads the signed table alone: a tensor whose every t[i][j] is one
+    # signed unit converts to it
     import octsieve.algebra
 
     assert not hasattr(octsieve.algebra, "table_from_tensor")
