@@ -28,9 +28,13 @@ The basis index of a product is the same in every rule: e_i e_j =
 +-e_{i XOR j}, because each triplet (l, m, n) satisfies l XOR m = n.  The
 sign is +1 when i or j is 0, -1 when i = j > 0, and otherwise the
 reference orientation of the triplet t holding i and j times chi(m_t, n).
-:func:`multiply` is one unrolled kernel over these seven characters; the
-table of rule n in :func:`mul_table` is built independently, from rule
-n's oriented triplets (:func:`triplet_set`).
+:func:`multiply` is one unrolled kernel over these seven characters,
+``_mul``, which presigns the 21 products s_t a_i once: 85
+multiplications per product, not 106, with every value and float bit
+unchanged (its docstring says why).  The table of rule n in
+:func:`mul_table` is built independently, from rule n's oriented
+triplets (:func:`triplet_set`).  :func:`conjugate` and the sieve's
+all-rules pass share one written-out conjugate, ``_conj``.
 For two 8-tuples of ints or rationals, :func:`_mul_all` gives the product
 under all 16 rules as its Walsh spectrum: under rule n it is
 P0 + sum_t chi(m_t, n) P_t, a rule-independent part and seven triplet
@@ -52,7 +56,9 @@ and :func:`_add_product`, which add into the rows they are given, are
 pure.  Ints of any size and rationals (``numbers.Rational``, such as
 ``Fraction``) propagate exactly through every operation, so the tests
 assert equality, never tolerance; an :class:`Octonion` holds any other
-``numbers.Integral``, such as numpy's int64, as the int it is.
+``numbers.Integral``, such as numpy's int64, as the int it is, and
+remembers each non-integral rational type that has passed its check
+(``_RATIONAL_TYPES``), which changes no result.
 Floats must be finite.  :func:`_rational` reads a checked coefficient as
 the rational it is, and :func:`_exact` a tuple of them, for every exact
 route in the package: the sieve's all-rules pass, compiled constants, the
@@ -142,6 +148,8 @@ def _check_int(value: int, what: str, low: int, high: int | None = None) -> int:
 
 
 def _check_algebra_id(n: int) -> int:
+    if type(n) is int and 0 <= n <= 15:
+        return n  # the common case, on every product: _check_int decides the rest
     return _check_int(n, "algebra id", 0, 15)
 
 
@@ -190,6 +198,12 @@ def _rebuild(cls: type, fields: dict) -> _Record:
     return cls(**fields)
 
 
+# Each type that has passed Octonion's check as a numbers.Rational that is
+# not a numbers.Integral, such as Fraction: later coefficients of the type
+# skip the ABC checks, which are most of the time of an octonion of Fractions.
+_RATIONAL_TYPES: set[type] = set()
+
+
 class Octonion(_Record):
     """An immutable 8-tuple of real coefficients (a0, ..., a7).
 
@@ -212,10 +226,14 @@ class Octonion(_Record):
             if isinstance(c, float):
                 if not math.isfinite(c):
                     raise ValueError(f"coefficients must be finite, got {c!r}")
+            elif type(c) in _RATIONAL_TYPES:
+                continue  # exact, and its type has passed the ABC checks below
             elif not isinstance(c, numbers.Rational) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be real numbers, got {c!r}")
-            elif getattr(c, "denominator", 1) == 1 and isinstance(c, numbers.Integral):
-                wide = True  # denominator first: a Fraction skips the slower ABC check
+            elif isinstance(c, numbers.Integral):
+                wide = True
+            else:
+                _RATIONAL_TYPES.add(type(c))
         if wide:  # an integer type that wraps around, such as numpy's int64: hold the int it is
             cs = tuple(int(c) if isinstance(c, numbers.Integral) else c for c in cs)
         object.__setattr__(self, "coeffs", cs)
@@ -379,20 +397,33 @@ def _mul(a: tuple, b: tuple, s: tuple[int, ...]) -> tuple:
 
     Output k is the sum over i of sign(i, i^k) * a_i * b_{i^k}, its terms
     added in ascending i.  Each term carries rule 0's sign as written and
-    the factor s_t of the reference triplet t that holds i and i^k.
+    the factor s_t of the reference triplet t that holds i and i^k.  Of the
+    64 terms, 42 carry a character, and each imaginary a_i lies on three
+    triplets, so the kernel presigns the 21 products s_t a_i once and makes
+    85 multiplications where a term-by-term s_t*a_i*b_j makes 106.  Python
+    reads s_t*a_i*b_j as (s_t*a_i)*b_j, so every term is the same
+    operations on the same operands in the same order: ints, rationals and
+    floats, signed zeros among them, come out identical.
     """
     a0, a1, a2, a3, a4, a5, a6, a7 = a
     b0, b1, b2, b3, b4, b5, b6, b7 = b
     s0, s1, s2, s3, s4, s5, s6 = s
+    s0a1, s0a2, s0a3 = s0*a1, s0*a2, s0*a3
+    s1a1, s1a6, s1a7 = s1*a1, s1*a6, s1*a7
+    s2a2, s2a5, s2a7 = s2*a2, s2*a5, s2*a7
+    s3a3, s3a5, s3a6 = s3*a3, s3*a5, s3*a6
+    s4a1, s4a4, s4a5 = s4*a1, s4*a4, s4*a5
+    s5a2, s5a4, s5a6 = s5*a2, s5*a4, s5*a6
+    s6a3, s6a4, s6a7 = s6*a3, s6*a4, s6*a7
     return (
         a0*b0 - a1*b1 - a2*b2 - a3*b3 - a4*b4 - a5*b5 - a6*b6 - a7*b7,
-        a0*b1 + a1*b0 + s0*a2*b3 - s0*a3*b2 + s4*a4*b5 - s4*a5*b4 - s1*a6*b7 + s1*a7*b6,
-        a0*b2 - s0*a1*b3 + a2*b0 + s0*a3*b1 + s5*a4*b6 + s2*a5*b7 - s5*a6*b4 - s2*a7*b5,
-        a0*b3 + s0*a1*b2 - s0*a2*b1 + a3*b0 + s6*a4*b7 - s3*a5*b6 + s3*a6*b5 - s6*a7*b4,
-        a0*b4 - s4*a1*b5 - s5*a2*b6 - s6*a3*b7 + a4*b0 + s4*a5*b1 + s5*a6*b2 + s6*a7*b3,
-        a0*b5 + s4*a1*b4 - s2*a2*b7 + s3*a3*b6 - s4*a4*b1 + a5*b0 - s3*a6*b3 + s2*a7*b2,
-        a0*b6 + s1*a1*b7 + s5*a2*b4 - s3*a3*b5 - s5*a4*b2 + s3*a5*b3 + a6*b0 - s1*a7*b1,
-        a0*b7 - s1*a1*b6 + s2*a2*b5 + s6*a3*b4 - s6*a4*b3 - s2*a5*b2 + s1*a6*b1 + a7*b0,
+        a0*b1 + a1*b0 + s0a2*b3 - s0a3*b2 + s4a4*b5 - s4a5*b4 - s1a6*b7 + s1a7*b6,
+        a0*b2 - s0a1*b3 + a2*b0 + s0a3*b1 + s5a4*b6 + s2a5*b7 - s5a6*b4 - s2a7*b5,
+        a0*b3 + s0a1*b2 - s0a2*b1 + a3*b0 + s6a4*b7 - s3a5*b6 + s3a6*b5 - s6a7*b4,
+        a0*b4 - s4a1*b5 - s5a2*b6 - s6a3*b7 + a4*b0 + s4a5*b1 + s5a6*b2 + s6a7*b3,
+        a0*b5 + s4a1*b4 - s2a2*b7 + s3a3*b6 - s4a4*b1 + a5*b0 - s3a6*b3 + s2a7*b2,
+        a0*b6 + s1a1*b7 + s5a2*b4 - s3a3*b5 - s5a4*b2 + s3a5*b3 + a6*b0 - s1a7*b1,
+        a0*b7 - s1a1*b6 + s2a2*b5 + s6a3*b4 - s6a4*b3 - s2a5*b2 + s1a6*b1 + a7*b0,
     )
 
 
@@ -470,9 +501,15 @@ def multiply(a: Octonion, b: Octonion, n: int) -> Octonion:
     return Octonion(_mul(a.coeffs, b.coeffs, _signs(n)))
 
 
+def _conj(c: tuple) -> tuple:
+    """The conjugate of a coefficient 8-tuple, written out."""
+    c0, c1, c2, c3, c4, c5, c6, c7 = c
+    return (c0, -c1, -c2, -c3, -c4, -c5, -c6, -c7)
+
+
 def conjugate(a: Octonion) -> Octonion:
     """Real part kept, all imaginary coefficients negated."""
-    return Octonion((a.coeffs[0],) + tuple(-c for c in a.coeffs[1:]))
+    return Octonion(_conj(a.coeffs))
 
 
 def norm_sq(a: Octonion) -> float:

@@ -50,12 +50,14 @@ Each step on 8-tuples is written out over the eight coefficients, with
 no slice, map or comprehension: the real-operand test
 ``not (x[1] or ... or x[7])``, the scaling ``(r*c0, ..., r*c7)``
 (``_scale``, which also negates), the sum and difference (``_add``,
-``_sub``) and the conjugate, as the pass ran faster with them than with
-the generic loops they replaced.  They do those loops' arithmetic, term
-for term and in the same order, so they give the same values of the same
-types on ints, big ints and ``Fraction``s: an exact zero, ``Fraction(0)``
-too, is falsy, and a scaling by an exact r != 0 zeroes no coefficient, so
-a scaled spectrum keeps all its keys, and one scaled by r == 0 is zero.
+``_sub``) and the conjugate (``algebra._conj``, which
+:func:`~octsieve.algebra.conjugate` shares), as the pass ran faster with
+them than with the generic loops they replaced.  They do those loops'
+arithmetic, term for term and in the same order, so they give the same
+values of the same types on ints, big ints and ``Fraction``s: an exact
+zero, ``Fraction(0)`` too, is falsy, and a scaling by an exact r != 0
+zeroes no coefficient, so a scaled spectrum keeps all its keys, and one
+scaled by r == 0 is zero.
 ``algebra._mul_all`` unpacks its operands the same way.  ``_per_rule``
 transforms a spectrum into :func:`function_family`'s values on the same
 exact inputs.  ``_trials`` reaches a verdict, trial 1 on a given
@@ -73,7 +75,7 @@ import random
 from collections.abc import Callable, Mapping, Sequence
 from operator import index
 
-from .algebra import Octonion, _add_product, _character, _check_int, _exact, _mul_all, _Record
+from .algebra import Octonion, _add_product, _character, _check_int, _conj, _exact, _mul_all, _Record
 from .dsl import Add, Const, Expr, Mul, Neg, Sub, Var, _program, evaluate, parse
 
 __all__ = [
@@ -208,11 +210,6 @@ def _pruned(spectrum: dict) -> AllRules:
     no key k > 0 is left."""
     spectrum = {k: tuple(v) for k, v in spectrum.items() if any(v)}
     return spectrum if len(spectrum) > (0 in spectrum) else spectrum.get(0, _ZERO)
-
-
-def _conj(c: tuple) -> tuple:
-    c0, c1, c2, c3, c4, c5, c6, c7 = c
-    return (c0, -c1, -c2, -c3, -c4, -c5, -c6, -c7)
 
 
 def _scale(r, value: AllRules) -> AllRules:

@@ -1,5 +1,6 @@
 """Octonion arithmetic and the 16 multiplication tables."""
 
+import enum
 import math
 import numbers
 import random
@@ -34,6 +35,7 @@ from octsieve.algebra import (
     parity_word,
     triplet_set,
 )
+from octsieve.dsl import evaluate, parse
 from octsieve.sieve import _per_rule
 
 # The eight left-handed parity words, in algebra-id order.
@@ -384,6 +386,89 @@ def test_conjugate():
         assert multiply(conjugate(a), a, n) == Octonion.real(norm_sq(a))
 
 
+def ordered_multiply(a, b, n):
+    """The product as ``_mul`` states it: output k sums the term
+    sign * a_i * b_(i^k) of every i, zero or not, in ascending i, with each
+    sign read off rule n's table."""
+    table = mul_table(n)
+    out = []
+    for k in range(8):
+        terms = []
+        for i in range(8):
+            sign, index = table[i][i ^ k]
+            assert index == k
+            terms.append(sign * a.coeffs[i] * b.coeffs[i ^ k])
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        out.append(total)
+    return tuple(out)
+
+
+def bits(coeffs):
+    """Each coefficient's type and value, a float by its hex string, so
+    -0.0 and 0.0 differ."""
+    return [(type(c), c.hex() if type(c) is float else c) for c in coeffs]
+
+
+def test_multiply_is_the_stated_sum_bit_for_bit():
+    rng = random.Random(46)
+    specials = [-0.0, 0.0, 5e-324, -3e-320, 2.0**-1022, 2.0**60 + 2**8, -(2.0**-60), 2.0**59 * 3]
+    # terms of one scale, so that a sum taken in another order rounds differently
+    kinds = [
+        lambda scale: rng.choice(specials) if rng.random() < 0.25 else rng.uniform(-1, 1) * scale,
+        lambda scale: rng.randint(-(2**72), 2**72),
+        lambda scale: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+    ]
+    for draw in kinds:
+        for _ in range(30):
+            scale = rng.choice((2.0**-60, 2.0**-1070, 1.0, 2.0**60))
+            a, b = Octonion(draw(scale) for _ in range(8)), Octonion(draw(scale) for _ in range(8))
+            for n in range(16):
+                assert bits(multiply(a, b, n).coeffs) == bits(ordered_multiply(a, b, n))
+    # signed zeros alone: each output is a sum of zeros whose sign the order fixes
+    for _ in range(50):
+        a, b = Octonion(rng.choice((0.0, -0.0)) for _ in range(8)), Octonion(rng.choice((0.0, -0.0)) for _ in range(8))
+        for n in range(16):
+            assert bits(multiply(a, b, n).coeffs) == bits(ordered_multiply(a, b, n))
+
+
+def test_conjugate_keeps_signed_zeros_and_types_and_builds_one_octonion(monkeypatch):
+    a = Octonion((-0.0, 0.0, -0.0, 2**70, Fraction(-1, 3), 5e-324, -2, Fraction(3, 1)))
+    built = []
+    init = Octonion.__init__
+
+    def counted(self, coeffs):
+        built.append(coeffs)
+        init(self, coeffs)
+
+    monkeypatch.setattr(Octonion, "__init__", counted)
+    c = conjugate(a)
+    assert len(built) == 1
+    assert bits(c.coeffs) == bits((-0.0, -0.0, 0.0, -(2**70), Fraction(1, 3), -5e-324, 2, Fraction(-3, 1)))
+
+
+class Rule(enum.IntEnum):
+    FIVE = 5
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, 16, -1])
+def test_a_bad_rule_id_is_the_same_error_on_every_route(bad):
+    a, b = Octonion(range(8)), Octonion(range(1, 9))
+    message = re.escape(f"algebra id must be an integer in 0..15, got {bad!r}")
+    for route in (lambda: multiply(a, b, bad), lambda: evaluate(parse("a*b"), {"a": a, "b": b}, bad),
+                  lambda: evaluate(parse("a"), {"a": a}, bad), lambda: mul_table(bad)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            route()
+
+
+def test_an_int_enum_rule_id_is_its_int():
+    a, b = Octonion(range(8)), Octonion(range(1, 9))
+    assert multiply(a, b, Rule.FIVE) == multiply(a, b, 5)
+    assert evaluate(parse("a*b"), {"a": a, "b": b}, Rule.FIVE) == multiply(a, b, 5)
+    assert mul_table(Rule.FIVE) == mul_table(5)
+
+
 def test_norm_values():
     assert norm(Octonion.one()) == 1
     assert norm(Octonion.zero()) == norm(Octonion((0.0,) * 8)) == 0
@@ -636,6 +721,21 @@ def test_a_fixed_width_integer_is_held_as_the_int_it_is(wide):
         scaled = Octonion(range(8)) * wide(2**62)
         assert scaled == wide(2**62) * Octonion(range(8)) == Octonion([k * 2**62 for k in range(8)])
     assert all(type(c) is int for c in scaled.coeffs)
+
+
+def test_a_rational_type_that_has_passed_is_held_as_given_and_errors_stay():
+    from decimal import Decimal
+
+    for _ in range(2):  # the second pass reads Fraction from the cache of types that have passed
+        x = Octonion([Fraction(3, 1), Fraction(1, 2), 1, 0.5, Wrapping64(-3), 0, 0, 0])
+        assert typed(x.coeffs) == typed([Fraction(3, 1), Fraction(1, 2), 1, 0.5, -3, 0, 0, 0])
+        assert Fraction in algebra._RATIONAL_TYPES
+        for bad in (True, Decimal(1), "1"):
+            with pytest.raises(TypeError, match=f"got {re.escape(repr(bad))}$"):
+                Octonion([Fraction(1, 2), bad] + [0] * 6)
+        with pytest.raises(ValueError, match="got nan$"):
+            Octonion([Fraction(1, 2), math.nan] + [0] * 6)
+    assert not {bool, Decimal, str, float, Wrapping64} & algebra._RATIONAL_TYPES
 
 
 def test_a_bool_scalar_is_a_type_error_like_a_bool_coefficient():

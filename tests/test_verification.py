@@ -84,7 +84,7 @@ def mutate_kernel(monkeypatch, old, new):
         monkeypatch.setattr(module, "_mul", namespace["_mul"])
 
 
-@pytest.mark.parametrize("old, new", [("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1")])
+@pytest.mark.parametrize("old, new", [("+ s0a2*b3", "- s0a2*b3"), ("- s1a7*b1", "+ s1a7*b1")])
 def test_a_sign_flipped_in_one_rule_0_term_fails_both_proofs(monkeypatch, old, new):
     mutate_kernel(monkeypatch, old, new)
     # the flipped kernel is still rule 0 in each basis phi_n, so the rule-0
@@ -96,8 +96,7 @@ def test_a_sign_flipped_in_one_rule_0_term_fails_both_proofs(monkeypatch, old, n
     assert not passed and re.fullmatch(r"rule 0, pair \[.*\], \[.*\]: \|ab\|\^2 != \|a\|\^2 \|b\|\^2", detail)
 
 
-def test_a_dropped_character_fails_table_fidelity_at_the_isomorphism(monkeypatch):
-    mutate_kernel(monkeypatch, "+ s6*a7*b3", "+ a7*b3")
+def assert_only_table_fidelity_fails():
     # under rule 0 every character is +1, so the five rule-0 checks pass;
     # table-fidelity's proof of phi_n, which they cite, fails
     for check in (verification.check_leibniz, verification.check_norm_multiplicativity,
@@ -106,6 +105,18 @@ def test_a_dropped_character_fails_table_fidelity_at_the_isomorphism(monkeypatch
         assert check()[0]
     passed, detail = verification.check_table_fidelity()
     assert not passed and re.fullmatch(r"rule (\d+) is not rule 0 in the basis phi_\1: e\d e\d differs", detail)
+
+
+def test_a_dropped_character_fails_table_fidelity_at_the_isomorphism(monkeypatch):
+    mutate_kernel(monkeypatch, "+ s6a7*b3", "+ a7*b3")
+    assert_only_table_fidelity_fails()
+
+
+def test_a_wrong_character_in_a_presigned_product_fails_table_fidelity_at_the_isomorphism(monkeypatch):
+    # s1 in place of s0 in one of the 21 products the kernel presigns: both
+    # terms that read s0a2 carry triplet (1, 2, 3)'s character no more
+    mutate_kernel(monkeypatch, "s0*a2", "s1*a2")
+    assert_only_table_fidelity_fails()
 
 
 def test_one_run_proves_phi_n_once(monkeypatch):
@@ -188,8 +199,8 @@ def public_norm_failure():
     return None
 
 
-@pytest.mark.parametrize("mutation", [None, ("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1"),
-                                      ("- a1*b1", "+ a1*b1"), ("+ s4*a5*b1", "- s4*a5*b1")])
+@pytest.mark.parametrize("mutation", [None, ("+ s0a2*b3", "- s0a2*b3"), ("- s1a7*b1", "+ s1a7*b1"),
+                                      ("- a1*b1", "+ a1*b1"), ("+ s4a5*b1", "- s4a5*b1")])
 def test_the_basis_product_route_to_the_norm_is_the_public_multiply_route(monkeypatch, mutation):
     # the route the norm proof replaced, on the kernel as it is and with one
     # rule-0 sign flipped: the same first failing pair, or none
@@ -234,8 +245,8 @@ def test_the_linear_route_to_d_of_a_product_is_the_kernel_route_on_all_128_orien
         assert found == kernel_route_counterexample(s)
 
 
-@pytest.mark.parametrize("old, new", [("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1"),
-                                      ("+ s6*a7*b3", "+ a7*b3")])
+@pytest.mark.parametrize("old, new", [("+ s0a2*b3", "- s0a2*b3"), ("- s1a7*b1", "+ s1a7*b1"),
+                                      ("+ s6a7*b3", "+ a7*b3")])
 def test_the_linear_route_is_the_kernel_route_under_a_mutated_kernel(monkeypatch, old, new):
     mutate_kernel(monkeypatch, old, new)
     found = [leibniz_counterexample(s) for s in _SIGNS]
@@ -362,13 +373,13 @@ def mutate_parts(monkeypatch, mutation):
     monkeypatch.setattr(algebra, "_PARTS", tuple(parts))
 
 
-MUL_MUTATIONS = [("+ s0*a2*b3", "- s0*a2*b3"), ("- s1*a7*b1", "+ s1*a7*b1"), ("- a1*b1", "+ a1*b1"),
-                 ("+ s4*a5*b1", "- s4*a5*b1"), ("+ s6*a7*b3", "+ a7*b3")]
+MUL_MUTATIONS = [("+ s0a2*b3", "- s0a2*b3"), ("- s1a7*b1", "+ s1a7*b1"), ("- a1*b1", "+ a1*b1"),
+                 ("+ s4a5*b1", "- s4a5*b1"), ("+ s6a7*b3", "+ a7*b3"), ("s0*a2", "s1*a2")]
 
 
 @pytest.mark.parametrize("mutation", [*MUL_MUTATIONS, *PARTS_MUTATIONS])
 def test_every_kernel_mutation_fails_a_check(monkeypatch, mutation):
-    # the kernel mutations of this file, the dropped character among them:
+    # the kernel mutations of this file, the dropped and the wrong character among them:
     # whichever check catches each, one verify run reports a failure
     if isinstance(mutation, str):
         mutate_parts(monkeypatch, mutation)
