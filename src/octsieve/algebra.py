@@ -29,9 +29,7 @@ The basis index of a product is the same in every rule: e_i e_j =
 sign is +1 when i or j is 0, -1 when i = j > 0, and otherwise the
 reference orientation of the triplet t holding i and j times chi(m_t, n).
 :func:`multiply` is one unrolled kernel over these seven characters,
-``_mul``, which presigns the 21 products s_t a_i once: 85
-multiplications per product, not 106, with every value and float bit
-unchanged (its docstring says why).  The table of rule n in
+``_mul`` (its docstring states its terms); the table of rule n in
 :func:`mul_table` is built independently, from rule n's oriented
 triplets (:func:`triplet_set`).  :func:`conjugate` and the sieve's
 all-rules pass share one written-out conjugate, ``_conj``.
@@ -56,9 +54,7 @@ and :func:`_add_product`, which add into the rows they are given, are
 pure.  Ints of any size and rationals (``numbers.Rational``, such as
 ``Fraction``) propagate exactly through every operation, so the tests
 assert equality, never tolerance; an :class:`Octonion` holds any other
-``numbers.Integral``, such as numpy's int64, as the int it is, and
-remembers each non-integral rational type that has passed its check
-(``_RATIONAL_TYPES``), which changes no result.
+``numbers.Integral``, such as numpy's int64, as the int it is.
 Floats must be finite.  :func:`_rational` reads a checked coefficient as
 the rational it is, and :func:`_exact` a tuple of them, for every exact
 route in the package: the sieve's all-rules pass, compiled constants, the
@@ -198,12 +194,6 @@ def _rebuild(cls: type, fields: dict) -> _Record:
     return cls(**fields)
 
 
-# Each type that has passed Octonion's check as a numbers.Rational that is
-# not a numbers.Integral, such as Fraction: later coefficients of the type
-# skip the ABC checks, which are most of the time of an octonion of Fractions.
-_RATIONAL_TYPES: set[type] = set()
-
-
 class Octonion(_Record):
     """An immutable 8-tuple of real coefficients (a0, ..., a7).
 
@@ -226,14 +216,10 @@ class Octonion(_Record):
             if isinstance(c, float):
                 if not math.isfinite(c):
                     raise ValueError(f"coefficients must be finite, got {c!r}")
-            elif type(c) in _RATIONAL_TYPES:
-                continue  # exact, and its type has passed the ABC checks below
             elif not isinstance(c, numbers.Rational) or isinstance(c, bool):
                 raise TypeError(f"coefficients must be real numbers, got {c!r}")
-            elif isinstance(c, numbers.Integral):
-                wide = True
-            else:
-                _RATIONAL_TYPES.add(type(c))
+            elif getattr(c, "denominator", 1) == 1 and isinstance(c, numbers.Integral):
+                wide = True  # denominator first: a Fraction skips the slower ABC check
         if wide:  # an integer type that wraps around, such as numpy's int64: hold the int it is
             cs = tuple(int(c) if isinstance(c, numbers.Integral) else c for c in cs)
         object.__setattr__(self, "coeffs", cs)

@@ -1,6 +1,7 @@
 """Octonion arithmetic and the 16 multiplication tables."""
 
 import enum
+import hashlib
 import math
 import numbers
 import random
@@ -420,17 +421,24 @@ def test_multiply_is_the_stated_sum_bit_for_bit():
         lambda scale: rng.randint(-(2**72), 2**72),
         lambda scale: Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
     ]
+    got = []
     for draw in kinds:
         for _ in range(30):
             scale = rng.choice((2.0**-60, 2.0**-1070, 1.0, 2.0**60))
             a, b = Octonion(draw(scale) for _ in range(8)), Octonion(draw(scale) for _ in range(8))
             for n in range(16):
-                assert bits(multiply(a, b, n).coeffs) == bits(ordered_multiply(a, b, n))
+                got.append(bits(multiply(a, b, n).coeffs))
+                assert got[-1] == bits(ordered_multiply(a, b, n))
     # signed zeros alone: each output is a sum of zeros whose sign the order fixes
     for _ in range(50):
         a, b = Octonion(rng.choice((0.0, -0.0)) for _ in range(8)), Octonion(rng.choice((0.0, -0.0)) for _ in range(8))
         for n in range(16):
-            assert bits(multiply(a, b, n).coeffs) == bits(ordered_multiply(a, b, n))
+            got.append(bits(multiply(a, b, n).coeffs))
+            assert got[-1] == bits(ordered_multiply(a, b, n))
+    # the same outputs, pinned from the kernel that multiplied each character
+    # into every term (s_t*a_i*b_j) before it presigned s_t*a_i
+    text = " ".join(f"{t.__name__}:{v}" for coeffs in got for t, v in coeffs)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "64e28225f0030fbb"
 
 
 def test_conjugate_keeps_signed_zeros_and_types_and_builds_one_octonion(monkeypatch):
@@ -723,19 +731,16 @@ def test_a_fixed_width_integer_is_held_as_the_int_it_is(wide):
     assert all(type(c) is int for c in scaled.coeffs)
 
 
-def test_a_rational_type_that_has_passed_is_held_as_given_and_errors_stay():
+def test_a_rational_is_held_as_given_beside_a_wide_integer_and_bad_coefficients_are_errors():
     from decimal import Decimal
 
-    for _ in range(2):  # the second pass reads Fraction from the cache of types that have passed
-        x = Octonion([Fraction(3, 1), Fraction(1, 2), 1, 0.5, Wrapping64(-3), 0, 0, 0])
-        assert typed(x.coeffs) == typed([Fraction(3, 1), Fraction(1, 2), 1, 0.5, -3, 0, 0, 0])
-        assert Fraction in algebra._RATIONAL_TYPES
-        for bad in (True, Decimal(1), "1"):
-            with pytest.raises(TypeError, match=f"got {re.escape(repr(bad))}$"):
-                Octonion([Fraction(1, 2), bad] + [0] * 6)
-        with pytest.raises(ValueError, match="got nan$"):
-            Octonion([Fraction(1, 2), math.nan] + [0] * 6)
-    assert not {bool, Decimal, str, float, Wrapping64} & algebra._RATIONAL_TYPES
+    x = Octonion([Fraction(3, 1), Fraction(1, 2), 1, 0.5, Wrapping64(-3), 0, 0, 0])
+    assert typed(x.coeffs) == typed([Fraction(3, 1), Fraction(1, 2), 1, 0.5, -3, 0, 0, 0])
+    for bad in (True, Decimal(1), "1"):
+        with pytest.raises(TypeError, match=f"got {re.escape(repr(bad))}$"):
+            Octonion([Fraction(1, 2), bad] + [0] * 6)
+    with pytest.raises(ValueError, match="got nan$"):
+        Octonion([Fraction(1, 2), math.nan] + [0] * 6)
 
 
 def test_a_bool_scalar_is_a_type_error_like_a_bool_coefficient():
